@@ -33,9 +33,33 @@ from .polycore import (
 OK, NEGATIVE, USAGE, INTERNAL = 0, 1, 2, 3
 
 
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load(path: str, parse):
+    """Read a JSON input file and convert it with `parse`.
+
+    Failures here are usage errors; the same exception types raised later,
+    inside the exact core, are internal errors.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (FileNotFoundError, KeyError, ValueError) as exc:
+        raise SystemExit2(f"{path}: {exc!r}") from exc
+
+
+def _multiplier_from_json(doc) -> list:
+    return [tuple(int(x) for x in e) for e in doc["exps"]]
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: {text}")
+        return value
+
+    return parse
 
 
 def _emit(doc: dict, args) -> None:
@@ -49,9 +73,9 @@ def _emit(doc: dict, args) -> None:
 def _load_input(args):
     """Either --poly or --herm, returning the parsed object."""
     if getattr(args, "poly", None):
-        return poly_from_json(_read_json(args.poly))
+        return _load(args.poly, poly_from_json)
     if getattr(args, "herm", None):
-        return hermitian_from_json(_read_json(args.herm))
+        return _load(args.herm, hermitian_from_json)
     raise SystemExit2("one of --poly or --herm is required")
 
 
@@ -95,13 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check-psi", **sub_kwargs, help="membership at a fixed power")
     chk.add_argument("--poly")
     chk.add_argument("--herm")
-    chk.add_argument("--d", type=int, required=True)
+    chk.add_argument("--d", type=_int_at_least(0), required=True)
     chk.add_argument("--multiplier", help="JSON file {n, exps: [[...]]}")
 
     mind = sub.add_parser("min-d", **sub_kwargs, help="smallest power admitting membership")
     mind.add_argument("--poly")
     mind.add_argument("--herm")
-    mind.add_argument("--max-d", type=int, default=_psi.DEFAULT_POWER_CAP)
+    mind.add_argument("--max-d", type=_int_at_least(0), default=_psi.DEFAULT_POWER_CAP)
 
     sig = sub.add_parser("signature", **sub_kwargs, help="signature pair of the input")
     sig.add_argument("--poly")
@@ -110,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     srch = sub.add_parser("search", **sub_kwargs, help="hunt for extreme sign-ratio patterns")
     srch.add_argument("--n", type=int, required=True)
     srch.add_argument("--D", type=int, required=True)
-    srch.add_argument("--d", type=int, required=True)
+    srch.add_argument("--d", type=_int_at_least(1), required=True)
     srch.add_argument(
         "--strategy", choices=("exhaustive", "greedy", "local"), default="exhaustive"
     )
@@ -126,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     vb = sub.add_parser("verify-bounds", **sub_kwargs, help="check the signature-ratio ceiling")
     vb.add_argument("--poly")
     vb.add_argument("--herm")
-    vb.add_argument("--n", type=int)
-    vb.add_argument("--d", type=int, required=True)
+    vb.add_argument("--n", type=_int_at_least(2))
+    vb.add_argument("--d", type=_int_at_least(1), required=True)
 
     cert = sub.add_parser("certificate", **sub_kwargs, help="pigeonhole certificate at power 1")
     cert.add_argument("--poly", required=True)
@@ -199,8 +223,7 @@ def _witness_doc(report) -> dict | None:
 def _cmd_check_psi(args) -> int:
     obj = _load_input(args)
     if args.multiplier:
-        spec = _read_json(args.multiplier)
-        exps = [tuple(int(x) for x in e) for e in spec["exps"]]
+        exps = _load(args.multiplier, _multiplier_from_json)
         report = _psi.in_psi_general_multiplier(obj, exps)
     else:
         report = _psi.in_psi(obj, args.d)
@@ -236,7 +259,7 @@ def _cmd_signature(args) -> int:
 def _cmd_search(args) -> int:
     support = None
     if args.support:
-        pat = _patterns.pattern_from_json(_read_json(args.support))
+        pat = _load(args.support, _patterns.pattern_from_json)
         support = sorted(pat.support)
     budget_hit = False
     try:
@@ -273,7 +296,7 @@ def _cmd_search(args) -> int:
 def _cmd_reduce(args) -> int:
     from .reduction import decompose, partial_row_echelon, reconstruction_error
 
-    herm = hermitian_from_json(_read_json(args.herm))
+    herm = _load(args.herm, hermitian_from_json)
     form = decompose(herm)
     reduced, steps = partial_row_echelon(form, recon_tol=args.tol)
     steps_doc = [
@@ -334,7 +357,7 @@ def _cmd_verify_bounds(args) -> int:
 
 
 def _cmd_certificate(args) -> int:
-    poly = poly_from_json(_read_json(args.poly))
+    poly = _load(args.poly, poly_from_json)
     try:
         cert = _bounds.pigeonhole_certificate(poly)
     except NotInPsiD as exc:
@@ -355,9 +378,9 @@ def _cmd_certificate(args) -> int:
 
 def _cmd_diagram(args) -> int:
     if args.pattern:
-        pat = _patterns.pattern_from_json(_read_json(args.pattern))
+        pat = _load(args.pattern, _patterns.pattern_from_json)
     elif args.poly:
-        pat = _patterns.pattern_from_poly(poly_from_json(_read_json(args.poly)))
+        pat = _load(args.poly, lambda doc: _patterns.pattern_from_poly(poly_from_json(doc)))
     else:
         raise SystemExit2("diagram needs --poly or --pattern")
     doc = render_diagram(
@@ -399,7 +422,7 @@ def run(argv) -> int:
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except FileNotFoundError as exc:
         print(f"usage error: {exc!r}", file=sys.stderr)
         return USAGE
     except (CertificateFailure, AssertionError) as exc:

@@ -1,11 +1,18 @@
-"""Exact inertia of Hermitian matrices by rational congruence.
+"""Exact inertia of Hermitian matrices by fraction-free congruence.
 
-The factorization uses symmetric elimination with 1x1 pivots only.  When the
-active diagonal vanishes but the block does not, a congruence that adds one
-row/column into another (with a factor of 1 or i) manufactures a nonzero
-diagonal entry, so square roots never appear and everything stays inside the
-Gaussian rationals.  Sylvester's law makes the sign counts of the resulting
-diagonal the inertia of the input.
+The factorization scales the matrix by the lcm of its entry denominators (a
+positive scalar congruence, so the inertia is unchanged) and runs symmetric
+Bareiss elimination (Bareiss 1968) over Gaussian integers held as pairs of
+Python ints.  Sylvester's identity makes every division exact, and the pivot
+signs come from ratios of successive pivot minors.  Pivots are 1x1 only.
+When the active diagonal vanishes but the block does not, a congruence that
+adds one row/column into another (with a factor of 1 or i) manufactures a
+nonzero diagonal entry, so square roots never appear.  Sylvester's law of
+inertia makes the sign counts of the resulting diagonal the inertia of the
+input.
+
+The congruence transform is tracked as integer columns, each scaled by a
+pivot minor; its rational form and its inverse are built only when read.
 """
 
 from __future__ import annotations
@@ -13,11 +20,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
-from .errors import ExplicitLimit, NotHermitian
+from .errors import CertificateFailure, ExplicitLimit, NotHermitian, PsicertError
 from .polycore import (
-    GR_I,
-    GR_ONE,
     GR_ZERO,
     GaussianRational,
     HermitianPoly,
@@ -28,14 +35,16 @@ _HARD_DIM_CAP = 2048
 
 def _dim_cap() -> int:
     """Desk-scale cap on dense dimension; the environment may lower it."""
-    cap = _HARD_DIM_CAP
     env = os.environ.get("PSI_MAX_DIM")
-    if env:
-        try:
-            cap = min(cap, int(env))
-        except ValueError:
-            pass
-    return cap
+    if not env:
+        return _HARD_DIM_CAP
+    try:
+        cap = int(env)
+        if cap <= 0:
+            raise ValueError
+    except ValueError:
+        raise PsicertError(f"PSI_MAX_DIM must be a positive integer, got {env!r}") from None
+    return min(_HARD_DIM_CAP, cap)
 
 
 def _as_gr(x) -> GaussianRational:
@@ -56,8 +65,9 @@ class HermitianMatrix:
         dim = len(rows)
         if any(len(r) != dim for r in rows):
             raise ValueError("matrix must be square")
-        if dim > _dim_cap():
-            raise ExplicitLimit(f"dimension {dim} exceeds cap {_dim_cap()}")
+        cap = _dim_cap()
+        if dim > cap:
+            raise ExplicitLimit(f"dimension {dim} exceeds cap {cap}")
         for i in range(dim):
             if rows[i][i].im != 0:
                 raise NotHermitian(f"diagonal entry {i} is not real")
@@ -87,14 +97,22 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
 class CongruenceFactorization:
-    """diag == transform* . original . transform, all exact."""
+    """diag == transform* . M . transform, exactly.
 
-    diag: tuple  # of Fraction, original index order
-    transform: tuple  # rows of the congruence matrix T
-    inverse: tuple  # rows of T^-1 (kept for decompositions)
-    pivot_log: tuple  # ordered pivot record, for reproducibility
+    The elimination leaves integer data only.  Column k of the transform is
+    kept as Gaussian integers scaled by the pivot minor in force when k was
+    pivoted (by the last minor for indices left in a zero block); row k of
+    the inverse as Gaussian integers over its pivot.  `transform` and
+    `inverse` turn them into rows of Gaussian rationals when first read.
+    """
+
+    def __init__(self, diag, pivot_log, columns, column_scales, inverse_rows):
+        self.diag = diag  # of Fraction, original index order
+        self.pivot_log = pivot_log  # ordered pivot record, for reproducibility
+        self._columns = columns  # per column: (re ints, im ints), scaled
+        self._column_scales = column_scales
+        self._inverse_rows = inverse_rows  # per row: (denominator, ((col, re, im), ...))
 
     @property
     def inertia(self) -> tuple:
@@ -102,15 +120,44 @@ class CongruenceFactorization:
         neg = sum(1 for d in self.diag if d < 0)
         return (pos, neg, len(self.diag) - pos - neg)
 
+    def integer_column(self, k: int) -> tuple:
+        """Column k of the transform times its pivot minor, as Gaussian integers."""
+        re, im = self._columns[k]
+        return tuple(GaussianRational(Fraction(a), Fraction(b)) for a, b in zip(re, im))
 
-def _identity(dim):
-    return [
-        [GR_ONE if i == j else GR_ZERO for j in range(dim)] for i in range(dim)
-    ]
+    @cached_property
+    def transform(self) -> tuple:
+        """Rows of the congruence matrix T."""
+        cols = [
+            [GaussianRational(Fraction(a, s), Fraction(b, s)) for a, b in zip(re, im)]
+            for (re, im), s in zip(self._columns, self._column_scales)
+        ]
+        return tuple(zip(*cols))
+
+    @cached_property
+    def inverse(self) -> tuple:
+        """Rows of T^-1, read by signed-squares decompositions."""
+        dim = len(self.diag)
+        rows = []
+        for den, entries in self._inverse_rows:
+            row = [GR_ZERO] * dim
+            for c, a, b in entries:
+                row[c] = GaussianRational(Fraction(a, den), Fraction(b, den))
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 def congruence_factorization(M: HermitianMatrix) -> CongruenceFactorization:
-    """Symmetric elimination with exact arithmetic and a deterministic pivot rule.
+    """Symmetric Bareiss elimination over Gaussian integers, deterministic pivots.
+
+    Let L be the lcm of the entry denominators and m_s the principal minor
+    of L * M on the first s pivots, after any bumps (m_0 = 1).  An active
+    entry a_ij then holds m_s * L times the matching entry of the rational
+    Schur complement.  Pivoting on k, with p = a_kk = m_{s+1}, maps a_ij to
+    (p * a_ij - a_ik * a_kj) / m_s and each active transform column t_i to
+    (p * t_i - conj(a_ik) * t_k) / m_s.  Sylvester's identity makes both
+    divisions exact; a remainder raises CertificateFailure.  The pivot gets
+    diag[k] = p / (L * m_s).
 
     Pivot rule: among the active diagonal, take the entry of largest absolute
     value (smallest index on ties).  If the active diagonal is all zero but an
@@ -118,30 +165,26 @@ def congruence_factorization(M: HermitianMatrix) -> CongruenceFactorization:
     (factor 1, or i when the entry is purely imaginary) to create a pivot.
     """
     dim = M.dim
-    W = [list(row) for row in M.rows]
-    T = _identity(dim)
-    Tinv = _identity(dim)
+    dens = {x.re.denominator for row in M.rows for x in row}
+    dens.update(x.im.denominator for row in M.rows for x in row)
+    L = lcm(*dens)
+    re = [[x.re.numerator * (L // x.re.denominator) for x in row] for row in M.rows]
+    im = [[x.im.numerator * (L // x.im.denominator) for x in row] for row in M.rows]
+    # columns of the transform, each scaled by the current pivot minor while active
+    tre = [[int(r == c) for r in range(dim)] for c in range(dim)]
+    tim = [[0] * dim for _ in range(dim)]
+    scales = [1] * dim
+    inverse_rows = [None] * dim
+    unit = None  # integer rows of T^-1 for active indices, once a bump has moved them
+    prev = 1
     log = []
     active = list(range(dim))
 
-    def apply_add(i: int, j: int, factor: GaussianRational):
-        # congruence: column i += factor * column j, row i += conj(factor) * row j
-        fc = factor.conjugate()
-        for r in range(dim):
-            W[r][i] = W[r][i] + factor * W[r][j]
-        for c in range(dim):
-            W[i][c] = W[i][c] + fc * W[j][c]
-        for r in range(dim):
-            T[r][i] = T[r][i] + factor * T[r][j]
-        for c in range(dim):
-            Tinv[j][c] = Tinv[j][c] - factor * Tinv[i][c]
-
     while active:
-        # best available diagonal pivot
-        best, best_mag = None, None
+        best, best_mag = None, 0
         for k in active:
-            mag = abs(W[k][k].re)
-            if mag != 0 and (best_mag is None or mag > best_mag):
+            mag = abs(re[k][k])
+            if mag > best_mag:
                 best, best_mag = k, mag
         if best is None:
             bump = next(
@@ -149,7 +192,7 @@ def congruence_factorization(M: HermitianMatrix) -> CongruenceFactorization:
                     (i, j)
                     for i in active
                     for j in active
-                    if i != j and not W[i][j].is_zero()
+                    if i != j and (re[i][j] or im[i][j])
                 ),
                 None,
             )
@@ -157,29 +200,102 @@ def congruence_factorization(M: HermitianMatrix) -> CongruenceFactorization:
                 break  # all-zero active block: zeros of the diagonal
             i, j = bump
             # a factor of 1 creates 2*Re(entry); fall back to i when that is zero
-            if W[i][j].re != 0:
-                apply_add(i, j, GR_ONE)
+            if re[i][j]:
+                fr, fi = 1, 0
                 log.append(("bump", i, j, "1"))
             else:
-                apply_add(i, j, GR_I)
+                fr, fi = 0, 1
                 log.append(("bump", i, j, "i"))
+            # congruence: column i += f * column j, then row i += conj(f) * row j
+            for r in active:
+                a, b = re[r][j], im[r][j]
+                re[r][i] += fr * a - fi * b
+                im[r][i] += fr * b + fi * a
+            for c in active:
+                a, b = re[j][c], im[j][c]
+                re[i][c] += fr * a + fi * b
+                im[i][c] += fr * b - fi * a
+            for r in range(dim):
+                a, b = tre[j][r], tim[j][r]
+                tre[i][r] += fr * a - fi * b
+                tim[i][r] += fr * b + fi * a
+            if unit is None:
+                unit = {a: ([int(a == c) for c in range(dim)], [0] * dim) for a in active}
+            (ur, ui), (vr, vi) = unit[j], unit[i]
+            for c in range(dim):
+                a, b = vr[c], vi[c]
+                ur[c] -= fr * a - fi * b
+                ui[c] -= fr * b + fi * a
             continue
+
         k = best
         log.append(("pivot", k))
-        pivot = W[k][k].re
-        for i in active:
-            if i == k or W[i][k].is_zero():
-                continue
-            factor = -(W[i][k].conjugate()) / GaussianRational.of(pivot)
-            apply_add(i, k, factor)
+        p = re[k][k]
+        rk, ik = re[k], im[k]
+        # row k of T^-1 is sum_c a_kc * (row c of T^-1) over the active c, divided by p
+        if unit is None:
+            inverse_rows[k] = (p, tuple((c, rk[c], ik[c]) for c in active))
+        else:
+            sr, si = [0] * dim, [0] * dim
+            for c in active:
+                a, b = rk[c], ik[c]
+                if a or b:
+                    ur, ui = unit[c]
+                    for t in range(dim):
+                        sr[t] += a * ur[t] - b * ui[t]
+                        si[t] += a * ui[t] + b * ur[t]
+            inverse_rows[k] = (p, tuple((t, sr[t], si[t]) for t in range(dim)))
+            del unit[k]
         active.remove(k)
+        scales[k] = prev
+        col = [(i, re[i][k], im[i][k]) for i in active]
 
-    diag = tuple(W[k][k].re for k in range(dim))
+        # transform: column i <- (p * column i - conj(a_ik) * column k) / prev
+        kr, ki = tre[k], tim[k]
+        for i, xr, xi in col:
+            cr, ci = tre[i], tim[i]
+            for t in range(dim):
+                a, b = kr[t], ki[t]
+                nr = p * cr[t] - xr * a - xi * b
+                ni = p * ci[t] - xr * b + xi * a
+                if prev != 1:
+                    nr, qr = divmod(nr, prev)
+                    ni, qi = divmod(ni, prev)
+                    if qr or qi:
+                        raise CertificateFailure("inexact division in the transform update")
+                cr[t] = nr
+                ci[t] = ni
+
+        # active block: upper triangle, mirrored into the lower
+        for idx, (i, xr, xi) in enumerate(col):
+            ri, ii = re[i], im[i]
+            for j, yr, yi in col[idx:]:
+                nr = p * ri[j] - xr * yr - xi * yi
+                ni = p * ii[j] - xi * yr + xr * yi
+                if prev != 1:
+                    nr, qr = divmod(nr, prev)
+                    ni, qi = divmod(ni, prev)
+                    if qr or qi:
+                        raise CertificateFailure("inexact Bareiss division")
+                ri[j] = nr
+                ii[j] = ni
+                re[j][i] = nr
+                im[j][i] = -ni
+        prev = p
+
+    for i in active:
+        scales[i] = prev
+        if unit is None:
+            inverse_rows[i] = (1, ((i, 1, 0),))
+        else:
+            ur, ui = unit[i]
+            inverse_rows[i] = (1, tuple((t, ur[t], ui[t]) for t in range(dim)))
     return CongruenceFactorization(
-        diag=diag,
-        transform=tuple(tuple(r) for r in T),
-        inverse=tuple(tuple(r) for r in Tinv),
+        diag=tuple(Fraction(re[k][k], L * scales[k]) for k in range(dim)),
         pivot_log=tuple(log),
+        columns=tuple(zip(tre, tim)),
+        column_scales=tuple(scales),
+        inverse_rows=tuple(inverse_rows),
     )
 
 
@@ -191,24 +307,42 @@ def inertia(M: HermitianMatrix) -> tuple:
 def quadratic_form(M: HermitianMatrix, v) -> Fraction:
     """v* M v for an exact vector v; always real."""
     v = [_as_gr(x) for x in v]
+    nz = [(i, x) for i, x in enumerate(v) if not x.is_zero()]
     acc = GR_ZERO
-    for i in range(M.dim):
-        for j in range(M.dim):
-            acc = acc + v[i].conjugate() * M.rows[i][j] * v[j]
-    assert acc.im == 0
+    for i, x in nz:
+        row = M.rows[i]
+        s = GR_ZERO
+        for j, y in nz:
+            s = s + row[j] * y
+        acc = acc + x.conjugate() * s
+    if acc.im != 0:
+        raise CertificateFailure(f"v* M v has imaginary part {acc.im}")
     return acc.re
+
+
+def negative_direction(M: HermitianMatrix, fact: CongruenceFactorization):
+    """(v, v* M v) with v* M v < 0 for the first negative pivot of `fact`.
+
+    v is that pivot's Gaussian-integer transform column; its value is
+    evaluated again on M rather than read off the factorization.  Returns
+    None when no pivot is negative, i.e. when M is positive semidefinite.
+    """
+    k = next((k for k, d in enumerate(fact.diag) if d < 0), None)
+    if k is None:
+        return None
+    v = fact.integer_column(k)
+    value = quadratic_form(M, v)
+    if value >= 0:
+        raise CertificateFailure(f"negative pivot {k} gives v* M v = {value} >= 0")
+    return v, value
 
 
 def is_positive_semidefinite(M: HermitianMatrix):
     """(True, None) when PSD; otherwise (False, witness) with witness* M witness < 0."""
-    fact = congruence_factorization(M)
-    for k, d in enumerate(fact.diag):
-        if d < 0:
-            witness = tuple(fact.transform[r][k] for r in range(M.dim))
-            value = quadratic_form(M, witness)
-            assert value < 0
-            return False, witness
-    return True, None
+    found = negative_direction(M, congruence_factorization(M))
+    if found is None:
+        return True, None
+    return False, found[0]
 
 
 def coefficient_matrix(r: HermitianPoly) -> HermitianMatrix:
@@ -286,26 +420,3 @@ def recompose(dec: HolomorphicDecomposition) -> HermitianPoly:
     for row, scale in zip(dec.minus_rows, dec.minus_scales):
         accumulate(row, scale, -1)
     return HermitianPoly(n, entries)
-
-
-# small exact-matrix helpers shared with tests and the reduction pipeline
-
-
-def mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = [[GR_ZERO] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            a = A[i][k]
-            if a.is_zero():
-                continue
-            for j in range(cols):
-                out[i][j] = out[i][j] + a * B[k][j]
-    return out
-
-def mat_adjoint(A):
-    if not A:
-        return []
-    return [
-        [A[i][j].conjugate() for i in range(len(A))] for j in range(len(A[0]))
-    ]

@@ -16,7 +16,7 @@ from .errors import CapExceeded
 from .inertia import (
     coefficient_matrix,
     congruence_factorization,
-    is_positive_semidefinite,
+    negative_direction,
 )
 from .polycore import (
     GR_ZERO,
@@ -108,21 +108,22 @@ def _product_matrix(r: HermitianPoly, d: int):
     return coefficient_matrix(HermitianPoly(r.n, entries))
 
 
+def _psd_verdict(M) -> tuple:
+    """Factor M once: (True, PsdCertificate) or (False, NegativeDirectionWitness)."""
+    fact = congruence_factorization(M)
+    found = negative_direction(M, fact)
+    if found is None:
+        return True, PsdCertificate(fact, M.basis)
+    vector, value = found
+    return False, NegativeDirectionWitness(vector, M.basis, value)
+
+
 def in_psi_hermitian(r: HermitianPoly, d: int) -> PsiReport:
     """General membership: the product coefficient matrix must be PSD, exactly."""
     if r.is_zero():
         return PsiReport(d, True, NonnegativeProductCertificate(RealSparsePoly(r.n, {})))
-    M = _product_matrix(r, d)
-    ok, witness = is_positive_semidefinite(M)
-    if ok:
-        return PsiReport(d, True, PsdCertificate(congruence_factorization(M), M.basis))
-    from .inertia import quadratic_form
-
-    return PsiReport(
-        d,
-        False,
-        NegativeDirectionWitness(witness, M.basis, quadratic_form(M, witness)),
-    )
+    member, cert = _psd_verdict(_product_matrix(r, d))
+    return PsiReport(d, member, cert)
 
 
 def in_psi(obj, d: int) -> PsiReport:
@@ -190,21 +191,6 @@ def in_psi_general_multiplier(obj, s) -> PsiReport:
                     entries.pop(key, None)
                 else:
                     entries[key] = cur
-        M = coefficient_matrix(HermitianPoly(obj.n, entries))
-        ok, witness = is_positive_semidefinite(M)
-        if ok:
-            return PsiReport(
-                None,
-                True,
-                PsdCertificate(congruence_factorization(M), M.basis),
-                multiplier=tuple(exps),
-            )
-        from .inertia import quadratic_form
-
-        return PsiReport(
-            None,
-            False,
-            NegativeDirectionWitness(witness, M.basis, quadratic_form(M, witness)),
-            multiplier=tuple(exps),
-        )
+        member, cert = _psd_verdict(coefficient_matrix(HermitianPoly(obj.n, entries)))
+        return PsiReport(None, member, cert, multiplier=tuple(exps))
     raise TypeError(f"cannot test membership for {type(obj).__name__}")

@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    CertificateFailure,
     LambdaOutOfRange,
     NotInPsiD,
     NumericalBreakdown,
@@ -160,9 +161,8 @@ def lambda_scale(form: DecomposedForm, lam) -> DecomposedForm:
         new_origin = recompose(exact)
         if origin is not None and lam > 0:
             if in_psi_hermitian(origin, 1).member:
-                assert in_psi_hermitian(new_origin, 1).member, (
-                    "membership lost under a rational rescale; invariant breach"
-                )
+                if not in_psi_hermitian(new_origin, 1).member:
+                    raise CertificateFailure("membership lost under a rational rescale")
         origin = new_origin
     return DecomposedForm(
         plus_rows=form.plus_rows.copy(),
@@ -209,7 +209,9 @@ def hyperbolic_eliminate(a1: complex, b1: complex) -> HyperbolicStep:
         (-t22 * ratio, t22 + 0j),
     )
     step = HyperbolicStep(t, pivot_col=-1, rows=(-1, -1))
-    assert step.j_identity_error() <= LOCAL_TOL * max(1.0, t22**2)
+    err = step.j_identity_error()
+    if not err <= LOCAL_TOL * max(1.0, t22**2):  # also catches NaN
+        raise CertificateFailure(f"rotation misses the J-identity by {err:.3g}")
     return step
 
 

@@ -1,12 +1,16 @@
 """Independent brute-force oracles used to pin expected values.
 
 Nothing here routes through the library's multiplier or inertia code paths:
-polynomial products are naive dict convolutions and tiny eigen problems are
-solved from the characteristic polynomial.
+polynomial products are naive dict convolutions, tiny eigen problems are
+solved from the characteristic polynomial, and the congruence factorization
+is the original elimination over Gaussian rationals.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+
+from psicert.polycore import GR_I, GR_ONE, GR_ZERO, GaussianRational
 
 
 def naive_mul(a: dict, b: dict) -> dict:
@@ -68,3 +72,114 @@ def all_sign_patterns(n: int, D: int):
         pos = frozenset(a for a, s in zip(lattice, signs) if s == 1)
         neg = frozenset(a for a, s in zip(lattice, signs) if s == -1)
         yield pos, neg
+
+
+@dataclass(frozen=True)
+class RationalFactorization:
+    """diag == transform* . original . transform, all exact."""
+
+    diag: tuple  # of Fraction, original index order
+    transform: tuple  # rows of the congruence matrix T
+    inverse: tuple  # rows of T^-1 (kept for decompositions)
+    pivot_log: tuple  # ordered pivot record, for reproducibility
+
+
+def _identity(dim):
+    return [
+        [GR_ONE if i == j else GR_ZERO for j in range(dim)] for i in range(dim)
+    ]
+
+
+def rational_congruence_factorization(M) -> RationalFactorization:
+    """Symmetric elimination with exact arithmetic and a deterministic pivot rule.
+
+    Pivot rule: among the active diagonal, take the entry of largest absolute
+    value (smallest index on ties).  If the active diagonal is all zero but an
+    active off-diagonal entry remains, add row/column j into row/column i
+    (factor 1, or i when the entry is purely imaginary) to create a pivot.
+    """
+    dim = M.dim
+    W = [list(row) for row in M.rows]
+    T = _identity(dim)
+    Tinv = _identity(dim)
+    log = []
+    active = list(range(dim))
+
+    def apply_add(i: int, j: int, factor: GaussianRational):
+        # congruence: column i += factor * column j, row i += conj(factor) * row j
+        fc = factor.conjugate()
+        for r in range(dim):
+            W[r][i] = W[r][i] + factor * W[r][j]
+        for c in range(dim):
+            W[i][c] = W[i][c] + fc * W[j][c]
+        for r in range(dim):
+            T[r][i] = T[r][i] + factor * T[r][j]
+        for c in range(dim):
+            Tinv[j][c] = Tinv[j][c] - factor * Tinv[i][c]
+
+    while active:
+        # best available diagonal pivot
+        best, best_mag = None, None
+        for k in active:
+            mag = abs(W[k][k].re)
+            if mag != 0 and (best_mag is None or mag > best_mag):
+                best, best_mag = k, mag
+        if best is None:
+            bump = next(
+                (
+                    (i, j)
+                    for i in active
+                    for j in active
+                    if i != j and not W[i][j].is_zero()
+                ),
+                None,
+            )
+            if bump is None:
+                break  # all-zero active block: zeros of the diagonal
+            i, j = bump
+            # a factor of 1 creates 2*Re(entry); fall back to i when that is zero
+            if W[i][j].re != 0:
+                apply_add(i, j, GR_ONE)
+                log.append(("bump", i, j, "1"))
+            else:
+                apply_add(i, j, GR_I)
+                log.append(("bump", i, j, "i"))
+            continue
+        k = best
+        log.append(("pivot", k))
+        pivot = W[k][k].re
+        for i in active:
+            if i == k or W[i][k].is_zero():
+                continue
+            factor = -(W[i][k].conjugate()) / GaussianRational.of(pivot)
+            apply_add(i, k, factor)
+        active.remove(k)
+
+    diag = tuple(W[k][k].re for k in range(dim))
+    return RationalFactorization(
+        diag=diag,
+        transform=tuple(tuple(r) for r in T),
+        inverse=tuple(tuple(r) for r in Tinv),
+        pivot_log=tuple(log),
+    )
+
+
+def mat_mul(A, B):
+    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
+    out = [[GR_ZERO] * cols for _ in range(rows)]
+    for i in range(rows):
+        for k in range(inner):
+            a = A[i][k]
+            if a.is_zero():
+                continue
+            for j in range(cols):
+                out[i][j] = out[i][j] + a * B[k][j]
+    return out
+
+
+def mat_adjoint(A):
+    if not A:
+        return []
+    return [
+        [A[i][j].conjugate() for i in range(len(A))] for j in range(len(A[0]))
+    ]

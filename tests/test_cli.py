@@ -235,6 +235,28 @@ def test_malformed_input_is_usage_error(tmp_path):
     assert r2.returncode == 2
 
 
+def test_core_value_error_is_internal(tmp_path, monkeypatch):
+    import importlib
+
+    from psicert.polycore import hermitian_to_json, real_to_diagonal
+
+    herm = tmp_path / "h.json"
+    herm.write_text(json.dumps(hermitian_to_json(real_to_diagonal(example_fig2()))))
+
+    def broken(M):
+        raise ValueError("bug inside the exact core")
+
+    inertia_mod = importlib.import_module("psicert.inertia")
+    monkeypatch.setattr(inertia_mod, "congruence_factorization", broken)
+    assert run(["signature", "--herm", str(herm)]) == 3
+
+
+def test_out_of_range_power_is_usage_error(fig2_file):
+    assert run(["check-psi", "--poly", fig2_file, "--d", "-1"]) == 2
+    assert run(["min-d", "--poly", fig2_file, "--max-d", "-1"]) == 2
+    assert run(["verify-bounds", "--poly", fig2_file, "--d", "0"]) == 2
+
+
 def test_check_psi_with_multiplier(tmp_path):
     poly = tmp_path / "p.json"
     poly.write_text(

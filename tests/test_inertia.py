@@ -1,10 +1,13 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import eig_signs_2x2
-from psicert.errors import ExplicitLimit, NotHermitian
+from oracles import eig_signs_2x2, mat_adjoint, mat_mul, rational_congruence_factorization
+from psicert.errors import CertificateFailure, ExplicitLimit, NotHermitian, PsicertError
 from psicert.inertia import (
     HermitianMatrix,
     coefficient_matrix,
@@ -12,8 +15,6 @@ from psicert.inertia import (
     holomorphic_decomposition,
     inertia,
     is_positive_semidefinite,
-    mat_adjoint,
-    mat_mul,
     quadratic_form,
     recompose,
 )
@@ -69,6 +70,10 @@ def test_dimension_cap(monkeypatch):
         HermitianMatrix(rows)
     monkeypatch.delenv("PSI_MAX_DIM")
     HermitianMatrix(rows)  # fine under the hard cap
+    for bad in ("abc", "2.5", "0", "-3"):
+        monkeypatch.setenv("PSI_MAX_DIM", bad)
+        with pytest.raises(PsicertError, match=f"PSI_MAX_DIM.*{bad}"):
+            HermitianMatrix(rows)
 
 
 def test_psd_examples():
@@ -103,6 +108,21 @@ def test_factorization_round_trip_exact():
     for i in range(3):
         for j in range(3):
             assert prod[i][j] == (G(1) if i == j else GR_ZERO)
+
+
+def test_quadratic_form_imaginary_value_is_failure(monkeypatch):
+    # a conjugation that does nothing turns v* M v into v^T M v, here 2i
+    monkeypatch.setattr(GaussianRational, "conjugate", lambda self: self)
+    with pytest.raises(CertificateFailure):
+        quadratic_form(HermitianMatrix([[1]]), [G(1, 1)])
+
+
+def test_psd_witness_that_does_not_reevaluate_is_failure(monkeypatch):
+    # the package re-exports a function named `inertia`, which shadows the module
+    inertia_mod = importlib.import_module("psicert.inertia")
+    monkeypatch.setattr(inertia_mod, "quadratic_form", lambda M, v: Fraction(0))
+    with pytest.raises(CertificateFailure):
+        is_positive_semidefinite(HermitianMatrix([[1, 0], [0, -1]]))
 
 
 def test_factorization_diag_passthrough():
@@ -228,3 +248,46 @@ def test_holomorphic_decomposition_recomposes_exactly(seed):
     assert recompose(dec) == r
     pos, neg, _ = inertia(coefficient_matrix(r))
     assert (dec.signature.n_plus, dec.signature.n_minus) == (pos, neg)
+
+
+def _entry(zero_prob):
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    nonzero = st.builds(GaussianRational.of, part, st.one_of(st.just(0), part))
+    return st.one_of(st.just(GR_ZERO), nonzero) if zero_prob else nonzero
+
+
+@st.composite
+def _hermitian_matrices(draw):
+    dim = draw(st.integers(0, 9))
+    zero_diagonal = draw(st.booleans())
+    rows = [[GR_ZERO] * dim for _ in range(dim)]
+    for i in range(dim):
+        if not zero_diagonal:
+            rows[i][i] = G(draw(st.fractions(min_value=-4, max_value=4, max_denominator=3)))
+        for j in range(i + 1, dim):
+            rows[i][j] = draw(_entry(zero_prob=True))
+            rows[j][i] = rows[i][j].conjugate()
+    return HermitianMatrix(rows)
+
+
+@given(_hermitian_matrices())
+@settings(max_examples=150, deadline=None)
+def test_fraction_free_factorization_matches_rational_oracle(M):
+    fact = congruence_factorization(M)
+    ref = rational_congruence_factorization(M)
+    assert fact.pivot_log == ref.pivot_log
+    assert fact.diag == ref.diag
+    assert all(type(d) is Fraction for d in fact.diag)
+    assert fact.transform == ref.transform
+    assert fact.inverse == ref.inverse
+
+
+def test_oracle_parity_covers_both_bump_factors():
+    # zero diagonals force bumps: a real entry takes factor 1, an imaginary one factor i
+    for off, factor in ((G(2, 3), "1"), (G(0, Fraction(1, 2)), "i")):
+        M = HermitianMatrix([[0, off, 1], [off.conjugate(), 0, 0], [1, 0, 0]])
+        fact = congruence_factorization(M)
+        ref = rational_congruence_factorization(M)
+        assert ("bump", 0, 1, factor) in fact.pivot_log
+        assert (fact.pivot_log, fact.diag) == (ref.pivot_log, ref.diag)
+        assert (fact.transform, fact.inverse) == (ref.transform, ref.inverse)

@@ -5,14 +5,21 @@ import numpy as np
 import pytest
 
 from members import clashing_form, random_psi1_member
-from psicert.errors import LambdaOutOfRange, NotInPsiD, PivotDominanceViolated
+from psicert import reduction
+from psicert.errors import (
+    CertificateFailure,
+    LambdaOutOfRange,
+    NotInPsiD,
+    PivotDominanceViolated,
+)
 from psicert.generators import generate_two_var
 from psicert.inertia import coefficient_matrix, inertia
-from psicert.polycore import RealSparsePoly, real_to_diagonal
+from psicert.polycore import HermitianPoly, RealSparsePoly, real_to_diagonal
 from psicert.psi import in_psi_hermitian
 from psicert.reduction import (
     LOCAL_TOL,
     DecomposedForm,
+    HyperbolicStep,
     decompose,
     hyperbolic_eliminate,
     is_partial_row_echelon,
@@ -32,6 +39,12 @@ def test_hyperbolic_eliminate_reference_values():
     T = np.array(step.t)
     out = T @ np.array([2.0, 1.0])
     assert abs(out[1]) <= 1e-14
+
+
+def test_hyperbolic_eliminate_j_identity_breach_is_failure(monkeypatch):
+    monkeypatch.setattr(HyperbolicStep, "j_identity_error", lambda self: 1.0)
+    with pytest.raises(CertificateFailure):
+        hyperbolic_eliminate(2, 1)
 
 
 def test_hyperbolic_eliminate_identity_case():
@@ -71,6 +84,14 @@ def test_lambda_scale_range_check():
         lambda_scale(form, Fraction(3, 2))
     with pytest.raises(LambdaOutOfRange):
         lambda_scale(form, -1)
+
+
+def test_lambda_scale_membership_loss_is_failure(monkeypatch):
+    form = decompose(random_psi1_member(0))
+    minus_square = HermitianPoly(form.origin.n, {(form.basis[0], form.basis[0]): -1})
+    monkeypatch.setattr(reduction, "recompose", lambda dec: minus_square)
+    with pytest.raises(CertificateFailure):
+        lambda_scale(form, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("seed", range(6))
