@@ -132,13 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
     sig.add_argument("--herm")
 
     srch = sub.add_parser("search", **sub_kwargs, help="hunt for extreme sign-ratio patterns")
-    srch.add_argument("--n", type=int, required=True)
-    srch.add_argument("--D", type=int, required=True)
+    srch.add_argument("--n", type=_int_at_least(1), required=True)
+    srch.add_argument("--D", type=_int_at_least(0), required=True)
     srch.add_argument("--d", type=_int_at_least(1), required=True)
     srch.add_argument(
         "--strategy", choices=("exhaustive", "greedy", "local"), default="exhaustive"
     )
-    srch.add_argument("--budget", type=int, default=200_000)
+    srch.add_argument("--budget", type=_int_at_least(0), default=200_000)
     srch.add_argument("--seed", type=int, default=0)
     srch.add_argument("--support", help="pattern JSON whose support restricts the search")
 

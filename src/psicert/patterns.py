@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import BudgetExhausted, ExplicitLimit, Infeasible
 from .polycore import (
@@ -127,26 +126,52 @@ def _negative_inflow(signs_neg, n: int, d: int) -> dict:
     return inflow
 
 
+class _Cover:
+    """Contributor bitmasks of a fixed point set at power d.
+
+    Point i of `points` is bit i.  `masks` maps each product monomial A to
+    the bitmask of its contributors {a : A - a in Delta_d}.  A pattern on
+    these points is feasible exactly when no mask meets its negative set
+    without meeting its positive set.
+    """
+
+    def __init__(self, points, n: int, d: int):
+        self.bit = {a: 1 << i for i, a in enumerate(points)}
+        deltas = list(compositions(d, n))
+        masks: dict = {}
+        for a, b in self.bit.items():
+            for delta in deltas:
+                A = add_index(a, delta)
+                masks[A] = masks.get(A, 0) | b
+        self.masks = masks
+        self.distinct = sorted(set(masks.values()))
+
+    def bits(self, points) -> int:
+        bit = self.bit
+        return sum(bit[a] for a in points)
+
+    def feasible(self, pos: int, neg: int) -> bool:
+        return not any(m & neg and not m & pos for m in self.distinct)
+
+    def witness(self, pos: int, neg: int):
+        """Smallest product monomial fed by neg but not by pos, or None."""
+        return min(
+            (A for A, m in self.masks.items() if m & neg and not m & pos), default=None
+        )
+
+
 def support_feasible(pat: SignPattern, d: int):
     """(True, None) or (False, witness) for the covering condition at power d.
 
     A product monomial witnesses infeasibility when its contributor set
-    meets the negative support but not the positive one.
+    meets the negative support but not the positive one; the witness is the
+    smallest such monomial.
     """
     if d < 1:
         raise ValueError("power must be >= 1")
-    deltas = list(compositions(d, pat.n))
-    pos = pat.pos
-    for A in sorted(_negative_inflow(pat.neg, pat.n, d)):
-        covered = False
-        for delta in deltas:
-            cand = tuple(a - b for a, b in zip(A, delta))
-            if min(cand) >= 0 and cand in pos:
-                covered = True
-                break
-        if not covered:
-            return False, A
-    return True, None
+    cover = _Cover(pat.support, pat.n, d)
+    witness = cover.witness(cover.bits(pat.pos), cover.bits(pat.neg))
+    return (True, None) if witness is None else (False, witness)
 
 
 def realize_signs(signs: dict, n: int, d: int) -> RealSparsePoly:
@@ -202,11 +227,15 @@ def search_max_ratio(
 ) -> SearchResult:
     """Hunt for the feasible sign pattern maximizing N-/N+ at fixed (n, D, d).
 
-    EXHAUSTIVE enumerates POS/NEG assignments over the given support (or the
-    whole lattice when it is small enough) and is optimal over that space.
-    GREEDY flips positives to negatives one at a time.  LOCAL runs
-    steepest-ascent over single-point sign changes plus whole-pattern lattice
-    shifts, restarting from seeded perturbations of a known-good pattern.
+    EXHAUSTIVE assigns POS/NEG over the given support (or the whole lattice
+    when it is small enough) and is optimal over that space: the positive
+    set is a minimum hitting set of the contributor masks, found by branch
+    and bound, and the lex-smallest one is returned; `evaluations` counts
+    branch-and-bound nodes.  GREEDY flips positives to negatives one at a
+    time.  LOCAL runs steepest-ascent over single-point sign changes plus
+    whole-pattern lattice shifts, restarting from seeded perturbations of a
+    known-good pattern.  For both, `evaluations` counts the candidate
+    patterns tested.  An empty support raises Infeasible.
     """
     if isinstance(strategy, str):
         strategy = Strategy(strategy.lower())
@@ -229,6 +258,8 @@ def search_max_ratio(
         raise ExplicitLimit(
             f"exhaustive search needs <= {EXHAUSTIVE_POINT_CAP} support points"
         )
+    if not support:
+        raise Infeasible("empty support: there is no pattern to search")
 
     if strategy is Strategy.EXHAUSTIVE:
         return _search_exhaustive(n, D, d, support)
@@ -243,44 +274,107 @@ def _finish(n, D, d, best, evals, strategy):
     return SearchResult(best, ratio, evals, strategy, realized)
 
 
+def _hitting_set_size(masks, most: int, enough: int, nodes: list):
+    """Size of a smallest set of bits meeting every mask if it is <= `most`, else None.
+
+    Branch and bound: branch on the unhit mask with the fewest bits and drop
+    each branch's bit from the later branches; a packing of pairwise
+    disjoint unhit masks bounds the size from below.  The search stops at
+    the first set no larger than `enough` or than the root's bound.
+    `nodes[0]` counts the nodes visited.
+    """
+    best = most + 1
+
+    def packing(unhit):
+        used = count = 0
+        for m in unhit:
+            if not m & used:
+                used |= m
+                count += 1
+        return count
+
+    def rec(count, unhit):
+        nonlocal best
+        nodes[0] += 1
+        if not unhit:
+            best = count
+            return count <= enough
+        unhit.sort(key=int.bit_count)
+        if count + packing(unhit) >= best:
+            return False
+        m, excluded = unhit[0], 0
+        while m:
+            b = m & -m
+            m ^= b
+            rest = [u & ~excluded for u in unhit if not u & b]
+            if not all(rest):
+                return False
+            if rec(count + 1, rest):
+                return True
+            excluded |= b
+        return False
+
+    masks = sorted(masks, key=int.bit_count)
+    enough = max(enough, packing(masks))
+    rec(0, masks)
+    return best if best <= most else None
+
+
 def _search_exhaustive(n, D, d, support):
-    # Fewer positives means a larger ratio, so scan positive-set sizes
-    # upward and stop at the first size admitting a feasible pattern.
-    evals = 0
-    for p_count in range(1, len(support) + 1):
-        for pos_set in combinations(support, p_count):
-            pat = _pattern_on_support(n, D, support, pos_set)
-            evals += 1
-            ok, _ = support_feasible(pat, d)
-            if ok:
-                return _finish(n, D, d, pat, evals, Strategy.EXHAUSTIVE)
-    raise Infeasible("no feasible pattern over the given support")
+    # On a fixed support the positives must meet every contributor mask,
+    # and fewer positives give a larger ratio: the optimum is a minimum
+    # hitting set.  Of those, keep the lex-smallest (the first a scan of
+    # combinations in sorted order would meet): take each point in turn
+    # when a hitting set of the optimal size still exists with it.
+    masks = _Cover(support, n, d).distinct
+    nodes = [0]
+    k = _hitting_set_size(masks, len(support), 0, nodes)
+    chosen = excluded = 0
+    for i in range(len(support)):
+        left = k - chosen.bit_count()
+        if not left:
+            break
+        b = 1 << i
+        rest = [m & ~excluded for m in masks if not m & (chosen | b)]
+        if all(rest) and _hitting_set_size(rest, left - 1, left - 1, nodes) is not None:
+            chosen |= b
+        else:
+            excluded |= b
+    pos = [a for i, a in enumerate(support) if chosen >> i & 1]
+    best = _pattern_on_support(n, D, support, pos)
+    return _finish(n, D, d, best, nodes[0], Strategy.EXHAUSTIVE)
 
 
 def _search_greedy(n, D, d, support, budget):
-    current = _pattern_on_support(n, D, support, support)  # all positive
+    # all positive to start; on the full support the negatives are the rest
+    cover = _Cover(support, n, d)
+    full = pos = (1 << len(support)) - 1
     evals = 0
+
+    def current():
+        kept = [a for i, a in enumerate(support) if pos >> i & 1]
+        return _pattern_on_support(n, D, support, kept)
+
     improved = True
     while improved:
         improved = False
-        for point in sorted(current.pos):
-            if len(current.pos) == 1:
+        for i in range(len(support)):
+            b = 1 << i
+            if not pos & b:
+                continue
+            if pos.bit_count() == 1:
                 break
-            cand = SignPattern(
-                n, D, current.pos - {point}, current.neg | {point}
-            )
             if evals >= budget:
                 raise BudgetExhausted(
                     f"greedy search stopped after {evals} evaluations",
-                    best=_finish(n, D, d, current, evals, Strategy.GREEDY),
+                    best=_finish(n, D, d, current(), evals, Strategy.GREEDY),
                 )
             evals += 1
-            ok, _ = support_feasible(cand, d)
-            if ok:
-                current = cand
+            if cover.feasible(pos ^ b, full ^ pos ^ b):
+                pos ^= b
                 improved = True
                 break
-    return _finish(n, D, d, current, evals, Strategy.GREEDY)
+    return _finish(n, D, d, current(), evals, Strategy.GREEDY)
 
 
 def _shift_pattern(pat: SignPattern, i: int, j: int):
@@ -324,6 +418,7 @@ def _search_local(n, D, d, support, budget, seed):
 
     rng = random.Random(seed)
     lattice = monomials_of_degree(n, D)
+    cover = _Cover(lattice, n, d)
     support_set = set(support)
 
     base = pattern_from_poly(generate_pD(n, D))
@@ -353,8 +448,7 @@ def _search_local(n, D, d, support, budget, seed):
             raise _Budget()
         if not pat.pos:
             return None
-        ok, _ = support_feasible(pat, d)
-        if not ok:
+        if not cover.feasible(cover.bits(pat.pos), cover.bits(pat.neg)):
             return None
         return pat.ratio()
 

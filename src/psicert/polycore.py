@@ -33,11 +33,6 @@ def add_index(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
     return tuple(a + b for a, b in zip(alpha, beta))
 
 
-def unit_index(n: int, k: int) -> MultiIndex:
-    """The exponent vector of the k-th variable (0-based)."""
-    return tuple(1 if i == k else 0 for i in range(n))
-
-
 def compositions(total: int, parts: int):
     """All tuples of `parts` nonnegative ints summing to `total`, in a fixed order."""
     if parts < 1:
@@ -270,10 +265,6 @@ class RealSparsePoly:
         return f"RealSparsePoly(n={self.n}, terms={len(self._terms)})"
 
 
-def poly_from_terms(n: int, terms) -> RealSparsePoly:
-    return RealSparsePoly(n, dict(terms))
-
-
 def multiply_by_simplex_power(p: RealSparsePoly, d: int) -> RealSparsePoly:
     """p times (x_1 + ... + x_n)^d, computed by d exact convolution passes."""
     if d < 0:
@@ -287,19 +278,6 @@ def multiply_by_simplex_power(p: RealSparsePoly, d: int) -> RealSparsePoly:
                 nxt[key] = nxt.get(key, Fraction(0)) + c
         terms = {a: c for a, c in nxt.items() if c != 0}
     return RealSparsePoly(p.n, terms)
-
-
-def multiply_by_simplex_power_direct(p: RealSparsePoly, d: int) -> RealSparsePoly:
-    """Same product via the multinomial expansion; cross-check for the convolution route."""
-    if d < 0:
-        raise ValueError("power must be nonnegative")
-    out: dict = {}
-    deltas = [(delta, multinomial(d, delta)) for delta in compositions(d, p.n)]
-    for alpha, c in p.items():
-        for delta, w in deltas:
-            key = add_index(alpha, delta)
-            out[key] = out.get(key, Fraction(0)) + c * w
-    return RealSparsePoly(p.n, out)
 
 
 def multiply_by_diagonal_multiplier(p: RealSparsePoly, s) -> RealSparsePoly:

@@ -2,15 +2,26 @@
 
 Nothing here routes through the library's multiplier or inertia code paths:
 polynomial products are naive dict convolutions, tiny eigen problems are
-solved from the characteristic polynomial, and the congruence factorization
-is the original elimination over Gaussian rationals.
+solved from the characteristic polynomial, the congruence factorization is
+the original elimination over Gaussian rationals, and sign patterns are
+checked by the original negative-inflow scan.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
-from psicert.polycore import GR_I, GR_ONE, GR_ZERO, GaussianRational
+from psicert.polycore import (
+    GR_I,
+    GR_ONE,
+    GR_ZERO,
+    GaussianRational,
+    RealSparsePoly,
+    add_index,
+    compositions,
+    multinomial,
+)
 
 
 def naive_mul(a: dict, b: dict) -> dict:
@@ -30,6 +41,19 @@ def naive_simplex_power(n: int, d: int) -> dict:
     for _ in range(d):
         acc = naive_mul(acc, ell)
     return acc
+
+
+def multiply_by_simplex_power_direct(p: RealSparsePoly, d: int) -> RealSparsePoly:
+    """p times (x_1 + ... + x_n)^d via the multinomial expansion."""
+    if d < 0:
+        raise ValueError("power must be nonnegative")
+    out: dict = {}
+    deltas = [(delta, multinomial(d, delta)) for delta in compositions(d, p.n)]
+    for alpha, c in p.items():
+        for delta, w in deltas:
+            key = add_index(alpha, delta)
+            out[key] = out.get(key, Fraction(0)) + c * w
+    return RealSparsePoly(p.n, out)
 
 
 def poly_dict(p) -> dict:
@@ -72,6 +96,44 @@ def all_sign_patterns(n: int, D: int):
         pos = frozenset(a for a, s in zip(lattice, signs) if s == 1)
         neg = frozenset(a for a, s in zip(lattice, signs) if s == -1)
         yield pos, neg
+
+
+def _first_uncovered(pos, neg, deltas):
+    """Smallest product monomial fed by `neg` and by no point of `pos`, or None."""
+    fed = {add_index(a, delta) for a in neg for delta in deltas}
+    for A in sorted(fed):
+        cands = (tuple(x - y for x, y in zip(A, delta)) for delta in deltas)
+        if not any(min(c) >= 0 and c in pos for c in cands):
+            return A
+    return None
+
+
+def inflow_support_feasible(pat, d: int):
+    """Covering condition by scanning every product monomial fed by a negative.
+
+    Returns (True, None), or (False, A) for the smallest uncovered A.
+    """
+    witness = _first_uncovered(pat.pos, pat.neg, list(compositions(d, pat.n)))
+    return (True, None) if witness is None else (False, witness)
+
+
+def scan_exhaustive(n: int, D: int, d: int, support):
+    """First feasible POS/NEG pattern on `support` with the fewest positives.
+
+    Scans `combinations` of the sorted support by size, so ties go to the
+    lex-smallest positive set.  None when the support is empty.
+    """
+    from psicert.patterns import SignPattern
+
+    support = sorted(tuple(a) for a in support)
+    deltas = list(compositions(d, n))
+    for size in range(1, len(support) + 1):
+        for pos in combinations(support, size):
+            pos = frozenset(pos)
+            neg = frozenset(support) - pos
+            if _first_uncovered(pos, neg, deltas) is None:
+                return SignPattern(n, D, pos, neg)
+    return None
 
 
 @dataclass(frozen=True)

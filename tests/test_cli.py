@@ -257,6 +257,25 @@ def test_out_of_range_power_is_usage_error(fig2_file):
     assert run(["verify-bounds", "--poly", fig2_file, "--d", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--n", "0"), ("--D", "-1"), ("--budget", "-5")]
+)
+def test_search_out_of_range_arguments_are_usage_errors(flag, value, capsys):
+    argv = {"--n": "2", "--D": "4", "--d": "1", "--strategy": "greedy"}
+    argv[flag] = value
+    assert run(["search", *(x for kv in argv.items() for x in kv)]) == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "greedy", "local"])
+def test_search_empty_support_is_usage_error(tmp_path, strategy, capsys):
+    support = tmp_path / "empty.json"
+    support.write_text(json.dumps({"n": 3, "D": 5, "pos": [], "neg": []}))
+    argv = ["search", "--n", "3", "--D", "5", "--d", "1", "--strategy", strategy]
+    assert run([*argv, "--support", str(support)]) == 2
+    assert "empty support" in capsys.readouterr().err
+
+
 def test_check_psi_with_multiplier(tmp_path):
     poly = tmp_path / "p.json"
     poly.write_text(

@@ -1,11 +1,15 @@
 import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import all_sign_patterns
+from oracles import all_sign_patterns, inflow_support_feasible, scan_exhaustive
 from psicert.bounds import ratio_ceiling
-from psicert.errors import ExplicitLimit, Infeasible
+from psicert.errors import BudgetExhausted, ExplicitLimit, Infeasible
 from psicert.generators import example_fig1, example_fig2, generate_pD
 from psicert.patterns import (
     Sign,
@@ -168,10 +172,118 @@ def test_local_full_lattice_climbs_toward_known_optimum():
 
 
 def test_budget_exhausted_carries_best_so_far():
-    from psicert.errors import BudgetExhausted
-
     with pytest.raises(BudgetExhausted) as info:
         search_max_ratio(2, 5, 1, strategy=Strategy.GREEDY, budget=2)
     best = info.value.best
     assert best is not None
     assert in_psi_diagonal(best.realized, 1).member
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_empty_support_is_infeasible(strategy):
+    with pytest.raises(Infeasible):
+        search_max_ratio(3, 5, 1, strategy=strategy, support=[])
+
+
+@pytest.mark.parametrize(
+    "n, D, d, optimum",
+    [(2, 20, 1, Fraction(10, 11)), (3, 5, 2, Fraction(13, 8)), (2, 16, 2, Fraction(10, 7))],
+)
+def test_exhaustive_former_slow_cases(n, D, d, optimum):
+    start = time.perf_counter()
+    result = search_max_ratio(n, D, d, strategy=Strategy.EXHAUSTIVE)
+    assert time.perf_counter() - start < 5.0
+    assert result.ratio == optimum
+    assert in_psi_diagonal(result.realized, d).member
+
+
+# -- parity with the per-candidate scan (tests/oracles.py) -----------------------
+
+
+FULL_LATTICES = [
+    (n, D, d)
+    for d in (1, 2, 3)
+    for n in range(1, 7)
+    for D in range(4 if n == 1 else 16)
+    if len(monomials_of_degree(n, D)) <= 16
+]
+
+
+@pytest.mark.parametrize("n, D, d", FULL_LATTICES)
+def test_exhaustive_matches_scan_on_full_lattices(n, D, d):
+    result = search_max_ratio(n, D, d, strategy=Strategy.EXHAUSTIVE)
+    assert result.best == scan_exhaustive(n, D, d, monomials_of_degree(n, D))
+
+
+@st.composite
+def restricted_supports(draw):
+    n = draw(st.integers(2, 4))
+    D = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 3))
+    lattice = monomials_of_degree(n, D)
+    size = draw(st.integers(1, min(12, len(lattice))))
+    support = draw(st.lists(st.sampled_from(lattice), min_size=size, max_size=size, unique=True))
+    return n, D, d, support
+
+
+@given(restricted_supports())
+@settings(max_examples=80, deadline=None)
+def test_exhaustive_matches_scan_on_restricted_supports(case):
+    n, D, d, support = case
+    result = search_max_ratio(n, D, d, strategy=Strategy.EXHAUSTIVE, support=support)
+    assert result.best == scan_exhaustive(n, D, d, support)
+
+
+@st.composite
+def patterns_with_zeros(draw):
+    n = draw(st.integers(1, 4))
+    D = draw(st.integers(0, 5))
+    lattice = monomials_of_degree(n, D)
+    signs = draw(st.lists(st.sampled_from((1, -1, 0)), min_size=len(lattice), max_size=len(lattice)))
+    pos = frozenset(a for a, s in zip(lattice, signs) if s == 1)
+    neg = frozenset(a for a, s in zip(lattice, signs) if s == -1)
+    return SignPattern(n, D, pos, neg)
+
+
+@given(patterns_with_zeros(), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_support_feasible_matches_inflow_scan(pat, d):
+    assert support_feasible(pat, d) == inflow_support_feasible(pat, d)
+
+
+# Results recorded from the implementation that tested every candidate with
+# the negative-inflow scan; greedy and local must reproduce them exactly.
+SEARCH_REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "search_reference.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "case",
+    SEARCH_REFERENCE,
+    ids=[
+        f"{c['strategy']}-{c['n']}-{c['D']}-{c['d']}-b{c['budget']}-s{c['seed']}"
+        + ("-restricted" if "support" in c else "")
+        for c in SEARCH_REFERENCE
+    ],
+)
+def test_greedy_and_local_match_reference(case):
+    support = case.get("support")
+    if support is not None:
+        support = [tuple(a) for a in support]
+    try:
+        result = search_max_ratio(
+            case["n"], case["D"], case["d"], strategy=case["strategy"],
+            budget=case["budget"], seed=case["seed"], support=support,
+        )
+        exhausted = False
+    except BudgetExhausted as exc:
+        result, exhausted = exc.best, True
+    assert exhausted == case["exhausted"]
+    if case["pos"] is None:
+        assert result is None
+        return
+    assert sorted(result.best.pos) == [tuple(a) for a in case["pos"]]
+    assert sorted(result.best.neg) == [tuple(a) for a in case["neg"]]
+    assert str(result.ratio) == case["ratio"]
+    assert result.evaluations == case["evaluations"]

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_mul, naive_simplex_power, poly_dict
+from oracles import (
+    multiply_by_simplex_power_direct,
+    naive_mul,
+    naive_simplex_power,
+    poly_dict,
+)
 from psicert.errors import DuplicateMultiplierTerm, NotDiagonal, NotHermitian
 from psicert.generators import example_fig2
 from psicert.polycore import (
@@ -19,7 +24,6 @@ from psicert.polycore import (
     monomials_of_degree,
     multiply_by_diagonal_multiplier,
     multiply_by_simplex_power,
-    multiply_by_simplex_power_direct,
     poly_from_json,
     poly_to_json,
     real_to_diagonal,
