@@ -24,6 +24,8 @@ from .errors import (
     PsicertError,
 )
 from .polycore import (
+    RealSparsePoly,
+    SignaturePair,
     hermitian_from_json,
     poly_from_json,
     poly_to_json,
@@ -42,7 +44,7 @@ def _load(path: str, parse):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(json.load(fh))
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+    except (FileNotFoundError, KeyError, ValueError, ZeroDivisionError) as exc:
         raise SystemExit2(f"{path}: {exc!r}") from exc
 
 
@@ -241,17 +243,18 @@ def _cmd_min_d(args) -> int:
     return OK if found is not None else NEGATIVE
 
 
+def _signature(obj) -> SignaturePair:
+    """Sign counts of a real polynomial, inertia of a Hermitian table."""
+    if isinstance(obj, RealSparsePoly):
+        return sign_counts(obj)
+    from .inertia import coefficient_matrix, inertia
+
+    pos, neg, _zero = inertia(coefficient_matrix(obj))
+    return SignaturePair(pos, neg)
+
+
 def _cmd_signature(args) -> int:
-    obj = _load_input(args)
-    if hasattr(obj, "coeff"):
-        sig = sign_counts(obj)
-    else:
-        from .inertia import coefficient_matrix, inertia
-
-        pos, neg, _zero = inertia(coefficient_matrix(obj))
-        from .polycore import SignaturePair
-
-        sig = SignaturePair(pos, neg)
+    sig = _signature(_load_input(args))
     _emit({"n_plus": sig.n_plus, "n_minus": sig.n_minus, "rank": sig.rank}, args)
     return OK
 
@@ -259,8 +262,18 @@ def _cmd_signature(args) -> int:
 def _cmd_search(args) -> int:
     support = None
     if args.support:
-        pat = _load(args.support, _patterns.pattern_from_json)
-        support = sorted(pat.support)
+
+        def parse(doc):
+            points = sorted(_patterns.pattern_from_json(doc).support)
+            for a in points:
+                if len(a) != args.n or sum(a) != args.D:
+                    raise ValueError(
+                        f"support point {a} is not on the degree-{args.D} "
+                        f"lattice in {args.n} variables"
+                    )
+            return points
+
+        support = _load(args.support, parse)
     budget_hit = False
     try:
         result = _patterns.search_max_ratio(
@@ -328,18 +341,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_verify_bounds(args) -> int:
     obj = _load_input(args)
-    if hasattr(obj, "coeff"):
-        sig = sign_counts(obj)
-        n = obj.n
-    else:
-        from .inertia import coefficient_matrix, inertia
-        from .polycore import SignaturePair
-
-        pos, neg, _zero = inertia(coefficient_matrix(obj))
-        sig = SignaturePair(pos, neg)
-        n = obj.n
-    if args.n is not None:
-        n = args.n
+    sig = _signature(obj)
+    n = obj.n if args.n is None else args.n
     report = _bounds.verify_ratio_bound(sig, n, args.d)
     _emit(
         {

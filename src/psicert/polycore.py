@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from .errors import DuplicateMultiplierTerm, NotDiagonal, NotHermitian
 
@@ -265,23 +265,59 @@ class RealSparsePoly:
         return f"RealSparsePoly(n={self.n}, terms={len(self._terms)})"
 
 
-def multiply_by_simplex_power(p: RealSparsePoly, d: int) -> RealSparsePoly:
-    """p times (x_1 + ... + x_n)^d, computed by d exact convolution passes."""
+def integer_table(p: RealSparsePoly) -> tuple:
+    """(L, table): L the lcm of p's coefficient denominators, table = L*p as ints.
+
+    L is positive, so every coefficient keeps its sign.
+    """
+    L = 1
+    for _, c in p.items():
+        den = c.denominator
+        L = L // gcd(L, den) * den
+    return L, {a: c.numerator * (L // c.denominator) for a, c in p.items()}
+
+
+def poly_from_table(n: int, L: int, table: dict) -> RealSparsePoly:
+    """The polynomial table / L, for an integer table from `integer_table`."""
+    return RealSparsePoly(n, {a: Fraction(c, L) for a, c in table.items()})
+
+
+def simplex_powers(p: RealSparsePoly):
+    """Yield (L, table) for d = 0, 1, 2, ...: table / L = p * (x_1 + ... + x_n)^d.
+
+    L is fixed by `integer_table(p)`; each step is one convolution pass
+    over Python ints, and zero coefficients are dropped.
+    """
+    L, table = integer_table(p)
+    shifts = range(p.n)
+    while True:
+        yield L, table
+        nxt: dict = {}
+        get = nxt.get
+        for alpha, c in table.items():
+            for k in shifts:
+                key = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :]
+                nxt[key] = get(key, 0) + c
+        table = {a: c for a, c in nxt.items() if c}
+
+
+def simplex_power_table(p: RealSparsePoly, d: int) -> tuple:
+    """(L, table) with table / L = p * (x_1 + ... + x_n)^d."""
     if d < 0:
         raise ValueError("power must be nonnegative")
-    terms = dict(p.items())
+    powers = simplex_powers(p)
     for _ in range(d):
-        nxt: dict = {}
-        for alpha, c in terms.items():
-            for k in range(p.n):
-                key = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :]
-                nxt[key] = nxt.get(key, Fraction(0)) + c
-        terms = {a: c for a, c in nxt.items() if c != 0}
-    return RealSparsePoly(p.n, terms)
+        next(powers)
+    return next(powers)
 
 
-def multiply_by_diagonal_multiplier(p: RealSparsePoly, s) -> RealSparsePoly:
-    """p times sum_j x^{alpha_j} for distinct exponent vectors alpha_j."""
+def multiply_by_simplex_power(p: RealSparsePoly, d: int) -> RealSparsePoly:
+    """p times (x_1 + ... + x_n)^d, computed by d exact convolution passes."""
+    return poly_from_table(p.n, *simplex_power_table(p, d))
+
+
+def diagonal_multiplier_table(p: RealSparsePoly, s) -> tuple:
+    """(L, table) with table / L = p * sum_j x^{alpha_j}, alpha_j distinct."""
     exps = [tuple(a) for a in s]
     if not exps:
         raise ValueError("multiplier must be nonempty")
@@ -292,12 +328,18 @@ def multiply_by_diagonal_multiplier(p: RealSparsePoly, s) -> RealSparsePoly:
             raise ValueError(f"multiplier term {a} does not have arity {p.n}")
         if any(x < 0 for x in a):
             raise ValueError(f"negative exponent in multiplier term {a}")
+    L, table = integer_table(p)
     out: dict = {}
-    for alpha, c in p.items():
+    for alpha, c in table.items():
         for delta in exps:
             key = add_index(alpha, delta)
-            out[key] = out.get(key, Fraction(0)) + c
-    return RealSparsePoly(p.n, out)
+            out[key] = out.get(key, 0) + c
+    return L, {a: c for a, c in out.items() if c}
+
+
+def multiply_by_diagonal_multiplier(p: RealSparsePoly, s) -> RealSparsePoly:
+    """p times sum_j x^{alpha_j} for distinct exponent vectors alpha_j."""
+    return poly_from_table(p.n, *diagonal_multiplier_table(p, s))
 
 
 def homogeneous_components(p: RealSparsePoly) -> list[RealSparsePoly]:
@@ -454,11 +496,17 @@ def poly_from_json(doc) -> RealSparsePoly:
     if isinstance(doc, str):
         doc = json.loads(doc)
     n = int(doc["n"])
+    parsed: dict = {}  # coefficient string -> Fraction, parsed once per document
     terms: dict = {}
     for t in doc.get("terms", []):
-        alpha = tuple(int(e) for e in t["exp"])
-        c = Fraction(str(t["coef"]))
-        terms[alpha] = terms.get(alpha, Fraction(0)) + c
+        alpha = tuple(map(int, t["exp"]))
+        text = str(t["coef"])
+        c = parsed.get(text)
+        if c is None:
+            c = parsed[text] = Fraction(text)
+        if alpha in terms:
+            c += terms[alpha]
+        terms[alpha] = c
     return RealSparsePoly(n, terms)
 
 

@@ -25,9 +25,12 @@ from .polycore import (
     RealSparsePoly,
     add_index,
     compositions,
+    diagonal_multiplier_table,
+    diagonal_real_bridge,
     multinomial,
-    multiply_by_diagonal_multiplier,
-    multiply_by_simplex_power,
+    poly_from_table,
+    simplex_power_table,
+    simplex_powers,
 )
 
 HARD_POWER_CAP = 64
@@ -51,11 +54,24 @@ class NegativeDirectionWitness:
     value: Fraction
 
 
-@dataclass(frozen=True)
 class NonnegativeProductCertificate:
-    """The expanded diagonal product; all coefficients are nonnegative."""
+    """The expanded diagonal product; all coefficients are nonnegative.
 
-    product: RealSparsePoly
+    Held as an integer table with its positive scale L (product = table / L);
+    `product` is built when first read.
+    """
+
+    def __init__(self, n: int, scale: int, table: dict):
+        self.n = n
+        self.scale = scale
+        self.table = table
+        self._product = None
+
+    @property
+    def product(self) -> RealSparsePoly:
+        if self._product is None:
+            self._product = poly_from_table(self.n, self.scale, self.table)
+        return self._product
 
 
 @dataclass(frozen=True)
@@ -76,16 +92,23 @@ class PsiReport:
     multiplier: tuple | None = None
 
 
+def _nonnegative_verdict(n: int, scaled: tuple, d, multiplier=None) -> PsiReport:
+    """Verdict on an integer product table (L, table): member iff no entry is negative.
+
+    The witness is the least negative monomial, valued table[a] / L.
+    """
+    L, table = scaled
+    negatives = [a for a, c in table.items() if c < 0]
+    if negatives:
+        worst = min(negatives)
+        witness = NegativeCoefficientWitness(worst, Fraction(table[worst], L))
+        return PsiReport(d, False, witness, multiplier)
+    return PsiReport(d, True, NonnegativeProductCertificate(n, L, table), multiplier)
+
+
 def in_psi_diagonal(p: RealSparsePoly, d: int) -> PsiReport:
     """Diagonal membership: every coefficient of p times the simplex power is >= 0."""
-    product = multiply_by_simplex_power(p, d)
-    negatives = sorted(a for a, c in product.items() if c < 0)
-    if negatives:
-        worst = negatives[0]
-        return PsiReport(
-            d, False, NegativeCoefficientWitness(worst, product.coeff(worst))
-        )
-    return PsiReport(d, True, NonnegativeProductCertificate(product))
+    return _nonnegative_verdict(p.n, simplex_power_table(p, d), d)
 
 
 def _product_matrix(r: HermitianPoly, d: int):
@@ -121,7 +144,7 @@ def _psd_verdict(M) -> tuple:
 def in_psi_hermitian(r: HermitianPoly, d: int) -> PsiReport:
     """General membership: the product coefficient matrix must be PSD, exactly."""
     if r.is_zero():
-        return PsiReport(d, True, NonnegativeProductCertificate(RealSparsePoly(r.n, {})))
+        return PsiReport(d, True, NonnegativeProductCertificate(r.n, 1, {}))
     member, cert = _psd_verdict(_product_matrix(r, d))
     return PsiReport(d, member, cert)
 
@@ -132,8 +155,6 @@ def in_psi(obj, d: int) -> PsiReport:
         return in_psi_diagonal(obj, d)
     if isinstance(obj, HermitianPoly):
         if obj.is_diagonal():
-            from .polycore import diagonal_real_bridge
-
             return in_psi_diagonal(diagonal_real_bridge(obj), d)
         return in_psi_hermitian(obj, d)
     raise TypeError(f"cannot test membership for {type(obj).__name__}")
@@ -144,11 +165,20 @@ def min_psi_index(obj, d_max: int = DEFAULT_POWER_CAP) -> int | None:
 
     Classes are nested (multiplying by one more simplex factor preserves
     nonnegativity and PSD-ness), so the first success is the minimum.
+    Diagonal input walks the simplex powers once, one convolution pass per
+    power; other Hermitian input is tested power by power.
     """
     if d_max > HARD_POWER_CAP:
         raise CapExceeded(f"power cap {d_max} exceeds hard limit {HARD_POWER_CAP}")
     if d_max < 0:
         raise ValueError("cap must be nonnegative")
+    if isinstance(obj, HermitianPoly) and obj.is_diagonal():
+        obj = diagonal_real_bridge(obj)
+    if isinstance(obj, RealSparsePoly):
+        for d, (_, table) in zip(range(d_max + 1), simplex_powers(obj)):
+            if all(c > 0 for c in table.values()):  # zeros are never stored
+                return d
+        return None
     for d in range(d_max + 1):
         if in_psi(obj, d).member:
             return d
@@ -159,25 +189,11 @@ def in_psi_general_multiplier(obj, s) -> PsiReport:
     """Membership of r * sum_j |z^{alpha_j}|^2 among squared norms."""
     exps = [tuple(a) for a in s]
     if isinstance(obj, RealSparsePoly):
-        product = multiply_by_diagonal_multiplier(obj, exps)
-        negatives = sorted(a for a, c in product.items() if c < 0)
-        if negatives:
-            worst = negatives[0]
-            return PsiReport(
-                None,
-                False,
-                NegativeCoefficientWitness(worst, product.coeff(worst)),
-                multiplier=tuple(exps),
-            )
-        return PsiReport(
-            None, True, NonnegativeProductCertificate(product), multiplier=tuple(exps)
-        )
+        scaled = diagonal_multiplier_table(obj, exps)
+        return _nonnegative_verdict(obj.n, scaled, None, tuple(exps))
     if isinstance(obj, HermitianPoly):
         if obj.is_diagonal():
-            from .polycore import diagonal_real_bridge
-
-            rep = in_psi_general_multiplier(diagonal_real_bridge(obj), exps)
-            return rep
+            return in_psi_general_multiplier(diagonal_real_bridge(obj), exps)
         from .errors import DuplicateMultiplierTerm
 
         if len(set(exps)) != len(exps):

@@ -312,3 +312,42 @@ def test_json_outputs_reparse(fig2_file):
 def test_run_callable_directly(fig2_file):
     assert run(["check-psi", "--poly", fig2_file, "--d", "1"]) == 0
     assert run(["nonsense"]) == 2
+
+
+def test_zero_denominator_in_input_is_usage_error(tmp_path, capsys):
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps({"n": 2, "terms": [{"exp": [1, 0], "coef": "1/0"}]}))
+    herm = tmp_path / "h.json"
+    herm.write_text(json.dumps({"n": 1, "entries": [
+        {"alpha": [1], "beta": [1], "re": "1/0", "im": "0"}]}))
+    assert run(["check-psi", "--poly", str(poly), "--d", "1"]) == 2
+    assert run(["signature", "--herm", str(herm)]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_search_off_lattice_support_is_usage_error(tmp_path, capsys):
+    support = tmp_path / "support.json"
+    support.write_text(json.dumps({"n": 3, "D": 5, "pos": [[0, 5, 0]], "neg": []}))
+    assert run(["search", "--n", "3", "--D", "6", "--d", "1",
+                "--support", str(support)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "(0, 5, 0)" in err
+    support.write_text(json.dumps({"n": 2, "D": 6, "pos": [[0, 6]], "neg": []}))
+    assert run(["search", "--n", "3", "--D", "6", "--d", "1",
+                "--support", str(support)]) == 2
+
+
+def test_signature_and_verify_bounds_agree_on_both_inputs(tmp_path, capsys):
+    from psicert.polycore import hermitian_to_json, real_to_diagonal
+
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps(poly_to_json(example_fig2())))
+    herm = tmp_path / "h.json"
+    herm.write_text(json.dumps(hermitian_to_json(real_to_diagonal(example_fig2()))))
+    for flag, path in (("--poly", poly), ("--herm", herm)):
+        assert run(["signature", flag, str(path)]) == 0
+        sig = json.loads(capsys.readouterr().out)
+        assert sig == {"n_plus": 7, "n_minus": 6, "rank": 13}
+        assert run(["verify-bounds", flag, str(path), "--d", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["n"], doc["n_plus"], doc["n_minus"]) == (3, 7, 6)

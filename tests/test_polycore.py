@@ -25,9 +25,11 @@ from psicert.polycore import (
     multiply_by_diagonal_multiplier,
     multiply_by_simplex_power,
     poly_from_json,
+    poly_from_table,
     poly_to_json,
     real_to_diagonal,
     sign_counts,
+    simplex_power_table,
 )
 
 
@@ -259,3 +261,40 @@ def test_hermitian_json_rejects_violations():
     }
     with pytest.raises(NotHermitian):
         hermitian_from_json(doc)
+
+
+def _plain_poly_parse(doc):
+    terms: dict = {}
+    for t in doc["terms"]:
+        alpha = tuple(int(e) for e in t["exp"])
+        terms[alpha] = terms.get(alpha, Fraction(0)) + Fraction(str(t["coef"]))
+    return RealSparsePoly(doc["n"], terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.tuples(
+                st.tuples(*([st.integers(0, 2)] * n)),
+                st.sampled_from(["1", "-1", "3/4", "-3/4", "0", "2/6", "-1/3", "5"]),
+            ),
+            max_size=12,
+        ).map(lambda terms: (n, terms))
+    )
+)
+def test_poly_from_json_repeated_terms_match_plain_parse(case):
+    n, terms = case
+    doc = {"n": n, "terms": [{"exp": list(a), "coef": c} for a, c in terms]}
+    assert poly_from_json(json.dumps(doc)) == _plain_poly_parse(doc)
+    assert poly_from_json(doc) == _plain_poly_parse(doc)
+
+
+def test_simplex_power_table_is_scaled_product():
+    p = P(2, {(1, 0): Fraction(1, 6), (0, 1): Fraction(-3, 4)})
+    L, table = simplex_power_table(p, 2)
+    assert L == 12
+    assert all(isinstance(c, int) for c in table.values())
+    assert poly_from_table(2, L, table) == multiply_by_simplex_power_direct(p, 2)
+    with pytest.raises(ValueError):
+        simplex_power_table(p, -1)

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_mul, naive_simplex_power
+from oracles import multiply_by_simplex_power_direct, naive_mul, naive_simplex_power
 from psicert.errors import CapExceeded, DuplicateMultiplierTerm
 from psicert.generators import example_fig2, generate_lambda_example
 from psicert.inertia import inertia
@@ -11,6 +13,7 @@ from psicert.polycore import (
     GaussianRational,
     HermitianPoly,
     RealSparsePoly,
+    diagonal_real_bridge,
     real_to_diagonal,
 )
 from psicert.psi import (
@@ -193,3 +196,110 @@ def test_dispatch():
     assert in_psi(real_to_diagonal(P(2, {(1, 0): 1})), 0).member
     with pytest.raises(TypeError):
         in_psi("nope", 1)
+
+
+# -- integer diagonal route against the direct multinomial oracle ---------------
+
+
+def _mixed_poly(n):
+    """Non-integral, mixed-sign coefficients; some terms are cancelled on entry."""
+    exps = st.tuples(*([st.integers(0, 3)] * n))
+    coefs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    return st.tuples(
+        st.lists(st.tuples(exps, coefs), max_size=6), st.lists(st.booleans(), max_size=6)
+    ).map(lambda drawn: _sum_terms(n, *drawn))
+
+
+def _sum_terms(n, terms, cancel):
+    acc: dict = {}
+    for (alpha, c), undo in zip(terms, cancel + [False] * len(terms)):
+        acc[alpha] = acc.get(alpha, Fraction(0)) + c
+        if undo:
+            acc[alpha] -= c
+    return RealSparsePoly(n, acc)
+
+
+mixed_polys = st.integers(1, 4).flatmap(_mixed_poly)
+
+
+def _least_negative(product):
+    negatives = sorted(a for a, c in product.items() if c < 0)
+    return (negatives[0], product.coeff(negatives[0])) if negatives else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_polys, st.integers(0, 6))
+def test_diagonal_verdict_matches_direct_oracle(p, d):
+    expected = multiply_by_simplex_power_direct(p, d)
+    report = in_psi_diagonal(p, d)
+    least = _least_negative(expected)
+    assert report.member == (least is None)
+    assert report.d == d
+    if least is None:
+        assert report.certificate.product == expected
+    else:
+        assert isinstance(report.certificate, NegativeCoefficientWitness)
+        assert (report.certificate.monomial, report.certificate.value) == least
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_polys, st.integers(0, 6))
+def test_min_psi_index_matches_direct_oracle(p, cap):
+    expected = next(
+        (
+            d
+            for d in range(cap + 1)
+            if _least_negative(multiply_by_simplex_power_direct(p, d)) is None
+        ),
+        None,
+    )
+    assert min_psi_index(p, cap) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            _mixed_poly(n),
+            st.sets(st.tuples(*([st.integers(0, 2)] * n)), min_size=1, max_size=4),
+        )
+    )
+)
+def test_general_multiplier_real_matches_naive_product(case):
+    p, exps = case
+    exps = sorted(exps)
+    expected = RealSparsePoly(
+        p.n, naive_mul(dict(p.items()), {e: Fraction(1) for e in exps})
+    )
+    report = in_psi_general_multiplier(p, exps)
+    least = _least_negative(expected)
+    assert report.d is None and report.multiplier == tuple(exps)
+    bridged = in_psi_general_multiplier(real_to_diagonal(p), exps)
+    for rep in (report, bridged):
+        assert rep.member == (least is None)
+        if least is None:
+            assert rep.certificate.product == expected
+        else:
+            assert (rep.certificate.monomial, rep.certificate.value) == least
+
+
+def test_min_psi_index_lambda_above_hard_cap_is_none():
+    # the minimal power of lambda = 63/4 is 125, beyond HARD_POWER_CAP
+    assert min_psi_index(generate_lambda_example(Fraction(63, 4)), 64) is None
+
+
+def test_min_psi_index_long_walk_matches_binomial_oracle():
+    from oracles import lambda_example_min_d
+
+    lam = Fraction(31, 2)
+    expected = lambda_example_min_d(lam)
+    assert expected > 30
+    assert min_psi_index(generate_lambda_example(lam), 64) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_polys, st.integers(0, 6))
+def test_min_psi_index_diagonal_hermitian_equals_bridge(p, cap):
+    r = real_to_diagonal(p)
+    assert diagonal_real_bridge(r) == p
+    assert min_psi_index(r, cap) == min_psi_index(p, cap)
