@@ -27,6 +27,7 @@ from .polycore import (
     RealSparsePoly,
     SignaturePair,
     hermitian_from_json,
+    multiplier_exponents,
     poly_from_json,
     poly_to_json,
     sign_counts,
@@ -46,10 +47,6 @@ def _load(path: str, parse):
             return parse(json.load(fh))
     except (FileNotFoundError, KeyError, ValueError, ZeroDivisionError) as exc:
         raise SystemExit2(f"{path}: {exc!r}") from exc
-
-
-def _multiplier_from_json(doc) -> list:
-    return [tuple(int(x) for x in e) for e in doc["exps"]]
 
 
 def _int_at_least(low: int):
@@ -225,7 +222,10 @@ def _witness_doc(report) -> dict | None:
 def _cmd_check_psi(args) -> int:
     obj = _load_input(args)
     if args.multiplier:
-        exps = _load(args.multiplier, _multiplier_from_json)
+        exps = _load(
+            args.multiplier,
+            lambda doc: multiplier_exponents([tuple(map(int, e)) for e in doc["exps"]], obj.n),
+        )
         report = _psi.in_psi_general_multiplier(obj, exps)
     else:
         report = _psi.in_psi(obj, args.d)

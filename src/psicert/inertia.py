@@ -13,6 +13,11 @@ input.
 
 The congruence transform is tracked as integer columns, each scaled by a
 pivot minor; its rational form and its inverse are built only when read.
+
+Matrices that are born integral, the product tables of the membership
+tests, enter without Gaussian rationals: `integer_coefficient_rows` lays a
+Gaussian-integer table out as dense rows and `integer_congruence_factorization`
+factors them, and `table_quadratic_form` evaluates a witness on the table.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .errors import CertificateFailure, ExplicitLimit, NotHermitian, PsicertError
 from .polycore import (
@@ -148,12 +153,28 @@ class CongruenceFactorization:
 
 
 def congruence_factorization(M: HermitianMatrix) -> CongruenceFactorization:
-    """Symmetric Bareiss elimination over Gaussian integers, deterministic pivots.
+    """Exact congruence factorization of M, deterministic pivots.
 
-    Let L be the lcm of the entry denominators and m_s the principal minor
-    of L * M on the first s pivots, after any bumps (m_0 = 1).  An active
-    entry a_ij then holds m_s * L times the matching entry of the rational
-    Schur complement.  Pivoting on k, with p = a_kk = m_{s+1}, maps a_ij to
+    Scales M by the lcm L of its entry denominators (a positive scalar
+    congruence) and factors the Gaussian-integer matrix L * M with
+    `integer_congruence_factorization`.
+    """
+    dens = {x.re.denominator for row in M.rows for x in row}
+    dens.update(x.im.denominator for row in M.rows for x in row)
+    L = lcm(*dens)
+    re = [[x.re.numerator * (L // x.re.denominator) for x in row] for row in M.rows]
+    im = [[x.im.numerator * (L // x.im.denominator) for x in row] for row in M.rows]
+    return integer_congruence_factorization(re, im, L)
+
+
+def integer_congruence_factorization(re, im, L: int) -> CongruenceFactorization:
+    """Symmetric Bareiss elimination of (re + i*im) / L over Gaussian integers.
+
+    `re` and `im` are the rows of a Hermitian matrix of ints and L > 0; the
+    rows are overwritten.  Let m_s be the principal minor of re + i*im on
+    the first s pivots, after any bumps (m_0 = 1).  An active entry a_ij
+    then holds m_s * L times the matching entry of the rational Schur
+    complement.  Pivoting on k, with p = a_kk = m_{s+1}, maps a_ij to
     (p * a_ij - a_ik * a_kj) / m_s and each active transform column t_i to
     (p * t_i - conj(a_ik) * t_k) / m_s.  Sylvester's identity makes both
     divisions exact; a remainder raises CertificateFailure.  The pivot gets
@@ -164,12 +185,7 @@ def congruence_factorization(M: HermitianMatrix) -> CongruenceFactorization:
     active off-diagonal entry remains, add row/column j into row/column i
     (factor 1, or i when the entry is purely imaginary) to create a pivot.
     """
-    dim = M.dim
-    dens = {x.re.denominator for row in M.rows for x in row}
-    dens.update(x.im.denominator for row in M.rows for x in row)
-    L = lcm(*dens)
-    re = [[x.re.numerator * (L // x.re.denominator) for x in row] for row in M.rows]
-    im = [[x.im.numerator * (L // x.im.denominator) for x in row] for row in M.rows]
+    dim = len(re)
     # columns of the transform, each scaled by the current pivot minor while active
     tre = [[int(r == c) for r in range(dim)] for c in range(dim)]
     tim = [[0] * dim for _ in range(dim)]
@@ -320,18 +336,84 @@ def quadratic_form(M: HermitianMatrix, v) -> Fraction:
     return acc.re
 
 
-def negative_direction(M: HermitianMatrix, fact: CongruenceFactorization):
-    """(v, v* M v) with v* M v < 0 for the first negative pivot of `fact`.
+def table_quadratic_form(scaled: tuple, basis, v) -> Fraction:
+    """v* (table / L) v for a Gaussian-integer vector v over `basis`, in ints.
 
-    v is that pivot's Gaussian-integer transform column; its value is
-    evaluated again on M rather than read off the factorization.  Returns
-    None when no pivot is negative, i.e. when M is positive semidefinite.
+    `scaled` is (L, table) with table mapping (alpha, beta) to (re, im)
+    ints, as from `polycore.hermitian_integer_table`.
+    """
+    L, table = scaled
+    comps = {}
+    for b, x in zip(basis, v):
+        if x.re.denominator != 1 or x.im.denominator != 1:
+            raise ValueError(f"vector entry {x} is not a Gaussian integer")
+        if x.re or x.im:
+            comps[b] = (x.re.numerator, x.im.numerator)
+    acc_re = acc_im = 0
+    for (alpha, beta), (x, y) in table.items():
+        va = comps.get(alpha)
+        vb = comps.get(beta)
+        if va is None or vb is None:
+            continue
+        # conj(va) * (x + iy) * vb
+        (p, q), (r, s) = va, vb
+        t_re, t_im = x * r - y * s, x * s + y * r
+        acc_re += p * t_re + q * t_im
+        acc_im += p * t_im - q * t_re
+    if acc_im:
+        raise CertificateFailure(f"v* M v has imaginary part {Fraction(acc_im, L)}")
+    return Fraction(acc_re, L)
+
+
+def integer_coefficient_rows(scaled: tuple) -> tuple:
+    """(basis, L', re, im): dense rows of the coefficient matrix of table / L.
+
+    `scaled` is (L, table) as from `polycore.hermitian_integer_table`; the
+    basis is the sorted index set.  Entries and L are divided by
+    g = gcd(L, every entry), so L' is the lcm of the denominators of
+    table / L and the rows are exactly those `congruence_factorization`
+    builds from the rational matrix.  The dimension cap is checked before
+    any row is allocated, and a table that is not Hermitian raises
+    NotHermitian.
+    """
+    L, table = scaled
+    basis = sorted({a for key in table for a in key})
+    dim = len(basis)
+    cap = _dim_cap()
+    if dim > cap:
+        raise ExplicitLimit(f"dimension {dim} exceeds cap {cap}")
+    g = L
+    for (alpha, beta), (x, y) in table.items():
+        if alpha == beta:
+            if y:
+                raise NotHermitian(f"diagonal entry at {alpha} is not real")
+        elif table.get((beta, alpha)) != (x, -y):
+            raise NotHermitian(f"entries at {(alpha, beta)} and {(beta, alpha)} are not conjugate")
+        g = gcd(g, x, y)
+    pos = {b: i for i, b in enumerate(basis)}
+    re = [[0] * dim for _ in range(dim)]
+    im = [[0] * dim for _ in range(dim)]
+    for (alpha, beta), (x, y) in table.items():
+        i, j = pos[alpha], pos[beta]
+        re[i][j] = x // g
+        im[i][j] = y // g
+    return tuple(basis), L // g, re, im
+
+
+def negative_direction(fact: CongruenceFactorization, value_of):
+    """(v, value_of(v)) for the first negative pivot of `fact`.
+
+    v is that pivot's Gaussian-integer transform column; `value_of` must
+    evaluate v* M v on the factored matrix M itself rather than read it off
+    the factorization, and a value that is not negative raises
+    CertificateFailure.  Returns None when no pivot is negative, i.e. when
+    M is positive semidefinite.
     """
     k = next((k for k, d in enumerate(fact.diag) if d < 0), None)
     if k is None:
         return None
     v = fact.integer_column(k)
-    value = quadratic_form(M, v)
+    value = value_of(v)
     if value >= 0:
         raise CertificateFailure(f"negative pivot {k} gives v* M v = {value} >= 0")
     return v, value
@@ -339,7 +421,7 @@ def negative_direction(M: HermitianMatrix, fact: CongruenceFactorization):
 
 def is_positive_semidefinite(M: HermitianMatrix):
     """(True, None) when PSD; otherwise (False, witness) with witness* M witness < 0."""
-    found = negative_direction(M, congruence_factorization(M))
+    found = negative_direction(congruence_factorization(M), lambda v: quadratic_form(M, v))
     if found is None:
         return True, None
     return False, found[0]

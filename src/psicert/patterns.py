@@ -377,38 +377,37 @@ def _search_greedy(n, D, d, support, budget):
     return _finish(n, D, d, current(), evals, Strategy.GREEDY)
 
 
-def _shift_pattern(pat: SignPattern, i: int, j: int):
-    """Translate every support point by e_i - e_j; points leaving the lattice drop to ZERO."""
-    def move(points):
-        out = set()
-        for a in points:
-            b = list(a)
-            b[i] += 1
-            b[j] -= 1
-            if b[j] >= 0:
-                out.add(tuple(b))
-        return frozenset(out)
+def _local_neighbors(pos: int, neg: int, size: int, shifts):
+    """Neighbours of the pattern (pos, neg), as bitmasks over the lattice.
 
-    return SignPattern(pat.n, pat.D, move(pat.pos), move(pat.neg))
+    Every single-point sign change, point by point and in the order
+    POS, NEG, ZERO of the new sign; then every lattice shift, translating
+    the whole pattern by e_i - e_j (points leaving the lattice drop to
+    ZERO).  `shifts[s][k]` is the bit that point k moves to under shift s,
+    or 0.
+    """
+    for k in range(size):
+        b = 1 << k
+        if pos & b:
+            yield pos ^ b, neg | b
+            yield pos ^ b, neg
+        elif neg & b:
+            yield pos | b, neg ^ b
+            yield pos, neg ^ b
+        else:
+            yield pos | b, neg
+            yield pos, neg | b
 
+    def move(mask, to):
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= to[low.bit_length() - 1]
+            mask ^= low
+        return out
 
-def _local_neighbors(pat: SignPattern, lattice):
-    for point in lattice:
-        s = pat.sign(point)
-        others = [x for x in (Sign.POS, Sign.NEG, Sign.ZERO) if x is not s]
-        for t in others:
-            pos, neg = set(pat.pos), set(pat.neg)
-            pos.discard(point)
-            neg.discard(point)
-            if t is Sign.POS:
-                pos.add(point)
-            elif t is Sign.NEG:
-                neg.add(point)
-            yield SignPattern(pat.n, pat.D, frozenset(pos), frozenset(neg))
-    for i in range(pat.n):
-        for j in range(pat.n):
-            if i != j:
-                yield _shift_pattern(pat, i, j)
+    for to in shifts:
+        yield move(pos, to), move(neg, to)
 
 
 def _search_local(n, D, d, support, budget, seed):
@@ -420,6 +419,18 @@ def _search_local(n, D, d, support, budget, seed):
     lattice = monomials_of_degree(n, D)
     cover = _Cover(lattice, n, d)
     support_set = set(support)
+    # per shift e_i - e_j, the bit each lattice point moves to (0 when it leaves)
+    shifts = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                to = []
+                for a in lattice:
+                    b = list(a)
+                    b[i] += 1
+                    b[j] -= 1
+                    to.append(cover.bit[tuple(b)] if b[j] >= 0 else 0)
+                shifts.append(to)
 
     base = pattern_from_poly(generate_pD(n, D))
     base = SignPattern(
@@ -441,16 +452,21 @@ def _search_local(n, D, d, support, budget, seed):
     evals = 0
     best = None
 
-    def score(pat):
+    def score(pos, neg):
         nonlocal evals
         evals += 1
         if evals > budget:
             raise _Budget()
-        if not pat.pos:
+        if not pos or not cover.feasible(pos, neg):
             return None
-        if not cover.feasible(cover.bits(pat.pos), cover.bits(pat.neg)):
-            return None
-        return pat.ratio()
+        return Fraction(neg.bit_count(), pos.bit_count())
+
+    def points(mask):
+        # bits follow the sorted lattice, so this is sorted too
+        return tuple(a for k, a in enumerate(lattice) if mask >> k & 1)
+
+    def canonical(masks):
+        return points(masks[0]), points(masks[1])
 
     class _Budget(Exception):
         pass
@@ -458,21 +474,28 @@ def _search_local(n, D, d, support, budget, seed):
     try:
         for start in starts:
             current = start
-            cur_score = score(current)
+            masks = cover.bits(current.pos), cover.bits(current.neg)
+            cur_score = score(*masks)
             if cur_score is None:
                 current = _pattern_on_support(n, D, support, support)
-                cur_score = score(current)
+                masks = cover.bits(current.pos), cover.bits(current.neg)
+                cur_score = score(*masks)
             while True:
-                candidates = []
-                for nb in _local_neighbors(current, lattice):
-                    sc = score(nb)
-                    if sc is not None and sc > cur_score:
-                        candidates.append((sc, nb.canonical(), nb))
-                if not candidates:
+                # steepest ascent: the best ratio, ties to the smallest canonical form
+                top, tied = cur_score, []
+                for nb in _local_neighbors(*masks, len(lattice), shifts):
+                    sc = score(*nb)
+                    if sc is None or sc <= cur_score or sc < top:
+                        continue
+                    if sc > top:
+                        top, tied = sc, []
+                    tied.append(nb)
+                if not tied:
                     break
-                candidates.sort(key=lambda t: (-t[0], t[1]))
-                _, _, current = candidates[0]
-                cur_score = current.ratio()
+                masks = min(tied, key=canonical)
+                pos, neg = canonical(masks)
+                current = SignPattern(n, D, frozenset(pos), frozenset(neg))
+                cur_score = top
             if best is None or (cur_score, current.canonical()) > (
                 best.ratio(),
                 best.canonical(),

@@ -316,18 +316,27 @@ def multiply_by_simplex_power(p: RealSparsePoly, d: int) -> RealSparsePoly:
     return poly_from_table(p.n, *simplex_power_table(p, d))
 
 
-def diagonal_multiplier_table(p: RealSparsePoly, s) -> tuple:
-    """(L, table) with table / L = p * sum_j x^{alpha_j}, alpha_j distinct."""
+def multiplier_exponents(s, n: int) -> list:
+    """The exponent vectors alpha_j of a multiplier sum_j x^{alpha_j}, checked.
+
+    They must be nonempty, distinct, of arity n and nonnegative.
+    """
     exps = [tuple(a) for a in s]
     if not exps:
         raise ValueError("multiplier must be nonempty")
     if len(set(exps)) != len(exps):
         raise DuplicateMultiplierTerm(f"repeated exponent vector in {exps}")
     for a in exps:
-        if len(a) != p.n:
-            raise ValueError(f"multiplier term {a} does not have arity {p.n}")
+        if len(a) != n:
+            raise ValueError(f"multiplier term {a} does not have arity {n}")
         if any(x < 0 for x in a):
             raise ValueError(f"negative exponent in multiplier term {a}")
+    return exps
+
+
+def diagonal_multiplier_table(p: RealSparsePoly, s) -> tuple:
+    """(L, table) with table / L = p * sum_j x^{alpha_j}, alpha_j distinct."""
+    exps = multiplier_exponents(s, p.n)
     L, table = integer_table(p)
     out: dict = {}
     for alpha, c in table.items():
@@ -472,6 +481,62 @@ def diagonal_real_bridge(r: HermitianPoly) -> RealSparsePoly:
         off = next(k for k in dict(r.items()) if k[0] != k[1])
         raise NotDiagonal(f"nonzero off-diagonal entry at {off}")
     return RealSparsePoly(r.n, {a: v.re for (a, _), v in r.items()})
+
+
+def hermitian_integer_table(r: HermitianPoly) -> tuple:
+    """(L, table): L the lcm of the denominators in r's entries, table = L*r.
+
+    table maps (alpha, beta) to the Gaussian integer (re, im), a pair of
+    ints; like r it holds both triangles and no zero entries.
+    """
+    L = 1
+    for _, v in r.items():
+        for den in (v.re.denominator, v.im.denominator):
+            L = L // gcd(L, den) * den
+    return L, {
+        key: (v.re.numerator * (L // v.re.denominator), v.im.numerator * (L // v.im.denominator))
+        for key, v in r.items()
+    }
+
+
+def _shift_table(scaled: tuple, exps) -> tuple:
+    """(L, T') with T'(alpha + delta, beta + delta) = sum over delta in exps of T(alpha, beta).
+
+    For (L, T) the table of r this is the table of r * sum_delta |z^delta|^2;
+    zero entries are dropped.
+    """
+    L, table = scaled
+    moved: dict = {}
+    for key in table:
+        for a in key:
+            if a not in moved:
+                moved[a] = [add_index(a, delta) for delta in exps]
+    out: dict = {}
+    get = out.get
+    for (alpha, beta), (x, y) in table.items():
+        for key in zip(moved[alpha], moved[beta]):
+            cur = get(key)
+            out[key] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
+    return L, {key: v for key, v in out.items() if v[0] or v[1]}
+
+
+def hermitian_powers(r: HermitianPoly):
+    """Yield (L, table) for d = 0, 1, 2, ...: table / L = r * |z|^(2d).
+
+    L and the d = 0 table come from `hermitian_integer_table(r)`; since
+    |z|^2 = |z_1|^2 + ... + |z_n|^2, each step is one shift pass over the
+    unit vectors, in Python ints.
+    """
+    units = [tuple(int(i == k) for i in range(r.n)) for k in range(r.n)]
+    scaled = hermitian_integer_table(r)
+    while True:
+        yield scaled
+        scaled = _shift_table(scaled, units)
+
+
+def hermitian_multiplier_table(r: HermitianPoly, s) -> tuple:
+    """(L, table) with table / L = r * sum_j |z^{alpha_j}|^2, alpha_j distinct."""
+    return _shift_table(hermitian_integer_table(r), multiplier_exponents(s, r.n))
 
 
 # ---------------------------------------------------------------------------

@@ -11,23 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import CapExceeded
 from .inertia import (
-    coefficient_matrix,
-    congruence_factorization,
+    integer_coefficient_rows,
+    integer_congruence_factorization,
     negative_direction,
+    table_quadratic_form,
 )
 from .polycore import (
-    GR_ZERO,
     HermitianPoly,
     MultiIndex,
     RealSparsePoly,
-    add_index,
-    compositions,
     diagonal_multiplier_table,
     diagonal_real_bridge,
-    multinomial,
+    hermitian_multiplier_table,
+    hermitian_powers,
     poly_from_table,
     simplex_power_table,
     simplex_powers,
@@ -111,41 +111,28 @@ def in_psi_diagonal(p: RealSparsePoly, d: int) -> PsiReport:
     return _nonnegative_verdict(p.n, simplex_power_table(p, d), d)
 
 
-def _product_matrix(r: HermitianPoly, d: int):
-    """Coefficient matrix of r times the d-th squared-norm power.
+def _psd_verdict(scaled: tuple) -> tuple:
+    """Factor the product table (L, table) once, straight from its integer rows.
 
-    The multiplier is diagonal, so entry (alpha, beta) lands at
-    (alpha+delta, beta+delta) weighted by the multinomial coefficient of
-    delta; no general polynomial product is needed.
+    (True, PsdCertificate) or (False, NegativeDirectionWitness); the
+    witness value is evaluated again on the table.
     """
-    entries: dict = {}
-    deltas = [(delta, multinomial(d, delta)) for delta in compositions(d, r.n)]
-    for (alpha, beta), v in r.items():
-        for delta, w in deltas:
-            key = (add_index(alpha, delta), add_index(beta, delta))
-            cur = entries.get(key, GR_ZERO) + v * w
-            if cur.is_zero():
-                entries.pop(key, None)
-            else:
-                entries[key] = cur
-    return coefficient_matrix(HermitianPoly(r.n, entries))
-
-
-def _psd_verdict(M) -> tuple:
-    """Factor M once: (True, PsdCertificate) or (False, NegativeDirectionWitness)."""
-    fact = congruence_factorization(M)
-    found = negative_direction(M, fact)
+    basis, L, re, im = integer_coefficient_rows(scaled)
+    fact = integer_congruence_factorization(re, im, L)
+    found = negative_direction(fact, lambda v: table_quadratic_form(scaled, basis, v))
     if found is None:
-        return True, PsdCertificate(fact, M.basis)
+        return True, PsdCertificate(fact, basis)
     vector, value = found
-    return False, NegativeDirectionWitness(vector, M.basis, value)
+    return False, NegativeDirectionWitness(vector, basis, value)
 
 
 def in_psi_hermitian(r: HermitianPoly, d: int) -> PsiReport:
     """General membership: the product coefficient matrix must be PSD, exactly."""
+    if d < 0:
+        raise ValueError("power must be nonnegative")
     if r.is_zero():
         return PsiReport(d, True, NonnegativeProductCertificate(r.n, 1, {}))
-    member, cert = _psd_verdict(_product_matrix(r, d))
+    member, cert = _psd_verdict(next(islice(hermitian_powers(r), d, None)))
     return PsiReport(d, member, cert)
 
 
@@ -166,7 +153,8 @@ def min_psi_index(obj, d_max: int = DEFAULT_POWER_CAP) -> int | None:
     Classes are nested (multiplying by one more simplex factor preserves
     nonnegativity and PSD-ness), so the first success is the minimum.
     Diagonal input walks the simplex powers once, one convolution pass per
-    power; other Hermitian input is tested power by power.
+    power; other Hermitian input walks the squared-norm powers once, one
+    shift pass per power, factoring each product matrix.
     """
     if d_max > HARD_POWER_CAP:
         raise CapExceeded(f"power cap {d_max} exceeds hard limit {HARD_POWER_CAP}")
@@ -179,34 +167,23 @@ def min_psi_index(obj, d_max: int = DEFAULT_POWER_CAP) -> int | None:
             if all(c > 0 for c in table.values()):  # zeros are never stored
                 return d
         return None
-    for d in range(d_max + 1):
-        if in_psi(obj, d).member:
-            return d
-    return None
+    if isinstance(obj, HermitianPoly):
+        for d, scaled in zip(range(d_max + 1), hermitian_powers(obj)):
+            if _psd_verdict(scaled)[0]:
+                return d
+        return None
+    raise TypeError(f"cannot test membership for {type(obj).__name__}")
 
 
 def in_psi_general_multiplier(obj, s) -> PsiReport:
     """Membership of r * sum_j |z^{alpha_j}|^2 among squared norms."""
     exps = [tuple(a) for a in s]
+    if isinstance(obj, HermitianPoly) and obj.is_diagonal():
+        obj = diagonal_real_bridge(obj)
     if isinstance(obj, RealSparsePoly):
         scaled = diagonal_multiplier_table(obj, exps)
         return _nonnegative_verdict(obj.n, scaled, None, tuple(exps))
     if isinstance(obj, HermitianPoly):
-        if obj.is_diagonal():
-            return in_psi_general_multiplier(diagonal_real_bridge(obj), exps)
-        from .errors import DuplicateMultiplierTerm
-
-        if len(set(exps)) != len(exps):
-            raise DuplicateMultiplierTerm(f"repeated exponent vector in {exps}")
-        entries: dict = {}
-        for (alpha, beta), v in obj.items():
-            for delta in exps:
-                key = (add_index(alpha, delta), add_index(beta, delta))
-                cur = entries.get(key, GR_ZERO) + v
-                if cur.is_zero():
-                    entries.pop(key, None)
-                else:
-                    entries[key] = cur
-        member, cert = _psd_verdict(coefficient_matrix(HermitianPoly(obj.n, entries)))
+        member, cert = _psd_verdict(hermitian_multiplier_table(obj, exps))
         return PsiReport(None, member, cert, multiplier=tuple(exps))
     raise TypeError(f"cannot test membership for {type(obj).__name__}")

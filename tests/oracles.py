@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
 Nothing here routes through the library's multiplier or inertia code paths:
-polynomial products are naive dict convolutions, tiny eigen problems are
+polynomial products are naive dict convolutions, product coefficient
+matrices are assembled over Gaussian rationals (only the dense layout is
+`inertia.coefficient_matrix`), tiny eigen problems are
 solved from the characteristic polynomial, the congruence factorization is
 the original elimination over Gaussian rationals, and sign patterns are
 checked by the original negative-inflow scan.
@@ -12,11 +14,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from psicert.inertia import coefficient_matrix
 from psicert.polycore import (
     GR_I,
     GR_ONE,
     GR_ZERO,
     GaussianRational,
+    HermitianPoly,
     RealSparsePoly,
     add_index,
     compositions,
@@ -54,6 +58,52 @@ def multiply_by_simplex_power_direct(p: RealSparsePoly, d: int) -> RealSparsePol
             key = add_index(alpha, delta)
             out[key] = out.get(key, Fraction(0)) + c * w
     return RealSparsePoly(p.n, out)
+
+
+def _shifted_matrix(r: HermitianPoly, weighted_deltas):
+    """Coefficient matrix of the sum of w * r(alpha, beta) at (alpha + delta, beta + delta)."""
+    entries: dict = {}
+    for (alpha, beta), v in r.items():
+        for delta, w in weighted_deltas:
+            key = (add_index(alpha, delta), add_index(beta, delta))
+            cur = entries.get(key, GR_ZERO) + v * w
+            if cur.is_zero():
+                entries.pop(key, None)
+            else:
+                entries[key] = cur
+    return coefficient_matrix(HermitianPoly(r.n, entries))
+
+
+def product_matrix(r: HermitianPoly, d: int):
+    """Coefficient matrix of r * |z|^(2d), the multinomial expansion over Gaussian rationals."""
+    return _shifted_matrix(r, [(delta, multinomial(d, delta)) for delta in compositions(d, r.n)])
+
+
+def multiplier_product_matrix(r: HermitianPoly, exps):
+    """Coefficient matrix of r * sum_j |z^{alpha_j}|^2 over Gaussian rationals."""
+    return _shifted_matrix(r, [(tuple(delta), 1) for delta in exps])
+
+
+def rotate_plane(r: HermitianPoly, c, s) -> HermitianPoly:
+    """r(Uw) for the real rotation U = [[c, -s], [s, c]] of two variables, c^2 + s^2 = 1.
+
+    U is unitary, so |Uw| = |w| and r(Uw) lies in exactly the classes r does.
+    """
+    rows = [{(1, 0): Fraction(c), (0, 1): -Fraction(s)}, {(1, 0): Fraction(s), (0, 1): Fraction(c)}]
+
+    def expand(alpha):
+        acc = {(0, 0): Fraction(1)}
+        for row, e in zip(rows, alpha):
+            for _ in range(e):
+                acc = naive_mul(acc, row)
+        return acc
+
+    entries: dict = {}
+    for (alpha, beta), v in r.items():
+        for g, x in expand(alpha).items():
+            for h, y in expand(beta).items():
+                entries[(g, h)] = entries.get((g, h), GR_ZERO) + v * (x * y)
+    return HermitianPoly(2, entries)
 
 
 def poly_dict(p) -> dict:

@@ -351,3 +351,75 @@ def test_signature_and_verify_bounds_agree_on_both_inputs(tmp_path, capsys):
         assert run(["verify-bounds", flag, str(path), "--d", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert (doc["n"], doc["n_plus"], doc["n_minus"]) == (3, 7, 6)
+
+
+# |z1 - z2|^2, not diagonal, and its negative: a member at power 0 and a non-member at every power
+_HERM_SQUARE = {
+    "n": 2,
+    "entries": [
+        {"alpha": [0, 1], "beta": [0, 1], "re": "1", "im": "0"},
+        {"alpha": [0, 1], "beta": [1, 0], "re": "-1", "im": "0"},
+        {"alpha": [1, 0], "beta": [1, 0], "re": "1", "im": "0"},
+    ],
+}
+_HERM_NEGATIVE = {
+    "n": 2,
+    "entries": [
+        {"alpha": [0, 1], "beta": [0, 1], "re": "-1", "im": "0"},
+        {"alpha": [0, 1], "beta": [1, 0], "re": "1", "im": "0"},
+        {"alpha": [1, 0], "beta": [1, 0], "re": "-1", "im": "0"},
+    ],
+}
+_POLY_DIFF = {"n": 2, "terms": [{"exp": [1, 0], "coef": "1"}, {"exp": [0, 1], "coef": "-1"}]}
+
+
+@pytest.mark.parametrize(
+    "flag, doc", [("--poly", _POLY_DIFF), ("--herm", _HERM_SQUARE)], ids=["poly", "herm"]
+)
+@pytest.mark.parametrize(
+    "exps, message",
+    [
+        ([], "nonempty"),
+        ([[1, 0, 0]], "arity"),
+        ([[-1, 1]], "negative exponent"),
+        ([[1, 0], [1, 0]], "repeated"),
+    ],
+    ids=["empty", "arity", "negative", "repeated"],
+)
+def test_bad_multiplier_is_usage_error(tmp_path, capsys, flag, doc, exps, message):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    mult = tmp_path / "m.json"
+    mult.write_text(json.dumps({"n": 2, "exps": exps}))
+    argv = ["check-psi", flag, str(inp), "--d", "0", "--multiplier", str(mult)]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_hermitian_multiplier_verdicts(tmp_path, capsys):
+    for doc, rc in ((_HERM_SQUARE, 0), (_HERM_NEGATIVE, 1)):
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(doc))
+        mult = tmp_path / "m.json"
+        mult.write_text(json.dumps({"n": 2, "exps": [[1, 0], [0, 2]]}))
+        assert run(["check-psi", "--herm", str(inp), "--d", "0", "--multiplier", str(mult)]) == rc
+        out = json.loads(capsys.readouterr().out)
+        assert out["member"] is (rc == 0)
+        if rc:
+            assert out["witness"]["kind"] == "negative-direction"
+
+
+def test_dimension_cap_on_hermitian_membership(tmp_path, monkeypatch, capsys):
+    # the product matrix of a two-variable input has dimension d + 2 at power d
+    herm = tmp_path / "neg.json"
+    herm.write_text(json.dumps(_HERM_NEGATIVE))
+    argv_check = ["check-psi", "--herm", str(herm), "--d", "2"]
+    argv_min = ["min-d", "--herm", str(herm), "--max-d", "8"]
+    assert run(argv_check) == 1
+    assert run(argv_min) == 1
+    capsys.readouterr()
+    monkeypatch.setenv("PSI_MAX_DIM", "3")
+    assert run(["check-psi", "--herm", str(herm), "--d", "1"]) == 1
+    for argv in (argv_check, argv_min):
+        assert run(argv) == 2
+        assert "dimension 4 exceeds cap 3" in capsys.readouterr().err

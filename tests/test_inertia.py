@@ -14,6 +14,7 @@ from psicert.inertia import (
     congruence_factorization,
     holomorphic_decomposition,
     inertia,
+    integer_coefficient_rows,
     is_positive_semidefinite,
     quadratic_form,
     recompose,
@@ -74,6 +75,23 @@ def test_dimension_cap(monkeypatch):
         monkeypatch.setenv("PSI_MAX_DIM", bad)
         with pytest.raises(PsicertError, match=f"PSI_MAX_DIM.*{bad}"):
             HermitianMatrix(rows)
+
+
+def test_integer_rows_checks_cap_and_symmetry(monkeypatch):
+    a, b = (1, 0), (0, 1)
+    table = {(a, a): (6, 0), (a, b): (2, 4), (b, a): (2, -4), (b, b): (-8, 0)}
+    # gcd(12, entries) = 2 is divided out: the rows of 6M with M = table / 12
+    assert integer_coefficient_rows((12, table)) == ((b, a), 6, [[-4, 1], [1, 3]], [[0, -2], [2, 0]])
+    monkeypatch.setenv("PSI_MAX_DIM", "1")
+    with pytest.raises(ExplicitLimit):
+        integer_coefficient_rows((12, table))
+    monkeypatch.delenv("PSI_MAX_DIM")
+    with pytest.raises(NotHermitian):
+        integer_coefficient_rows((1, {**table, (b, a): (2, 4)}))
+    with pytest.raises(NotHermitian):
+        integer_coefficient_rows((1, {**table, (a, a): (6, 1)}))
+    with pytest.raises(NotHermitian):
+        integer_coefficient_rows((1, {(a, b): (1, 0)}))
 
 
 def test_psd_examples():

@@ -1,23 +1,40 @@
 import random
 from fractions import Fraction
+from itertools import islice
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import multiply_by_simplex_power_direct, naive_mul, naive_simplex_power
+from oracles import (
+    multiplier_product_matrix,
+    multiply_by_simplex_power_direct,
+    naive_mul,
+    naive_simplex_power,
+    product_matrix,
+    rotate_plane,
+)
 from psicert.errors import CapExceeded, DuplicateMultiplierTerm
 from psicert.generators import example_fig2, generate_lambda_example
-from psicert.inertia import inertia
+from psicert.inertia import (
+    congruence_factorization,
+    inertia,
+    integer_coefficient_rows,
+    quadratic_form,
+)
 from psicert.polycore import (
+    GR_ZERO,
     GaussianRational,
     HermitianPoly,
     RealSparsePoly,
     diagonal_real_bridge,
+    hermitian_powers,
     real_to_diagonal,
 )
 from psicert.psi import (
     NegativeCoefficientWitness,
+    NegativeDirectionWitness,
     in_psi,
     in_psi_diagonal,
     in_psi_general_multiplier,
@@ -74,9 +91,7 @@ def test_hermitian_nonmember_example():
     assert not report.member
     # product is |z1|^4 - |z2|^4: one positive and one negative square,
     # nothing at z1 z2 (the cross coefficient cancels exactly)
-    from psicert.psi import _product_matrix
-
-    M = _product_matrix(r, 1)
+    M = product_matrix(r, 1)
     assert M.basis == ((0, 2), (2, 0))
     assert inertia(M) == (1, 1, 0)
 
@@ -137,6 +152,18 @@ def test_min_psi_index_nondiagonal_hermitian():
         },
     )
     assert min_psi_index(r, 4) == 0
+
+
+def test_min_psi_index_rotated_lambda_examples_at_the_cap():
+    from oracles import lambda_example_min_d
+
+    for lam in (8, 12, 14):
+        expected = lambda_example_min_d(lam)
+        r = rotate_plane(real_to_diagonal(generate_lambda_example(lam)), Fraction(3, 5), Fraction(4, 5))
+        assert not r.is_diagonal()
+        assert min_psi_index(r, expected) == expected
+        assert min_psi_index(r, expected - 1) is None
+        assert in_psi(r, expected).member and not in_psi(r, expected - 1).member
 
 
 def test_membership_nesting():
@@ -303,3 +330,111 @@ def test_min_psi_index_diagonal_hermitian_equals_bridge(p, cap):
     r = real_to_diagonal(p)
     assert diagonal_real_bridge(r) == p
     assert min_psi_index(r, cap) == min_psi_index(p, cap)
+
+
+def test_general_multiplier_hermitian_validation():
+    r = HermitianPoly(2, {((1, 0), (0, 1)): 1})
+    for bad in ([], [(1, 0, 0)], [(-1, 1)]):
+        with pytest.raises(ValueError):
+            in_psi_general_multiplier(r, bad)
+    with pytest.raises(DuplicateMultiplierTerm):
+        in_psi_general_multiplier(r, [(1, 0), (1, 0)])
+
+
+# -- integer Hermitian route against the Gaussian-rational assembly ------------
+
+
+@st.composite
+def _hermitian_inputs(draw):
+    """Hermitian tables in 1-3 variables with rational entries, some cancelled on entry.
+
+    With `zero_diagonal` every diagonal entry is dropped, so every product
+    matrix has a zero diagonal and the elimination must bump.
+    """
+    n = draw(st.integers(1, 3))
+    index = st.tuples(*([st.integers(0, 1)] * n))
+    part = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    zero_diagonal = draw(st.booleans())
+    entries: dict = {}
+    for _ in range(draw(st.integers(1, 5))):
+        alpha, beta = draw(index), draw(index)
+        if alpha == beta:
+            if zero_diagonal:
+                continue
+            value = GaussianRational.of(draw(part))
+        else:
+            value = GaussianRational.of(draw(part), draw(part))
+        cancelled = draw(st.booleans())
+        for key, v in (((alpha, beta), value), ((beta, alpha), value.conjugate())):
+            cur = entries.get(key, GR_ZERO) + v
+            entries[key] = cur - v if cancelled else cur
+    return HermitianPoly(n, entries)
+
+
+def _oracle_verdict(M):
+    """(member, factorization, witness vector, witness value) on a Gaussian-rational matrix."""
+    fact = congruence_factorization(M)
+    k = next((k for k, d in enumerate(fact.diag) if d < 0), None)
+    if k is None:
+        return True, fact, None, None
+    v = fact.integer_column(k)
+    return False, fact, v, quadratic_form(M, v)
+
+
+def _assert_same_verdict(member, cert, M):
+    ok, fact, vector, value = _oracle_verdict(M)
+    assert member == ok
+    if ok:
+        assert cert.basis == M.basis
+        assert cert.factorization.diag == fact.diag
+        assert cert.factorization.pivot_log == fact.pivot_log
+    else:
+        assert isinstance(cert, NegativeDirectionWitness)
+        assert cert.basis == M.basis
+        assert (cert.vector, cert.value) == (vector, value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hermitian_inputs(), st.integers(0, 3))
+def test_hermitian_route_matches_rational_assembly(r, d):
+    M = product_matrix(r, d)
+    basis, L, re, im = integer_coefficient_rows(next(islice(hermitian_powers(r), d, None)))
+    # the engine receives exactly L * M, L the lcm of M's denominators
+    assert basis == M.basis
+    assert L == lcm(*(q.denominator for row in M.rows for x in row for q in (x.re, x.im)))
+    assert re == [[x.re * L for x in row] for row in M.rows]
+    assert im == [[x.im * L for x in row] for row in M.rows]
+    report = in_psi_hermitian(r, d)
+    assert report.d == d
+    if r.is_zero():
+        assert report.member and not M.basis
+        return
+    _assert_same_verdict(report.member, report.certificate, M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _hermitian_inputs().flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.sets(st.tuples(*([st.integers(0, 2)] * r.n)), min_size=1, max_size=4),
+        )
+    )
+)
+def test_hermitian_multiplier_matches_rational_assembly(case):
+    r, exps = case
+    assume(not r.is_diagonal())
+    exps = sorted(exps)
+    report = in_psi_general_multiplier(r, exps)
+    assert report.d is None and report.multiplier == tuple(exps)
+    _assert_same_verdict(report.member, report.certificate, multiplier_product_matrix(r, exps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hermitian_inputs(), st.integers(0, 3))
+def test_nondiagonal_min_psi_index_matches_per_power_oracle(r, cap):
+    assume(not r.is_diagonal())
+    expected = next(
+        (d for d in range(cap + 1) if inertia(product_matrix(r, d))[1] == 0), None
+    )
+    assert min_psi_index(r, cap) == expected
