@@ -26,13 +26,10 @@ from .generators import (
 )
 from .inertia import (
     CongruenceFactorization,
-    HermitianMatrix,
     HolomorphicDecomposition,
-    coefficient_matrix,
     congruence_factorization,
     holomorphic_decomposition,
     inertia,
-    is_positive_semidefinite,
 )
 from .patterns import (
     SearchResult,

@@ -87,8 +87,11 @@ def pigeonhole_certificate(p: RealSparsePoly) -> PigeonholeCertificate:
     positive contributor alpha + e_1 - e_j for some j >= 2, and the least
     such j is chosen.  Preimages of any beta sit among beta - e_1 + e_j, so
     fibers have at most n-1 elements, and every candidate preimage of the
-    least support monomial falls below it in the monomial order.
+    least support monomial falls below it in the monomial order.  A zero,
+    non-homogeneous or non-member input raises NotInPsiD.
     """
+    if p.is_zero():
+        raise NotInPsiD("zero polynomial has no certificate")
     if not p.is_homogeneous():
         raise NotInPsiD("certificate requires a homogeneous polynomial")
     if not in_psi_diagonal(p, 1).member:
@@ -96,8 +99,6 @@ def pigeonhole_certificate(p: RealSparsePoly) -> PigeonholeCertificate:
     n = p.n
     pos = {a for a, c in p.items() if c > 0}
     neg = {a for a, c in p.items() if c < 0}
-    if not pos and not neg:
-        raise CertificateFailure("zero polynomial has no certificate")
 
     assignment = []
     for alpha in sorted(neg):

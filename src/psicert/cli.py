@@ -247,9 +247,9 @@ def _signature(obj) -> SignaturePair:
     """Sign counts of a real polynomial, inertia of a Hermitian table."""
     if isinstance(obj, RealSparsePoly):
         return sign_counts(obj)
-    from .inertia import coefficient_matrix, inertia
+    from .inertia import inertia
 
-    pos, neg, _zero = inertia(coefficient_matrix(obj))
+    pos, neg, _zero = inertia(obj)
     return SignaturePair(pos, neg)
 
 

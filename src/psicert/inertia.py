@@ -1,23 +1,21 @@
-"""Exact inertia of Hermitian matrices by fraction-free congruence.
+"""Exact inertia of Hermitian coefficient tables by fraction-free congruence.
 
-The factorization scales the matrix by the lcm of its entry denominators (a
-positive scalar congruence, so the inertia is unchanged) and runs symmetric
-Bareiss elimination (Bareiss 1968) over Gaussian integers held as pairs of
-Python ints.  Sylvester's identity makes every division exact, and the pivot
-signs come from ratios of successive pivot minors.  Pivots are 1x1 only.
-When the active diagonal vanishes but the block does not, a congruence that
-adds one row/column into another (with a factor of 1 or i) manufactures a
-nonzero diagonal entry, so square roots never appear.  Sylvester's law of
-inertia makes the sign counts of the resulting diagonal the inertia of the
-input.
+The one entry, `congruence_factorization`, takes a Gaussian-integer table
+(L, {(alpha, beta): (re, im)}) standing for table / L, as built by
+`polycore.hermitian_integer_table` or by the power and multiplier shift
+passes.  It lays the table out as dense integer rows over the sorted index
+set and runs symmetric Bareiss elimination (Bareiss 1968) over Gaussian
+integers held as pairs of Python ints.  Sylvester's identity makes every
+division exact, and the pivot signs come from ratios of successive pivot
+minors.  Pivots are 1x1 only.  When the active diagonal vanishes but the
+block does not, a congruence that adds one row/column into another (with a
+factor of 1 or i) manufactures a nonzero diagonal entry, so square roots
+never appear.  Sylvester's law of inertia makes the sign counts of the
+resulting diagonal the inertia of the input.
 
 The congruence transform is tracked as integer columns, each scaled by a
 pivot minor; its rational form and its inverse are built only when read.
-
-Matrices that are born integral, the product tables of the membership
-tests, enter without Gaussian rationals: `integer_coefficient_rows` lays a
-Gaussian-integer table out as dense rows and `integer_congruence_factorization`
-factors them, and `table_quadratic_form` evaluates a witness on the table.
+`table_quadratic_form` evaluates a witness on the table itself.
 """
 
 from __future__ import annotations
@@ -26,13 +24,14 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from .errors import CertificateFailure, ExplicitLimit, NotHermitian, PsicertError
 from .polycore import (
     GR_ZERO,
     GaussianRational,
     HermitianPoly,
+    hermitian_integer_table,
 )
 
 _HARD_DIM_CAP = 2048
@@ -52,58 +51,8 @@ def _dim_cap() -> int:
     return min(_HARD_DIM_CAP, cap)
 
 
-def _as_gr(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(Fraction(x), Fraction(0))
-    raise TypeError(f"matrix entries must be exact: {x!r}")
-
-
-class HermitianMatrix:
-    """Dense Hermitian matrix over Gaussian rationals with an optional monomial basis."""
-
-    __slots__ = ("dim", "rows", "basis")
-
-    def __init__(self, rows, basis=None):
-        rows = [[_as_gr(x) for x in row] for row in rows]
-        dim = len(rows)
-        if any(len(r) != dim for r in rows):
-            raise ValueError("matrix must be square")
-        cap = _dim_cap()
-        if dim > cap:
-            raise ExplicitLimit(f"dimension {dim} exceeds cap {cap}")
-        for i in range(dim):
-            if rows[i][i].im != 0:
-                raise NotHermitian(f"diagonal entry {i} is not real")
-            for j in range(i + 1, dim):
-                if rows[i][j] != rows[j][i].conjugate():
-                    raise NotHermitian(f"entries ({i},{j}) and ({j},{i}) not conjugate")
-        if basis is not None:
-            basis = tuple(tuple(b) for b in basis)
-            if len(basis) != dim:
-                raise ValueError("basis length must match dimension")
-            if len(set(basis)) != dim:
-                raise ValueError("basis has duplicates")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
-        object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HermitianMatrix is immutable")
-
-    def entry(self, i: int, j: int) -> GaussianRational:
-        return self.rows[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, HermitianMatrix) and self.rows == other.rows
-
-    def __repr__(self):
-        return f"HermitianMatrix(dim={self.dim})"
-
-
 class CongruenceFactorization:
-    """diag == transform* . M . transform, exactly.
+    """diag == transform* . M . transform, exactly, M the matrix over `basis`.
 
     The elimination leaves integer data only.  Column k of the transform is
     kept as Gaussian integers scaled by the pivot minor in force when k was
@@ -112,7 +61,8 @@ class CongruenceFactorization:
     `inverse` turn them into rows of Gaussian rationals when first read.
     """
 
-    def __init__(self, diag, pivot_log, columns, column_scales, inverse_rows):
+    def __init__(self, basis, diag, pivot_log, columns, column_scales, inverse_rows):
+        self.basis = basis  # index of each row and column
         self.diag = diag  # of Fraction, original index order
         self.pivot_log = pivot_log  # ordered pivot record, for reproducibility
         self._columns = columns  # per column: (re ints, im ints), scaled
@@ -152,28 +102,59 @@ class CongruenceFactorization:
         return tuple(rows)
 
 
-def congruence_factorization(M: HermitianMatrix) -> CongruenceFactorization:
-    """Exact congruence factorization of M, deterministic pivots.
+def congruence_factorization(scaled: tuple) -> CongruenceFactorization:
+    """Exact congruence factorization of the coefficient matrix of table / L.
 
-    Scales M by the lcm L of its entry denominators (a positive scalar
-    congruence) and factors the Gaussian-integer matrix L * M with
-    `integer_congruence_factorization`.
+    `scaled` is (L, table) with table mapping (alpha, beta) to (re, im)
+    ints, as from `polycore.hermitian_integer_table`; the matrix is indexed
+    by the sorted index set, which the factorization carries as `basis`.
+    Pivots are deterministic.  A table that is not Hermitian raises
+    NotHermitian, and one over more than `PSI_MAX_DIM` indices ExplicitLimit.
     """
-    dens = {x.re.denominator for row in M.rows for x in row}
-    dens.update(x.im.denominator for row in M.rows for x in row)
-    L = lcm(*dens)
-    re = [[x.re.numerator * (L // x.re.denominator) for x in row] for row in M.rows]
-    im = [[x.im.numerator * (L // x.im.denominator) for x in row] for row in M.rows]
-    return integer_congruence_factorization(re, im, L)
+    return _bareiss(*_integer_rows(scaled))
 
 
-def integer_congruence_factorization(re, im, L: int) -> CongruenceFactorization:
+def _integer_rows(scaled: tuple) -> tuple:
+    """(basis, L', re, im): dense rows of the coefficient matrix of table / L.
+
+    `scaled` is (L, table) as from `polycore.hermitian_integer_table`; the
+    basis is the sorted index set.  Entries and L are divided by
+    g = gcd(L, every entry), so L' is the lcm of the denominators of
+    table / L and the rows are L' times the rational matrix.  The dimension
+    cap is checked before any row is allocated, and a table that is not
+    Hermitian raises NotHermitian.
+    """
+    L, table = scaled
+    basis = sorted({a for key in table for a in key})
+    dim = len(basis)
+    cap = _dim_cap()
+    if dim > cap:
+        raise ExplicitLimit(f"dimension {dim} exceeds cap {cap}")
+    g = L
+    for (alpha, beta), (x, y) in table.items():
+        if alpha == beta:
+            if y:
+                raise NotHermitian(f"diagonal entry at {alpha} is not real")
+        elif table.get((beta, alpha)) != (x, -y):
+            raise NotHermitian(f"entries at {(alpha, beta)} and {(beta, alpha)} are not conjugate")
+        g = gcd(g, x, y)
+    pos = {b: i for i, b in enumerate(basis)}
+    re = [[0] * dim for _ in range(dim)]
+    im = [[0] * dim for _ in range(dim)]
+    for (alpha, beta), (x, y) in table.items():
+        i, j = pos[alpha], pos[beta]
+        re[i][j] = x // g
+        im[i][j] = y // g
+    return tuple(basis), L // g, re, im
+
+
+def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
     """Symmetric Bareiss elimination of (re + i*im) / L over Gaussian integers.
 
-    `re` and `im` are the rows of a Hermitian matrix of ints and L > 0; the
-    rows are overwritten.  Let m_s be the principal minor of re + i*im on
-    the first s pivots, after any bumps (m_0 = 1).  An active entry a_ij
-    then holds m_s * L times the matching entry of the rational Schur
+    `re` and `im` are the rows of a Hermitian matrix of ints over `basis`
+    and L > 0; the rows are overwritten.  Let m_s be the principal minor of
+    re + i*im on the first s pivots, after any bumps (m_0 = 1).  An active
+    entry a_ij then holds m_s * L times the matching entry of the rational Schur
     complement.  Pivoting on k, with p = a_kk = m_{s+1}, maps a_ij to
     (p * a_ij - a_ik * a_kj) / m_s and each active transform column t_i to
     (p * t_i - conj(a_ik) * t_k) / m_s.  Sylvester's identity makes both
@@ -307,33 +288,13 @@ def integer_congruence_factorization(re, im, L: int) -> CongruenceFactorization:
             ur, ui = unit[i]
             inverse_rows[i] = (1, tuple((t, ur[t], ui[t]) for t in range(dim)))
     return CongruenceFactorization(
+        basis=basis,
         diag=tuple(Fraction(re[k][k], L * scales[k]) for k in range(dim)),
         pivot_log=tuple(log),
         columns=tuple(zip(tre, tim)),
         column_scales=tuple(scales),
         inverse_rows=tuple(inverse_rows),
     )
-
-
-def inertia(M: HermitianMatrix) -> tuple:
-    """(n_plus, n_minus, n_zero) of M, exactly."""
-    return congruence_factorization(M).inertia
-
-
-def quadratic_form(M: HermitianMatrix, v) -> Fraction:
-    """v* M v for an exact vector v; always real."""
-    v = [_as_gr(x) for x in v]
-    nz = [(i, x) for i, x in enumerate(v) if not x.is_zero()]
-    acc = GR_ZERO
-    for i, x in nz:
-        row = M.rows[i]
-        s = GR_ZERO
-        for j, y in nz:
-            s = s + row[j] * y
-        acc = acc + x.conjugate() * s
-    if acc.im != 0:
-        raise CertificateFailure(f"v* M v has imaginary part {acc.im}")
-    return acc.re
 
 
 def table_quadratic_form(scaled: tuple, basis, v) -> Fraction:
@@ -365,41 +326,6 @@ def table_quadratic_form(scaled: tuple, basis, v) -> Fraction:
     return Fraction(acc_re, L)
 
 
-def integer_coefficient_rows(scaled: tuple) -> tuple:
-    """(basis, L', re, im): dense rows of the coefficient matrix of table / L.
-
-    `scaled` is (L, table) as from `polycore.hermitian_integer_table`; the
-    basis is the sorted index set.  Entries and L are divided by
-    g = gcd(L, every entry), so L' is the lcm of the denominators of
-    table / L and the rows are exactly those `congruence_factorization`
-    builds from the rational matrix.  The dimension cap is checked before
-    any row is allocated, and a table that is not Hermitian raises
-    NotHermitian.
-    """
-    L, table = scaled
-    basis = sorted({a for key in table for a in key})
-    dim = len(basis)
-    cap = _dim_cap()
-    if dim > cap:
-        raise ExplicitLimit(f"dimension {dim} exceeds cap {cap}")
-    g = L
-    for (alpha, beta), (x, y) in table.items():
-        if alpha == beta:
-            if y:
-                raise NotHermitian(f"diagonal entry at {alpha} is not real")
-        elif table.get((beta, alpha)) != (x, -y):
-            raise NotHermitian(f"entries at {(alpha, beta)} and {(beta, alpha)} are not conjugate")
-        g = gcd(g, x, y)
-    pos = {b: i for i, b in enumerate(basis)}
-    re = [[0] * dim for _ in range(dim)]
-    im = [[0] * dim for _ in range(dim)]
-    for (alpha, beta), (x, y) in table.items():
-        i, j = pos[alpha], pos[beta]
-        re[i][j] = x // g
-        im[i][j] = y // g
-    return tuple(basis), L // g, re, im
-
-
 def negative_direction(fact: CongruenceFactorization, value_of):
     """(v, value_of(v)) for the first negative pivot of `fact`.
 
@@ -419,23 +345,9 @@ def negative_direction(fact: CongruenceFactorization, value_of):
     return v, value
 
 
-def is_positive_semidefinite(M: HermitianMatrix):
-    """(True, None) when PSD; otherwise (False, witness) with witness* M witness < 0."""
-    found = negative_direction(congruence_factorization(M), lambda v: quadratic_form(M, v))
-    if found is None:
-        return True, None
-    return False, found[0]
-
-
-def coefficient_matrix(r: HermitianPoly) -> HermitianMatrix:
-    """Dense coefficient matrix of r over its sorted monomial index set."""
-    basis = r.index_set()
-    pos = {b: i for i, b in enumerate(basis)}
-    dim = len(basis)
-    rows = [[GR_ZERO] * dim for _ in range(dim)]
-    for (alpha, beta), v in r.items():
-        rows[pos[alpha]][pos[beta]] = v
-    return HermitianMatrix(rows, basis=basis)
+def inertia(r: HermitianPoly) -> tuple:
+    """(n_plus, n_minus, n_zero) of r's coefficient matrix over its index set, exactly."""
+    return congruence_factorization(hermitian_integer_table(r)).inertia
 
 
 @dataclass(frozen=True)
@@ -457,10 +369,7 @@ class HolomorphicDecomposition:
 
 def holomorphic_decomposition(r: HermitianPoly) -> HolomorphicDecomposition:
     """Extract an exact signed-squares decomposition from the coefficient matrix."""
-    if r.is_zero():
-        return HolomorphicDecomposition((), (), (), (), ())
-    M = coefficient_matrix(r)
-    fact = congruence_factorization(M)
+    fact = congruence_factorization(hermitian_integer_table(r))
     plus_rows, minus_rows, plus_s, minus_s = [], [], [], []
     for k, d in enumerate(fact.diag):
         if d > 0:
@@ -474,7 +383,7 @@ def holomorphic_decomposition(r: HermitianPoly) -> HolomorphicDecomposition:
         tuple(minus_rows),
         tuple(plus_s),
         tuple(minus_s),
-        M.basis,
+        fact.basis,
     )
 
 

@@ -547,6 +547,14 @@ def _frac_str(x: Fraction) -> str:
     return str(x)
 
 
+class _FractionMemo(dict):
+    """Rational strings of one document, each parsed once: memo[text] is Fraction(text)."""
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = Fraction(text)
+        return value
+
+
 def poly_to_json(p: RealSparsePoly) -> dict:
     return {
         "n": p.n,
@@ -561,14 +569,11 @@ def poly_from_json(doc) -> RealSparsePoly:
     if isinstance(doc, str):
         doc = json.loads(doc)
     n = int(doc["n"])
-    parsed: dict = {}  # coefficient string -> Fraction, parsed once per document
+    parse = _FractionMemo()
     terms: dict = {}
-    for t in doc.get("terms", []):
+    for t in doc["terms"]:
         alpha = tuple(map(int, t["exp"]))
-        text = str(t["coef"])
-        c = parsed.get(text)
-        if c is None:
-            c = parsed[text] = Fraction(text)
+        c = parse[str(t["coef"])]
         if alpha in terms:
             c += terms[alpha]
         terms[alpha] = c
@@ -597,11 +602,12 @@ def hermitian_from_json(doc) -> HermitianPoly:
     if isinstance(doc, str):
         doc = json.loads(doc)
     n = int(doc["n"])
+    parse = _FractionMemo()
     entries: dict = {}
-    for e in doc.get("entries", []):
+    for e in doc["entries"]:
         alpha = tuple(int(x) for x in e["alpha"])
         beta = tuple(int(x) for x in e["beta"])
-        val = GaussianRational.of(str(e["re"]), str(e.get("im", "0")))
+        val = GaussianRational(parse[str(e["re"])], parse[str(e.get("im", "0"))])
         if (alpha, beta) in entries and entries[(alpha, beta)] != val:
             raise NotHermitian(f"conflicting duplicate entry at {(alpha, beta)}")
         entries[(alpha, beta)] = val

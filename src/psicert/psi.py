@@ -14,12 +14,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import CapExceeded
-from .inertia import (
-    integer_coefficient_rows,
-    integer_congruence_factorization,
-    negative_direction,
-    table_quadratic_form,
-)
+from .inertia import congruence_factorization, negative_direction, table_quadratic_form
 from .polycore import (
     HermitianPoly,
     MultiIndex,
@@ -112,18 +107,17 @@ def in_psi_diagonal(p: RealSparsePoly, d: int) -> PsiReport:
 
 
 def _psd_verdict(scaled: tuple) -> tuple:
-    """Factor the product table (L, table) once, straight from its integer rows.
+    """Factor the product table (L, table) once.
 
     (True, PsdCertificate) or (False, NegativeDirectionWitness); the
     witness value is evaluated again on the table.
     """
-    basis, L, re, im = integer_coefficient_rows(scaled)
-    fact = integer_congruence_factorization(re, im, L)
-    found = negative_direction(fact, lambda v: table_quadratic_form(scaled, basis, v))
+    fact = congruence_factorization(scaled)
+    found = negative_direction(fact, lambda v: table_quadratic_form(scaled, fact.basis, v))
     if found is None:
-        return True, PsdCertificate(fact, basis)
+        return True, PsdCertificate(fact, fact.basis)
     vector, value = found
-    return False, NegativeDirectionWitness(vector, basis, value)
+    return False, NegativeDirectionWitness(vector, fact.basis, value)
 
 
 def in_psi_hermitian(r: HermitianPoly, d: int) -> PsiReport:

@@ -1,12 +1,12 @@
 """Independent brute-force oracles used to pin expected values.
 
-Nothing here routes through the library's multiplier or inertia code paths:
-polynomial products are naive dict convolutions, product coefficient
-matrices are assembled over Gaussian rationals (only the dense layout is
-`inertia.coefficient_matrix`), tiny eigen problems are
-solved from the characteristic polynomial, the congruence factorization is
-the original elimination over Gaussian rationals, and sign patterns are
-checked by the original negative-inflow scan.
+Nothing here imports `psicert.inertia` or routes through the library's
+multiplier code paths: polynomial products are naive dict convolutions,
+product coefficient matrices are assembled and laid out over Gaussian
+rationals, tiny eigen problems are solved from the characteristic
+polynomial, the congruence factorization is the original elimination over
+Gaussian rationals on plain rows, and sign patterns are checked by the
+original negative-inflow scan.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from psicert.inertia import coefficient_matrix
 from psicert.polycore import (
     GR_I,
     GR_ONE,
@@ -60,7 +59,25 @@ def multiply_by_simplex_power_direct(p: RealSparsePoly, d: int) -> RealSparsePol
     return RealSparsePoly(p.n, out)
 
 
-def _shifted_matrix(r: HermitianPoly, weighted_deltas):
+@dataclass(frozen=True)
+class CoefficientMatrix:
+    """Dense Gaussian-rational rows of a coefficient matrix over a sorted basis."""
+
+    basis: tuple
+    rows: tuple
+
+
+def coefficient_matrix(entries: dict) -> CoefficientMatrix:
+    """Lay {(alpha, beta): value} out as rows over the sorted index set."""
+    basis = tuple(sorted({a for key in entries for a in key}))
+    pos = {b: i for i, b in enumerate(basis)}
+    rows = [[GR_ZERO] * len(basis) for _ in basis]
+    for (alpha, beta), v in entries.items():
+        rows[pos[alpha]][pos[beta]] = v
+    return CoefficientMatrix(basis, tuple(tuple(row) for row in rows))
+
+
+def _shifted_matrix(r: HermitianPoly, weighted_deltas) -> CoefficientMatrix:
     """Coefficient matrix of the sum of w * r(alpha, beta) at (alpha + delta, beta + delta)."""
     entries: dict = {}
     for (alpha, beta), v in r.items():
@@ -71,7 +88,7 @@ def _shifted_matrix(r: HermitianPoly, weighted_deltas):
                 entries.pop(key, None)
             else:
                 entries[key] = cur
-    return coefficient_matrix(HermitianPoly(r.n, entries))
+    return coefficient_matrix(entries)
 
 
 def product_matrix(r: HermitianPoly, d: int):
@@ -202,16 +219,29 @@ def _identity(dim):
     ]
 
 
-def rational_congruence_factorization(M) -> RationalFactorization:
+def quadratic_form(rows, v) -> GaussianRational:
+    """v* M v over Gaussian rationals, M given by its rows; real when M is Hermitian."""
+    acc = GR_ZERO
+    for x, row in zip(v, rows):
+        s = GR_ZERO
+        for a, y in zip(row, v):
+            s = s + a * y
+        acc = acc + x.conjugate() * s
+    return acc
+
+
+def rational_congruence_factorization(rows) -> RationalFactorization:
     """Symmetric elimination with exact arithmetic and a deterministic pivot rule.
+
+    `rows` are the rows of a Hermitian matrix of Gaussian rationals.
 
     Pivot rule: among the active diagonal, take the entry of largest absolute
     value (smallest index on ties).  If the active diagonal is all zero but an
     active off-diagonal entry remains, add row/column j into row/column i
     (factor 1, or i when the entry is purely imaginary) to create a pivot.
     """
-    dim = M.dim
-    W = [list(row) for row in M.rows]
+    dim = len(rows)
+    W = [list(row) for row in rows]
     T = _identity(dim)
     Tinv = _identity(dim)
     log = []
@@ -219,15 +249,20 @@ def rational_congruence_factorization(M) -> RationalFactorization:
 
     def apply_add(i: int, j: int, factor: GaussianRational):
         # congruence: column i += factor * column j, row i += conj(factor) * row j
+        # (zero terms are skipped; they would add nothing)
         fc = factor.conjugate()
         for r in range(dim):
-            W[r][i] = W[r][i] + factor * W[r][j]
+            if not W[r][j].is_zero():
+                W[r][i] = W[r][i] + factor * W[r][j]
         for c in range(dim):
-            W[i][c] = W[i][c] + fc * W[j][c]
+            if not W[j][c].is_zero():
+                W[i][c] = W[i][c] + fc * W[j][c]
         for r in range(dim):
-            T[r][i] = T[r][i] + factor * T[r][j]
+            if not T[r][j].is_zero():
+                T[r][i] = T[r][i] + factor * T[r][j]
         for c in range(dim):
-            Tinv[j][c] = Tinv[j][c] - factor * Tinv[i][c]
+            if not Tinv[i][c].is_zero():
+                Tinv[j][c] = Tinv[j][c] - factor * Tinv[i][c]
 
     while active:
         # best available diagonal pivot
@@ -274,6 +309,14 @@ def rational_congruence_factorization(M) -> RationalFactorization:
         inverse=tuple(tuple(r) for r in Tinv),
         pivot_log=tuple(log),
     )
+
+
+def rational_inertia(rows) -> tuple:
+    """(n_plus, n_minus, n_zero) from the signs of the rational eliminator's diagonal."""
+    diag = rational_congruence_factorization(rows).diag
+    pos = sum(1 for d in diag if d > 0)
+    neg = sum(1 for d in diag if d < 0)
+    return pos, neg, len(diag) - pos - neg
 
 
 def mat_mul(A, B):

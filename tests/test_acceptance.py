@@ -28,7 +28,7 @@ from psicert.generators import (
     generate_pD,
     generate_two_var,
 )
-from psicert.inertia import coefficient_matrix, inertia
+from psicert.inertia import inertia
 from psicert.patterns import (
     SignPattern,
     Strategy,
@@ -183,7 +183,7 @@ def test_criterion_8_reduction_pipeline():
     for seed in range(100):
         r = random_psi1_member(seed)
         form = decompose(r)
-        pos0, neg0, _ = inertia(coefficient_matrix(r))
+        pos0, neg0, _ = inertia(r)
         reduced, steps = partial_row_echelon(form, recon_tol=1e-9)
         if not is_partial_row_echelon(reduced):
             failures.append((seed, "echelon"))

@@ -112,6 +112,12 @@ def test_pigeonhole_requires_membership_and_homogeneity():
         pigeonhole_certificate(RealSparsePoly(2, {(1, 0): 1, (0, 0): 1}))
 
 
+def test_pigeonhole_zero_polynomial_is_not_in_psi_d():
+    # a user input, not an invariant breach: NotInPsiD rather than CertificateFailure
+    with pytest.raises(NotInPsiD, match="zero polynomial"):
+        pigeonhole_certificate(RealSparsePoly(3, {}))
+
+
 def test_pigeonhole_strict_count_consequence():
     # fibers of size <= n-1 plus an untouched least monomial force
     # N- < (n-1) N+ on every member tested
@@ -127,16 +133,16 @@ def test_pigeonhole_strict_count_consequence():
 def test_hermitian_members_respect_ceiling_via_inertia():
     # the general (non-diagonal) bound is checked on the coefficient matrix
     from members import random_psi1_member
-    from psicert.inertia import coefficient_matrix, inertia
+    from psicert.inertia import inertia
 
     for seed in range(10):
         r = random_psi1_member(seed)
-        pos, neg, _zero = inertia(coefficient_matrix(r))
+        pos, neg, _zero = inertia(r)
         assert verify_ratio_bound(SignaturePair(pos, neg), r.n, 1).satisfied
 
 
 def test_hermitian_power_two_members_respect_ceiling():
-    from psicert.inertia import coefficient_matrix, inertia
+    from psicert.inertia import inertia
     from psicert.polycore import hermitian_from_square, real_to_diagonal
     from psicert.psi import in_psi_hermitian
 
@@ -146,7 +152,7 @@ def test_hermitian_power_two_members_respect_ceiling():
     )
     r = base + square
     assert in_psi_hermitian(r, 2).member
-    pos, neg, _zero = inertia(coefficient_matrix(r))
+    pos, neg, _zero = inertia(r)
     assert neg > 0
     assert verify_ratio_bound(SignaturePair(pos, neg), 2, 2).satisfied
 

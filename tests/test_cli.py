@@ -137,6 +137,13 @@ def test_certificate_nonmember_exit_one(tmp_path):
     assert r.returncode == 1
 
 
+def test_certificate_zero_polynomial_is_negative_verdict(tmp_path, capsys):
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"n": 2, "terms": []}))
+    assert run(["certificate", "--poly", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "zero polynomial has no certificate"}
+
+
 def test_search_cli_restricted(tmp_path, fig2_file):
     pat = tmp_path / "support.json"
     from psicert.patterns import pattern_from_poly, pattern_to_json
@@ -243,7 +250,7 @@ def test_core_value_error_is_internal(tmp_path, monkeypatch):
     herm = tmp_path / "h.json"
     herm.write_text(json.dumps(hermitian_to_json(real_to_diagonal(example_fig2()))))
 
-    def broken(M):
+    def broken(scaled):
         raise ValueError("bug inside the exact core")
 
     inertia_mod = importlib.import_module("psicert.inertia")
@@ -423,3 +430,52 @@ def test_dimension_cap_on_hermitian_membership(tmp_path, monkeypatch, capsys):
     for argv in (argv_check, argv_min):
         assert run(argv) == 2
         assert "dimension 4 exceeds cap 3" in capsys.readouterr().err
+
+
+_WRONG_KIND = [
+    ("--poly", _HERM_SQUARE, ["check-psi", "--d", "0"]),
+    ("--poly", _HERM_SQUARE, ["min-d"]),
+    ("--poly", _HERM_SQUARE, ["signature"]),
+    ("--poly", _HERM_SQUARE, ["verify-bounds", "--d", "1"]),
+    ("--poly", _HERM_SQUARE, ["certificate"]),
+    ("--herm", _POLY_DIFF, ["check-psi", "--d", "0"]),
+    ("--herm", _POLY_DIFF, ["min-d"]),
+    ("--herm", _POLY_DIFF, ["signature"]),
+    ("--herm", _POLY_DIFF, ["reduce"]),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, doc, argv", _WRONG_KIND, ids=[f"{flag[2:]}-{argv[0]}" for flag, _, argv in _WRONG_KIND]
+)
+def test_document_of_the_wrong_kind_is_usage_error(tmp_path, capsys, flag, doc, argv):
+    # a missing "terms" / "entries" key used to read as the zero polynomial
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    assert run([argv[0], flag, str(inp), *argv[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert ("'terms'" if flag == "--poly" else "'entries'") in out.err
+
+
+def test_explicit_empty_documents_are_the_zero_polynomial(tmp_path, capsys):
+    for flag, doc in (("--poly", {"n": 2, "terms": []}), ("--herm", {"n": 2, "entries": []})):
+        inp = tmp_path / "zero.json"
+        inp.write_text(json.dumps(doc))
+        assert run(["check-psi", flag, str(inp), "--d", "0"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"d": 0, "member": True}
+        assert run(["signature", flag, str(inp)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"n_plus": 0, "n_minus": 0, "rank": 0}
+
+
+def test_dimension_cap_on_signature_and_reduce(tmp_path, monkeypatch, capsys):
+    # every exact inertia question goes through the one capped factorization
+    herm = tmp_path / "sq.json"
+    herm.write_text(json.dumps(_HERM_SQUARE))
+    monkeypatch.setenv("PSI_MAX_DIM", "1")
+    for argv in (["signature", "--herm", str(herm)], ["reduce", "--herm", str(herm)]):
+        assert run(argv) == 2
+        assert "dimension 2 exceeds cap 1" in capsys.readouterr().err
+    monkeypatch.setenv("PSI_MAX_DIM", "2")
+    assert run(["signature", "--herm", str(herm)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"n_plus": 1, "n_minus": 0, "rank": 1}

@@ -1,23 +1,27 @@
-import importlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eig_signs_2x2, mat_adjoint, mat_mul, rational_congruence_factorization
+from oracles import (
+    eig_signs_2x2,
+    mat_adjoint,
+    mat_mul,
+    quadratic_form,
+    rational_congruence_factorization,
+)
 from psicert.errors import CertificateFailure, ExplicitLimit, NotHermitian, PsicertError
 from psicert.inertia import (
-    HermitianMatrix,
-    coefficient_matrix,
+    _integer_rows,
     congruence_factorization,
     holomorphic_decomposition,
     inertia,
-    integer_coefficient_rows,
-    is_positive_semidefinite,
-    quadratic_form,
+    negative_direction,
     recompose,
+    table_quadratic_form,
 )
 from psicert.polycore import (
     GR_ZERO,
@@ -33,90 +37,130 @@ def G(re, im=0):
     return GaussianRational.of(re, im)
 
 
+def _table(rows):
+    """(L, table) of a square matrix of exact entries, zeros kept, row i indexed by (i,).
+
+    L is the lcm of the entry denominators, so the engine receives L times
+    the matrix.  Nothing is checked here: symmetry and size are the engine's.
+    """
+    rows = [[x if isinstance(x, GaussianRational) else G(x) for x in row] for row in rows]
+    L = lcm(1, *(q.denominator for row in rows for x in row for q in (x.re, x.im)))
+    return L, {
+        ((i,), (j,)): (int(x.re * L), int(x.im * L))
+        for i, row in enumerate(rows)
+        for j, x in enumerate(row)
+    }
+
+
+def _factor(rows):
+    return congruence_factorization(_table(rows))
+
+
+def _inertia(rows):
+    return _factor(rows).inertia
+
+
+def _psd(rows):
+    """(True, None) when PSD; otherwise (False, witness) with witness* M witness < 0."""
+    scaled = _table(rows)
+    fact = congruence_factorization(scaled)
+    found = negative_direction(fact, lambda v: table_quadratic_form(scaled, fact.basis, v))
+    return (True, None) if found is None else (False, found[0])
+
+
 def test_inertia_identity_and_diag():
-    assert inertia(HermitianMatrix([[1, 0], [0, 1]])) == (2, 0, 0)
-    assert inertia(HermitianMatrix([[1, 0], [0, -1]])) == (1, 1, 0)
+    assert _inertia([[1, 0], [0, 1]]) == (2, 0, 0)
+    assert _inertia([[1, 0], [0, -1]]) == (1, 1, 0)
 
 
 def test_inertia_antidiagonal_matches_charpoly_oracle():
     # characteristic polynomial x^2 - 1 has one root of each sign
     assert eig_signs_2x2(0, 1, 0, 0) == (1, 1, 0)
-    assert inertia(HermitianMatrix([[0, 1], [1, 0]])) == (1, 1, 0)
+    assert _inertia([[0, 1], [1, 0]]) == (1, 1, 0)
 
 
 def test_inertia_complex_entries():
-    M = HermitianMatrix([[G(2), G(0, 1)], [G(0, -1), G(2)]])
+    M = [[G(2), G(0, 1)], [G(0, -1), G(2)]]
     # trace 4, det 3: both eigenvalues positive
     assert eig_signs_2x2(2, 0, 1, 2) == (2, 0, 0)
-    assert inertia(M) == (2, 0, 0)
+    assert _inertia(M) == (2, 0, 0)
 
 
 def test_inertia_purely_imaginary_offdiag_zero_diagonal():
-    M = HermitianMatrix([[0, G(0, 1)], [G(0, -1), 0]])
+    M = [[0, G(0, 1)], [G(0, -1), 0]]
     assert eig_signs_2x2(0, 0, 1, 0) == (1, 1, 0)
-    assert inertia(M) == (1, 1, 0)
+    assert _inertia(M) == (1, 1, 0)
 
 
 def test_not_hermitian_rejected():
     with pytest.raises(NotHermitian):
-        HermitianMatrix([[1, 1], [2, 1]])
+        _factor([[1, 1], [2, 1]])
     with pytest.raises(NotHermitian):
-        HermitianMatrix([[G(0, 1), 0], [0, 1]])
+        _factor([[G(0, 1), 0], [0, 1]])
 
 
 def test_dimension_cap(monkeypatch):
     monkeypatch.setenv("PSI_MAX_DIM", "3")
     rows = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     with pytest.raises(ExplicitLimit):
-        HermitianMatrix(rows)
+        _factor(rows)
     monkeypatch.delenv("PSI_MAX_DIM")
-    HermitianMatrix(rows)  # fine under the hard cap
+    _factor(rows)  # fine under the hard cap
     for bad in ("abc", "2.5", "0", "-3"):
         monkeypatch.setenv("PSI_MAX_DIM", bad)
         with pytest.raises(PsicertError, match=f"PSI_MAX_DIM.*{bad}"):
-            HermitianMatrix(rows)
+            _factor(rows)
 
 
 def test_integer_rows_checks_cap_and_symmetry(monkeypatch):
     a, b = (1, 0), (0, 1)
     table = {(a, a): (6, 0), (a, b): (2, 4), (b, a): (2, -4), (b, b): (-8, 0)}
     # gcd(12, entries) = 2 is divided out: the rows of 6M with M = table / 12
-    assert integer_coefficient_rows((12, table)) == ((b, a), 6, [[-4, 1], [1, 3]], [[0, -2], [2, 0]])
+    assert _integer_rows((12, table)) == ((b, a), 6, [[-4, 1], [1, 3]], [[0, -2], [2, 0]])
     monkeypatch.setenv("PSI_MAX_DIM", "1")
     with pytest.raises(ExplicitLimit):
-        integer_coefficient_rows((12, table))
+        _integer_rows((12, table))
     monkeypatch.delenv("PSI_MAX_DIM")
     with pytest.raises(NotHermitian):
-        integer_coefficient_rows((1, {**table, (b, a): (2, 4)}))
+        _integer_rows((1, {**table, (b, a): (2, 4)}))
     with pytest.raises(NotHermitian):
-        integer_coefficient_rows((1, {**table, (a, a): (6, 1)}))
+        _integer_rows((1, {**table, (a, a): (6, 1)}))
     with pytest.raises(NotHermitian):
-        integer_coefficient_rows((1, {(a, b): (1, 0)}))
+        _integer_rows((1, {(a, b): (1, 0)}))
+
+
+def test_factorization_carries_the_sorted_basis_and_ignores_a_common_factor():
+    a, b = (1, 0), (0, 1)
+    table = {(a, a): (6, 0), (a, b): (2, 4), (b, a): (2, -4), (b, b): (-8, 0)}
+    fact = congruence_factorization((12, table))
+    assert fact.basis == (b, a)
+    # the same matrix with every entry and L tripled factors identically
+    tripled = congruence_factorization((36, {k: (3 * x, 3 * y) for k, (x, y) in table.items()}))
+    assert (tripled.basis, tripled.diag, tripled.pivot_log) == (fact.basis, fact.diag, fact.pivot_log)
+    assert tripled.transform == fact.transform and tripled.inverse == fact.inverse
 
 
 def test_psd_examples():
-    ok, witness = is_positive_semidefinite(HermitianMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 2]]))
+    ok, witness = _psd([[1, 0, 0], [0, 0, 0], [0, 0, 2]])
     assert ok and witness is None
-    ok, witness = is_positive_semidefinite(HermitianMatrix([[1, 0], [0, -1]]))
+    ok, witness = _psd([[1, 0], [0, -1]])
     assert not ok
-    assert quadratic_form(HermitianMatrix([[1, 0], [0, -1]]), witness) < 0
+    assert quadratic_form([[G(1), G(0)], [G(0), G(-1)]], witness).re < 0
     # rank-one PSD: eigenvalues 0 and 2 by trace/det
     assert eig_signs_2x2(1, -1, 0, 1) == (1, 0, 1)
-    ok, _ = is_positive_semidefinite(HermitianMatrix([[1, -1], [-1, 1]]))
+    ok, _ = _psd([[1, -1], [-1, 1]])
     assert ok
 
 
 def test_factorization_round_trip_exact():
-    M = HermitianMatrix(
-        [
-            [G(2), G(1, 1), G(0)],
-            [G(1, -1), G(-3), G(Fraction(1, 2))],
-            [G(0), G(Fraction(1, 2)), G(0)],
-        ]
-    )
-    fact = congruence_factorization(M)
+    M = [
+        [G(2), G(1, 1), G(0)],
+        [G(1, -1), G(-3), G(Fraction(1, 2))],
+        [G(0), G(Fraction(1, 2)), G(0)],
+    ]
+    fact = _factor(M)
     T = [list(r) for r in fact.transform]
-    rebuilt = mat_mul(mat_adjoint(T), mat_mul([list(r) for r in M.rows], T))
+    rebuilt = mat_mul(mat_adjoint(T), mat_mul(M, T))
     for i in range(3):
         for j in range(3):
             expect = G(fact.diag[i]) if i == j else GR_ZERO
@@ -128,32 +172,31 @@ def test_factorization_round_trip_exact():
             assert prod[i][j] == (G(1) if i == j else GR_ZERO)
 
 
-def test_quadratic_form_imaginary_value_is_failure(monkeypatch):
-    # a conjugation that does nothing turns v* M v into v^T M v, here 2i
-    monkeypatch.setattr(GaussianRational, "conjugate", lambda self: self)
+def test_quadratic_form_imaginary_value_is_failure():
+    # a table holding only one triangle of [[0, 1], [0, 0]] gives v* M v = i at v = (1, i)
+    basis = ((0,), (1,))
     with pytest.raises(CertificateFailure):
-        quadratic_form(HermitianMatrix([[1]]), [G(1, 1)])
+        table_quadratic_form((1, {basis: (1, 0)}), basis, [G(1), G(0, 1)])
 
 
-def test_psd_witness_that_does_not_reevaluate_is_failure(monkeypatch):
-    # the package re-exports a function named `inertia`, which shadows the module
-    inertia_mod = importlib.import_module("psicert.inertia")
-    monkeypatch.setattr(inertia_mod, "quadratic_form", lambda M, v: Fraction(0))
+def test_psd_witness_that_does_not_reevaluate_is_failure():
+    # a value read as 0 instead of re-evaluated as -1 is not a witness
+    fact = _factor([[1, 0], [0, -1]])
     with pytest.raises(CertificateFailure):
-        is_positive_semidefinite(HermitianMatrix([[1, 0], [0, -1]]))
+        negative_direction(fact, lambda v: Fraction(0))
 
 
 def test_factorization_diag_passthrough():
-    fact = congruence_factorization(HermitianMatrix([[4, 0], [0, -9]]))
+    fact = _factor([[4, 0], [0, -9]])
     assert sorted(fact.diag) == [-9, 4]
     ident = [[G(1), G(0)], [G(0), G(1)]]
     assert [list(r) for r in fact.transform] == ident
 
 
 def test_factorization_determinism():
-    M = HermitianMatrix([[0, G(2, 3)], [G(2, -3), 0]])
-    a = congruence_factorization(M)
-    b = congruence_factorization(M)
+    M = [[0, G(2, 3)], [G(2, -3), 0]]
+    a = _factor(M)
+    b = _factor(M)
     assert a.pivot_log == b.pivot_log
     assert a.diag == b.diag
 
@@ -169,7 +212,7 @@ def _random_hermitian(rng, dim):
             )
             rows[i][j] = v
             rows[j][i] = v.conjugate()
-    return HermitianMatrix(rows)
+    return rows
 
 
 def _random_invertible(rng, dim):
@@ -191,8 +234,8 @@ def test_sylvester_invariance_under_congruence(seed):
     dim = rng.randint(2, 4)
     M = _random_hermitian(rng, dim)
     T = _random_invertible(rng, dim)
-    congruent = mat_mul(mat_adjoint(T), mat_mul([list(r) for r in M.rows], T))
-    assert inertia(HermitianMatrix(congruent)) == inertia(M)
+    congruent = mat_mul(mat_adjoint(T), mat_mul(M, T))
+    assert _inertia(congruent) == _inertia(M)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -200,15 +243,15 @@ def test_inertia_additive_on_direct_sums(seed):
     rng = random.Random(100 + seed)
     A = _random_hermitian(rng, rng.randint(1, 3))
     B = _random_hermitian(rng, rng.randint(1, 3))
-    dim = A.dim + B.dim
+    dim = len(A) + len(B)
     rows = [[GR_ZERO] * dim for _ in range(dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            rows[i][j] = A.rows[i][j]
-    for i in range(B.dim):
-        for j in range(B.dim):
-            rows[A.dim + i][A.dim + j] = B.rows[i][j]
-    ia, ib, it = inertia(A), inertia(B), inertia(HermitianMatrix(rows))
+    for i in range(len(A)):
+        for j in range(len(A)):
+            rows[i][j] = A[i][j]
+    for i in range(len(B)):
+        for j in range(len(B)):
+            rows[len(A) + i][len(A) + j] = B[i][j]
+    ia, ib, it = _inertia(A), _inertia(B), _inertia(rows)
     assert it == tuple(x + y for x, y in zip(ia, ib))
 
 
@@ -216,14 +259,15 @@ def test_inertia_additive_on_direct_sums(seed):
 def test_psd_witness_is_sound(seed):
     rng = random.Random(200 + seed)
     M = _random_hermitian(rng, rng.randint(2, 4))
-    ok, witness = is_positive_semidefinite(M)
+    ok, witness = _psd(M)
     if not ok:
-        assert quadratic_form(M, witness) < 0
+        value = quadratic_form(M, witness)
+        assert value.im == 0 and value.re < 0
 
 
 def test_diagonal_bridge_agrees_with_sign_counts():
     p = RealSparsePoly(3, {(2, 0, 0): 3, (0, 1, 1): Fraction(-1, 7), (0, 0, 2): 1})
-    pos, neg, _ = inertia(coefficient_matrix(real_to_diagonal(p)))
+    pos, neg, _ = inertia(real_to_diagonal(p))
     sig = sign_counts(p)
     assert (pos, neg) == (sig.n_plus, sig.n_minus)
 
@@ -264,7 +308,7 @@ def test_holomorphic_decomposition_recomposes_exactly(seed):
     r = HermitianPoly(2, entries)
     dec = holomorphic_decomposition(r)
     assert recompose(dec) == r
-    pos, neg, _ = inertia(coefficient_matrix(r))
+    pos, neg, _ = inertia(r)
     assert (dec.signature.n_plus, dec.signature.n_minus) == (pos, neg)
 
 
@@ -285,14 +329,15 @@ def _hermitian_matrices(draw):
         for j in range(i + 1, dim):
             rows[i][j] = draw(_entry(zero_prob=True))
             rows[j][i] = rows[i][j].conjugate()
-    return HermitianMatrix(rows)
+    return rows
 
 
 @given(_hermitian_matrices())
 @settings(max_examples=150, deadline=None)
 def test_fraction_free_factorization_matches_rational_oracle(M):
-    fact = congruence_factorization(M)
+    fact = _factor(M)
     ref = rational_congruence_factorization(M)
+    assert fact.basis == tuple((i,) for i in range(len(M)))
     assert fact.pivot_log == ref.pivot_log
     assert fact.diag == ref.diag
     assert all(type(d) is Fraction for d in fact.diag)
@@ -303,8 +348,8 @@ def test_fraction_free_factorization_matches_rational_oracle(M):
 def test_oracle_parity_covers_both_bump_factors():
     # zero diagonals force bumps: a real entry takes factor 1, an imaginary one factor i
     for off, factor in ((G(2, 3), "1"), (G(0, Fraction(1, 2)), "i")):
-        M = HermitianMatrix([[0, off, 1], [off.conjugate(), 0, 0], [1, 0, 0]])
-        fact = congruence_factorization(M)
+        M = [[GR_ZERO, off, G(1)], [off.conjugate(), GR_ZERO, GR_ZERO], [G(1), GR_ZERO, GR_ZERO]]
+        fact = _factor(M)
         ref = rational_congruence_factorization(M)
         assert ("bump", 0, 1, factor) in fact.pivot_log
         assert (fact.pivot_log, fact.diag) == (ref.pivot_log, ref.diag)

@@ -15,6 +15,7 @@ from psicert.errors import DuplicateMultiplierTerm, NotDiagonal, NotHermitian
 from psicert.generators import example_fig2
 from psicert.polycore import (
     GaussianRational,
+    _FractionMemo,
     HermitianPoly,
     RealSparsePoly,
     diagonal_real_bridge,
@@ -288,6 +289,61 @@ def test_poly_from_json_repeated_terms_match_plain_parse(case):
     doc = {"n": n, "terms": [{"exp": list(a), "coef": c} for a, c in terms]}
     assert poly_from_json(json.dumps(doc)) == _plain_poly_parse(doc)
     assert poly_from_json(doc) == _plain_poly_parse(doc)
+
+
+def test_json_readers_require_their_key():
+    # a document of the other kind is an error, not the zero polynomial
+    with pytest.raises(KeyError, match="terms"):
+        poly_from_json({"n": 2, "entries": []})
+    with pytest.raises(KeyError, match="entries"):
+        hermitian_from_json({"n": 2, "terms": []})
+    zero = P(2, {})
+    assert poly_from_json(poly_to_json(zero)) == zero
+    assert hermitian_from_json(hermitian_to_json(HermitianPoly(2, {}))) == HermitianPoly(2, {})
+
+
+_RATIONAL_TEXTS = ["1", "-1", "3/4", "-3/4", "0", "2/6", "-1/3", "5"]
+
+
+def test_fraction_memo_parses_each_text_once():
+    memo = _FractionMemo()
+    first = {text: memo[text] for text in _RATIONAL_TEXTS}
+    for text in _RATIONAL_TEXTS * 2:
+        assert memo[text] is first[text] and first[text] == Fraction(text)
+    assert len(memo) == len(_RATIONAL_TEXTS)
+
+
+def _plain_hermitian_parse(doc):
+    entries = {}
+    for e in doc["entries"]:
+        key = (tuple(e["alpha"]), tuple(e["beta"]))
+        entries[key] = GaussianRational.of(str(e["re"]), str(e.get("im", "0")))
+    return HermitianPoly(doc["n"], entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.dictionaries(
+            st.tuples(st.tuples(*([st.integers(0, 2)] * n)), st.tuples(*([st.integers(0, 2)] * n))),
+            st.tuples(st.sampled_from(_RATIONAL_TEXTS), st.sampled_from([None] + _RATIONAL_TEXTS)),
+            max_size=12,
+        ).map(lambda entries: (n, entries))
+    )
+)
+def test_hermitian_from_json_repeated_strings_match_plain_parse(case):
+    n, raw = case
+    entries = []
+    for (alpha, beta), (re, im) in raw.items():
+        if alpha > beta:
+            continue  # one triangle, so the document is Hermitian by construction
+        entry = {"alpha": list(alpha), "beta": list(beta), "re": re}
+        if alpha != beta and im is not None:
+            entry["im"] = im
+        entries.append(entry)
+    doc = {"n": n, "entries": entries}
+    assert hermitian_from_json(json.dumps(doc)) == _plain_hermitian_parse(doc)
+    assert hermitian_from_json(doc) == _plain_hermitian_parse(doc)
 
 
 def test_simplex_power_table_is_scaled_product():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psicert.bounds import ratio_ceiling
-from psicert.inertia import coefficient_matrix, inertia
+from psicert.inertia import inertia
 from psicert.patterns import SignPattern, support_feasible
 from psicert.polycore import (
     RealSparsePoly,
@@ -35,7 +35,7 @@ def test_bridge_signature_matches_sign_counts(p):
     sig = sign_counts(p)
     if p.is_zero():
         return
-    pos, neg, _zero = inertia(coefficient_matrix(real_to_diagonal(p)))
+    pos, neg, _zero = inertia(real_to_diagonal(p))
     assert (pos, neg) == (sig.n_plus, sig.n_minus)
 
 

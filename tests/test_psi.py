@@ -13,16 +13,14 @@ from oracles import (
     naive_mul,
     naive_simplex_power,
     product_matrix,
+    quadratic_form,
+    rational_congruence_factorization,
+    rational_inertia,
     rotate_plane,
 )
 from psicert.errors import CapExceeded, DuplicateMultiplierTerm
 from psicert.generators import example_fig2, generate_lambda_example
-from psicert.inertia import (
-    congruence_factorization,
-    inertia,
-    integer_coefficient_rows,
-    quadratic_form,
-)
+from psicert.inertia import _integer_rows
 from psicert.polycore import (
     GR_ZERO,
     GaussianRational,
@@ -93,7 +91,7 @@ def test_hermitian_nonmember_example():
     # nothing at z1 z2 (the cross coefficient cancels exactly)
     M = product_matrix(r, 1)
     assert M.basis == ((0, 2), (2, 0))
-    assert inertia(M) == (1, 1, 0)
+    assert rational_inertia(M.rows) == (1, 1, 0)
 
 
 def test_hermitian_member_perfect_square():
@@ -371,34 +369,35 @@ def _hermitian_inputs(draw):
     return HermitianPoly(n, entries)
 
 
-def _oracle_verdict(M):
-    """(member, factorization, witness vector, witness value) on a Gaussian-rational matrix."""
-    fact = congruence_factorization(M)
-    k = next((k for k, d in enumerate(fact.diag) if d < 0), None)
-    if k is None:
-        return True, fact, None, None
-    v = fact.integer_column(k)
-    return False, fact, v, quadratic_form(M, v)
-
-
 def _assert_same_verdict(member, cert, M):
-    ok, fact, vector, value = _oracle_verdict(M)
-    assert member == ok
-    if ok:
-        assert cert.basis == M.basis
-        assert cert.factorization.diag == fact.diag
-        assert cert.factorization.pivot_log == fact.pivot_log
-    else:
-        assert isinstance(cert, NegativeDirectionWitness)
-        assert cert.basis == M.basis
-        assert (cert.vector, cert.value) == (vector, value)
+    """The verdict on M agrees with the rational eliminator of `oracles`.
+
+    A witness is the oracle's transform column at its first negative pivot
+    times a nonzero real scale (a pivot minor, of either sign), and its value
+    is v* M v evaluated on M, which is that scale squared times the pivot.
+    """
+    ref = rational_congruence_factorization(M.rows)
+    k = next((k for k, d in enumerate(ref.diag) if d < 0), None)
+    assert member == (k is None)
+    assert cert.basis == M.basis
+    if k is None:
+        assert cert.factorization.diag == ref.diag
+        assert cert.factorization.pivot_log == ref.pivot_log
+        return
+    assert isinstance(cert, NegativeDirectionWitness)
+    column = [row[k] for row in ref.transform]
+    scale = next(x / t for x, t in zip(cert.vector, column) if not t.is_zero())
+    assert scale.is_real() and scale.re != 0
+    assert list(cert.vector) == [t * scale for t in column]
+    value = quadratic_form(M.rows, cert.vector)
+    assert value.is_real() and cert.value == value.re == scale.re**2 * ref.diag[k]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_hermitian_inputs(), st.integers(0, 3))
 def test_hermitian_route_matches_rational_assembly(r, d):
     M = product_matrix(r, d)
-    basis, L, re, im = integer_coefficient_rows(next(islice(hermitian_powers(r), d, None)))
+    basis, L, re, im = _integer_rows(next(islice(hermitian_powers(r), d, None)))
     # the engine receives exactly L * M, L the lcm of M's denominators
     assert basis == M.basis
     assert L == lcm(*(q.denominator for row in M.rows for x in row for q in (x.re, x.im)))
@@ -435,6 +434,6 @@ def test_hermitian_multiplier_matches_rational_assembly(case):
 def test_nondiagonal_min_psi_index_matches_per_power_oracle(r, cap):
     assume(not r.is_diagonal())
     expected = next(
-        (d for d in range(cap + 1) if inertia(product_matrix(r, d))[1] == 0), None
+        (d for d in range(cap + 1) if rational_inertia(product_matrix(r, d).rows)[1] == 0), None
     )
     assert min_psi_index(r, cap) == expected

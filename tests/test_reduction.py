@@ -13,7 +13,7 @@ from psicert.errors import (
     PivotDominanceViolated,
 )
 from psicert.generators import generate_two_var
-from psicert.inertia import coefficient_matrix, inertia
+from psicert.inertia import inertia
 from psicert.polycore import HermitianPoly, RealSparsePoly, real_to_diagonal
 from psicert.psi import in_psi_hermitian
 from psicert.reduction import (
@@ -101,8 +101,8 @@ def test_lambda_scale_preserves_membership_and_signature(seed):
     scaled = lambda_scale(form, Fraction(1, 2))
     assert in_psi_hermitian(scaled.origin, 1).member
     if form.n_minus:
-        pos0, neg0, _ = inertia(coefficient_matrix(r))
-        pos1, neg1, _ = inertia(coefficient_matrix(scaled.origin))
+        pos0, neg0, _ = inertia(r)
+        pos1, neg1, _ = inertia(scaled.origin)
         assert (pos0, neg0) == (pos1, neg1)
 
 
@@ -160,7 +160,7 @@ def test_clashing_pivots_resolved_with_rescale_and_rotation():
     assert reduced.n_plus == 2 and reduced.n_minus == 1
     assert reconstruction_error(reduced) <= 1e-9
     # exact origin kept the signature
-    pos, neg, _ = inertia(coefficient_matrix(reduced.origin))
+    pos, neg, _ = inertia(reduced.origin)
     assert (pos, neg) == (2, 1)
 
 
@@ -187,7 +187,7 @@ def test_rank_deficient_rows_break_loudly():
 def test_random_suite_pipeline(seed):
     r = random_psi1_member(seed)
     form = decompose(r)
-    pos0, neg0, _ = inertia(coefficient_matrix(r))
+    pos0, neg0, _ = inertia(r)
     reduced, steps = partial_row_echelon(form)
     assert is_partial_row_echelon(reduced)
     assert (reduced.n_plus, reduced.n_minus) == (pos0, neg0)

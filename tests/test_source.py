@@ -17,3 +17,36 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in psicert: {found}"
+
+
+def _references(tree, names):
+    """(enclosing top-level function or None, name) for each use of `names` outside its own def."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = owner or child.name
+            if isinstance(child, ast.Name) and child.id in names:
+                found.append((owner, child.id))
+            elif isinstance(child, ast.Attribute) and child.attr in names:
+                found.append((owner, child.attr))
+            elif isinstance(child, ast.alias) and child.name in names:
+                found.append((owner, child.name))
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_congruence_engine_has_one_door():
+    # the row layout and the Bareiss body are reached only through inertia.congruence_factorization
+    private = {"_integer_rows", "_bareiss"}
+    uses = sorted(
+        (f"{path.relative_to(PACKAGE)}:{owner}", name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for owner, name in _references(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), private)
+    )
+    door = "inertia.py:congruence_factorization"
+    assert uses == [(door, "_bareiss"), (door, "_integer_rows")], f"other uses of the engine: {uses}"
