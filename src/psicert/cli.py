@@ -15,6 +15,7 @@ from . import bounds as _bounds
 from . import generators as _gen
 from . import patterns as _patterns
 from . import psi as _psi
+from . import reduction as _reduction
 from .diagram import DiagramSpec, render_diagram
 from .errors import (
     BudgetExhausted,
@@ -45,7 +46,7 @@ def _load(path: str, parse):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(json.load(fh))
-    except (FileNotFoundError, KeyError, ValueError, ZeroDivisionError) as exc:
+    except (FileNotFoundError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SystemExit2(f"{path}: {exc!r}") from exc
 
 
@@ -143,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     red = sub.add_parser("reduce", **sub_kwargs, help="partial row-echelon reduction")
     red.add_argument("--herm", required=True)
-    red.add_argument("--tol", type=float, default=1e-9)
     red.add_argument("--out")
 
     vb = sub.add_parser("verify-bounds", **sub_kwargs, help="check the signature-ratio ceiling")
@@ -287,7 +287,8 @@ def _cmd_search(args) -> int:
         )
     except BudgetExhausted as exc:
         if exc.best is None:
-            raise
+            print(f"nothing found: {exc}", file=sys.stderr)
+            return NEGATIVE
         result = exc.best
         budget_hit = True
     doc = {
@@ -307,17 +308,15 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    from .reduction import decompose, partial_row_echelon, reconstruction_error
-
     herm = _load(args.herm, hermitian_from_json)
-    form = decompose(herm)
-    reduced, steps = partial_row_echelon(form, recon_tol=args.tol)
+    reduced, steps = _reduction.partial_row_echelon(_reduction.decompose(herm))
     steps_doc = [
         {
             "pivot_col": s.pivot_col,
             "rows": list(s.rows),
             "lambda": str(s.lambda_used) if s.lambda_used is not None else None,
-            "t": [[[z.real, z.imag] for z in row] for row in s.t],
+            "t": [[[str(z.re), str(z.im)] for z in row] for row in s.t],
+            "weights": {"before": list(map(str, s.weights[0])), "after": list(map(str, s.weights[1]))},
         }
         for s in steps
     ]
@@ -325,13 +324,14 @@ def _cmd_reduce(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"steps": steps_doc}, fh, sort_keys=True)
             fh.write("\n")
+    err = _reduction.reconstruction_error(reduced)
     _emit(
         {
             "n_plus": reduced.n_plus,
             "n_minus": reduced.n_minus,
             "steps": len(steps),
             "echelon": True,
-            "reconstruction_error": reconstruction_error(reduced),
+            "reconstruction_error": err.numerator if err.denominator == 1 else str(err),
             "out": args.out,
         },
         args,
@@ -413,10 +413,13 @@ _COMMANDS = {
 }
 
 
+# built once: parse_args keeps no state between calls
+_PARSER = build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     args.format = getattr(args, "format_late", None) or args.format or "json"

@@ -69,9 +69,5 @@ class PivotDominanceViolated(PsicertError):
     """Hyperbolic elimination requires the plus-row pivot to dominate."""
 
 
-class NumericalBreakdown(PsicertError):
-    """A floating-point pivot fell below the safe threshold."""
-
-
 class UnsupportedDimension(PsicertError):
     """Diagram rendering only handles two or three variables."""

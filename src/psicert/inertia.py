@@ -385,29 +385,3 @@ def holomorphic_decomposition(r: HermitianPoly) -> HolomorphicDecomposition:
         tuple(minus_s),
         fact.basis,
     )
-
-
-def recompose(dec: HolomorphicDecomposition) -> HermitianPoly:
-    """Rebuild the Hermitian polynomial represented by a decomposition, exactly."""
-    if not dec.basis:
-        return HermitianPoly(1, {})
-    n = len(dec.basis[0])
-    entries: dict = {}
-
-    def accumulate(row, scale, sign):
-        s = GaussianRational.of(scale if sign > 0 else -scale)
-        nz = [(idx, c) for idx, c in enumerate(row) if not c.is_zero()]
-        for i, ci in nz:
-            for j, cj in nz:
-                key = (dec.basis[i], dec.basis[j])
-                cur = entries.get(key, GR_ZERO) + s * ci.conjugate() * cj
-                if cur.is_zero():
-                    entries.pop(key, None)
-                else:
-                    entries[key] = cur
-
-    for row, scale in zip(dec.plus_rows, dec.plus_scales):
-        accumulate(row, scale, +1)
-    for row, scale in zip(dec.minus_rows, dec.minus_scales):
-        accumulate(row, scale, -1)
-    return HermitianPoly(n, entries)

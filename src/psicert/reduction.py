@@ -1,366 +1,365 @@
-"""Signature-preserving reduction to partial row-echelon form.
+"""Signature-preserving reduction to partial row-echelon form, in exact arithmetic.
 
-A decomposed form represents r as a difference of squared norms of two row
-blocks applied to the monomial vector.  Unitary row operations inside each
-block, rational scalings of the whole negative block, and hyperbolic 2x2
-rotations across blocks all preserve the represented polynomial's signature;
-chaining them drives the stacked matrix into partial row-echelon form
-(distinct leading columns after a row permutation).
+A decomposed form represents a Hermitian polynomial as
+sum_i w_i |a_i . Z|^2 - sum_j v_j |b_j . Z|^2 over an ordered monomial basis
+Z: plus rows a_i and minus rows b_j, each with a positive rational weight.
+Rows are primitive Gaussian-integer vectors (no common integer factor);
+dividing a row by a positive rational s and multiplying its weight by s^2
+leaves the form unchanged, and every step ends that way.
 
-Rotation entries are irrational, so this module works in floating point with
-fixed tolerances.  The exact origin polynomial is kept for signature checks,
-and the running reduction target (the origin with its negative block
-rationally rescaled, step by step) is tracked as a float matrix: rotations
-and unitary moves leave it untouched, rescales update it by an exact-rational
-multiple of the current negative block.
+The steps are Gentleman's square-root-free Givens rotations (W. M. Gentleman,
+1973, "Least squares computations by Givens transformations without square
+roots"), carried over to the indefinite case.  For rows a (weight w) and b
+(weight v) leading in column c, with sign = +1 for rows of one block and -1
+across the blocks:
+
+    mu = b[c] / a[c],   b' = b - mu a,   c0 = w + sign v |mu|^2,
+    a' = a + (sign v conj(mu) / c0) b',   w' = c0,   v' = w v / c0,
+
+so w'|a'.Z|^2 + sign v'|b'.Z|^2 == w|a.Z|^2 + sign v|b.Z|^2, b'[c] == 0 and
+a'[c] == a[c].  Across the blocks c0 > 0 needs w|a[c]|^2 > v|b[c]|^2; when
+that fails, every minus weight is first multiplied by lambda = 2^-k, the
+largest power of two that restores it.  A rescale changes the represented
+polynomial to (plus part) - lambda (minus part), so the target it must equal
+gains (1 - lambda) (minus part).  Every quantity stays rational, and the
+reduction ends with exact checks instead of tolerances.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 
-import numpy as np
-
-from .errors import (
-    CertificateFailure,
-    LambdaOutOfRange,
-    NotInPsiD,
-    NumericalBreakdown,
-    PivotDominanceViolated,
-)
-from .inertia import (
-    HolomorphicDecomposition,
-    holomorphic_decomposition,
-    recompose,
-)
-from .polycore import HermitianPoly
+from .errors import CertificateFailure, LambdaOutOfRange, NotInPsiD, PivotDominanceViolated
+from .inertia import holomorphic_decomposition
+from .polycore import GaussianRational, HermitianPoly, hermitian_integer_table
 from .psi import in_psi_hermitian
 
-LOCAL_TOL = 1e-12  # rotation identities
-RECON_TOL = 1e-9  # global reconstruction
-PIVOT_FLOOR = 1e-10  # pivot magnitude relative to its row norm
 
-
-@dataclass
+@dataclass(frozen=True)
 class DecomposedForm:
-    """r == ||A Z||^2 - ||B Z||^2 over an ordered monomial basis.
+    """sum_i w_i |a_i . Z|^2 - sum_j v_j |b_j . Z|^2 over the sorted monomial basis Z.
 
-    plus_rows and minus_rows are float matrices.  `origin` holds the exact
-    polynomial the form came from; `exact` its signed-squares decomposition,
-    valid as a split only while no cross-block rotation has mixed the rows
-    (`split_faithful`).  `target` is the float coefficient matrix the rows
-    are expected to reconstruct, kept current through rational rescales.
+    Rows are tuples of Gaussian integers (re, im) over `basis`, primitive;
+    weights are positive Fractions.  `target` is the exact polynomial the
+    rows must represent, or None for bare rows.
     """
 
-    plus_rows: np.ndarray
-    minus_rows: np.ndarray
+    plus_rows: tuple
+    plus_weights: tuple
+    minus_rows: tuple
+    minus_weights: tuple
     basis: tuple
-    origin: HermitianPoly | None = None
-    exact: HolomorphicDecomposition | None = None
-    target: np.ndarray | None = None
-    split_faithful: bool = False
+    target: HermitianPoly | None = None
     lambda_degenerate: bool = False
 
     @property
     def n_plus(self) -> int:
-        return int(self.plus_rows.shape[0])
+        return len(self.plus_rows)
 
     @property
     def n_minus(self) -> int:
-        return int(self.minus_rows.shape[0])
-
-    def hermitian_float(self) -> np.ndarray:
-        """Coefficient matrix of the represented form, in floats."""
-        dim = len(self.basis)
-        out = np.zeros((dim, dim), dtype=complex)
-        if self.plus_rows.size:
-            out += self.plus_rows.conj().T @ self.plus_rows
-        if self.minus_rows.size:
-            out -= self.minus_rows.conj().T @ self.minus_rows
-        return out
+        return len(self.minus_rows)
 
 
-def _origin_float_matrix(origin: HermitianPoly, basis) -> np.ndarray:
-    dim = len(basis)
-    pos = {b: i for i, b in enumerate(basis)}
-    out = np.zeros((dim, dim), dtype=complex)
-    for (a, b), v in origin.items():
-        out[pos[a], pos[b]] = complex(v)
-    return out
+def _lead(row):
+    """Index of the first nonzero entry of a row; None for a zero row."""
+    return next((j for j, (x, y) in enumerate(row) if x or y), None)
 
 
-def _rows_to_float(rows, scales, dim) -> np.ndarray:
-    out = np.zeros((len(rows), dim), dtype=complex)
-    for i, (row, scale) in enumerate(zip(rows, scales)):
-        s = math.sqrt(float(scale))
-        for j, c in enumerate(row):
-            out[i, j] = s * complex(c)
-    return out
+def _primitive(row, weight) -> tuple:
+    """(row / g, weight * g^2) for g the integer content of the row (a zero row is kept)."""
+    g = gcd(*(x for z in row for x in z))
+    if g <= 1:
+        return tuple(row), weight
+    return tuple((x // g, y // g) for x, y in row), weight * (g * g)
+
+
+def _integer_row(row, weight) -> tuple:
+    """A row of GaussianRational with its weight, as a primitive Gaussian-integer row and weight."""
+    den = lcm(*(x.denominator for z in row for x in (z.re, z.im)))
+    ints = [(z.re.numerator * (den // z.re.denominator), z.im.numerator * (den // z.im.denominator)) for z in row]
+    return _primitive(ints, weight / (den * den))
+
+
+def _rotation(p, q, w, v, sign) -> tuple:
+    """The step on pivots p = a[c] and q = b[c] (Gaussian integers (re, im)), in integers.
+
+    Returns (x1, y1, d1), (x2, y2, d2), (w', v'): a' = (x1 a + y1 b) / d1 and
+    b' = (x2 a + y2 b) / d2 for Gaussian integers x, y and integers d, which
+    are positive while c0 is.
+    """
+    (pr, pi), (qr, qi) = p, q
+    p2, q2 = pr * pr + pi * pi, qr * qr + qi * qi
+    mr, mi = qr * pr + qi * pi, qi * pr - qr * pi  # q conj(p) == mu |p|^2
+    wn, wd, vn, vd = w.numerator, w.denominator, v.numerator, v.denominator
+    d1 = wn * vd * p2 + sign * vn * wd * q2  # c0 |p|^2 wd vd
+    c0 = Fraction(d1, p2 * wd * vd)
+    k = sign * vn * wd
+    return (
+        ((wn * vd * p2, 0), (k * mr, -k * mi), d1),
+        ((-mr, -mi), (p2, 0), p2),
+        (c0, w * v / c0),
+    )
+
+
+def _combine(x, a, y, b) -> list:
+    """x a + y b for Gaussian integers x, y and rows a, b."""
+    (xr, xi), (yr, yi) = x, y
+    return [
+        (xr * ar - xi * ai + yr * br - yi * bi, xr * ai + xi * ar + yr * bi + yi * br)
+        for (ar, ai), (br, bi) in zip(a, b)
+    ]
+
+
+def _eliminate(a, w, b, v, c: int, sign: int) -> tuple:
+    """((a', w'), (b', v')) for the step on column c, rows made primitive."""
+    (x1, y1, d1), (x2, y2, d2), (w1, v1) = _rotation(a[c], b[c], w, v, sign)
+    return (
+        _primitive(_combine(x1, a, y1, b), w1 / (d1 * d1)),
+        _primitive(_combine(x2, a, y2, b), v1 / (d2 * d2)),
+    )
+
+
+def _table(basis, terms) -> tuple:
+    """(den, table): the upper triangle (alpha <= beta) of sum weight |row . Z|^2 times den.
+
+    `terms` are (row, weight) pairs with Gaussian-integer rows over the
+    sorted `basis` and Fraction weights; the table maps (alpha, beta) to
+    (re, im) ints and holds no zero entries.
+    """
+    den = lcm(*(w.denominator for _, w in terms))
+    out: dict = {}
+    get = out.get
+    for row, w in terms:
+        s = w.numerator * (den // w.denominator)
+        nz = [(basis[j], x, y) for j, (x, y) in enumerate(row) if x or y]
+        for i, (alpha, x, y) in enumerate(nz):
+            sx, sy = s * x, s * y
+            for beta, u, t in nz[i:]:
+                # s * conj(x + iy) * (u + it)
+                key = (alpha, beta)
+                re, im = sx * u + sy * t, sx * t - sy * u
+                cur = get(key)
+                out[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+    return den, {key: z for key, z in out.items() if z[0] or z[1]}
+
+
+def _add_squares(target: HermitianPoly, basis, terms) -> HermitianPoly:
+    """target + sum weight |row . Z|^2 over the (row, weight) terms."""
+    den, table = _table(basis, terms)
+    L, base = hermitian_integer_table(target)
+    m = lcm(den, L)
+    sums = {key: (x * (m // L), y * (m // L)) for key, (x, y) in base.items() if key[0] <= key[1]}
+    for key, (x, y) in table.items():
+        u, t = sums.get(key, (0, 0))
+        sums[key] = (u + x * (m // den), t + y * (m // den))
+    entries = {key: GaussianRational(Fraction(x, m), Fraction(y, m)) for key, (x, y) in sums.items()}
+    return HermitianPoly(target.n, entries)
 
 
 def decompose(r: HermitianPoly) -> DecomposedForm:
-    """Exact decomposition converted to a float form with the origin attached."""
+    """The exact signed-squares decomposition of r, as a form whose target is r."""
     dec = holomorphic_decomposition(r)
-    dim = len(dec.basis)
+    plus = [_integer_row(row, s) for row, s in zip(dec.plus_rows, dec.plus_scales)]
+    minus = [_integer_row(row, s) for row, s in zip(dec.minus_rows, dec.minus_scales)]
     return DecomposedForm(
-        plus_rows=_rows_to_float(dec.plus_rows, dec.plus_scales, dim),
-        minus_rows=_rows_to_float(dec.minus_rows, dec.minus_scales, dim),
+        plus_rows=tuple(row for row, _ in plus),
+        plus_weights=tuple(w for _, w in plus),
+        minus_rows=tuple(row for row, _ in minus),
+        minus_weights=tuple(w for _, w in minus),
         basis=dec.basis,
-        origin=r,
-        exact=dec,
-        target=_origin_float_matrix(r, dec.basis),
-        split_faithful=True,
+        target=r,
     )
 
 
 def lambda_scale(form: DecomposedForm, lam) -> DecomposedForm:
-    """Scale the negative block by sqrt(lam); the represented form changes to
-    (positive part) - lam * (negative part).
+    """Multiply every minus weight by lam: the form becomes (plus part) - lam (minus part).
 
-    Membership at power 1 survives any lam in [0, 1]: the removed negative
-    mass reappears as extra squares.  On a split-faithful form the exact
-    origin is rewritten and, when the input was a member, the result is
-    re-verified exactly rather than assumed.
+    The target gains (1 - lam) (minus part).  Membership at power 1 survives
+    any lam in [0, 1], since the removed negative mass reappears as extra
+    squares; when the target was a member, the new target is re-verified
+    exactly rather than assumed.  lam = 0 drops the minus rows.
     """
     lam = Fraction(lam)
     if not (0 <= lam <= 1):
         raise LambdaOutOfRange(f"lambda must be in [0, 1], got {lam}")
-    root = math.sqrt(float(lam))
-    dim = len(form.basis)
-    neg_gram = (
-        form.minus_rows.conj().T @ form.minus_rows
-        if form.minus_rows.size
-        else np.zeros((dim, dim), dtype=complex)
-    )
-    if lam == 0:
-        minus = np.zeros((0, dim), dtype=complex)
-    else:
-        minus = form.minus_rows * root
-    target = None
-    if form.target is not None:
-        target = form.target + (1.0 - float(lam)) * neg_gram
-
-    origin = form.origin
-    exact = form.exact
-    if form.split_faithful and exact is not None:
-        if lam == 0:
-            exact = HolomorphicDecomposition(
-                exact.plus_rows, (), exact.plus_scales, (), exact.basis
-            )
-        else:
-            exact = HolomorphicDecomposition(
-                exact.plus_rows,
-                exact.minus_rows,
-                exact.plus_scales,
-                tuple(s * lam for s in exact.minus_scales),
-                exact.basis,
-            )
-        new_origin = recompose(exact)
-        if origin is not None and lam > 0:
-            if in_psi_hermitian(origin, 1).member:
-                if not in_psi_hermitian(new_origin, 1).member:
-                    raise CertificateFailure("membership lost under a rational rescale")
-        origin = new_origin
+    target = form.target
+    if target is not None:
+        moved = [(row, (1 - lam) * v) for row, v in zip(form.minus_rows, form.minus_weights)]
+        target = _add_squares(target, form.basis, moved)
+        if lam > 0 and in_psi_hermitian(form.target, 1).member:
+            if not in_psi_hermitian(target, 1).member:
+                raise CertificateFailure("membership lost under a rational rescale")
+    keep = lam > 0
     return DecomposedForm(
-        plus_rows=form.plus_rows.copy(),
-        minus_rows=minus,
+        plus_rows=form.plus_rows,
+        plus_weights=form.plus_weights,
+        minus_rows=form.minus_rows if keep else (),
+        minus_weights=tuple(v * lam for v in form.minus_weights) if keep else (),
         basis=form.basis,
-        origin=origin,
-        exact=exact,
         target=target,
-        split_faithful=form.split_faithful,
-        lambda_degenerate=(lam == 0),
+        lambda_degenerate=not keep,
     )
 
 
 @dataclass(frozen=True)
 class HyperbolicStep:
-    """One 2x2 rotation preserving the (1, -1) inner product."""
+    """One cross-block step: rows (a, b) become t (a, b), and t* diag(w', -v') t == diag(w, -v).
 
-    t: tuple  # ((t11, t12), (t21, t22)) complex
-    pivot_col: int
-    rows: tuple  # (plus row index, minus row index)
+    The engine stores each new row scaled by a positive rational, with its
+    weight divided by that rational's square.
+    """
+
+    t: tuple  # ((t11, t12), (t21, t22)) of GaussianRational
+    weights: tuple  # ((w, v), (w', v')): before and after the step, positive Fractions
+    pivot_col: int = -1
+    rows: tuple = (-1, -1)  # (plus row index, minus row index)
     lambda_used: Fraction | None = None
 
-    def j_identity_error(self) -> float:
-        T = np.array(self.t, dtype=complex)
-        J = np.diag([1.0, -1.0])
-        return float(np.max(np.abs(T.conj().T @ J @ T - J)))
-
-
-def hyperbolic_eliminate(a1: complex, b1: complex) -> HyperbolicStep:
-    """Rotation sending (a1, b1) to (a1', 0); needs |a1| > |b1|.
-
-    The bottom-left entry is fixed analytically, so applying the rotation
-    and assigning the eliminated coordinate zero is exact by construction.
-    """
-    a1, b1 = complex(a1), complex(b1)
-    if abs(a1) <= abs(b1):
-        raise PivotDominanceViolated(
-            f"|a1|={abs(a1):.6g} must strictly exceed |b1|={abs(b1):.6g}"
+    def j_identity_holds(self) -> bool:
+        """t* diag(w', -v') t == diag(w, -v), exactly."""
+        (w, v), (w1, v1) = self.weights
+        (t11, t12), (t21, t22) = self.t
+        return (
+            t11.abs2() * w1 - t21.abs2() * v1 == w
+            and t12.abs2() * w1 - t22.abs2() * v1 == -v
+            and (t11.conjugate() * t12 * w1 - t21.conjugate() * t22 * v1).is_zero()
         )
-    ratio = b1 / a1
-    t22 = 1.0 / math.sqrt(1.0 - abs(ratio) ** 2)
-    t = (
-        (t22 + 0j, -t22 * ratio.conjugate()),
-        (-t22 * ratio, t22 + 0j),
+
+
+def hyperbolic_eliminate(a1, b1, w=1, v=1) -> HyperbolicStep:
+    """The cross-block step sending the pivots (a1, b1) to (a1, 0).
+
+    a1 and b1 (ints, Fractions or GaussianRational) lead a plus row of
+    weight w and a minus row of weight v; the step needs w|a1|^2 > v|b1|^2.
+    t is [[1 + kappa mu, -kappa], [-mu, 1]] with mu = b1 / a1 and
+    kappa = v conj(mu) / c0, c0 = w - v|mu|^2; the new weights are
+    (c0, w v / c0).  The J-identity is checked exactly.
+    """
+    a1, b1 = (z if isinstance(z, GaussianRational) else GaussianRational.of(z) for z in (a1, b1))
+    w, v = Fraction(w), Fraction(v)
+    if w * a1.abs2() <= v * b1.abs2():
+        raise PivotDominanceViolated(f"w|a1|^2 = {w * a1.abs2()} must exceed v|b1|^2 = {v * b1.abs2()}")
+    den = lcm(a1.re.denominator, a1.im.denominator, b1.re.denominator, b1.im.denominator)
+    p, q = ((int(z.re * den), int(z.im * den)) for z in (a1, b1))
+    *rows, after = _rotation(p, q, w, v, -1)
+    t = tuple(
+        tuple(GaussianRational(Fraction(zr, d), Fraction(zi, d)) for zr, zi in (x, y)) for x, y, d in rows
     )
-    step = HyperbolicStep(t, pivot_col=-1, rows=(-1, -1))
-    err = step.j_identity_error()
-    if not err <= LOCAL_TOL * max(1.0, t22**2):  # also catches NaN
-        raise CertificateFailure(f"rotation misses the J-identity by {err:.3g}")
+    step = HyperbolicStep(t, ((w, v), after))
+    if not step.j_identity_holds():
+        raise CertificateFailure(f"step {t} misses the J-identity")
     return step
 
 
-def _unitary_echelon(M: np.ndarray) -> dict:
-    """In-place Householder row reduction with the fixed column order.
+def _insert(block: list, row, weight) -> None:
+    """Add a row to a block of (lead, row, weight) kept in echelon form, sorted by lead.
 
-    Returns {column: pivot row}.  Raises when an accepted pivot is tiny
-    relative to its row.
+    A row leading where a block row leads is stepped against it until it
+    leads in a free column; a row that reduces to zero means the block's
+    rows are dependent, which raises CertificateFailure.
     """
-    rows, cols = M.shape
-    pivots: dict = {}
-    scale = float(np.max(np.abs(M))) if M.size else 0.0
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        col = M[r:, c]
-        colnorm = float(np.linalg.norm(col))
-        if colnorm <= 1e-14 * max(scale, 1.0):
-            M[r:, c] = 0.0
-            continue
-        v = col.copy()
-        alpha = -cmath.exp(1j * cmath.phase(v[0])) * colnorm if v[0] != 0 else -colnorm
-        v[0] -= alpha
-        vnorm = float(np.linalg.norm(v))
-        if vnorm > 1e-14 * max(scale, 1.0):
-            v /= vnorm
-            M[r:, c:] -= 2.0 * np.outer(v, v.conj() @ M[r:, c:])
-        M[r, c] = alpha
-        M[r + 1 :, c] = 0.0
-        rownorm = float(np.linalg.norm(M[r, :]))
-        if abs(M[r, c]) < PIVOT_FLOOR * rownorm:
-            raise NumericalBreakdown(
-                f"pivot {abs(M[r, c]):.3g} below {PIVOT_FLOOR} of row norm {rownorm:.3g}"
-            )
-        pivots[c] = r
-        r += 1
-    return pivots
+    while True:
+        c = _lead(row)
+        if c is None:
+            raise CertificateFailure("a block lost rank: a row reduced to zero")
+        i = next((i for i, (lead, _, _) in enumerate(block) if lead >= c), len(block))
+        if i == len(block) or block[i][0] != c:
+            block.insert(i, (c, row, weight))
+            return
+        _, a, w = block[i]
+        (a, w), (row, weight) = _eliminate(a, w, row, weight, c, +1)
+        block[i] = (c, a, w)
 
 
-def _leading_cols(M: np.ndarray, tol: float):
-    out = []
-    for i in range(M.shape[0]):
-        row = M[i]
-        norm = float(np.linalg.norm(row))
-        if norm == 0.0:
-            out.append(None)
-            continue
-        lead = next((j for j in range(M.shape[1]) if abs(row[j]) > tol * norm), None)
-        out.append(lead)
-    return out
+def _echelon(rows, weights) -> list:
+    block: list = []
+    for row, weight in zip(rows, weights):
+        _insert(block, row, weight)
+    return block
 
 
-def is_partial_row_echelon(form: DecomposedForm, tol: float = PIVOT_FLOOR) -> bool:
+def is_partial_row_echelon(form: DecomposedForm) -> bool:
     """Rows permute into row-echelon form: nonzero rows have distinct leading columns."""
-    stacked = np.vstack([form.plus_rows, form.minus_rows])
-    leads = [c for c in _leading_cols(stacked, tol) if c is not None]
+    leads = [c for c in map(_lead, form.plus_rows + form.minus_rows) if c is not None]
     return len(leads) == len(set(leads))
 
 
-def partial_row_echelon(
-    form: DecomposedForm, recon_tol: float = RECON_TOL
-) -> tuple:
-    """Drive the stacked matrix into partial row-echelon form.
+def partial_row_echelon(form: DecomposedForm) -> tuple:
+    """Drive the stacked rows into partial row-echelon form: (reduced form, steps).
 
-    Requires an exact origin that is a member at power 1.  Each block is
-    unitarily echelonized; columns are scanned left to right, and a column
-    carrying pivots of both blocks is resolved by a hyperbolic rotation,
-    preceded by a rational rescale of the negative block whenever the
-    negative pivot dominates.  Returns the reduced form and the step list;
-    the reduced form's target matrix carries the accumulated rescales.
+    Requires a target that is a member at power 1.  Each block is brought
+    to echelon form; the first column led by rows of both blocks is resolved
+    by a hyperbolic step, after a rescale of the minus weights whenever the
+    minus pivot dominates, until no column is.  The reduced form's target
+    carries the rescales.  Ends with two exact checks, either of which raises
+    CertificateFailure: the leading columns are distinct, and the rows
+    represent the target.  A block that loses rank raises as well.
     """
-    if form.origin is None:
-        raise NotInPsiD("reduction requires the exact origin polynomial")
-    if not in_psi_hermitian(form.origin, 1).member:
-        raise NotInPsiD("origin is not a member at power 1")
+    if form.target is None:
+        raise NotInPsiD("reduction requires the exact target polynomial")
+    if not in_psi_hermitian(form.target, 1).member:
+        raise NotInPsiD("target is not a member at power 1")
 
-    A = form.plus_rows.copy()
-    B = form.minus_rows.copy()
-    dim = len(form.basis)
-    target = (
-        form.target.copy()
-        if form.target is not None
-        else _origin_float_matrix(form.origin, form.basis)
-    )
+    plus = _echelon(form.plus_rows, form.plus_weights)
+    minus = _echelon(form.minus_rows, form.minus_weights)
+    moved: list = []  # (row, weight): minus mass the rescales moved into the target
     steps: list = []
-    guard = (A.shape[1] + 1) * (B.shape[0] + 2)
-
-    for _ in range(guard):
-        pivots_a = _unitary_echelon(A)
-        pivots_b = _unitary_echelon(B)
-        if len(pivots_a) < A.shape[0] or len(pivots_b) < B.shape[0]:
-            raise NumericalBreakdown("a block lost rank; rows are not independent")
-        clash = sorted(set(pivots_a) & set(pivots_b))
-        if not clash:
+    while True:
+        plus_at = {lead: i for i, (lead, _, _) in enumerate(plus)}
+        rb = next((j for j, (lead, _, _) in enumerate(minus) if lead in plus_at), None)
+        if rb is None:
             break
-        col = clash[0]
-        ra, rb = pivots_a[col], pivots_b[col]
-        a1, b1 = A[ra, col], B[rb, col]
-        lam_used = None
-        if abs(a1) <= abs(b1):
-            lam_used = Fraction(abs(a1 / b1) ** 2 / 2).limit_denominator(10**6)
-            while lam_used > 0 and math.sqrt(float(lam_used)) * abs(b1) >= abs(a1):
-                lam_used /= 2
-            if lam_used <= 0:
-                raise NumericalBreakdown("no usable rescale factor for the negative block")
-            # the represented form becomes (plus part) - lam * (minus part)
-            target += (1.0 - float(lam_used)) * (B.conj().T @ B)
-            B *= math.sqrt(float(lam_used))
-            b1 = B[rb, col]
-        step = hyperbolic_eliminate(a1, b1)
-        (t11, t12), (t21, t22) = step.t
-        new_a = t11 * A[ra] + t12 * B[rb]
-        new_b = t21 * A[ra] + t22 * B[rb]
-        new_b[col] = 0.0  # zero by construction of the rotation
-        A[ra], B[rb] = new_a, new_b
-        steps.append(
-            HyperbolicStep(step.t, pivot_col=col, rows=(ra, rb), lambda_used=lam_used)
-        )
-    else:
-        raise NumericalBreakdown("echelon loop failed to terminate")
+        c, b, v = minus[rb]
+        ra = plus_at[c]
+        _, a, w = plus[ra]
+        lam = None
+        excess = v * (b[c][0] ** 2 + b[c][1] ** 2) / (w * (a[c][0] ** 2 + a[c][1] ** 2))
+        if excess >= 1:
+            # the largest 2^-k with 2^-k * excess < 1
+            lam = Fraction(1, 1 << (excess.numerator // excess.denominator).bit_length())
+            moved += [(row, (1 - lam) * u) for _, row, u in minus]
+            minus = [(lead, row, u * lam) for lead, row, u in minus]
+            v *= lam
+        step = hyperbolic_eliminate(GaussianRational.of(*a[c]), GaussianRational.of(*b[c]), w, v)
+        (a, w), (b, v) = _eliminate(a, w, b, v, c, -1)
+        plus[ra] = (c, a, w)
+        del minus[rb]
+        _insert(minus, b, v)
+        steps.append(replace(step, pivot_col=c, rows=(ra, rb), lambda_used=lam))
 
     reduced = DecomposedForm(
-        plus_rows=A,
-        minus_rows=B,
+        plus_rows=tuple(row for _, row, _ in plus),
+        plus_weights=tuple(w for _, _, w in plus),
+        minus_rows=tuple(row for _, row, _ in minus),
+        minus_weights=tuple(v for _, _, v in minus),
         basis=form.basis,
-        origin=form.origin,
-        exact=form.exact,
-        target=target,
-        split_faithful=form.split_faithful and not steps,
+        target=_add_squares(form.target, form.basis, moved) if moved else form.target,
     )
     if not is_partial_row_echelon(reduced):
-        raise NumericalBreakdown("reduction finished without reaching echelon form")
+        raise CertificateFailure("reduction finished without distinct leading columns")
     err = reconstruction_error(reduced)
-    if err > recon_tol:
-        raise NumericalBreakdown(f"reconstruction error {err:.3g} exceeds {recon_tol}")
+    if err:
+        raise CertificateFailure(f"reduced rows miss the target by {err}")
     return reduced, steps
 
 
-def reconstruction_error(form: DecomposedForm) -> float:
-    """Relative max-norm gap between the float rows and the reduction target."""
-    if form.target is not None:
-        target = form.target
-    elif form.origin is not None:
-        target = _origin_float_matrix(form.origin, form.basis)
-    else:
-        return 0.0
-    got = form.hermitian_float()
-    scale = max(float(np.max(np.abs(target))) if target.size else 0.0, 1e-30)
-    if not target.size:
-        return 0.0
-    return float(np.max(np.abs(got - target))) / scale
+def reconstruction_error(form: DecomposedForm) -> Fraction:
+    """Largest gap between a coefficient of the form and of its target, exactly.
+
+    Real and imaginary parts are compared separately; the gap is 0 when the
+    rows represent the target, and 0 for a form without a target.
+    """
+    if form.target is None:
+        return Fraction(0)
+    terms = list(zip(form.plus_rows, form.plus_weights))
+    terms += [(row, -v) for row, v in zip(form.minus_rows, form.minus_weights)]
+    den, got = _table(form.basis, terms)
+    L, want = hermitian_integer_table(form.target)
+    gap = 0
+    for key in got.keys() | {key for key in want if key[0] <= key[1]}:
+        (x, y), (u, t) = got.get(key, (0, 0)), want.get(key, (0, 0))
+        gap = max(gap, abs(x * L - u * den), abs(y * L - t * den))
+    return Fraction(gap, den * L)

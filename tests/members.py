@@ -8,10 +8,7 @@ multiplier distributes over sums.  Every instance is re-verified exactly.
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from psicert.generators import example_fig1, generate_two_var
-from psicert.inertia import holomorphic_decomposition
 from psicert.polycore import (
     GaussianRational,
     HermitianPoly,
@@ -65,35 +62,28 @@ def clashing_form() -> DecomposedForm:
 
     The rational matrix [[5/4, 3/4], [3/4, 5/4]] preserves the (1,-1) inner
     product exactly ((5/4)^2 - (3/4)^2 = 1), so mixing one positive and the
-    negative row with it leaves the represented polynomial untouched while
-    making both rows lead in the same column with the negative pivot larger.
+    negative row of equal weight with it leaves the represented polynomial
+    untouched while making both rows lead in the same column with the
+    negative pivot larger.  The mixed rows are kept as 4 times themselves,
+    with weight 1/16.
     """
     base = generate_two_var(1, 1)  # x^2 - xy + y^2
-    r = real_to_diagonal(base)
-    dec = holomorphic_decomposition(r)
-    form = decompose(r)
-    basis = form.basis  # ((0,2), (1,1), (2,0))
-    a_rows = []
-    for row in form.plus_rows:
-        a_rows.append(np.array(row, dtype=complex))
-    b_row = np.array(form.minus_rows[0], dtype=complex)
-    # locate the plus row leading where the minus row leads after mixing
-    mix_idx = max(
-        range(len(a_rows)),
-        key=lambda i: abs(a_rows[i][2]),
-    )
-    a, b = a_rows[mix_idx], b_row
-    a_new = 1.25 * a + 0.75 * b
-    b_new = 0.75 * a + 1.25 * b
-    a_rows[mix_idx] = a_new
-    plus = np.vstack(a_rows)
-    minus = b_new.reshape(1, -1)
+    form = decompose(real_to_diagonal(base))  # basis ((0,2), (1,1), (2,0)), unit rows
+    assert set(form.plus_weights + form.minus_weights) == {1}
+    plus = list(form.plus_rows)
+    (b,) = form.minus_rows
+    # mix the plus row leading where the minus row leads after mixing
+    mix_idx = max(range(len(plus)), key=lambda i: abs(plus[i][2][0]))
+    a = plus[mix_idx]
+    plus[mix_idx] = tuple((5 * x + 3 * u, 5 * y + 3 * t) for (x, y), (u, t) in zip(a, b))
+    minus = tuple((3 * x + 5 * u, 3 * y + 5 * t) for (x, y), (u, t) in zip(a, b))
+    weights = list(form.plus_weights)
+    weights[mix_idx] = Fraction(1, 16)
     return DecomposedForm(
-        plus_rows=plus,
-        minus_rows=minus,
-        basis=basis,
-        origin=r,
-        exact=dec,
+        plus_rows=tuple(plus),
+        plus_weights=tuple(weights),
+        minus_rows=(minus,),
+        minus_weights=(Fraction(1, 16),),
+        basis=form.basis,
         target=form.target,
-        split_faithful=False,  # the mix moved mass across the blocks
     )

@@ -5,8 +5,9 @@ multiplier code paths: polynomial products are naive dict convolutions,
 product coefficient matrices are assembled and laid out over Gaussian
 rationals, tiny eigen problems are solved from the characteristic
 polynomial, the congruence factorization is the original elimination over
-Gaussian rationals on plain rows, and sign patterns are checked by the
-original negative-inflow scan.
+Gaussian rationals on plain rows, signed sums of squares are expanded over
+Gaussian rationals, and sign patterns are checked by the original
+negative-inflow scan.
 """
 
 from dataclasses import dataclass
@@ -338,3 +339,31 @@ def mat_adjoint(A):
     return [
         [A[i][j].conjugate() for i in range(len(A))] for j in range(len(A[0]))
     ]
+
+
+def signed_squares(basis, terms) -> HermitianPoly:
+    """sum of weight * |row . Z|^2 over (row, weight) terms, over Gaussian rationals.
+
+    Row entries are GaussianRational, or Gaussian integers as (re, im) pairs.
+    """
+    entries = {}
+    for row, weight in terms:
+        row = [z if isinstance(z, GaussianRational) else GaussianRational.of(*z) for z in row]
+        nz = [(b, c) for b, c in zip(basis, row) if not c.is_zero()]
+        for alpha, ca in nz:
+            for beta, cb in nz:
+                key = (alpha, beta)
+                entries[key] = entries.get(key, GR_ZERO) + ca.conjugate() * cb * weight
+    return HermitianPoly(len(basis[0]) if basis else 1, entries)
+
+
+def recompose(dec) -> HermitianPoly:
+    """The polynomial a HolomorphicDecomposition represents."""
+    minus = [(row, -s) for row, s in zip(dec.minus_rows, dec.minus_scales)]
+    return signed_squares(dec.basis, [*zip(dec.plus_rows, dec.plus_scales), *minus])
+
+
+def form_polynomial(form) -> HermitianPoly:
+    """The polynomial the rows of a reduction DecomposedForm represent."""
+    minus = [(row, -w) for row, w in zip(form.minus_rows, form.minus_weights)]
+    return signed_squares(form.basis, [*zip(form.plus_rows, form.plus_weights), *minus])

@@ -12,11 +12,9 @@ not the family the checkpoint describes.
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from conftest import record_criterion
 from members import random_psi1_member
-from oracles import all_sign_patterns
+from oracles import all_sign_patterns, form_polynomial
 from psicert.bounds import pigeonhole_certificate
 from psicert.generators import (
     example_fig1,
@@ -37,9 +35,12 @@ from psicert.patterns import (
 )
 from psicert.polycore import sign_counts
 from psicert.psi import in_psi_diagonal, min_psi_index
-from psicert.reduction import decompose, is_partial_row_echelon, partial_row_echelon
-
-J = np.diag([1.0, -1.0])
+from psicert.reduction import (
+    decompose,
+    is_partial_row_echelon,
+    partial_row_echelon,
+    reconstruction_error,
+)
 
 
 def test_criterion_1_fig2_reproduction():
@@ -184,19 +185,24 @@ def test_criterion_8_reduction_pipeline():
         r = random_psi1_member(seed)
         form = decompose(r)
         pos0, neg0, _ = inertia(r)
-        reduced, steps = partial_row_echelon(form, recon_tol=1e-9)
+        reduced, steps = partial_row_echelon(form)
         if not is_partial_row_echelon(reduced):
             failures.append((seed, "echelon"))
         if (reduced.n_plus, reduced.n_minus) != (pos0, neg0):
             failures.append((seed, "signature"))
-        from psicert.reduction import reconstruction_error
-
-        if reconstruction_error(reduced) > 1e-9:
+        recomposed = form_polynomial(reduced)
+        if reconstruction_error(reduced) != 0 or recomposed != reduced.target:
             failures.append((seed, "reconstruction"))
+        if inertia(recomposed)[:2] != (pos0, neg0):
+            failures.append((seed, "inertia"))
         for step in steps:
-            T = np.array(step.t)
-            if np.max(np.abs(T.conj().T @ J @ T - J)) > 1e-12 * max(
-                1.0, float(np.abs(T).max()) ** 2
+            # t* diag(w', -v') t == diag(w, -v), entry by entry
+            (w, v), (w1, v1) = step.weights
+            (t11, t12), (t21, t22) = step.t
+            if (
+                t11.abs2() * w1 - t21.abs2() * v1 != w
+                or t12.abs2() * w1 - t22.abs2() * v1 != -v
+                or not (t11.conjugate() * t12 * w1 - t21.conjugate() * t22 * v1).is_zero()
             ):
                 failures.append((seed, "j-identity"))
     ok = not failures

@@ -86,6 +86,14 @@ def test_search_local_strategy_smoke():
     assert doc["strategy"] == "local" and doc["seed"] == 1
 
 
+def test_local_search_finding_nothing_is_negative_verdict(capsys):
+    argv = ["search", "--n", "3", "--D", "5", "--d", "1", "--strategy", "local", "--budget", "3"]
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "local search exhausted 3 evaluations" in out.err
+
+
 def test_generate_and_signature_round_trip(tmp_path):
     out = tmp_path / "pd.json"
     r = _run_cli(["generate", "pd", "--n", "3", "--D", "6", "--out", str(out)])
@@ -163,18 +171,33 @@ def test_search_cli_restricted(tmp_path, fig2_file):
 
 
 def test_reduce_cli(tmp_path):
+    from fractions import Fraction
+
     from members import random_psi1_member
-    from psicert.polycore import hermitian_to_json
+    from psicert.polycore import GaussianRational, hermitian_to_json
 
     herm = tmp_path / "member.json"
-    herm.write_text(json.dumps(hermitian_to_json(random_psi1_member(1))))
+    herm.write_text(json.dumps(hermitian_to_json(random_psi1_member(3))))
     steps = tmp_path / "steps.json"
     r = _run_cli(["reduce", "--herm", str(herm), "--out", str(steps)])
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
     assert doc["echelon"] is True
-    assert doc["reconstruction_error"] <= 1e-9
-    assert steps.exists()
+    assert doc["reconstruction_error"] == 0
+    recorded = json.loads(steps.read_text())["steps"]
+    assert len(recorded) == doc["steps"] > 0
+    G = GaussianRational.of
+    for step in recorded:
+        # every step is re-verified from its exact strings: t* diag(w', -v') t == diag(w, -v)
+        t = [[G(re, im) for re, im in row] for row in step["t"]]
+        w, v = map(Fraction, step["weights"]["before"])
+        w1, v1 = map(Fraction, step["weights"]["after"])
+        got = [
+            [t[0][i].conjugate() * t[0][j] * w1 - t[1][i].conjugate() * t[1][j] * v1 for j in range(2)]
+            for i in range(2)
+        ]
+        assert got == [[G(w), G(0)], [G(0), G(-v)]]
+        assert step["lambda"] is None or 0 < Fraction(step["lambda"]) < 1
 
 
 def test_diagram_golden_files(fig2_file, tmp_path):
@@ -479,3 +502,52 @@ def test_dimension_cap_on_signature_and_reduce(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PSI_MAX_DIM", "2")
     assert run(["signature", "--herm", str(herm)]) == 0
     assert json.loads(capsys.readouterr().out) == {"n_plus": 1, "n_minus": 0, "rank": 1}
+
+
+_WRONG_SHAPE = [
+    ("--poly", [1, 2], ["check-psi", "--d", "1"]),
+    ("--poly", {"n": 2, "terms": {"a": 1}}, ["check-psi", "--d", "1"]),
+    ("--herm", [1, 2], ["check-psi", "--d", "1"]),
+    ("--herm", {"n": 2, "entries": {"a": 1}}, ["signature"]),
+    ("--pattern", [1, 2], ["diagram"]),
+    ("--pattern", {"n": 2, "D": 2, "pos": {"a": 1}}, ["diagram"]),
+    ("--pattern", {"n": 2, "D": 2, "pos": [1]}, ["diagram"]),
+    ("--support", [1, 2], ["search", "--n", "2", "--D", "2", "--d", "1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, doc, argv",
+    _WRONG_SHAPE,
+    ids=["poly-list", "poly-dict-terms", "herm-list", "herm-dict-entries", "pattern-list",
+         "pattern-dict-pos", "pattern-int-point", "support-list"],
+)
+def test_structurally_wrong_input_is_usage_error(tmp_path, capsys, flag, doc, argv):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    assert run([argv[0], flag, str(inp), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "internal error" not in err
+
+
+def test_back_to_back_runs_share_no_state(fig2_file, capsys):
+    # the parser is built once; --format text, before or after the subcommand, must not leak
+    sig = ["signature", "--poly", fig2_file]
+    as_json = '{"n_minus": 6, "n_plus": 7, "rank": 13}\n'
+    as_text = "n_minus: 6\nn_plus: 7\nrank: 13\n"
+    for argv in (["--format", "text", *sig], [*sig, "--format", "text"]):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == as_text
+        assert run(sig) == 0
+        assert capsys.readouterr().out == as_json
+    mixed = [
+        ["check-psi", "--poly", fig2_file, "--d", "1"],
+        ["--format", "text", "verify-bounds", "--poly", fig2_file, "--d", "1"],
+        ["min-d", "--poly", fig2_file, "--max-d", "2"],
+        ["certificate", "--poly", fig2_file, "--format", "text"],
+        sig,
+    ]
+    for argv in mixed:
+        fresh = _run_cli(argv)
+        assert run(argv) == fresh.returncode
+        assert capsys.readouterr().out == fresh.stdout

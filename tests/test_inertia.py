@@ -12,6 +12,7 @@ from oracles import (
     mat_mul,
     quadratic_form,
     rational_congruence_factorization,
+    recompose,
 )
 from psicert.errors import CertificateFailure, ExplicitLimit, NotHermitian, PsicertError
 from psicert.inertia import (
@@ -20,7 +21,6 @@ from psicert.inertia import (
     holomorphic_decomposition,
     inertia,
     negative_direction,
-    recompose,
     table_quadratic_form,
 )
 from psicert.polycore import (

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import psicert
@@ -17,6 +18,26 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in psicert: {found}"
+
+
+def test_runtime_imports_only_the_standard_library():
+    # psicert has no runtime dependencies: every import is the package itself or stdlib
+    allowed = set(sys.stdlib_module_names) | {PACKAGE.name}
+    outside = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in allowed
+            ]
+    assert not outside, f"imports outside the standard library: {outside}"
 
 
 def _references(tree, names):
