@@ -24,13 +24,7 @@ from .generators import (
     generate_two_var,
     pD_ratio_lower_bound,
 )
-from .inertia import (
-    CongruenceFactorization,
-    HolomorphicDecomposition,
-    congruence_factorization,
-    holomorphic_decomposition,
-    inertia,
-)
+from .inertia import CongruenceFactorization, congruence_factorization, inertia
 from .patterns import (
     SearchResult,
     Sign,

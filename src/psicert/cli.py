@@ -90,6 +90,11 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text}") from exc
 
 
+def _auto_or_frac(text: str):
+    """argparse type: the word `auto`, or a rational."""
+    return text if text == "auto" else _frac(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="psicert")
     top.add_argument("--format", choices=("json", "text"), default=None)
@@ -112,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--k", type=int)
     gen.add_argument("--nu", type=int)
     gen.add_argument("--lam", "--lambda", dest="lam", type=_frac)
-    gen.add_argument("--epsilon", default="auto")
+    gen.add_argument("--epsilon", type=_auto_or_frac, default="auto")
     gen.add_argument("--homogenize", action="store_true")
     gen.add_argument("--out")
 
@@ -213,7 +218,7 @@ def _witness_doc(report) -> dict | None:
         return {
             "kind": "negative-direction",
             "value": str(cert.value),
-            "vector": [[str(g.re), str(g.im)] for g in cert.vector],
+            "vector": [[str(x), str(y)] for x, y in cert.vector],
             "basis": [list(b) for b in cert.basis],
         }
     return None
@@ -222,10 +227,13 @@ def _witness_doc(report) -> dict | None:
 def _cmd_check_psi(args) -> int:
     obj = _load_input(args)
     if args.multiplier:
-        exps = _load(
-            args.multiplier,
-            lambda doc: multiplier_exponents([tuple(map(int, e)) for e in doc["exps"]], obj.n),
-        )
+
+        def parse(doc):
+            if doc["n"] != obj.n:
+                raise ValueError(f"multiplier is for n = {doc['n']}, the input has n = {obj.n}")
+            return multiplier_exponents([tuple(map(int, e)) for e in doc["exps"]], obj.n)
+
+        exps = _load(args.multiplier, parse)
         report = _psi.in_psi_general_multiplier(obj, exps)
     else:
         report = _psi.in_psi(obj, args.d)

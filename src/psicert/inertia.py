@@ -13,9 +13,10 @@ factor of 1 or i) manufactures a nonzero diagonal entry, so square roots
 never appear.  Sylvester's law of inertia makes the sign counts of the
 resulting diagonal the inertia of the input.
 
-The congruence transform is tracked as integer columns, each scaled by a
-pivot minor; its rational form and its inverse are built only when read.
-`table_quadratic_form` evaluates a witness on the table itself.
+The factorization holds integer data only: the congruence transform as
+Gaussian-integer columns, each scaled by a pivot minor, and its inverse as
+Gaussian-integer rows over their pivots.  Vectors are tuples of (re, im)
+int pairs; `table_quadratic_form` evaluates a witness on the table itself.
 """
 
 from __future__ import annotations
@@ -23,16 +24,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 from .errors import CertificateFailure, ExplicitLimit, NotHermitian, PsicertError
-from .polycore import (
-    GR_ZERO,
-    GaussianRational,
-    HermitianPoly,
-    hermitian_integer_table,
-)
+from .polycore import HermitianPoly, hermitian_integer_table
 
 _HARD_DIM_CAP = 2048
 
@@ -51,23 +46,23 @@ def _dim_cap() -> int:
     return min(_HARD_DIM_CAP, cap)
 
 
+@dataclass(frozen=True)
 class CongruenceFactorization:
-    """diag == transform* . M . transform, exactly, M the matrix over `basis`.
+    """diag == T* . M . T, exactly, M the matrix over `basis`.
 
-    The elimination leaves integer data only.  Column k of the transform is
-    kept as Gaussian integers scaled by the pivot minor in force when k was
-    pivoted (by the last minor for indices left in a zero block); row k of
-    the inverse as Gaussian integers over its pivot.  `transform` and
-    `inverse` turn them into rows of Gaussian rationals when first read.
+    The elimination leaves integer data only.  `columns[k]` is column k of T
+    as (re ints, im ints), times `column_scales[k]`: the pivot minor in force
+    when k was pivoted, or the last minor for indices left in a zero block.
+    `inverse_rows[k]` is row k of T^-1 as (den, ((col, re, im), ...)):
+    Gaussian integers over den, the pivot minor at k, which may be negative.
     """
 
-    def __init__(self, basis, diag, pivot_log, columns, column_scales, inverse_rows):
-        self.basis = basis  # index of each row and column
-        self.diag = diag  # of Fraction, original index order
-        self.pivot_log = pivot_log  # ordered pivot record, for reproducibility
-        self._columns = columns  # per column: (re ints, im ints), scaled
-        self._column_scales = column_scales
-        self._inverse_rows = inverse_rows  # per row: (denominator, ((col, re, im), ...))
+    basis: tuple  # index of each row and column
+    diag: tuple  # of Fraction, original index order
+    pivot_log: tuple  # ordered pivot record, for reproducibility
+    columns: tuple
+    column_scales: tuple
+    inverse_rows: tuple
 
     @property
     def inertia(self) -> tuple:
@@ -76,30 +71,9 @@ class CongruenceFactorization:
         return (pos, neg, len(self.diag) - pos - neg)
 
     def integer_column(self, k: int) -> tuple:
-        """Column k of the transform times its pivot minor, as Gaussian integers."""
-        re, im = self._columns[k]
-        return tuple(GaussianRational(Fraction(a), Fraction(b)) for a, b in zip(re, im))
-
-    @cached_property
-    def transform(self) -> tuple:
-        """Rows of the congruence matrix T."""
-        cols = [
-            [GaussianRational(Fraction(a, s), Fraction(b, s)) for a, b in zip(re, im)]
-            for (re, im), s in zip(self._columns, self._column_scales)
-        ]
-        return tuple(zip(*cols))
-
-    @cached_property
-    def inverse(self) -> tuple:
-        """Rows of T^-1, read by signed-squares decompositions."""
-        dim = len(self.diag)
-        rows = []
-        for den, entries in self._inverse_rows:
-            row = [GR_ZERO] * dim
-            for c, a, b in entries:
-                row[c] = GaussianRational(Fraction(a, den), Fraction(b, den))
-            rows.append(tuple(row))
-        return tuple(rows)
+        """Column k of T times its scale, as (re, im) int pairs."""
+        re, im = self.columns[k]
+        return tuple(zip(re, im))
 
 
 def congruence_factorization(scaled: tuple) -> CongruenceFactorization:
@@ -291,25 +265,20 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
         basis=basis,
         diag=tuple(Fraction(re[k][k], L * scales[k]) for k in range(dim)),
         pivot_log=tuple(log),
-        columns=tuple(zip(tre, tim)),
+        columns=tuple((tuple(r), tuple(i)) for r, i in zip(tre, tim)),
         column_scales=tuple(scales),
         inverse_rows=tuple(inverse_rows),
     )
 
 
 def table_quadratic_form(scaled: tuple, basis, v) -> Fraction:
-    """v* (table / L) v for a Gaussian-integer vector v over `basis`, in ints.
+    """v* (table / L) v for v a tuple of (re, im) int pairs over `basis`, in ints.
 
     `scaled` is (L, table) with table mapping (alpha, beta) to (re, im)
     ints, as from `polycore.hermitian_integer_table`.
     """
     L, table = scaled
-    comps = {}
-    for b, x in zip(basis, v):
-        if x.re.denominator != 1 or x.im.denominator != 1:
-            raise ValueError(f"vector entry {x} is not a Gaussian integer")
-        if x.re or x.im:
-            comps[b] = (x.re.numerator, x.im.numerator)
+    comps = {b: z for b, z in zip(basis, v) if z[0] or z[1]}
     acc_re = acc_im = 0
     for (alpha, beta), (x, y) in table.items():
         va = comps.get(alpha)
@@ -329,7 +298,7 @@ def table_quadratic_form(scaled: tuple, basis, v) -> Fraction:
 def negative_direction(fact: CongruenceFactorization, value_of):
     """(v, value_of(v)) for the first negative pivot of `fact`.
 
-    v is that pivot's Gaussian-integer transform column; `value_of` must
+    v is that pivot's transform column as (re, im) int pairs; `value_of` must
     evaluate v* M v on the factored matrix M itself rather than read it off
     the factorization, and a value that is not negative raises
     CertificateFailure.  Returns None when no pivot is negative, i.e. when
@@ -348,40 +317,3 @@ def negative_direction(fact: CongruenceFactorization, value_of):
 def inertia(r: HermitianPoly) -> tuple:
     """(n_plus, n_minus, n_zero) of r's coefficient matrix over its index set, exactly."""
     return congruence_factorization(hermitian_integer_table(r)).inertia
-
-
-@dataclass(frozen=True)
-class HolomorphicDecomposition:
-    """r == sum_i s_i |a_i . Z|^2 - sum_j t_j |b_j . Z|^2 with exact squared scales."""
-
-    plus_rows: tuple  # rows over the basis, Gaussian rational
-    minus_rows: tuple
-    plus_scales: tuple  # positive Fractions
-    minus_scales: tuple  # positive Fractions
-    basis: tuple  # ordered exponent vectors
-
-    @property
-    def signature(self):
-        from .polycore import SignaturePair
-
-        return SignaturePair(len(self.plus_rows), len(self.minus_rows))
-
-
-def holomorphic_decomposition(r: HermitianPoly) -> HolomorphicDecomposition:
-    """Extract an exact signed-squares decomposition from the coefficient matrix."""
-    fact = congruence_factorization(hermitian_integer_table(r))
-    plus_rows, minus_rows, plus_s, minus_s = [], [], [], []
-    for k, d in enumerate(fact.diag):
-        if d > 0:
-            plus_rows.append(fact.inverse[k])
-            plus_s.append(d)
-        elif d < 0:
-            minus_rows.append(fact.inverse[k])
-            minus_s.append(-d)
-    return HolomorphicDecomposition(
-        tuple(plus_rows),
-        tuple(minus_rows),
-        tuple(plus_s),
-        tuple(minus_s),
-        fact.basis,
-    )

@@ -125,9 +125,6 @@ class GaussianRational:
         num = self * other.conjugate()
         return GaussianRational(num.re / den, num.im / den)
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self) -> str:
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
 
@@ -419,14 +416,6 @@ class HermitianPoly:
 
     def is_diagonal(self) -> bool:
         return all(a == b for (a, b) in self._entries)
-
-    def index_set(self) -> list[MultiIndex]:
-        """Sorted list of exponent vectors appearing in any entry."""
-        seen = set()
-        for a, b in self._entries:
-            seen.add(a)
-            seen.add(b)
-        return sorted(seen)
 
     def __eq__(self, other) -> bool:
         return (

@@ -44,7 +44,7 @@ class NegativeCoefficientWitness:
 class NegativeDirectionWitness:
     """A vector v with v* C v < 0 on the product coefficient matrix."""
 
-    vector: tuple
+    vector: tuple  # (re, im) int pairs over `basis`
     basis: tuple
     value: Fraction
 

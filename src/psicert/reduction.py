@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import CertificateFailure, LambdaOutOfRange, NotInPsiD, PivotDominanceViolated
-from .inertia import holomorphic_decomposition
+from .inertia import congruence_factorization
 from .polycore import GaussianRational, HermitianPoly, hermitian_integer_table
 from .psi import in_psi_hermitian
 
@@ -76,13 +76,6 @@ def _primitive(row, weight) -> tuple:
     return tuple((x // g, y // g) for x, y in row), weight * (g * g)
 
 
-def _integer_row(row, weight) -> tuple:
-    """A row of GaussianRational with its weight, as a primitive Gaussian-integer row and weight."""
-    den = lcm(*(x.denominator for z in row for x in (z.re, z.im)))
-    ints = [(z.re.numerator * (den // z.re.denominator), z.im.numerator * (den // z.im.denominator)) for z in row]
-    return _primitive(ints, weight / (den * den))
-
-
 def _rotation(p, q, w, v, sign) -> tuple:
     """The step on pivots p = a[c] and q = b[c] (Gaussian integers (re, im)), in integers.
 
@@ -113,9 +106,9 @@ def _combine(x, a, y, b) -> list:
     ]
 
 
-def _eliminate(a, w, b, v, c: int, sign: int) -> tuple:
-    """((a', w'), (b', v')) for the step on column c, rows made primitive."""
-    (x1, y1, d1), (x2, y2, d2), (w1, v1) = _rotation(a[c], b[c], w, v, sign)
+def _apply(rotation, a, b) -> tuple:
+    """((a', w'), (b', v')): a `_rotation` applied to rows a and b, rows made primitive."""
+    (x1, y1, d1), (x2, y2, d2), (w1, v1) = rotation
     return (
         _primitive(_combine(x1, a, y1, b), w1 / (d1 * d1)),
         _primitive(_combine(x2, a, y2, b), v1 / (d2 * d2)),
@@ -160,16 +153,31 @@ def _add_squares(target: HermitianPoly, basis, terms) -> HermitianPoly:
 
 
 def decompose(r: HermitianPoly) -> DecomposedForm:
-    """The exact signed-squares decomposition of r, as a form whose target is r."""
-    dec = holomorphic_decomposition(r)
-    plus = [_integer_row(row, s) for row, s in zip(dec.plus_rows, dec.plus_scales)]
-    minus = [_integer_row(row, s) for row, s in zip(dec.minus_rows, dec.minus_scales)]
+    """The exact signed-squares decomposition of r, as a form whose target is r.
+
+    r's coefficient matrix M is factored as diag == T* M T, so
+    M == sum_k diag[k] (row k of T^-1)* (row k of T^-1).  Row k of T^-1 is
+    Gaussian integers over its pivot minor den, which may be negative; it
+    becomes the row sign(den) * entries of weight |diag[k]| / den^2, made
+    primitive, in the plus block when diag[k] > 0 and the minus block when
+    diag[k] < 0.
+    """
+    fact = congruence_factorization(hermitian_integer_table(r))
+    plus, minus = [], []
+    for d, (den, entries) in zip(fact.diag, fact.inverse_rows):
+        if not d:
+            continue
+        row = [(0, 0)] * len(fact.basis)
+        s = 1 if den > 0 else -1
+        for c, x, y in entries:
+            row[c] = (s * x, s * y)
+        (plus if d > 0 else minus).append(_primitive(row, abs(d) / (den * den)))
     return DecomposedForm(
         plus_rows=tuple(row for row, _ in plus),
         plus_weights=tuple(w for _, w in plus),
         minus_rows=tuple(row for row, _ in minus),
         minus_weights=tuple(w for _, w in minus),
-        basis=dec.basis,
+        basis=fact.basis,
         target=r,
     )
 
@@ -239,19 +247,29 @@ def hyperbolic_eliminate(a1, b1, w=1, v=1) -> HyperbolicStep:
     (c0, w v / c0).  The J-identity is checked exactly.
     """
     a1, b1 = (z if isinstance(z, GaussianRational) else GaussianRational.of(z) for z in (a1, b1))
-    w, v = Fraction(w), Fraction(v)
-    if w * a1.abs2() <= v * b1.abs2():
-        raise PivotDominanceViolated(f"w|a1|^2 = {w * a1.abs2()} must exceed v|b1|^2 = {v * b1.abs2()}")
     den = lcm(a1.re.denominator, a1.im.denominator, b1.re.denominator, b1.im.denominator)
     p, q = ((int(z.re * den), int(z.im * den)) for z in (a1, b1))
-    *rows, after = _rotation(p, q, w, v, -1)
+    return _cross_step(p, q, Fraction(w), Fraction(v))[0]
+
+
+def _cross_step(p, q, w, v) -> tuple:
+    """(step, rotation): the checked cross-block step on Gaussian-integer pivots p, q.
+
+    The rotation is the one to apply to the rows; the step is built from it,
+    so the dominance and J-identity checks hold for what is applied.
+    """
+    p2, q2 = p[0] ** 2 + p[1] ** 2, q[0] ** 2 + q[1] ** 2
+    if w * p2 <= v * q2:
+        raise PivotDominanceViolated(f"w|a1|^2 must exceed v|b1|^2: w = {w}, v = {v}, a1 : b1 = {p} : {q}")
+    rotation = _rotation(p, q, w, v, -1)
+    *rows, after = rotation
     t = tuple(
         tuple(GaussianRational(Fraction(zr, d), Fraction(zi, d)) for zr, zi in (x, y)) for x, y, d in rows
     )
     step = HyperbolicStep(t, ((w, v), after))
     if not step.j_identity_holds():
         raise CertificateFailure(f"step {t} misses the J-identity")
-    return step
+    return step, rotation
 
 
 def _insert(block: list, row, weight) -> None:
@@ -270,7 +288,7 @@ def _insert(block: list, row, weight) -> None:
             block.insert(i, (c, row, weight))
             return
         _, a, w = block[i]
-        (a, w), (row, weight) = _eliminate(a, w, row, weight, c, +1)
+        (a, w), (row, weight) = _apply(_rotation(a[c], row[c], w, weight, +1), a, row)
         block[i] = (c, a, w)
 
 
@@ -323,8 +341,8 @@ def partial_row_echelon(form: DecomposedForm) -> tuple:
             moved += [(row, (1 - lam) * u) for _, row, u in minus]
             minus = [(lead, row, u * lam) for lead, row, u in minus]
             v *= lam
-        step = hyperbolic_eliminate(GaussianRational.of(*a[c]), GaussianRational.of(*b[c]), w, v)
-        (a, w), (b, v) = _eliminate(a, w, b, v, c, -1)
+        step, rotation = _cross_step(a[c], b[c], w, v)
+        (a, w), (b, v) = _apply(rotation, a, b)
         plus[ra] = (c, a, w)
         del minus[rb]
         _insert(minus, b, v)

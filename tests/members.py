@@ -1,6 +1,7 @@
 """Seeded generators of exact power-1 members used across the test suite.
 
-Members are sums of a known diagonal member (with a negative square) and a
+Also the hypothesis strategy for small Hermitian matrices shared by the
+parity tests.  Members are sums of a known diagonal member (with a negative square) and a
 few random holomorphic squares, which stays in the class because the
 multiplier distributes over sums.  Every instance is re-verified exactly.
 """
@@ -8,8 +9,11 @@ multiplier distributes over sums.  Every instance is re-verified exactly.
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from psicert.generators import example_fig1, generate_two_var
 from psicert.polycore import (
+    GR_ZERO,
     GaussianRational,
     HermitianPoly,
     RealSparsePoly,
@@ -87,3 +91,24 @@ def clashing_form() -> DecomposedForm:
         basis=form.basis,
         target=form.target,
     )
+
+
+def _entry(zero_prob):
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    nonzero = st.builds(GaussianRational.of, part, st.one_of(st.just(0), part))
+    return st.one_of(st.just(GR_ZERO), nonzero) if zero_prob else nonzero
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Rows of a Hermitian matrix of Gaussian rationals, dimension 0..9, zero diagonal half the time."""
+    dim = draw(st.integers(0, 9))
+    zero_diagonal = draw(st.booleans())
+    rows = [[GR_ZERO] * dim for _ in range(dim)]
+    for i in range(dim):
+        if not zero_diagonal:
+            rows[i][i] = GaussianRational.of(draw(st.fractions(min_value=-4, max_value=4, max_denominator=3)))
+        for j in range(i + 1, dim):
+            rows[i][j] = draw(_entry(zero_prob=True))
+            rows[j][i] = rows[i][j].conjugate()
+    return rows

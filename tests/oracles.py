@@ -5,15 +5,16 @@ multiplier code paths: polynomial products are naive dict convolutions,
 product coefficient matrices are assembled and laid out over Gaussian
 rationals, tiny eigen problems are solved from the characteristic
 polynomial, the congruence factorization is the original elimination over
-Gaussian rationals on plain rows, signed sums of squares are expanded over
-Gaussian rationals, and sign patterns are checked by the original
-negative-inflow scan.
+Gaussian rationals on plain rows, the library factorization's integer data
+is read back as Gaussian-rational matrices, signed sums of squares are
+expanded over Gaussian rationals, and sign patterns are checked by the
+original negative-inflow scan.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 
 from psicert.polycore import (
     GR_I,
@@ -312,6 +313,38 @@ def rational_congruence_factorization(rows) -> RationalFactorization:
     )
 
 
+def rational_transform(fact) -> tuple:
+    """Rows of T for a library CongruenceFactorization, over Gaussian rationals."""
+    cols = [
+        [GaussianRational(Fraction(a, s), Fraction(b, s)) for a, b in zip(re, im)]
+        for (re, im), s in zip(fact.columns, fact.column_scales)
+    ]
+    return tuple(zip(*cols))
+
+
+def rational_inverse(fact) -> tuple:
+    """Rows of T^-1 for a library CongruenceFactorization, over Gaussian rationals."""
+    rows = []
+    for den, entries in fact.inverse_rows:
+        row = [GR_ZERO] * len(fact.diag)
+        for c, a, b in entries:
+            row[c] = GaussianRational(Fraction(a, den), Fraction(b, den))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def primitive_form(row, weight) -> tuple:
+    """(s * row, weight / s^2) for the positive rational s making a nonzero row primitive.
+
+    `row` holds Gaussian rationals; the result holds (re, im) int pairs with
+    no common integer factor.  s is the lcm of the denominators over the gcd
+    of the numerators.
+    """
+    parts = [q for z in row for q in (z.re, z.im)]
+    s = Fraction(lcm(*(q.denominator for q in parts)), gcd(*(q.numerator for q in parts)))
+    return tuple((int(z.re * s), int(z.im * s)) for z in row), weight / (s * s)
+
+
 def rational_inertia(rows) -> tuple:
     """(n_plus, n_minus, n_zero) from the signs of the rational eliminator's diagonal."""
     diag = rational_congruence_factorization(rows).diag
@@ -355,12 +388,6 @@ def signed_squares(basis, terms) -> HermitianPoly:
                 key = (alpha, beta)
                 entries[key] = entries.get(key, GR_ZERO) + ca.conjugate() * cb * weight
     return HermitianPoly(len(basis[0]) if basis else 1, entries)
-
-
-def recompose(dec) -> HermitianPoly:
-    """The polynomial a HolomorphicDecomposition represents."""
-    minus = [(row, -s) for row, s in zip(dec.minus_rows, dec.minus_scales)]
-    return signed_squares(dec.basis, [*zip(dec.plus_rows, dec.plus_scales), *minus])
 
 
 def form_polynomial(form) -> HermitianPoly:

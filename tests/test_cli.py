@@ -120,6 +120,17 @@ def test_generate_qk_auto_reports_to_stderr():
     assert doc["n"] == 3  # stdout stays a clean polynomial document
 
 
+@pytest.mark.parametrize("epsilon", ["foo", "1/0"])
+def test_generate_qk_bad_epsilon_is_usage_error(capsys, epsilon):
+    assert run(["generate", "qk", "--n", "3", "--k", "2", "--epsilon", epsilon]) == 2
+    assert "--epsilon: not a rational" in capsys.readouterr().err
+
+
+def test_generate_qk_rational_epsilon(capsys):
+    assert run(["generate", "qk", "--n", "3", "--k", "2", "--epsilon", "1/2"]) == 0
+    assert poly_from_json(json.loads(capsys.readouterr().out)).n == 3
+
+
 def test_verify_bounds(fig2_file):
     r = _run_cli(["verify-bounds", "--poly", fig2_file, "--d", "1"])
     assert r.returncode == 0, r.stderr
@@ -424,6 +435,19 @@ def test_bad_multiplier_is_usage_error(tmp_path, capsys, flag, doc, exps, messag
     argv = ["check-psi", flag, str(inp), "--d", "0", "--multiplier", str(mult)]
     assert run(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, doc", [("--poly", _POLY_DIFF), ("--herm", _HERM_SQUARE)], ids=["poly", "herm"]
+)
+def test_multiplier_for_another_n_is_usage_error(tmp_path, capsys, flag, doc):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    mult = tmp_path / "m.json"
+    mult.write_text(json.dumps({"n": 3, "exps": [[1, 0]]}))
+    argv = ["check-psi", flag, str(inp), "--d", "0", "--multiplier", str(mult)]
+    assert run(argv) == 2
+    assert "multiplier is for n = 3, the input has n = 2" in capsys.readouterr().err
 
 
 def test_hermitian_multiplier_verdicts(tmp_path, capsys):

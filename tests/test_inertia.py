@@ -4,21 +4,22 @@ from math import lcm
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from members import hermitian_matrices
 from oracles import (
     eig_signs_2x2,
+    form_polynomial,
     mat_adjoint,
     mat_mul,
     quadratic_form,
     rational_congruence_factorization,
-    recompose,
+    rational_inverse,
+    rational_transform,
 )
 from psicert.errors import CertificateFailure, ExplicitLimit, NotHermitian, PsicertError
 from psicert.inertia import (
     _integer_rows,
     congruence_factorization,
-    holomorphic_decomposition,
     inertia,
     negative_direction,
     table_quadratic_form,
@@ -31,6 +32,7 @@ from psicert.polycore import (
     real_to_diagonal,
     sign_counts,
 )
+from psicert.reduction import decompose
 
 
 def G(re, im=0):
@@ -65,7 +67,7 @@ def _psd(rows):
     scaled = _table(rows)
     fact = congruence_factorization(scaled)
     found = negative_direction(fact, lambda v: table_quadratic_form(scaled, fact.basis, v))
-    return (True, None) if found is None else (False, found[0])
+    return (True, None) if found is None else (False, [G(*z) for z in found[0]])
 
 
 def test_inertia_identity_and_diag():
@@ -137,7 +139,8 @@ def test_factorization_carries_the_sorted_basis_and_ignores_a_common_factor():
     # the same matrix with every entry and L tripled factors identically
     tripled = congruence_factorization((36, {k: (3 * x, 3 * y) for k, (x, y) in table.items()}))
     assert (tripled.basis, tripled.diag, tripled.pivot_log) == (fact.basis, fact.diag, fact.pivot_log)
-    assert tripled.transform == fact.transform and tripled.inverse == fact.inverse
+    assert rational_transform(tripled) == rational_transform(fact)
+    assert rational_inverse(tripled) == rational_inverse(fact)
 
 
 def test_psd_examples():
@@ -159,14 +162,14 @@ def test_factorization_round_trip_exact():
         [G(0), G(Fraction(1, 2)), G(0)],
     ]
     fact = _factor(M)
-    T = [list(r) for r in fact.transform]
+    T = [list(r) for r in rational_transform(fact)]
     rebuilt = mat_mul(mat_adjoint(T), mat_mul(M, T))
     for i in range(3):
         for j in range(3):
             expect = G(fact.diag[i]) if i == j else GR_ZERO
             assert rebuilt[i][j] == expect
     # transform inverse really is the inverse
-    prod = mat_mul(T, [list(r) for r in fact.inverse])
+    prod = mat_mul(T, [list(r) for r in rational_inverse(fact)])
     for i in range(3):
         for j in range(3):
             assert prod[i][j] == (G(1) if i == j else GR_ZERO)
@@ -176,7 +179,7 @@ def test_quadratic_form_imaginary_value_is_failure():
     # a table holding only one triangle of [[0, 1], [0, 0]] gives v* M v = i at v = (1, i)
     basis = ((0,), (1,))
     with pytest.raises(CertificateFailure):
-        table_quadratic_form((1, {basis: (1, 0)}), basis, [G(1), G(0, 1)])
+        table_quadratic_form((1, {basis: (1, 0)}), basis, [(1, 0), (0, 1)])
 
 
 def test_psd_witness_that_does_not_reevaluate_is_failure():
@@ -190,7 +193,7 @@ def test_factorization_diag_passthrough():
     fact = _factor([[4, 0], [0, -9]])
     assert sorted(fact.diag) == [-9, 4]
     ident = [[G(1), G(0)], [G(0), G(1)]]
-    assert [list(r) for r in fact.transform] == ident
+    assert [list(r) for r in rational_transform(fact)] == ident
 
 
 def test_factorization_determinism():
@@ -272,26 +275,27 @@ def test_diagonal_bridge_agrees_with_sign_counts():
     assert (pos, neg) == (sig.n_plus, sig.n_minus)
 
 
+# the holomorphic (signed-squares) decomposition is reduction.decompose
 def test_holomorphic_decomposition_trivial():
     r = HermitianPoly(2, {((1, 0), (1, 0)): 1, ((0, 1), (0, 1)): -1})
-    dec = holomorphic_decomposition(r)
-    assert dec.signature.n_plus == 1 and dec.signature.n_minus == 1
-    assert dec.plus_scales == (1,) and dec.minus_scales == (1,)
-    assert recompose(dec) == r
+    form = decompose(r)
+    assert form.n_plus == 1 and form.n_minus == 1
+    assert form.plus_weights == (1,) and form.minus_weights == (1,)
+    assert form_polynomial(form) == r
 
 
 def test_holomorphic_decomposition_zero():
-    dec = holomorphic_decomposition(HermitianPoly(2, {}))
-    assert dec.plus_rows == () and dec.minus_rows == ()
+    form = decompose(HermitianPoly(2, {}))
+    assert form.plus_rows == () and form.minus_rows == ()
 
 
 def test_holomorphic_decomposition_psd_two_by_two():
     r = HermitianPoly(
         2, {((1, 0), (1, 0)): 2, ((1, 0), (0, 1)): 1, ((0, 1), (0, 1)): 2}
     )
-    dec = holomorphic_decomposition(r)
-    assert dec.signature.n_plus == 2 and dec.signature.n_minus == 0
-    assert recompose(dec) == r
+    form = decompose(r)
+    assert form.n_plus == 2 and form.n_minus == 0
+    assert form_polynomial(form) == r
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -306,33 +310,13 @@ def test_holomorphic_decomposition_recomposes_exactly(seed):
             entries[(a, b)] = G(rng.randint(-2, 2), rng.randint(-2, 2))
             entries[(b, a)] = entries[(a, b)].conjugate()
     r = HermitianPoly(2, entries)
-    dec = holomorphic_decomposition(r)
-    assert recompose(dec) == r
+    form = decompose(r)
+    assert form_polynomial(form) == r
     pos, neg, _ = inertia(r)
-    assert (dec.signature.n_plus, dec.signature.n_minus) == (pos, neg)
+    assert (form.n_plus, form.n_minus) == (pos, neg)
 
 
-def _entry(zero_prob):
-    part = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    nonzero = st.builds(GaussianRational.of, part, st.one_of(st.just(0), part))
-    return st.one_of(st.just(GR_ZERO), nonzero) if zero_prob else nonzero
-
-
-@st.composite
-def _hermitian_matrices(draw):
-    dim = draw(st.integers(0, 9))
-    zero_diagonal = draw(st.booleans())
-    rows = [[GR_ZERO] * dim for _ in range(dim)]
-    for i in range(dim):
-        if not zero_diagonal:
-            rows[i][i] = G(draw(st.fractions(min_value=-4, max_value=4, max_denominator=3)))
-        for j in range(i + 1, dim):
-            rows[i][j] = draw(_entry(zero_prob=True))
-            rows[j][i] = rows[i][j].conjugate()
-    return rows
-
-
-@given(_hermitian_matrices())
+@given(hermitian_matrices())
 @settings(max_examples=150, deadline=None)
 def test_fraction_free_factorization_matches_rational_oracle(M):
     fact = _factor(M)
@@ -341,8 +325,8 @@ def test_fraction_free_factorization_matches_rational_oracle(M):
     assert fact.pivot_log == ref.pivot_log
     assert fact.diag == ref.diag
     assert all(type(d) is Fraction for d in fact.diag)
-    assert fact.transform == ref.transform
-    assert fact.inverse == ref.inverse
+    assert rational_transform(fact) == ref.transform
+    assert rational_inverse(fact) == ref.inverse
 
 
 def test_oracle_parity_covers_both_bump_factors():
@@ -353,4 +337,4 @@ def test_oracle_parity_covers_both_bump_factors():
         ref = rational_congruence_factorization(M)
         assert ("bump", 0, 1, factor) in fact.pivot_log
         assert (fact.pivot_log, fact.diag) == (ref.pivot_log, ref.diag)
-        assert (fact.transform, fact.inverse) == (ref.transform, ref.inverse)
+        assert (rational_transform(fact), rational_inverse(fact)) == (ref.transform, ref.inverse)

@@ -385,11 +385,12 @@ def _assert_same_verdict(member, cert, M):
         assert cert.factorization.pivot_log == ref.pivot_log
         return
     assert isinstance(cert, NegativeDirectionWitness)
+    vector = [GaussianRational.of(*z) for z in cert.vector]
     column = [row[k] for row in ref.transform]
-    scale = next(x / t for x, t in zip(cert.vector, column) if not t.is_zero())
+    scale = next(x / t for x, t in zip(vector, column) if not t.is_zero())
     assert scale.is_real() and scale.re != 0
-    assert list(cert.vector) == [t * scale for t in column]
-    value = quadratic_form(M.rows, cert.vector)
+    assert vector == [t * scale for t in column]
+    value = quadratic_form(M.rows, vector)
     assert value.is_real() and cert.value == value.re == scale.re**2 * ref.diag[k]
 
 

@@ -2,9 +2,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
-from members import clashing_form, random_psi1_member
-from oracles import form_polynomial
+from members import clashing_form, hermitian_matrices, random_psi1_member
+from oracles import coefficient_matrix, form_polynomial, primitive_form, rational_congruence_factorization
 from psicert import reduction
 from psicert.errors import (
     CertificateFailure,
@@ -223,3 +224,22 @@ def test_random_suite_pipeline(seed):
         assert weighted_j_identity(step)
         if step.lambda_used is not None:
             assert 0 < step.lambda_used < 1
+
+
+@given(hermitian_matrices())
+@example([[G(-3), G(1)], [G(1), G(1)]])  # negative pivot minor
+@example([[ZERO, G(0, Fraction(1, 2)), G(2)], [G(0, Fraction(-1, 2)), ZERO, ZERO], [G(2), ZERO, ZERO]])  # bumps
+@settings(max_examples=150, deadline=None)
+def test_decompose_matches_primitive_oracle_inverse_rows(rows):
+    # row k of the oracle's T^-1 with weight |diag[k]|, made primitive, in pivot order
+    r = HermitianPoly(1, {((i,), (j,)): x for i, row in enumerate(rows) for j, x in enumerate(row)})
+    M = coefficient_matrix(dict(r.items()))
+    ref = rational_congruence_factorization(M.rows)
+    plus = [primitive_form(row, d) for row, d in zip(ref.inverse, ref.diag) if d > 0]
+    minus = [primitive_form(row, -d) for row, d in zip(ref.inverse, ref.diag) if d < 0]
+    form = decompose(r)
+    assert form.basis == M.basis and form.target == r
+    assert form.plus_rows == tuple(row for row, _ in plus)
+    assert form.plus_weights == tuple(w for _, w in plus)
+    assert form.minus_rows == tuple(row for row, _ in minus)
+    assert form.minus_weights == tuple(w for _, w in minus)

@@ -71,3 +71,11 @@ def test_congruence_engine_has_one_door():
     )
     door = "inertia.py:congruence_factorization"
     assert uses == [(door, "_bareiss"), (door, "_integer_rows")], f"other uses of the engine: {uses}"
+
+
+def test_congruence_engine_holds_no_gaussian_rationals():
+    # the factorization and its witnesses carry (re, im) int pairs only
+    path = PACKAGE / "inertia.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    uses = _references(tree, {"GaussianRational", "GR_ZERO"})
+    assert not uses, f"Gaussian rationals in inertia.py: {uses}"
