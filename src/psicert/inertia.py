@@ -1,9 +1,9 @@
 """Exact inertia of Hermitian coefficient tables by fraction-free congruence.
 
 The one entry, `congruence_factorization`, takes a Gaussian-integer table
-(L, {(alpha, beta): (re, im)}) standing for table / L, as built by
-`polycore.hermitian_integer_table` or by the power and multiplier shift
-passes.  It lays the table out as dense integer rows over the sorted index
+(L, {(alpha, beta): (re, im)}) standing for table / L, as a
+`polycore.HermitianPoly` holds it or as the power and multiplier shift
+passes build it.  It lays the table out as dense integer rows over the sorted index
 set and runs symmetric Bareiss elimination (Bareiss 1968) over Gaussian
 integers held as pairs of Python ints.  Sylvester's identity makes every
 division exact, and the pivot signs come from ratios of successive pivot
@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import CertificateFailure, ExplicitLimit, NotHermitian, PsicertError
-from .polycore import HermitianPoly, hermitian_integer_table
+from .polycore import HermitianPoly
 
 _HARD_DIM_CAP = 2048
 
@@ -80,7 +80,7 @@ def congruence_factorization(scaled: tuple) -> CongruenceFactorization:
     """Exact congruence factorization of the coefficient matrix of table / L.
 
     `scaled` is (L, table) with table mapping (alpha, beta) to (re, im)
-    ints, as from `polycore.hermitian_integer_table`; the matrix is indexed
+    ints, as a `HermitianPoly` holds it (`(r.scale, r.table)`); the matrix is indexed
     by the sorted index set, which the factorization carries as `basis`.
     Pivots are deterministic.  A table that is not Hermitian raises
     NotHermitian, and one over more than `PSI_MAX_DIM` indices ExplicitLimit.
@@ -91,7 +91,7 @@ def congruence_factorization(scaled: tuple) -> CongruenceFactorization:
 def _integer_rows(scaled: tuple) -> tuple:
     """(basis, L', re, im): dense rows of the coefficient matrix of table / L.
 
-    `scaled` is (L, table) as from `polycore.hermitian_integer_table`; the
+    `scaled` is (L, table) as for `congruence_factorization`; the
     basis is the sorted index set.  Entries and L are divided by
     g = gcd(L, every entry), so L' is the lcm of the denominators of
     table / L and the rows are L' times the rational matrix.  The dimension
@@ -275,7 +275,7 @@ def table_quadratic_form(scaled: tuple, basis, v) -> Fraction:
     """v* (table / L) v for v a tuple of (re, im) int pairs over `basis`, in ints.
 
     `scaled` is (L, table) with table mapping (alpha, beta) to (re, im)
-    ints, as from `polycore.hermitian_integer_table`.
+    ints, as for `congruence_factorization`.
     """
     L, table = scaled
     comps = {b: z for b, z in zip(basis, v) if z[0] or z[1]}
@@ -316,4 +316,4 @@ def negative_direction(fact: CongruenceFactorization, value_of):
 
 def inertia(r: HermitianPoly) -> tuple:
     """(n_plus, n_minus, n_zero) of r's coefficient matrix over its index set, exactly."""
-    return congruence_factorization(hermitian_integer_table(r)).inertia
+    return congruence_factorization((r.scale, r.table)).inertia

@@ -18,6 +18,8 @@ from .errors import BudgetExhausted, ExplicitLimit, Infeasible
 from .polycore import (
     MultiIndex,
     RealSparsePoly,
+    _exponent_vector,
+    _json_int,
     add_index,
     compositions,
     monomials_of_degree,
@@ -88,8 +90,8 @@ def pattern_from_poly(p: RealSparsePoly) -> SignPattern:
         raise ValueError("zero polynomial has no sign pattern")
     if not p.is_homogeneous():
         raise ValueError("sign patterns are defined for homogeneous polynomials")
-    pos = frozenset(a for a, c in p.items() if c > 0)
-    neg = frozenset(a for a, c in p.items() if c < 0)
+    pos = frozenset(a for a, c in p.table.items() if c > 0)
+    neg = frozenset(a for a, c in p.table.items() if c < 0)
     return SignPattern(p.n, p.degree, pos, neg)
 
 
@@ -107,11 +109,12 @@ def pattern_from_json(doc) -> SignPattern:
 
     if isinstance(doc, str):
         doc = _json.loads(doc)
+    n = _json_int(doc["n"])
     return SignPattern(
-        int(doc["n"]),
-        int(doc["D"]),
-        frozenset(tuple(int(x) for x in a) for a in doc.get("pos", [])),
-        frozenset(tuple(int(x) for x in a) for a in doc.get("neg", [])),
+        n,
+        _json_int(doc["D"]),
+        frozenset(_exponent_vector(a, n) for a in doc.get("pos", [])),
+        frozenset(_exponent_vector(a, n) for a in doc.get("neg", [])),
     )
 
 

@@ -1,10 +1,16 @@
-"""Exact sparse polynomial arithmetic and the Hermitian coefficient table.
+"""Exact sparse polynomials and Hermitian coefficient tables, held as integer tables.
 
-Real polynomials live on the nonnegative orthant with exact rational
-coefficients; Hermitian polynomials are stored as coefficient tables over
-Gaussian rationals indexed by pairs of exponent vectors.  Diagonal Hermitian
-polynomials and real polynomials are interchangeable via the substitution
-x_k = |z_k|^2, and everything here is immutable after construction.
+A real polynomial on the nonnegative orthant is (scale, table): a positive
+int L and a map from exponent vectors to nonzero ints, standing for
+table / L.  A Hermitian polynomial is the same with pairs (alpha, beta) of
+exponent vectors as keys and Gaussian integers (re, im) as entries, over
+both triangles.  L is minimal, so equal polynomials have equal tables.  The
+readers, the simplex and shift passes, the congruence factorization and the
+reduction all work on these tables; Fractions and Gaussian rationals appear
+only at the edges (constructor input, `items()`, `coeff()`, `entry()`).
+Diagonal Hermitian polynomials and real polynomials are interchangeable via
+the substitution x_k = |z_k|^2, and everything here is immutable after
+construction.
 
 All coefficient arithmetic is exact: no floats enter this module.
 """
@@ -14,8 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, gcd
+from itertools import combinations, islice
+from math import comb, gcd, lcm
 
 from .errors import DuplicateMultiplierTerm, NotDiagonal, NotHermitian
 
@@ -69,9 +75,7 @@ def multinomial(d: int, delta: MultiIndex) -> int:
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -161,131 +165,145 @@ class SignaturePair:
         return Fraction(self.n_minus, self.n_plus)
 
 
-class RealSparsePoly:
-    """Finitely supported map from exponent vectors to exact rationals.
+def _exponent_vector(a, n: int) -> tuple:
+    """a as an exponent vector of arity n; anything but nonnegative ints raises ValueError."""
+    alpha = tuple(a)
+    if len(alpha) != n:
+        raise ValueError(f"exponent vector {alpha} does not have arity {n}")
+    for x in alpha:
+        if type(x) is not int:
+            raise ValueError(f"exponent {x!r} in {alpha} is not an integer")
+        if x < 0:
+            raise ValueError(f"negative exponent in {alpha}")
+    return alpha
 
-    Zero coefficients are never stored.  Instances are immutable; all
+
+def _json_int(x) -> int:
+    """x if it is an int; a JSON float, bool or string raises ValueError."""
+    if type(x) is not int:
+        raise ValueError(f"not an integer: {x!r}")
+    return x
+
+
+class _ScaledTable:
+    """A polynomial held as table / scale: nonzero int entries over a positive int.
+
+    The scale is minimal (gcd(scale, every entry) == 1), so equal
+    polynomials have equal (scale, table).  Instances are immutable; all
     arithmetic returns new objects.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "scale", "table")
 
-    def __init__(self, n: int, terms=None):
+    @classmethod
+    def _frozen(cls, n: int, scale: int, table: dict):
         if n < 1:
             raise ValueError("need at least one variable")
-        clean = {}
-        for alpha, c in (terms or {}).items():
-            alpha = tuple(alpha)
-            if len(alpha) != n:
-                raise ValueError(f"exponent vector {alpha} does not have arity {n}")
-            if any(a < 0 for a in alpha):
-                raise ValueError(f"negative exponent in {alpha}")
-            c = _as_fraction(c)
-            if c != 0:
-                clean[alpha] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", clean)
+        obj = object.__new__(cls)
+        for name, value in (("n", n), ("scale", scale), ("table", table)):
+            object.__setattr__(obj, name, value)
+        return obj
 
     def __setattr__(self, *a):
-        raise AttributeError("RealSparsePoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def items(self):
-        return self._terms.items()
+    def is_zero(self) -> bool:
+        return not self.table
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return False
+        return (self.n, self.scale, self.table) == (other.n, other.scale, other.table)
+
+    def __hash__(self):
+        return hash((self.n, self.scale, frozenset(self.table.items())))
+
+
+class RealSparsePoly(_ScaledTable):
+    """The real polynomial table / scale, its table mapping exponent vectors to ints.
+
+    The constructor takes exact rationals per exponent vector; `items()`
+    and `coeff()` build Fractions on demand.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, terms=None):
+        fracs = {}
+        for alpha, c in (terms or {}).items():
+            alpha, c = _exponent_vector(alpha, n), _as_fraction(c)
+            if c:
+                fracs[alpha] = c
+        L = lcm(*(c.denominator for c in fracs.values()))
+        return cls._frozen(n, L, {a: c.numerator * (L // c.denominator) for a, c in fracs.items()})
+
+    @classmethod
+    def _from_table(cls, n: int, scale: int, table: dict) -> "RealSparsePoly":
+        """table / scale, for a positive int scale and nonzero int entries; scale made minimal."""
+        g = gcd(scale, *table.values())
+        if g > 1:
+            scale //= g
+            table = {a: c // g for a, c in table.items()}
+        return cls._frozen(n, scale, table)
+
+    def items(self) -> list:
+        L = self.scale
+        return [(a, Fraction(c, L)) for a, c in self.table.items()]
 
     def coeff(self, alpha: MultiIndex) -> Fraction:
-        return self._terms.get(tuple(alpha), Fraction(0))
+        return Fraction(self.table.get(tuple(alpha), 0), self.scale)
 
     @property
     def support(self) -> frozenset:
-        return frozenset(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
+        return frozenset(self.table)
 
     @property
     def degree(self) -> int | None:
         """Total degree, or None for the zero polynomial."""
-        if not self._terms:
+        if not self.table:
             return None
-        return max(total_degree(a) for a in self._terms)
+        return max(total_degree(a) for a in self.table)
 
     def is_homogeneous(self) -> bool:
-        degs = {total_degree(a) for a in self._terms}
+        degs = {total_degree(a) for a in self.table}
         return len(degs) <= 1
 
     def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RealSparsePoly)
-            and self.n == other.n
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self._terms.items())))
+        return len(self.table)
 
     def __add__(self, other: "RealSparsePoly") -> "RealSparsePoly":
         if self.n != other.n:
             raise ValueError("variable counts differ")
-        out = dict(self._terms)
-        for a, c in other.items():
-            out[a] = out.get(a, Fraction(0)) + c
-        return RealSparsePoly(self.n, out)
+        m = lcm(self.scale, other.scale)
+        f, g = m // self.scale, m // other.scale
+        out = {a: c * f for a, c in self.table.items()}
+        for a, c in other.table.items():
+            out[a] = out.get(a, 0) + c * g
+        return RealSparsePoly._from_table(self.n, m, {a: c for a, c in out.items() if c})
 
     def __neg__(self) -> "RealSparsePoly":
-        return RealSparsePoly(self.n, {a: -c for a, c in self._terms.items()})
+        return RealSparsePoly._from_table(self.n, self.scale, {a: -c for a, c in self.table.items()})
 
     def __sub__(self, other: "RealSparsePoly") -> "RealSparsePoly":
         return self + (-other)
 
-    def scale(self, c) -> "RealSparsePoly":
+    def times(self, c) -> "RealSparsePoly":
+        """c times the polynomial, for an exact rational c."""
         c = _as_fraction(c)
-        return RealSparsePoly(self.n, {a: c * v for a, v in self._terms.items()})
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        bits = []
-        for alpha in sorted(self._terms):
-            c = self._terms[alpha]
-            mono = "*".join(
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(alpha)
-                if e
-            )
-            bits.append(f"{c}" if not mono else f"{c}*{mono}")
-        return " + ".join(bits).replace("+ -", "- ")
+        table = {a: v * c.numerator for a, v in self.table.items()} if c else {}
+        return RealSparsePoly._from_table(self.n, self.scale * c.denominator, table)
 
     def __repr__(self) -> str:
-        return f"RealSparsePoly(n={self.n}, terms={len(self._terms)})"
-
-
-def integer_table(p: RealSparsePoly) -> tuple:
-    """(L, table): L the lcm of p's coefficient denominators, table = L*p as ints.
-
-    L is positive, so every coefficient keeps its sign.
-    """
-    L = 1
-    for _, c in p.items():
-        den = c.denominator
-        L = L // gcd(L, den) * den
-    return L, {a: c.numerator * (L // c.denominator) for a, c in p.items()}
-
-
-def poly_from_table(n: int, L: int, table: dict) -> RealSparsePoly:
-    """The polynomial table / L, for an integer table from `integer_table`."""
-    return RealSparsePoly(n, {a: Fraction(c, L) for a, c in table.items()})
+        return f"RealSparsePoly(n={self.n}, terms={len(self.table)})"
 
 
 def simplex_powers(p: RealSparsePoly):
     """Yield (L, table) for d = 0, 1, 2, ...: table / L = p * (x_1 + ... + x_n)^d.
 
-    L is fixed by `integer_table(p)`; each step is one convolution pass
-    over Python ints, and zero coefficients are dropped.
+    L is p's scale; each step is one convolution pass over Python ints, and
+    zero coefficients are dropped.
     """
-    L, table = integer_table(p)
+    L, table = p.scale, p.table
     shifts = range(p.n)
     while True:
         yield L, table
@@ -302,190 +320,162 @@ def simplex_power_table(p: RealSparsePoly, d: int) -> tuple:
     """(L, table) with table / L = p * (x_1 + ... + x_n)^d."""
     if d < 0:
         raise ValueError("power must be nonnegative")
-    powers = simplex_powers(p)
-    for _ in range(d):
-        next(powers)
-    return next(powers)
+    return next(islice(simplex_powers(p), d, None))
 
 
 def multiply_by_simplex_power(p: RealSparsePoly, d: int) -> RealSparsePoly:
     """p times (x_1 + ... + x_n)^d, computed by d exact convolution passes."""
-    return poly_from_table(p.n, *simplex_power_table(p, d))
+    return RealSparsePoly._from_table(p.n, *simplex_power_table(p, d))
 
 
 def multiplier_exponents(s, n: int) -> list:
     """The exponent vectors alpha_j of a multiplier sum_j x^{alpha_j}, checked.
 
-    They must be nonempty, distinct, of arity n and nonnegative.
+    They must be nonempty, distinct, of arity n and nonnegative ints.
     """
-    exps = [tuple(a) for a in s]
+    exps = [_exponent_vector(a, n) for a in s]
     if not exps:
         raise ValueError("multiplier must be nonempty")
     if len(set(exps)) != len(exps):
         raise DuplicateMultiplierTerm(f"repeated exponent vector in {exps}")
-    for a in exps:
-        if len(a) != n:
-            raise ValueError(f"multiplier term {a} does not have arity {n}")
-        if any(x < 0 for x in a):
-            raise ValueError(f"negative exponent in multiplier term {a}")
     return exps
 
 
 def diagonal_multiplier_table(p: RealSparsePoly, s) -> tuple:
     """(L, table) with table / L = p * sum_j x^{alpha_j}, alpha_j distinct."""
     exps = multiplier_exponents(s, p.n)
-    L, table = integer_table(p)
     out: dict = {}
-    for alpha, c in table.items():
+    for alpha, c in p.table.items():
         for delta in exps:
             key = add_index(alpha, delta)
             out[key] = out.get(key, 0) + c
-    return L, {a: c for a, c in out.items() if c}
+    return p.scale, {a: c for a, c in out.items() if c}
 
 
 def multiply_by_diagonal_multiplier(p: RealSparsePoly, s) -> RealSparsePoly:
     """p times sum_j x^{alpha_j} for distinct exponent vectors alpha_j."""
-    return poly_from_table(p.n, *diagonal_multiplier_table(p, s))
+    return RealSparsePoly._from_table(p.n, *diagonal_multiplier_table(p, s))
 
 
 def homogeneous_components(p: RealSparsePoly) -> list[RealSparsePoly]:
     """Nonzero homogeneous parts of p, ordered by increasing total degree."""
     buckets: dict = {}
-    for alpha, c in p.items():
+    for alpha, c in p.table.items():
         buckets.setdefault(total_degree(alpha), {})[alpha] = c
-    return [RealSparsePoly(p.n, buckets[deg]) for deg in sorted(buckets)]
+    return [RealSparsePoly._from_table(p.n, p.scale, buckets[deg]) for deg in sorted(buckets)]
 
 
 def sign_counts(p: RealSparsePoly) -> SignaturePair:
     """Numbers of strictly positive and strictly negative coefficients."""
-    pos = sum(1 for _, c in p.items() if c > 0)
-    neg = sum(1 for _, c in p.items() if c < 0)
-    return SignaturePair(pos, neg)
+    pos = sum(1 for c in p.table.values() if c > 0)
+    return SignaturePair(pos, len(p.table) - pos)
 
 
-class HermitianPoly:
-    """Coefficient table of a real-valued polynomial in z and conj(z).
+def _hermitian_closure(staged: dict) -> dict:
+    """Both triangles of a table of nonzero Gaussian integers, its symmetry checked in ints.
 
-    Entries map pairs (alpha, beta) of exponent vectors to Gaussian
-    rationals; the table is closed under (alpha, beta) -> (beta, alpha)
-    with conjugation, so the represented polynomial is real-valued.
+    A diagonal entry must be real, and an entry given on both sides must be
+    the conjugate of its mirror; otherwise NotHermitian.
+    """
+    table: dict = {}
+    for (alpha, beta), (x, y) in staged.items():
+        if alpha == beta:
+            if y:
+                raise NotHermitian(f"diagonal entry at {alpha} is not real")
+        else:
+            if staged.get((beta, alpha), (x, -y)) != (x, -y):
+                raise NotHermitian(f"entries at {(alpha, beta)} and {(beta, alpha)} are not conjugate")
+            table[(beta, alpha)] = (x, -y)
+        table[(alpha, beta)] = (x, y)
+    return table
+
+
+class HermitianPoly(_ScaledTable):
+    """Coefficient table of a real-valued polynomial in z and conj(z), as table / scale.
+
+    `table` maps pairs (alpha, beta) of exponent vectors to Gaussian
+    integers (re, im), a pair of ints, over both triangles: it is closed
+    under (alpha, beta) -> (beta, alpha) with conjugation, so the
+    represented polynomial is real-valued.  The constructor takes Gaussian
+    rationals (or rationals) per pair; `entry()` and `items()` build them on
+    demand.
     """
 
-    __slots__ = ("n", "_entries")
+    __slots__ = ()
 
-    def __init__(self, n: int, entries=None):
-        if n < 1:
-            raise ValueError("need at least one variable")
-        staged: dict = {}
+    def __new__(cls, n: int, entries=None):
+        values: dict = {}
         for (alpha, beta), value in (entries or {}).items():
-            alpha, beta = tuple(alpha), tuple(beta)
-            if len(alpha) != n or len(beta) != n:
-                raise ValueError("exponent vector arity mismatch")
-            if any(a < 0 for a in alpha + beta):
-                raise ValueError("negative exponent")
+            key = (_exponent_vector(alpha, n), _exponent_vector(beta, n))
             value = _as_gaussian(value)
-            if value.is_zero():
-                continue
-            staged[(alpha, beta)] = value
-        # complete the conjugate triangle and reject inconsistencies
-        clean: dict = {}
-        for (alpha, beta), value in staged.items():
-            mirror = staged.get((beta, alpha))
-            if alpha == beta and value.im != 0:
-                raise NotHermitian(f"diagonal entry at {alpha} is not real: {value}")
-            if mirror is not None and mirror != value.conjugate():
-                raise NotHermitian(
-                    f"entries at {(alpha, beta)} and {(beta, alpha)} are not conjugate"
-                )
-            clean[(alpha, beta)] = value
-            clean[(beta, alpha)] = value.conjugate()
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_entries", clean)
+            if not value.is_zero():
+                values[key] = value
+        L = lcm(*(x.denominator for v in values.values() for x in (v.re, v.im)))
+        staged = {
+            key: (v.re.numerator * (L // v.re.denominator), v.im.numerator * (L // v.im.denominator))
+            for key, v in values.items()
+        }
+        return cls._frozen(n, L, _hermitian_closure(staged))
 
-    def __setattr__(self, *a):
-        raise AttributeError("HermitianPoly is immutable")
+    @classmethod
+    def _from_table(cls, n: int, scale: int, table: dict) -> "HermitianPoly":
+        """table / scale, for a positive int scale and a table closed under conjugation; scale made minimal."""
+        g = gcd(scale, *(x for v in table.values() for x in v))
+        if g > 1:
+            scale //= g
+            table = {key: (x // g, y // g) for key, (x, y) in table.items()}
+        return cls._frozen(n, scale, table)
 
-    def items(self):
-        return self._entries.items()
+    def items(self) -> list:
+        L = self.scale
+        return [(key, GaussianRational(Fraction(x, L), Fraction(y, L))) for key, (x, y) in self.table.items()]
 
     def entry(self, alpha: MultiIndex, beta: MultiIndex) -> GaussianRational:
-        return self._entries.get((tuple(alpha), tuple(beta)), GR_ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._entries
+        x, y = self.table.get((tuple(alpha), tuple(beta)), (0, 0))
+        return GaussianRational(Fraction(x, self.scale), Fraction(y, self.scale))
 
     def is_diagonal(self) -> bool:
-        return all(a == b for (a, b) in self._entries)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HermitianPoly)
-            and self.n == other.n
-            and self._entries == other._entries
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self._entries.items())))
+        return all(a == b for (a, b) in self.table)
 
     def __add__(self, other: "HermitianPoly") -> "HermitianPoly":
         if self.n != other.n:
             raise ValueError("variable counts differ")
-        out = dict(self._entries)
-        for key, v in other.items():
-            cur = out.get(key, GR_ZERO) + v
-            if cur.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = cur
-        return HermitianPoly(self.n, out)
+        m = lcm(self.scale, other.scale)
+        f, g = m // self.scale, m // other.scale
+        out = {key: (x * f, y * f) for key, (x, y) in self.table.items()}
+        for key, (x, y) in other.table.items():
+            u, t = out.get(key, (0, 0))
+            out[key] = (u + x * g, t + y * g)
+        return HermitianPoly._from_table(self.n, m, {key: v for key, v in out.items() if v[0] or v[1]})
 
-    def scale(self, c) -> "HermitianPoly":
+    def times(self, c) -> "HermitianPoly":
+        """c times the polynomial, for an exact rational c."""
         c = _as_fraction(c)
-        return HermitianPoly(self.n, {k: v * c for k, v in self._entries.items()})
+        k = c.numerator
+        table = {key: (x * k, y * k) for key, (x, y) in self.table.items()} if c else {}
+        return HermitianPoly._from_table(self.n, self.scale * c.denominator, table)
 
     def __repr__(self) -> str:
-        return f"HermitianPoly(n={self.n}, entries={len(self._entries)})"
+        return f"HermitianPoly(n={self.n}, entries={len(self.table)})"
 
 
 def hermitian_from_square(n: int, coeffs: dict) -> HermitianPoly:
     """|f(z)|^2 for the holomorphic polynomial f with the given coefficients."""
-    entries = {}
-    items = [(tuple(a), _as_gaussian(c)) for a, c in coeffs.items() if not _as_gaussian(c).is_zero()]
-    for alpha, ca in items:
-        for beta, cb in items:
-            key = (alpha, beta)
-            val = entries.get(key, GR_ZERO) + ca.conjugate() * cb
-            entries[key] = val
-    return HermitianPoly(n, entries)
+    items = [(tuple(a), _as_gaussian(c)) for a, c in coeffs.items()]
+    return HermitianPoly(n, {(alpha, beta): ca.conjugate() * cb for alpha, ca in items for beta, cb in items})
 
 
 def real_to_diagonal(p: RealSparsePoly) -> HermitianPoly:
     """Diagonal Hermitian polynomial matching p under x_k = |z_k|^2."""
-    return HermitianPoly(p.n, {(a, a): GaussianRational.of(c) for a, c in p.items()})
+    return HermitianPoly._from_table(p.n, p.scale, {(a, a): (c, 0) for a, c in p.table.items()})
 
 
 def diagonal_real_bridge(r: HermitianPoly) -> RealSparsePoly:
     """Real polynomial matching a diagonal Hermitian polynomial."""
     if not r.is_diagonal():
-        off = next(k for k in dict(r.items()) if k[0] != k[1])
+        off = next(k for k in r.table if k[0] != k[1])
         raise NotDiagonal(f"nonzero off-diagonal entry at {off}")
-    return RealSparsePoly(r.n, {a: v.re for (a, _), v in r.items()})
-
-
-def hermitian_integer_table(r: HermitianPoly) -> tuple:
-    """(L, table): L the lcm of the denominators in r's entries, table = L*r.
-
-    table maps (alpha, beta) to the Gaussian integer (re, im), a pair of
-    ints; like r it holds both triangles and no zero entries.
-    """
-    L = 1
-    for _, v in r.items():
-        for den in (v.re.denominator, v.im.denominator):
-            L = L // gcd(L, den) * den
-    return L, {
-        key: (v.re.numerator * (L // v.re.denominator), v.im.numerator * (L // v.im.denominator))
-        for key, v in r.items()
-    }
+    return RealSparsePoly._from_table(r.n, r.scale, {a: x for (a, _), (x, _) in r.table.items()})
 
 
 def _shift_table(scaled: tuple, exps) -> tuple:
@@ -512,12 +502,11 @@ def _shift_table(scaled: tuple, exps) -> tuple:
 def hermitian_powers(r: HermitianPoly):
     """Yield (L, table) for d = 0, 1, 2, ...: table / L = r * |z|^(2d).
 
-    L and the d = 0 table come from `hermitian_integer_table(r)`; since
-    |z|^2 = |z_1|^2 + ... + |z_n|^2, each step is one shift pass over the
-    unit vectors, in Python ints.
+    The d = 0 table is r's own; since |z|^2 = |z_1|^2 + ... + |z_n|^2, each
+    step is one shift pass over the unit vectors, in Python ints.
     """
     units = [tuple(int(i == k) for i in range(r.n)) for k in range(r.n)]
-    scaled = hermitian_integer_table(r)
+    scaled = r.scale, r.table
     while True:
         yield scaled
         scaled = _shift_table(scaled, units)
@@ -525,79 +514,88 @@ def hermitian_powers(r: HermitianPoly):
 
 def hermitian_multiplier_table(r: HermitianPoly, s) -> tuple:
     """(L, table) with table / L = r * sum_j |z^{alpha_j}|^2, alpha_j distinct."""
-    return _shift_table(hermitian_integer_table(r), multiplier_exponents(s, r.n))
+    return _shift_table((r.scale, r.table), multiplier_exponents(s, r.n))
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange formats (bit-exact: rationals travel as strings)
+#
+# Readers accept JSON integers only for "n" and exponents.  Each distinct
+# coefficient text of a document is parsed once with Fraction(text), which
+# sets the grammar ("1/2", " 1/2 ", "0.5", "1e3", a bare JSON number); the
+# table is built over the lcm of their denominators.
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
+def _rational_texts(parsed: dict) -> tuple:
+    """(L, {text: Fraction(text) * L as an int}) for the parsed texts, L the lcm of their denominators."""
+    L = lcm(*(den for _, den in parsed.values()))
+    return L, {text: num * (L // den) for text, (num, den) in parsed.items()}
 
 
-class _FractionMemo(dict):
-    """Rational strings of one document, each parsed once: memo[text] is Fraction(text)."""
+def _parse(parsed: dict, text: str) -> str:
+    """Record Fraction(text) as (numerator, denominator) under text, once per document."""
+    if text not in parsed:
+        f = Fraction(text)
+        parsed[text] = f.numerator, f.denominator
+    return text
 
-    def __missing__(self, text: str) -> Fraction:
-        value = self[text] = Fraction(text)
-        return value
+
+def _rational_str(c: int, L: int) -> str:
+    """str(Fraction(c, L)) for L > 0, without building the Fraction."""
+    g = gcd(c, L)
+    return str(c // g) if g == L else f"{c // g}/{L // g}"
 
 
 def poly_to_json(p: RealSparsePoly) -> dict:
-    return {
-        "n": p.n,
-        "terms": [
-            {"exp": list(alpha), "coef": _frac_str(c)}
-            for alpha, c in sorted(p.items())
-        ],
-    }
+    terms = [{"exp": list(alpha), "coef": _rational_str(c, p.scale)} for alpha, c in sorted(p.table.items())]
+    return {"n": p.n, "terms": terms}
 
 
 def poly_from_json(doc) -> RealSparsePoly:
+    """Parse {"n", "terms": [{"exp", "coef"}, ...]}; repeated terms add up."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    n = int(doc["n"])
-    parse = _FractionMemo()
-    terms: dict = {}
-    for t in doc["terms"]:
-        alpha = tuple(map(int, t["exp"]))
-        c = parse[str(t["coef"])]
-        if alpha in terms:
-            c += terms[alpha]
-        terms[alpha] = c
-    return RealSparsePoly(n, terms)
+    n = _json_int(doc["n"])
+    parsed: dict = {}
+    read = [(_exponent_vector(t["exp"], n), _parse(parsed, str(t["coef"]))) for t in doc["terms"]]
+    L, value = _rational_texts(parsed)
+    table: dict = {}
+    for alpha, text in read:
+        c = value[text]
+        if alpha in table:
+            c += table[alpha]
+        table[alpha] = c
+    return RealSparsePoly._from_table(n, L, {a: c for a, c in table.items() if c})
 
 
 def hermitian_to_json(r: HermitianPoly) -> dict:
-    # emit one triangle only; (alpha, beta) with alpha <= beta
-    out = []
-    for (alpha, beta), v in sorted(r.items()):
-        if alpha > beta:
-            continue
-        out.append(
-            {
-                "alpha": list(alpha),
-                "beta": list(beta),
-                "re": _frac_str(v.re),
-                "im": _frac_str(v.im),
-            }
-        )
-    return {"n": r.n, "entries": out}
+    """One triangle only: the entries at (alpha, beta) with alpha <= beta."""
+    L = r.scale
+    entries = [
+        {"alpha": list(alpha), "beta": list(beta), "re": _rational_str(x, L), "im": _rational_str(y, L)}
+        for (alpha, beta), (x, y) in sorted(r.table.items())
+        if alpha <= beta
+    ]
+    return {"n": r.n, "entries": entries}
 
 
 def hermitian_from_json(doc) -> HermitianPoly:
-    """Parse and validate; the completed table must be Hermitian."""
+    """Parse and validate; a repeated entry must equal the first, and the table must be Hermitian."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    n = int(doc["n"])
-    parse = _FractionMemo()
-    entries: dict = {}
+    n = _json_int(doc["n"])
+    parsed: dict = {}
+    staged: dict = {}
     for e in doc["entries"]:
-        alpha = tuple(int(x) for x in e["alpha"])
-        beta = tuple(int(x) for x in e["beta"])
-        val = GaussianRational(parse[str(e["re"])], parse[str(e.get("im", "0"))])
-        if (alpha, beta) in entries and entries[(alpha, beta)] != val:
-            raise NotHermitian(f"conflicting duplicate entry at {(alpha, beta)}")
-        entries[(alpha, beta)] = val
-    return HermitianPoly(n, entries)  # constructor enforces symmetry
+        key = (_exponent_vector(e["alpha"], n), _exponent_vector(e["beta"], n))
+        texts = (_parse(parsed, str(e["re"])), _parse(parsed, str(e.get("im", "0"))))
+        first = staged.setdefault(key, texts)
+        if first != texts and (parsed[first[0]], parsed[first[1]]) != (parsed[texts[0]], parsed[texts[1]]):
+            raise NotHermitian(f"conflicting duplicate entry at {key}")
+    L, value = _rational_texts(parsed)
+    ints = {}
+    for key, (re, im) in staged.items():
+        x, y = value[re], value[im]
+        if x or y:
+            ints[key] = (x, y)
+    return HermitianPoly._from_table(n, L, _hermitian_closure(ints))

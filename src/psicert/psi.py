@@ -23,7 +23,6 @@ from .polycore import (
     diagonal_real_bridge,
     hermitian_multiplier_table,
     hermitian_powers,
-    poly_from_table,
     simplex_power_table,
     simplex_powers,
 )
@@ -49,24 +48,11 @@ class NegativeDirectionWitness:
     value: Fraction
 
 
+@dataclass(frozen=True)
 class NonnegativeProductCertificate:
-    """The expanded diagonal product; all coefficients are nonnegative.
+    """The expanded diagonal product; all coefficients are nonnegative."""
 
-    Held as an integer table with its positive scale L (product = table / L);
-    `product` is built when first read.
-    """
-
-    def __init__(self, n: int, scale: int, table: dict):
-        self.n = n
-        self.scale = scale
-        self.table = table
-        self._product = None
-
-    @property
-    def product(self) -> RealSparsePoly:
-        if self._product is None:
-            self._product = poly_from_table(self.n, self.scale, self.table)
-        return self._product
+    product: RealSparsePoly
 
 
 @dataclass(frozen=True)
@@ -98,7 +84,8 @@ def _nonnegative_verdict(n: int, scaled: tuple, d, multiplier=None) -> PsiReport
         worst = min(negatives)
         witness = NegativeCoefficientWitness(worst, Fraction(table[worst], L))
         return PsiReport(d, False, witness, multiplier)
-    return PsiReport(d, True, NonnegativeProductCertificate(n, L, table), multiplier)
+    product = RealSparsePoly._from_table(n, L, table)
+    return PsiReport(d, True, NonnegativeProductCertificate(product), multiplier)
 
 
 def in_psi_diagonal(p: RealSparsePoly, d: int) -> PsiReport:
@@ -125,7 +112,7 @@ def in_psi_hermitian(r: HermitianPoly, d: int) -> PsiReport:
     if d < 0:
         raise ValueError("power must be nonnegative")
     if r.is_zero():
-        return PsiReport(d, True, NonnegativeProductCertificate(r.n, 1, {}))
+        return PsiReport(d, True, NonnegativeProductCertificate(RealSparsePoly(r.n)))
     member, cert = _psd_verdict(next(islice(hermitian_powers(r), d, None)))
     return PsiReport(d, member, cert)
 

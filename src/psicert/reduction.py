@@ -33,7 +33,7 @@ from math import gcd, lcm
 
 from .errors import CertificateFailure, LambdaOutOfRange, NotInPsiD, PivotDominanceViolated
 from .inertia import congruence_factorization
-from .polycore import GaussianRational, HermitianPoly, hermitian_integer_table
+from .polycore import GaussianRational, HermitianPoly, _hermitian_closure
 from .psi import in_psi_hermitian
 
 
@@ -140,16 +140,17 @@ def _table(basis, terms) -> tuple:
 
 
 def _add_squares(target: HermitianPoly, basis, terms) -> HermitianPoly:
-    """target + sum weight |row . Z|^2 over the (row, weight) terms."""
+    """target + sum weight |row . Z|^2 over the (row, weight) terms, on integer tables."""
     den, table = _table(basis, terms)
-    L, base = hermitian_integer_table(target)
+    L = target.scale
     m = lcm(den, L)
-    sums = {key: (x * (m // L), y * (m // L)) for key, (x, y) in base.items() if key[0] <= key[1]}
+    f, g = m // L, m // den
+    sums = {key: (x * f, y * f) for key, (x, y) in target.table.items() if key[0] <= key[1]}
     for key, (x, y) in table.items():
         u, t = sums.get(key, (0, 0))
-        sums[key] = (u + x * (m // den), t + y * (m // den))
-    entries = {key: GaussianRational(Fraction(x, m), Fraction(y, m)) for key, (x, y) in sums.items()}
-    return HermitianPoly(target.n, entries)
+        sums[key] = (u + x * g, t + y * g)
+    upper = {key: v for key, v in sums.items() if v[0] or v[1]}
+    return HermitianPoly._from_table(target.n, m, _hermitian_closure(upper))
 
 
 def decompose(r: HermitianPoly) -> DecomposedForm:
@@ -162,7 +163,7 @@ def decompose(r: HermitianPoly) -> DecomposedForm:
     primitive, in the plus block when diag[k] > 0 and the minus block when
     diag[k] < 0.
     """
-    fact = congruence_factorization(hermitian_integer_table(r))
+    fact = congruence_factorization((r.scale, r.table))
     plus, minus = [], []
     for d, (den, entries) in zip(fact.diag, fact.inverse_rows):
         if not d:
@@ -375,7 +376,7 @@ def reconstruction_error(form: DecomposedForm) -> Fraction:
     terms = list(zip(form.plus_rows, form.plus_weights))
     terms += [(row, -v) for row, v in zip(form.minus_rows, form.minus_weights)]
     den, got = _table(form.basis, terms)
-    L, want = hermitian_integer_table(form.target)
+    L, want = form.target.scale, form.target.table
     gap = 0
     for key in got.keys() | {key for key in want if key[0] <= key[1]}:
         (x, y), (u, t) = got.get(key, (0, 0)), want.get(key, (0, 0))

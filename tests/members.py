@@ -41,7 +41,7 @@ def random_psi1_member(seed: int) -> HermitianPoly:
         base = _permute_poly(example_fig1(), rng.choice(perms))
     D = base.degree
     scale = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-    r = real_to_diagonal(base.scale(scale))
+    r = real_to_diagonal(base.times(scale))
 
     from psicert.polycore import monomials_of_degree
 
@@ -55,7 +55,7 @@ def random_psi1_member(seed: int) -> HermitianPoly:
                 )
         square = hermitian_from_square(n, coeffs)
         if not square.is_zero():
-            r = r + square.scale(Fraction(rng.randint(1, 2), rng.randint(1, 3)))
+            r = r + square.times(Fraction(rng.randint(1, 2), rng.randint(1, 3)))
 
     assert in_psi_hermitian(r, 1).member
     return r

@@ -7,8 +7,9 @@ rationals, tiny eigen problems are solved from the characteristic
 polynomial, the congruence factorization is the original elimination over
 Gaussian rationals on plain rows, the library factorization's integer data
 is read back as Gaussian-rational matrices, signed sums of squares are
-expanded over Gaussian rationals, and sign patterns are checked by the
-original negative-inflow scan.
+expanded over Gaussian rationals, sign patterns are checked by the
+original negative-inflow scan, and JSON documents are parsed term by term
+into Fraction and Gaussian-rational dicts.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 
+from psicert.errors import NotHermitian
 from psicert.polycore import (
     GR_I,
     GR_ONE,
@@ -394,3 +396,41 @@ def form_polynomial(form) -> HermitianPoly:
     """The polynomial the rows of a reduction DecomposedForm represent."""
     minus = [(row, -w) for row, w in zip(form.minus_rows, form.minus_weights)]
     return signed_squares(form.basis, [*zip(form.plus_rows, form.plus_weights), *minus])
+
+
+def plain_poly_parse(doc) -> dict:
+    """alpha -> Fraction of a polynomial document, one Fraction per term.
+
+    Repeated terms add up and zero sums are dropped.
+    """
+    terms: dict = {}
+    for t in doc["terms"]:
+        alpha = tuple(t["exp"])
+        terms[alpha] = terms.get(alpha, Fraction(0)) + Fraction(str(t["coef"]))
+    return {a: c for a, c in terms.items() if c}
+
+
+def plain_hermitian_parse(doc) -> dict:
+    """(alpha, beta) -> GaussianRational over both triangles of a Hermitian document.
+
+    An identical repeat is accepted and a conflicting one raises NotHermitian;
+    zero entries are dropped, then a diagonal entry with an imaginary part, or
+    an entry whose mirror is not its conjugate, raises NotHermitian.
+    """
+    staged: dict = {}
+    for e in doc["entries"]:
+        key = (tuple(e["alpha"]), tuple(e["beta"]))
+        value = GaussianRational(Fraction(str(e["re"])), Fraction(str(e.get("im", "0"))))
+        if staged.get(key, value) != value:
+            raise NotHermitian(f"conflicting duplicate entry at {key}")
+        staged[key] = value
+    staged = {key: v for key, v in staged.items() if not v.is_zero()}
+    out: dict = {}
+    for (alpha, beta), v in staged.items():
+        if alpha == beta and v.im:
+            raise NotHermitian(f"diagonal entry at {alpha} is not real")
+        if staged.get((beta, alpha), v.conjugate()) != v.conjugate():
+            raise NotHermitian(f"entries at {(alpha, beta)} and {(beta, alpha)} are not conjugate")
+        out[(alpha, beta)] = v
+        out[(beta, alpha)] = v.conjugate()
+    return out

@@ -575,3 +575,53 @@ def test_back_to_back_runs_share_no_state(fig2_file, capsys):
         fresh = _run_cli(argv)
         assert run(argv) == fresh.returncode
         assert capsys.readouterr().out == fresh.stdout
+
+
+_MEMBER_PATTERN = {"n": 2, "D": 2, "pos": [[2, 0], [0, 2]], "neg": [[1, 1]]}
+_SEARCH = ["search", "--n", "2", "--D", "2", "--d", "1"]
+_NON_INTEGER = [
+    ("--poly", {"n": 2, "terms": [{"exp": [1.7, 0], "coef": "1"}]}, ["check-psi", "--d", "0"]),
+    ("--poly", {"n": 2, "terms": [{"exp": [1.0, 0], "coef": "1"}]}, ["check-psi", "--d", "0"]),
+    ("--poly", {"n": 2, "terms": [{"exp": [True, 0], "coef": "1"}]}, ["signature"]),
+    ("--poly", {"n": 2.9, "terms": [{"exp": [1, 0], "coef": "1"}]}, ["check-psi", "--d", "0"]),
+    ("--poly", {"n": "2", "terms": [{"exp": [1, 0], "coef": "1"}]}, ["min-d"]),
+    ("--herm", {"n": 2, "entries": [{"alpha": [1.0, 0], "beta": [1, 0], "re": "1"}]}, ["signature"]),
+    ("--herm", {"n": 2, "entries": [{"alpha": [1, 0], "beta": [1, "0"], "re": "1"}]}, ["min-d"]),
+    ("--herm", {"n": True, "entries": [{"alpha": [1], "beta": [1], "re": "1"}]}, ["reduce"]),
+    ("--pattern", dict(_MEMBER_PATTERN, n=2.0), ["diagram"]),
+    ("--pattern", dict(_MEMBER_PATTERN, D=2.5), ["diagram"]),
+    ("--pattern", dict(_MEMBER_PATTERN, pos=[[2, 0], [0, 2.0]]), ["diagram"]),
+    ("--pattern", dict(_MEMBER_PATTERN, neg=[[1, True]]), ["diagram"]),
+    ("--support", dict(_MEMBER_PATTERN, pos=[[2, 0], [0, 2.0]]), _SEARCH),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, doc, argv",
+    _NON_INTEGER,
+    ids=["poly-exp-float", "poly-exp-integral-float", "poly-exp-bool", "poly-n-float", "poly-n-string",
+         "herm-alpha-float", "herm-beta-string", "herm-n-bool", "pattern-n-float", "pattern-D-float",
+         "pattern-pos-float", "pattern-neg-bool", "support-float"],
+)
+def test_non_integer_sizes_and_exponents_are_usage_errors(tmp_path, capsys, flag, doc, argv):
+    # JSON integers only: int() used to truncate 1.7 to 1 and 2.9 to 2
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    assert run([argv[0], flag, str(inp), *argv[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "usage error" in out.err
+
+
+@pytest.mark.parametrize(
+    "mult",
+    [{"n": 2, "exps": [[1.5, 0]]}, {"n": 2, "exps": [[1, 0], [0, True]]}, {"n": 2.0, "exps": [[1, 0]]}],
+    ids=["exp-float", "exp-bool", "n-float"],
+)
+def test_non_integer_multiplier_is_usage_error(tmp_path, capsys, mult):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(_POLY_DIFF))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(mult))
+    assert run(["check-psi", "--poly", str(inp), "--d", "0", "--multiplier", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "usage error" in out.err

@@ -9,13 +9,14 @@ from oracles import (
     multiply_by_simplex_power_direct,
     naive_mul,
     naive_simplex_power,
+    plain_hermitian_parse,
+    plain_poly_parse,
     poly_dict,
 )
 from psicert.errors import DuplicateMultiplierTerm, NotDiagonal, NotHermitian
 from psicert.generators import example_fig2
 from psicert.polycore import (
     GaussianRational,
-    _FractionMemo,
     HermitianPoly,
     RealSparsePoly,
     diagonal_real_bridge,
@@ -26,7 +27,6 @@ from psicert.polycore import (
     multiply_by_diagonal_multiplier,
     multiply_by_simplex_power,
     poly_from_json,
-    poly_from_table,
     poly_to_json,
     real_to_diagonal,
     sign_counts,
@@ -236,6 +236,19 @@ def test_poly_json_round_trip():
     assert poly_from_json(json.dumps(doc)) == p
 
 
+@given(small_polys)
+@settings(max_examples=60, deadline=None)
+def test_json_writers_print_fraction_strings(p):
+    doc = poly_to_json(p)
+    assert [(tuple(t["exp"]), t["coef"]) for t in doc["terms"]] == [(a, str(c)) for a, c in sorted(p.items())]
+    zero, unit = (0,) * p.n, (1,) + (0,) * (p.n - 1)
+    off_diagonal = {(zero, unit): GaussianRational.of(Fraction(1, 6), Fraction(-2, 4))}
+    r = real_to_diagonal(p) + HermitianPoly(p.n, off_diagonal)
+    want = [(a, b, str(v.re), str(v.im)) for (a, b), v in sorted(r.items()) if a <= b]
+    got = [(tuple(e["alpha"]), tuple(e["beta"]), e["re"], e["im"]) for e in hermitian_to_json(r)["entries"]]
+    assert got == want
+
+
 def test_poly_json_exact_strings():
     doc = {"n": 2, "terms": [{"exp": [1, 1], "coef": "-2/3"}]}
     assert poly_from_json(doc).coeff((1, 1)) == Fraction(-2, 3)
@@ -264,31 +277,21 @@ def test_hermitian_json_rejects_violations():
         hermitian_from_json(doc)
 
 
-def _plain_poly_parse(doc):
-    terms: dict = {}
-    for t in doc["terms"]:
-        alpha = tuple(int(e) for e in t["exp"])
-        terms[alpha] = terms.get(alpha, Fraction(0)) + Fraction(str(t["coef"]))
-    return RealSparsePoly(doc["n"], terms)
+_READER_TEXTS = ["1", "-1", "3/4", "0", "2/6", "-1/3", "0.5", " 1/2 ", "1e3", "-0", "2/4", 0.1, 2, -5]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 3).flatmap(
         lambda n: st.lists(
-            st.tuples(
-                st.tuples(*([st.integers(0, 2)] * n)),
-                st.sampled_from(["1", "-1", "3/4", "-3/4", "0", "2/6", "-1/3", "5"]),
-            ),
+            st.tuples(st.tuples(*([st.integers(0, 2)] * n)), st.sampled_from(_READER_TEXTS)),
             max_size=12,
-        ).map(lambda terms: (n, terms))
+        ).map(lambda terms: {"n": n, "terms": [{"exp": list(a), "coef": c} for a, c in terms]})
     )
 )
-def test_poly_from_json_repeated_terms_match_plain_parse(case):
-    n, terms = case
-    doc = {"n": n, "terms": [{"exp": list(a), "coef": c} for a, c in terms]}
-    assert poly_from_json(json.dumps(doc)) == _plain_poly_parse(doc)
-    assert poly_from_json(doc) == _plain_poly_parse(doc)
+def test_poly_from_json_repeated_terms_match_plain_parse(doc):
+    assert dict(poly_from_json(json.dumps(doc)).items()) == plain_poly_parse(doc)
+    assert dict(poly_from_json(doc).items()) == plain_poly_parse(doc)
 
 
 def test_json_readers_require_their_key():
@@ -305,45 +308,120 @@ def test_json_readers_require_their_key():
 _RATIONAL_TEXTS = ["1", "-1", "3/4", "-3/4", "0", "2/6", "-1/3", "5"]
 
 
-def test_fraction_memo_parses_each_text_once():
-    memo = _FractionMemo()
-    first = {text: memo[text] for text in _RATIONAL_TEXTS}
-    for text in _RATIONAL_TEXTS * 2:
-        assert memo[text] is first[text] and first[text] == Fraction(text)
-    assert len(memo) == len(_RATIONAL_TEXTS)
+def test_readers_parse_each_distinct_text_once(monkeypatch):
+    import psicert.polycore as polycore
+
+    calls = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args):
+            calls.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(polycore, "Fraction", Counting)
+    texts = list(enumerate(_RATIONAL_TEXTS * 2))
+    poly_from_json({"n": 1, "terms": [{"exp": [k], "coef": text} for k, text in texts]})
+    assert sorted(calls) == sorted((text,) for text in _RATIONAL_TEXTS)
+    calls.clear()
+    entries = [{"alpha": [k], "beta": [k], "re": text, "im": "0"} for k, text in texts]
+    hermitian_from_json({"n": 1, "entries": entries})
+    assert sorted(calls) == sorted((text,) for text in _RATIONAL_TEXTS)
 
 
-def _plain_hermitian_parse(doc):
-    entries = {}
-    for e in doc["entries"]:
-        key = (tuple(e["alpha"]), tuple(e["beta"]))
-        entries[key] = GaussianRational.of(str(e["re"]), str(e.get("im", "0")))
-    return HermitianPoly(doc["n"], entries)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(
-        lambda n: st.dictionaries(
-            st.tuples(st.tuples(*([st.integers(0, 2)] * n)), st.tuples(*([st.integers(0, 2)] * n))),
-            st.tuples(st.sampled_from(_RATIONAL_TEXTS), st.sampled_from([None] + _RATIONAL_TEXTS)),
-            max_size=12,
-        ).map(lambda entries: (n, entries))
+def _hermitian_documents(n):
+    index = st.tuples(*([st.integers(0, 1)] * n))
+    entry = st.tuples(
+        index, index, st.sampled_from(_READER_TEXTS), st.sampled_from([None, "0", "-0", *_READER_TEXTS])
     )
-)
-def test_hermitian_from_json_repeated_strings_match_plain_parse(case):
-    n, raw = case
-    entries = []
-    for (alpha, beta), (re, im) in raw.items():
-        if alpha > beta:
-            continue  # one triangle, so the document is Hermitian by construction
-        entry = {"alpha": list(alpha), "beta": list(beta), "re": re}
-        if alpha != beta and im is not None:
-            entry["im"] = im
-        entries.append(entry)
-    doc = {"n": n, "entries": entries}
-    assert hermitian_from_json(json.dumps(doc)) == _plain_hermitian_parse(doc)
-    assert hermitian_from_json(doc) == _plain_hermitian_parse(doc)
+
+    def doc(entries):
+        out = []
+        for alpha, beta, re, im in entries:
+            e = {"alpha": list(alpha), "beta": list(beta), "re": re}
+            if im is not None:
+                e["im"] = im
+            out.append(e)
+        return {"n": n, "entries": out}
+
+    return st.lists(entry, max_size=10).map(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2).flatmap(_hermitian_documents))
+def test_hermitian_from_json_repeated_strings_match_plain_parse(doc):
+    # identical repeats pass; conflicting repeats and asymmetric tables raise NotHermitian in both
+    try:
+        want = plain_hermitian_parse(doc)
+    except NotHermitian:
+        for given_doc in (json.dumps(doc), doc):
+            with pytest.raises(NotHermitian):
+                hermitian_from_json(given_doc)
+        return
+    assert dict(hermitian_from_json(json.dumps(doc)).items()) == want
+    assert dict(hermitian_from_json(doc).items()) == want
+
+
+# -- reader behaviour: the Fraction grammar, duplicates, canonical form ----------
+
+_GRAMMAR = [
+    ("0.5", Fraction(1, 2)),
+    (" 1/2 ", Fraction(1, 2)),
+    ("1e3", Fraction(1000)),
+    ("-0", Fraction(0)),
+    (0.1, Fraction(1, 10)),
+    (-3, Fraction(-3)),
+    ("2/4", Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("text, value", _GRAMMAR, ids=[repr(t) for t, _ in _GRAMMAR])
+def test_readers_keep_the_fraction_grammar(text, value):
+    p = poly_from_json(json.dumps({"n": 2, "terms": [{"exp": [1, 0], "coef": text}]}))
+    assert p.coeff((1, 0)) == value
+    assert len(p) == (1 if value else 0)
+    doc = {"n": 2, "entries": [{"alpha": [1, 0], "beta": [0, 1], "re": text, "im": text}]}
+    r = hermitian_from_json(json.dumps(doc))
+    assert r.entry((1, 0), (0, 1)) == GaussianRational(value, value)
+    assert r.entry((0, 1), (1, 0)) == GaussianRational(value, -value)
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc", "1/2/3", True, None])
+def test_readers_reject_what_fraction_rejects(text):
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        poly_from_json({"n": 1, "terms": [{"exp": [1], "coef": text}]})
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        hermitian_from_json({"n": 1, "entries": [{"alpha": [1], "beta": [1], "re": text}]})
+
+
+def test_poly_reader_sums_repeated_terms():
+    terms = [((1, 0), "1/2"), ((0, 1), "1"), ((1, 0), "1/3"), ((0, 1), "-1"), ((1, 1), "2/4")]
+    doc = {"n": 2, "terms": [{"exp": list(a), "coef": c} for a, c in terms]}
+    assert poly_from_json(doc) == P(2, {(1, 0): Fraction(5, 6), (1, 1): Fraction(1, 2)})
+
+
+def test_hermitian_reader_accepts_identical_repeats_only():
+    key = {"alpha": [1, 0], "beta": [0, 1]}
+    same = [dict(key, re="1/2", im="1"), dict(key, re="2/4", im="1.0")]
+    assert hermitian_from_json({"n": 2, "entries": same}) == HermitianPoly(
+        2, {((1, 0), (0, 1)): GaussianRational.of(Fraction(1, 2), 1)}
+    )
+    conflicting = [dict(key, re="1/2", im="1"), dict(key, re="1/2", im="-1")]
+    with pytest.raises(NotHermitian):
+        hermitian_from_json({"n": 2, "entries": conflicting})
+
+
+def test_equal_rationals_read_as_equal_polynomials():
+    def poly(c):
+        return poly_from_json({"n": 2, "terms": [{"exp": [2, 0], "coef": c}, {"exp": [0, 1], "coef": "3"}]})
+
+    def herm(c):
+        return hermitian_from_json({"n": 1, "entries": [{"alpha": [1], "beta": [0], "re": c, "im": c}]})
+
+    for read in (poly, herm):
+        half, also = read("1/2"), read("2/4")
+        assert half == also and hash(half) == hash(also)
+        assert half.scale == also.scale == 2
+        assert half != "1/2" and half != read("1")
 
 
 def test_simplex_power_table_is_scaled_product():
@@ -351,6 +429,7 @@ def test_simplex_power_table_is_scaled_product():
     L, table = simplex_power_table(p, 2)
     assert L == 12
     assert all(isinstance(c, int) for c in table.values())
-    assert poly_from_table(2, L, table) == multiply_by_simplex_power_direct(p, 2)
+    product = RealSparsePoly(2, {a: Fraction(c, L) for a, c in table.items()})
+    assert product == multiply_by_simplex_power_direct(p, 2)
     with pytest.raises(ValueError):
         simplex_power_table(p, -1)

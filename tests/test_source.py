@@ -74,8 +74,36 @@ def test_congruence_engine_has_one_door():
 
 
 def test_congruence_engine_holds_no_gaussian_rationals():
-    # the factorization and its witnesses carry (re, im) int pairs only
-    path = PACKAGE / "inertia.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    uses = _references(tree, {"GaussianRational", "GR_ZERO"})
-    assert not uses, f"Gaussian rationals in inertia.py: {uses}"
+    # the factorization, its witnesses and every path from a reader to a verdict carry int tables only
+    table_paths = {
+        "inertia.py": None,  # the whole module
+        "psi.py": None,
+        "polycore.py": {
+            "poly_from_json",
+            "hermitian_from_json",
+            "poly_to_json",
+            "hermitian_to_json",
+            "_parse",
+            "_rational_texts",
+            "_hermitian_closure",
+            "simplex_powers",
+            "simplex_power_table",
+            "_shift_table",
+            "hermitian_powers",
+            "diagonal_multiplier_table",
+            "hermitian_multiplier_table",
+        },
+        "reduction.py": {"decompose", "_add_squares", "reconstruction_error"},
+    }
+    uses = []
+    for module, owners in table_paths.items():
+        path = PACKAGE / module
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert owners is None or owners <= defined, f"{module} no longer defines {owners - defined}"
+        uses += [
+            f"{module}:{owner} {name}"
+            for owner, name in _references(tree, {"GaussianRational", "GR_ZERO"})
+            if owners is None or owner in owners
+        ]
+    assert not uses, f"Gaussian rationals on a table path: {uses}"
