@@ -146,7 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srch.add_argument("--budget", type=_int_at_least(0), default=200_000)
     srch.add_argument("--seed", type=int, default=0)
-    srch.add_argument("--support", help="pattern JSON whose support restricts the search")
+    srch.add_argument(
+        "--support",
+        help="pattern JSON whose support restricts the search "
+        "(local search: its start patterns only; its moves may leave the support)",
+    )
 
     red = sub.add_parser("reduce", **sub_kwargs, help="partial row-echelon reduction")
     red.add_argument("--herm", required=True)

@@ -13,14 +13,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
-from .errors import BudgetExhausted, ExplicitLimit, Infeasible
+from .errors import BudgetExhausted, ExplicitLimit, Infeasible, ParamsInfeasible
 from .polycore import (
     MultiIndex,
     RealSparsePoly,
     _exponent_vector,
     _json_int,
-    add_index,
     compositions,
     monomials_of_degree,
     multinomial,
@@ -79,10 +80,6 @@ class SignPattern:
             return None
         return Fraction(len(self.neg), len(self.pos))
 
-    def canonical(self) -> tuple:
-        """Deterministic serialization used for tie-breaking."""
-        return (tuple(sorted(self.pos)), tuple(sorted(self.neg)))
-
 
 def pattern_from_poly(p: RealSparsePoly) -> SignPattern:
     """Sign skeleton of a homogeneous polynomial."""
@@ -119,35 +116,71 @@ def pattern_from_json(doc) -> SignPattern:
 
 
 def _negative_inflow(signs_neg, n: int, d: int) -> dict:
-    """Multinomial-weighted negative mass arriving at each product monomial."""
-    deltas = [(delta, multinomial(d, delta)) for delta in compositions(d, n)]
+    """Multinomial-weighted negative mass arriving at each product monomial.
+
+    Keys are the packed codes of `_Cover.packing`, not exponent vectors.
+    """
+    signs_neg = list(signs_neg)
+    code = _Cover.packing(signs_neg, n, d)[0]
+    deltas = [(code(delta), multinomial(d, delta)) for delta in compositions(d, n)]
     inflow: dict = {}
-    for alpha in signs_neg:
-        for delta, w in deltas:
-            key = add_index(alpha, delta)
-            inflow[key] = inflow.get(key, 0) + w
+    get = inflow.get
+    for c in map(code, signs_neg):
+        for dc, w in deltas:
+            key = c + dc
+            inflow[key] = get(key, 0) + w
     return inflow
 
 
 class _Cover:
     """Contributor bitmasks of a fixed point set at power d.
 
-    Point i of `points` is bit i.  `masks` maps each product monomial A to
-    the bitmask of its contributors {a : A - a in Delta_d}.  A pattern on
-    these points is feasible exactly when no mask meets its negative set
-    without meeting its positive set.
+    Point i of `points` is bit i.  `masks` maps each product monomial A,
+    packed into one int by `packing`, to the bitmask of its contributors
+    {a : A - a in Delta_d}.  A pattern on these points is feasible exactly
+    when no mask meets its negative set without meeting its positive set.
     """
 
+    @staticmethod
+    def packing(points, n: int, d: int):
+        """(code, base) with code(a) = sum a_i * base**(n-1-i).
+
+        base = (largest degree among `points`) + d + 1 exceeds every
+        coordinate of a product monomial, so code(a + delta) = code(a) +
+        code(delta) and int order is tuple order.
+        """
+        base = max(map(sum, points), default=0) + d + 1
+        weights = [base ** (n - 1 - i) for i in range(n)]
+
+        def code(a):
+            return sum(map(mul, a, weights))
+
+        return code, base
+
     def __init__(self, points, n: int, d: int):
+        points = list(points)
+        code, self.base = self.packing(points, n, d)
+        self.n = n
         self.bit = {a: 1 << i for i, a in enumerate(points)}
-        deltas = list(compositions(d, n))
+        self._deltas = deltas = [code(delta) for delta in compositions(d, n)]
+        self._codes = codes = list(map(code, points))
         masks: dict = {}
-        for a, b in self.bit.items():
-            for delta in deltas:
-                A = add_index(a, delta)
-                masks[A] = masks.get(A, 0) | b
+        get = masks.get
+        for c, b in zip(codes, self.bit.values()):
+            for dc in deltas:
+                key = c + dc
+                masks[key] = get(key, 0) | b
         self.masks = masks
-        self.distinct = sorted(set(masks.values()))
+
+    @cached_property
+    def distinct(self) -> list:
+        return sorted(set(self.masks.values()))
+
+    @cached_property
+    def through(self) -> list:
+        """through[i]: the masks that contain bit i (one per delta)."""
+        masks, deltas = self.masks, self._deltas
+        return [[masks[c + dc] for dc in deltas] for c in self._codes]
 
     def bits(self, points) -> int:
         bit = self.bit
@@ -156,11 +189,25 @@ class _Cover:
     def feasible(self, pos: int, neg: int) -> bool:
         return not any(m & neg and not m & pos for m in self.distinct)
 
+    def feasible_move(self, pos: int, neg: int, k: int) -> bool:
+        """`feasible(pos, neg)` for a pattern that differs from a feasible one at bit k only.
+
+        Only a mask through bit k can have changed, so only those are read.
+        """
+        return not any(m & neg and not m & pos for m in self.through[k])
+
     def witness(self, pos: int, neg: int):
         """Smallest product monomial fed by neg but not by pos, or None."""
-        return min(
+        code = min(
             (A for A, m in self.masks.items() if m & neg and not m & pos), default=None
         )
+        if code is None:
+            return None
+        digits = []
+        for _ in range(self.n):
+            code, x = divmod(code, self.base)
+            digits.append(x)
+        return tuple(reversed(digits))
 
 
 def support_feasible(pat: SignPattern, d: int):
@@ -237,8 +284,11 @@ def search_max_ratio(
     branch-and-bound nodes.  GREEDY flips positives to negatives one at a
     time.  LOCAL runs steepest-ascent over single-point sign changes plus
     whole-pattern lattice shifts, restarting from seeded perturbations of a
-    known-good pattern.  For both, `evaluations` counts the candidate
-    patterns tested.  An empty support raises Infeasible.
+    known-good pattern (the dense family's skeleton, or the all-positive
+    support when n = 1 or D = 0).  LOCAL uses `support` only to restrict its
+    start patterns: its moves range over the whole lattice and may leave the
+    support.  For both, `evaluations` counts the candidate patterns tested.
+    An empty support raises Infeasible.
     """
     if isinstance(strategy, str):
         strategy = Strategy(strategy.lower())
@@ -268,7 +318,7 @@ def search_max_ratio(
         return _search_exhaustive(n, D, d, support)
     if strategy is Strategy.GREEDY:
         return _search_greedy(n, D, d, support, budget)
-    return _search_local(n, D, d, support, budget, seed)
+    return _search_local(n, D, d, lattice, support, budget, seed)
 
 
 def _finish(n, D, d, best, evals, strategy):
@@ -349,10 +399,13 @@ def _search_exhaustive(n, D, d, support):
 
 
 def _search_greedy(n, D, d, support, budget):
-    # all positive to start; on the full support the negatives are the rest
+    # all positive to start; on the full support the negatives are the rest.
+    # Every accepted flip keeps the pattern feasible, so each candidate is
+    # checked on the masks through its own point; a flip that fails once
+    # fails for every smaller positive set and is not checked again
     cover = _Cover(support, n, d)
     full = pos = (1 << len(support)) - 1
-    evals = 0
+    evals = dead = 0
 
     def current():
         kept = [a for i, a in enumerate(support) if pos >> i & 1]
@@ -373,56 +426,36 @@ def _search_greedy(n, D, d, support, budget):
                     best=_finish(n, D, d, current(), evals, Strategy.GREEDY),
                 )
             evals += 1
-            if cover.feasible(pos ^ b, full ^ pos ^ b):
+            if dead & b:
+                continue
+            if cover.feasible_move(pos ^ b, full ^ pos ^ b, i):
                 pos ^= b
                 improved = True
                 break
+            dead |= b
     return _finish(n, D, d, current(), evals, Strategy.GREEDY)
 
 
-def _local_neighbors(pos: int, neg: int, size: int, shifts):
-    """Neighbours of the pattern (pos, neg), as bitmasks over the lattice.
+def _search_local(n, D, d, lattice, support, budget, seed):
+    """Steepest ascent on (pos, neg) lattice bitmasks; see `search_max_ratio`.
 
-    Every single-point sign change, point by point and in the order
-    POS, NEG, ZERO of the new sign; then every lattice shift, translating
-    the whole pattern by e_i - e_j (points leaving the lattice drop to
-    ZERO).  `shifts[s][k]` is the bit that point k moves to under shift s,
-    or 0.
+    Each climb step tests every single-point sign change, point by point in
+    the order POS, NEG, ZERO of the new sign, then every lattice shift
+    e_i - e_j of the whole pattern (points leaving the lattice drop to
+    ZERO); all 2 * |lattice| + #shifts candidates count as evaluations.
+    Ratios are compared as cross products of counts, and a candidate is
+    checked for feasibility only when its ratio could win the step.
     """
-    for k in range(size):
-        b = 1 << k
-        if pos & b:
-            yield pos ^ b, neg | b
-            yield pos ^ b, neg
-        elif neg & b:
-            yield pos | b, neg ^ b
-            yield pos, neg ^ b
-        else:
-            yield pos | b, neg
-            yield pos, neg | b
-
-    def move(mask, to):
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= to[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    for to in shifts:
-        yield move(pos, to), move(neg, to)
-
-
-def _search_local(n, D, d, support, budget, seed):
     import random
 
     from .generators import generate_pD
 
     rng = random.Random(seed)
-    lattice = monomials_of_degree(n, D)
+    size = len(lattice)
     cover = _Cover(lattice, n, d)
     support_set = set(support)
-    # per shift e_i - e_j, the bit each lattice point moves to (0 when it leaves)
+    # per shift e_i - e_j, the bit each lattice point moves to (0 when it
+    # leaves) and the mask of the points that leave
     shifts = []
     for i in range(n):
         for j in range(n):
@@ -433,12 +466,18 @@ def _search_local(n, D, d, support, budget, seed):
                     b[i] += 1
                     b[j] -= 1
                     to.append(cover.bit[tuple(b)] if b[j] >= 0 else 0)
-                shifts.append(to)
+                leave = sum(1 << k for k, t in enumerate(to) if not t)
+                shifts.append((to, leave))
+    step_cost = 2 * size + len(shifts)
 
-    base = pattern_from_poly(generate_pD(n, D))
-    base = SignPattern(
-        n, D, base.pos & support_set, base.neg & support_set
-    )
+    try:
+        dense = generate_pD(n, D)
+    except ParamsInfeasible:
+        # no dense family for n = 1 or D = 0: start from the all-positive support
+        base = _pattern_on_support(n, D, support, support)
+    else:
+        base = pattern_from_poly(dense)
+        base = SignPattern(n, D, base.pos & support_set, base.neg & support_set)
     starts = [base]
     for _ in range(2):
         pos, neg = set(base.pos), set(base.neg)
@@ -455,60 +494,116 @@ def _search_local(n, D, d, support, budget, seed):
     evals = 0
     best = None
 
-    def score(pos, neg):
-        nonlocal evals
-        evals += 1
-        if evals > budget:
-            raise _Budget()
-        if not pos or not cover.feasible(pos, neg):
-            return None
-        return Fraction(neg.bit_count(), pos.bit_count())
-
-    def points(mask):
-        # bits follow the sorted lattice, so this is sorted too
-        return tuple(a for k, a in enumerate(lattice) if mask >> k & 1)
-
-    def canonical(masks):
-        return points(masks[0]), points(masks[1])
-
     class _Budget(Exception):
         pass
 
+    def spend(count):
+        # charge a batch of evaluations up front: when the budget runs out
+        # inside it, nothing the batch tests can change the outcome, so stop
+        # at once with the budget + 1 that a one-by-one count would report
+        nonlocal evals
+        if evals + count > budget:
+            evals = budget + 1
+            raise _Budget()
+        evals += count
+
+    def move(mask, to):
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= to[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def step(pos, neg):
+        """The best neighbour of the feasible (pos, neg), or None at a local optimum.
+
+        The ratio to beat is cn/cp (the current one, strictly) and tn/tp
+        (the best so far, weakly); ties go to the first in `precedes` order.
+        """
+        cp, cn = pos.bit_count(), neg.bit_count()
+        tp, tn, tied = cp, cn, []
+
+        def offer(p, q, pc, qc, k=None):
+            nonlocal tp, tn, tied
+            if not pc or qc * cp <= cn * pc or qc * tp < tn * pc:
+                return
+            if not (cover.feasible(p, q) if k is None else cover.feasible_move(p, q, k)):
+                return
+            if qc * tp > tn * pc:
+                tp, tn, tied = pc, qc, []
+            tied.append((p, q))
+
+        for k in range(size):
+            b = 1 << k
+            if pos & b:
+                offer(pos ^ b, neg | b, cp - 1, cn + 1, k)
+                offer(pos ^ b, neg, cp - 1, cn, k)
+            elif not neg & b:
+                # ZERO -> POS never raises the ratio
+                offer(pos, neg | b, cp, cn + 1, k)
+            # NEG -> POS and NEG -> ZERO lower it
+        for to, leave in shifts:
+            # the counts after the shift are known before it is made: make
+            # it only when its ratio could win
+            pc, qc = cp - (pos & leave).bit_count(), cn - (neg & leave).bit_count()
+            if pc and qc * cp > cn * pc and qc * tp >= tn * pc:
+                offer(move(pos, to), move(neg, to), pc, qc)
+        if not tied:
+            return None
+        first = tied[0]
+        for other in tied[1:]:
+            if precedes(other, first):
+                first = other
+        return first
+
+    def precedes(u, v):
+        """Whether (sorted pos points, sorted neg points) of u is below that of v.
+
+        u and v are (pos, neg) mask pairs.  Bits follow the sorted lattice, so
+        a mask's sorted points are its bits in increasing order.  At the lowest
+        bit where two masks differ, the one holding it comes first unless the
+        other has no later bit.
+        """
+        x, y = (u[0], v[0]) if u[0] != v[0] else (u[1], v[1])
+        if x == y:
+            return False
+        low = (x ^ y) & -(x ^ y)
+        above = -(low << 1)
+        return bool(y & above) if x & low else not x & above
+
+    def points(mask):
+        return tuple(a for k, a in enumerate(lattice) if mask >> k & 1)
+
+    def pattern(masks):
+        return SignPattern(n, D, frozenset(points(masks[0])), frozenset(points(masks[1])))
+
     try:
         for start in starts:
-            current = start
-            masks = cover.bits(current.pos), cover.bits(current.neg)
-            cur_score = score(*masks)
-            if cur_score is None:
-                current = _pattern_on_support(n, D, support, support)
-                masks = cover.bits(current.pos), cover.bits(current.neg)
-                cur_score = score(*masks)
+            masks = cover.bits(start.pos), cover.bits(start.neg)
+            spend(1)
+            if not masks[0] or not cover.feasible(*masks):
+                masks = cover.bits(support), 0
+                spend(1)
             while True:
-                # steepest ascent: the best ratio, ties to the smallest canonical form
-                top, tied = cur_score, []
-                for nb in _local_neighbors(*masks, len(lattice), shifts):
-                    sc = score(*nb)
-                    if sc is None or sc <= cur_score or sc < top:
-                        continue
-                    if sc > top:
-                        top, tied = sc, []
-                    tied.append(nb)
-                if not tied:
+                spend(step_cost)
+                nxt = step(*masks)
+                if nxt is None:
                     break
-                masks = min(tied, key=canonical)
-                pos, neg = canonical(masks)
-                current = SignPattern(n, D, frozenset(pos), frozenset(neg))
-                cur_score = top
-            if best is None or (cur_score, current.canonical()) > (
-                best.ratio(),
-                best.canonical(),
-            ):
-                best = current
+                masks = nxt
+            if best is None:
+                best = masks
+                continue
+            # larger ratio, then later in `precedes` order
+            cross = masks[1].bit_count() * best[0].bit_count()
+            other = best[1].bit_count() * masks[0].bit_count()
+            if cross > other or (cross == other and precedes(best, masks)):
+                best = masks
     except _Budget:
         if best is None:
             raise BudgetExhausted(f"local search exhausted {budget} evaluations")
         raise BudgetExhausted(
             f"local search exhausted {budget} evaluations",
-            best=_finish(n, D, d, best, evals, Strategy.LOCAL),
+            best=_finish(n, D, d, pattern(best), evals, Strategy.LOCAL),
         )
-    return _finish(n, D, d, best, evals, Strategy.LOCAL)
+    return _finish(n, D, d, pattern(best), evals, Strategy.LOCAL)

@@ -86,6 +86,19 @@ def test_search_local_strategy_smoke():
     assert doc["strategy"] == "local" and doc["seed"] == 1
 
 
+@pytest.mark.parametrize("n, D, d", [(1, 3, 1), (2, 0, 1)])
+def test_all_strategies_agree_without_a_dense_family(n, D, d, capsys):
+    # the dense family needs n >= 2 and D >= 1; local search must not need it
+    found = {}
+    for strategy in ("exhaustive", "greedy", "local"):
+        argv = ["search", "--n", str(n), "--D", str(D), "--d", str(d), "--strategy", strategy]
+        assert run(argv) == 0, capsys.readouterr().err
+        doc = json.loads(capsys.readouterr().out)
+        found[strategy] = (doc["pattern"], doc["ratio"], doc["realized"])
+    assert found["greedy"] == found["exhaustive"] == found["local"]
+    assert found["local"][1] == "0"
+
+
 def test_local_search_finding_nothing_is_negative_verdict(capsys):
     argv = ["search", "--n", "3", "--D", "5", "--d", "1", "--strategy", "local", "--budget", "3"]
     assert run(argv) == 1

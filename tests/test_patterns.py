@@ -15,6 +15,7 @@ from psicert.patterns import (
     Sign,
     SignPattern,
     Strategy,
+    _Cover,
     pattern_from_json,
     pattern_from_poly,
     pattern_to_json,
@@ -249,6 +250,41 @@ def patterns_with_zeros(draw):
 @settings(max_examples=300, deadline=None)
 def test_support_feasible_matches_inflow_scan(pat, d):
     assert support_feasible(pat, d) == inflow_support_feasible(pat, d)
+
+
+@st.composite
+def feasible_masks(draw):
+    """(cover, pos, neg): a feasible pattern with zeros on a drawn point set.
+
+    Negatives are drawn first and kept only where every mask through them
+    meets the positives, which makes the pattern feasible.
+    """
+    n = draw(st.integers(1, 4))
+    D = draw(st.integers(0, 5))
+    d = draw(st.integers(1, 3))
+    lattice = monomials_of_degree(n, D)
+    points = draw(st.lists(st.sampled_from(lattice), min_size=1, unique=True))
+    cover = _Cover(sorted(points), n, d)
+    signs = draw(st.lists(st.sampled_from((1, -1, 0)), min_size=len(points), max_size=len(points)))
+    pos = sum(1 << k for k, s in enumerate(signs) if s == 1)
+    neg = sum(
+        1 << k for k, s in enumerate(signs)
+        if s == -1 and all(m & pos for m in cover.masks.values() if m >> k & 1)
+    )
+    assert cover.feasible(pos, neg)
+    return cover, pos, neg
+
+
+@given(feasible_masks())
+@settings(max_examples=300, deadline=None)
+def test_incremental_check_matches_full_check(case):
+    cover, pos, neg = case
+    for k in range(len(cover.bit)):
+        b = 1 << k
+        rest_pos, rest_neg = pos & ~b, neg & ~b
+        for moved in ((rest_pos | b, rest_neg), (rest_pos, rest_neg | b), (rest_pos, rest_neg)):
+            if moved != (pos, neg):
+                assert cover.feasible_move(*moved, k) == cover.feasible(*moved)
 
 
 # Results recorded from the implementation that tested every candidate with
