@@ -78,7 +78,8 @@ def build_family(family: str, params: FamilyParams) -> RealSparsePoly:
             raise ParamsInfeasible("quartic example needs lambda")
         return generate_lambda_example(params.lam)
     if family == "fig2":
-        return example_fig2()
+        n = 3 if params.n is None else params.n
+        return generate_fig2_family(n, 6 if params.D is None else params.D)
     raise ParamsInfeasible(f"unknown family {family!r}")
 
 

@@ -13,10 +13,11 @@ factor of 1 or i) manufactures a nonzero diagonal entry, so square roots
 never appear.  Sylvester's law of inertia makes the sign counts of the
 resulting diagonal the inertia of the input.
 
-The factorization holds integer data only: the congruence transform as
-Gaussian-integer columns, each scaled by a pivot minor, and its inverse as
-Gaussian-integer rows over their pivots.  Vectors are tuples of (re, im)
-int pairs; `table_quadratic_form` evaluates a witness on the table itself.
+The factorization holds integer data only: the record of the elimination
+steps, from which `integer_column` replays one column of the congruence
+transform on demand, and the transform's inverse as Gaussian-integer rows
+over their pivots.  Vectors are tuples of (re, im) int pairs;
+`table_quadratic_form` evaluates a witness on the table itself.
 """
 
 from __future__ import annotations
@@ -50,17 +51,22 @@ def _dim_cap() -> int:
 class CongruenceFactorization:
     """diag == T* . M . T, exactly, M the matrix over `basis`.
 
-    The elimination leaves integer data only.  `columns[k]` is column k of T
-    as (re ints, im ints), times `column_scales[k]`: the pivot minor in force
-    when k was pivoted, or the last minor for indices left in a zero block.
-    `inverse_rows[k]` is row k of T^-1 as (den, ((col, re, im), ...)):
-    Gaussian integers over den, the pivot minor at k, which may be negative.
+    The elimination leaves integer data only.  T is the product E_1 ... E_m
+    of the congruence steps in `steps`, in order: a pivot on q is
+    (q, p, ((c, re, im), ...)), p = a_qq and the entries a_qc of row q over
+    the indices c then active; a bump is (i, j, fr, fi), column i += f *
+    column j with f = fr + i*fi.  `column_scales[k]` is the pivot minor in
+    force when k was pivoted, or the last minor for indices left in a zero
+    block, and makes column k of T integral.  `inverse_rows[k]` is row k of
+    T^-1 as (den, ((col, re, im), ...)): Gaussian integers over den, the
+    pivot minor at k, which may be negative.  Before any bump, a pivot
+    step's entries are the entries of its inverse row.
     """
 
     basis: tuple  # index of each row and column
     diag: tuple  # of Fraction, original index order
     pivot_log: tuple  # ordered pivot record, for reproducibility
-    columns: tuple
+    steps: tuple
     column_scales: tuple
     inverse_rows: tuple
 
@@ -71,9 +77,55 @@ class CongruenceFactorization:
         return (pos, neg, len(self.diag) - pos - neg)
 
     def integer_column(self, k: int) -> tuple:
-        """Column k of T times its scale, as (re, im) int pairs."""
-        re, im = self.columns[k]
-        return tuple(zip(re, im))
+        """Column k of T times its scale, as (re, im) int pairs.
+
+        T . e_k = E_1 (... (E_m . e_k)).  Only the steps before k's own
+        pivot are replayed, backwards: a later step touches only indices
+        still active, and e_k is zero on those.  A pivot on q sets x_q
+        to -sum_c a_qc * x_c / p over its entries, x_q being still 0 there;
+        a bump (i, j, f) adds f * x_i to x_j.  x is held as ints over one
+        denominator, kept primitive.  A column that the scale does not make
+        integral raises CertificateFailure.
+        """
+        dim = len(self.diag)
+        xr, xi = [0] * dim, [0] * dim
+        xr[k] = den = 1
+        steps = self.steps
+        stop = next((s for s, step in enumerate(steps) if len(step) == 3 and step[0] == k), len(steps))
+        for step in reversed(steps[:stop]):
+            if len(step) == 4:
+                i, j, fr, fi = step
+                a, b = xr[i], xi[i]
+                xr[j] += fr * a - fi * b
+                xi[j] += fr * b + fi * a
+                continue
+            q, p, entries = step
+            sr = si = 0
+            for c, a, b in entries:
+                u, v = xr[c], xi[c]
+                if u or v:
+                    sr += a * u - b * v
+                    si += a * v + b * u
+            if not (sr or si):
+                continue
+            xr = [p * u for u in xr]
+            xi = [p * v for v in xi]
+            xr[q], xi[q] = -sr, -si
+            den *= p
+            g = gcd(den, *xr, *xi)
+            if g != 1:
+                xr = [u // g for u in xr]
+                xi = [v // g for v in xi]
+                den //= g
+        scale = self.column_scales[k]
+        column = []
+        for u, v in zip(xr, xi):
+            a, ra = divmod(u * scale, den)
+            b, rb = divmod(v * scale, den)
+            if ra or rb:
+                raise CertificateFailure(f"column {k} of the transform is not integral at its scale")
+            column.append((a, b))
+        return tuple(column)
 
 
 def congruence_factorization(scaled: tuple) -> CongruenceFactorization:
@@ -130,10 +182,10 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
     re + i*im on the first s pivots, after any bumps (m_0 = 1).  An active
     entry a_ij then holds m_s * L times the matching entry of the rational Schur
     complement.  Pivoting on k, with p = a_kk = m_{s+1}, maps a_ij to
-    (p * a_ij - a_ik * a_kj) / m_s and each active transform column t_i to
-    (p * t_i - conj(a_ik) * t_k) / m_s.  Sylvester's identity makes both
-    divisions exact; a remainder raises CertificateFailure.  The pivot gets
-    diag[k] = p / (L * m_s).
+    (p * a_ij - a_ik * a_kj) / m_s; Sylvester's identity makes the division
+    exact, and a remainder raises CertificateFailure.  The pivot gets
+    diag[k] = p / (L * m_s).  The transform is not formed: each pivot and
+    bump is recorded as a step, and `integer_column` replays them.
 
     Pivot rule: among the active diagonal, take the entry of largest absolute
     value (smallest index on ties).  If the active diagonal is all zero but an
@@ -141,14 +193,12 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
     (factor 1, or i when the entry is purely imaginary) to create a pivot.
     """
     dim = len(re)
-    # columns of the transform, each scaled by the current pivot minor while active
-    tre = [[int(r == c) for r in range(dim)] for c in range(dim)]
-    tim = [[0] * dim for _ in range(dim)]
     scales = [1] * dim
     inverse_rows = [None] * dim
     unit = None  # integer rows of T^-1 for active indices, once a bump has moved them
     prev = 1
     log = []
+    steps = []
     active = list(range(dim))
 
     while active:
@@ -186,10 +236,7 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
                 a, b = re[j][c], im[j][c]
                 re[i][c] += fr * a + fi * b
                 im[i][c] += fr * b - fi * a
-            for r in range(dim):
-                a, b = tre[j][r], tim[j][r]
-                tre[i][r] += fr * a - fi * b
-                tim[i][r] += fr * b + fi * a
+            steps.append((i, j, fr, fi))
             if unit is None:
                 unit = {a: ([int(a == c) for c in range(dim)], [0] * dim) for a in active}
             (ur, ui), (vr, vi) = unit[j], unit[i]
@@ -203,9 +250,11 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
         log.append(("pivot", k))
         p = re[k][k]
         rk, ik = re[k], im[k]
+        entries = tuple((c, rk[c], ik[c]) for c in active)
+        steps.append((k, p, entries))
         # row k of T^-1 is sum_c a_kc * (row c of T^-1) over the active c, divided by p
         if unit is None:
-            inverse_rows[k] = (p, tuple((c, rk[c], ik[c]) for c in active))
+            inverse_rows[k] = (p, entries)
         else:
             sr, si = [0] * dim, [0] * dim
             for c in active:
@@ -220,22 +269,6 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
         active.remove(k)
         scales[k] = prev
         col = [(i, re[i][k], im[i][k]) for i in active]
-
-        # transform: column i <- (p * column i - conj(a_ik) * column k) / prev
-        kr, ki = tre[k], tim[k]
-        for i, xr, xi in col:
-            cr, ci = tre[i], tim[i]
-            for t in range(dim):
-                a, b = kr[t], ki[t]
-                nr = p * cr[t] - xr * a - xi * b
-                ni = p * ci[t] - xr * b + xi * a
-                if prev != 1:
-                    nr, qr = divmod(nr, prev)
-                    ni, qi = divmod(ni, prev)
-                    if qr or qi:
-                        raise CertificateFailure("inexact division in the transform update")
-                cr[t] = nr
-                ci[t] = ni
 
         # active block: upper triangle, mirrored into the lower
         for idx, (i, xr, xi) in enumerate(col):
@@ -265,7 +298,7 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
         basis=basis,
         diag=tuple(Fraction(re[k][k], L * scales[k]) for k in range(dim)),
         pivot_log=tuple(log),
-        columns=tuple((tuple(r), tuple(i)) for r, i in zip(tre, tim)),
+        steps=tuple(steps),
         column_scales=tuple(scales),
         inverse_rows=tuple(inverse_rows),
     )

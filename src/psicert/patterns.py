@@ -235,10 +235,7 @@ def realize_signs(signs: dict, n: int, d: int) -> RealSparsePoly:
     neg = [a for a, s in signs.items() if s < 0]
     inflow = _negative_inflow(neg, n, d)
     M = 1 + max(inflow.values(), default=0)
-    terms = {
-        a: (Fraction(M) if s > 0 else Fraction(-1)) for a, s in signs.items() if s
-    }
-    return RealSparsePoly(n, terms)
+    return RealSparsePoly._from_table(n, 1, {a: M if s > 0 else -1 for a, s in signs.items() if s})
 
 
 def realize_magnitudes(pat: SignPattern, d: int) -> RealSparsePoly:

@@ -318,8 +318,8 @@ def rational_congruence_factorization(rows) -> RationalFactorization:
 def rational_transform(fact) -> tuple:
     """Rows of T for a library CongruenceFactorization, over Gaussian rationals."""
     cols = [
-        [GaussianRational(Fraction(a, s), Fraction(b, s)) for a, b in zip(re, im)]
-        for (re, im), s in zip(fact.columns, fact.column_scales)
+        [GaussianRational(Fraction(a, s), Fraction(b, s)) for a, b in fact.integer_column(k)]
+        for k, s in enumerate(fact.column_scales)
     ]
     return tuple(zip(*cols))
 

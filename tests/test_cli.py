@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from psicert.cli import run
-from psicert.generators import example_fig2, generate_lambda_example
+from psicert.generators import example_fig2, generate_fig2_family, generate_lambda_example
 from psicert.polycore import poly_from_json, poly_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -123,6 +123,20 @@ def test_generate_fig2_matches_library(tmp_path):
     r = _run_cli(["generate", "fig2"])
     assert r.returncode == 0
     assert poly_from_json(json.loads(r.stdout)) == example_fig2()
+
+
+def test_generate_fig2_takes_n_and_D(capsys):
+    assert run(["generate", "fig2", "--n", "4", "--D", "8"]) == 0
+    assert poly_from_json(json.loads(capsys.readouterr().out)) == generate_fig2_family(4, 8)
+    assert run(["generate", "fig2", "--n", "4"]) == 0
+    assert poly_from_json(json.loads(capsys.readouterr().out)) == generate_fig2_family(4, 6)
+
+
+@pytest.mark.parametrize("args", [["--n", "1"], ["--D", "0"]])
+def test_generate_fig2_infeasible_params_is_usage_error(capsys, args):
+    assert run(["generate", "fig2", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err
 
 
 def test_generate_qk_auto_reports_to_stderr():

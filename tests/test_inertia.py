@@ -1,9 +1,13 @@
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from members import hermitian_matrices
 from oracles import (
@@ -338,3 +342,80 @@ def test_oracle_parity_covers_both_bump_factors():
         assert ("bump", 0, 1, factor) in fact.pivot_log
         assert (fact.pivot_log, fact.diag) == (ref.pivot_log, ref.diag)
         assert (rational_transform(fact), rational_inverse(fact)) == (ref.transform, ref.inverse)
+
+
+# Columns and witnesses recorded from the engine that carried the whole
+# transform through the elimination: dense, bump-after-pivot, two-bump and
+# zero-block inputs, and squared-norm product tables.
+WITNESS_REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "witness_reference.json").read_text()
+)
+
+
+@pytest.mark.parametrize("case", WITNESS_REFERENCE, ids=[c["name"] for c in WITNESS_REFERENCE])
+def test_columns_and_witness_match_reference(case):
+    scaled = case["L"], {(tuple(a), tuple(b)): tuple(z) for (a, b), z in case["entries"]}
+    fact = congruence_factorization(scaled)
+    assert [list(e) for e in fact.pivot_log] == case["pivot_log"]
+    assert [str(d) for d in fact.diag] == case["diag"]
+    assert [[list(z) for z in fact.integer_column(k)] for k in range(len(fact.diag))] == case["columns"]
+    found = negative_direction(fact, lambda v: table_quadratic_form(scaled, fact.basis, v))
+    expect = case["witness"]
+    assert found is not None and expect is not None
+    assert ([list(z) for z in found[0]], str(found[1])) == (expect["vector"], expect["value"])
+
+
+@st.composite
+def hermitian_int_matrices(draw):
+    """Rows of a Hermitian Gaussian-integer matrix, as (re, im) pairs, dimension 1..8.
+
+    The diagonal is zero half the time, and otherwise zero at some indices;
+    off-diagonal entries are zero, real, purely imaginary or general, so
+    zero-diagonal blocks force bumps of factor 1 and i.
+    """
+    dim = draw(st.integers(1, 8))
+    all_zero = draw(st.booleans())
+    zero = [all_zero or draw(st.booleans()) for _ in range(dim)]
+    part = st.integers(-4, 4)
+    rows = [[(0, 0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        rows[i][i] = (0, 0) if zero[i] else (draw(part), 0)
+        for j in range(i + 1, dim):
+            x, y = draw(part), draw(part)
+            kind = draw(st.sampled_from(("zero", "real", "imag", "both")))
+            z = {"zero": (0, 0), "real": (x, 0), "imag": (0, y), "both": (x, y)}[kind]
+            rows[i][j], rows[j][i] = z, (z[0], -z[1])
+    return rows
+
+
+@given(hermitian_int_matrices())
+@example([[(0, 0), (2, 0), (0, 0), (0, 0)], [(2, 0), (0, 0), (0, 0), (0, 0)],
+          [(0, 0), (0, 0), (0, 0), (0, 3)], [(0, 0), (0, 0), (0, -3), (0, 0)]])
+@example([[(0, 0), (1, 1), (0, 2)], [(1, -1), (0, 0), (3, 0)], [(0, -2), (3, 0), (0, 0)]])
+@settings(max_examples=200, deadline=None)
+def test_replayed_columns_match_the_oracle_transform(rows):
+    M = [[G(*z) for z in row] for row in rows]
+    fact = _factor(M)
+    ref = rational_congruence_factorization(M)
+    assert fact.pivot_log == ref.pivot_log
+    dim, scales = len(rows), fact.column_scales
+    # rows of T with column k times scales[k], as replayed
+    T = [list(r) for r in zip(*([G(*z) for z in fact.integer_column(k)] for k in range(dim)))]
+    assert T == [[ref.transform[r][k] * G(scales[k]) for k in range(dim)] for r in range(dim)]
+    congruent = mat_mul(mat_adjoint(T), mat_mul(M, T))
+    for a in range(dim):
+        for b in range(dim):
+            expect = G(fact.diag[a] * scales[a] ** 2) if a == b else GR_ZERO
+            assert congruent[a][b] == expect
+
+
+def test_replay_of_a_corrupted_step_is_failure():
+    # pivots on 2 (p = 5), 1 (p = -16), 0; column 0 is replayed through both
+    fact = _factor([[2, G(1, 1), 0], [G(1, -1), -3, 1], [0, 1, 5]])
+    assert [step[:2] for step in fact.steps] == [(2, 5), (1, -16), (0, -42)]
+    for s, c in ((0, 0), (1, 0)):
+        q, p, entries = fact.steps[s]
+        bad = tuple((i, a + 1, b) if i == c else (i, a, b) for i, a, b in entries)
+        corrupted = replace(fact, steps=(*fact.steps[:s], (q, p, bad), *fact.steps[s + 1 :]))
+        with pytest.raises(CertificateFailure):
+            corrupted.integer_column(0)
