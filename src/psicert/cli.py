@@ -1,13 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 negative verdict (non-member, bound violated,
-nothing found), 2 usage error, 3 internal invariant breach.
+nothing found), 2 usage error, 3 internal invariant breach, 141 stdout
+closed by its reader (128 + SIGPIPE, what a shell reports for a writer
+killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -35,7 +39,7 @@ from .polycore import (
     sign_counts,
 )
 
-OK, NEGATIVE, USAGE, INTERNAL = 0, 1, 2, 3
+OK, NEGATIVE, USAGE, INTERNAL, BROKEN_PIPE = 0, 1, 2, 3, 141
 
 
 def _load(path: str, parse):
@@ -431,13 +435,23 @@ _PARSER = build_parser()
 
 
 def run(argv) -> int:
+    """Run one command; returns its exit code.
+
+    The cyclic collector is paused for the command and restored as it was:
+    no command leaves a reference cycle (tests/test_cli.py checks each),
+    so refcounting frees everything, and the full collections that large
+    live tables would trigger are pure cost.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE if exc.code not in (0, None) else OK
-    args.format = getattr(args, "format_late", None) or args.format or "json"
-    try:
+        args.format = getattr(args, "format_late", None) or args.format or "json"
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # from argparse, which has printed its message
+        return USAGE if exc.code not in (0, None) else OK
+    except BrokenPipeError:  # the reader of stdout stopped early: not a fault
+        return BROKEN_PIPE
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
@@ -456,10 +470,21 @@ def run(argv) -> int:
     except Exception as exc:  # anything unexpected is an invariant breach
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = BROKEN_PIPE
+    if code == BROKEN_PIPE:
+        # the interpreter flushes stdout once more at exit: let that go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

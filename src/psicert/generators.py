@@ -123,9 +123,7 @@ def generate_pD(n: int, D: int) -> RealSparsePoly:
     is generate_fig2_family.
     """
     _check_dense_params(n, D)
-    return RealSparsePoly(
-        n, {a: Fraction(gamma(a, D, n)) for a in monomials_of_degree(n, D)}
-    )
+    return RealSparsePoly._from_table(n, 1, {a: gamma(a, D, n) for a in monomials_of_degree(n, D)})
 
 
 def generate_fig2_family(n: int, D: int) -> RealSparsePoly:
@@ -150,10 +148,10 @@ def generate_fig2_family(n: int, D: int) -> RealSparsePoly:
         if zeros > 1:
             continue
         if _residue_zero(a, D, n):
-            terms[a] = Fraction(n - 1)
+            terms[a] = n - 1
         elif zeros == 0:
-            terms[a] = Fraction(-1)
-    return RealSparsePoly(n, terms)
+            terms[a] = -1
+    return RealSparsePoly._from_table(n, 1, terms)
 
 
 def pD_ratio_lower_bound(n: int, D: int) -> Fraction:

@@ -14,7 +14,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .errors import BudgetExhausted, ExplicitLimit, Infeasible, ParamsInfeasible
 from .polycore import (
@@ -25,6 +24,7 @@ from .polycore import (
     compositions,
     monomials_of_degree,
     multinomial,
+    packing,
     total_degree,
 )
 
@@ -118,10 +118,10 @@ def pattern_from_json(doc) -> SignPattern:
 def _negative_inflow(signs_neg, n: int, d: int) -> dict:
     """Multinomial-weighted negative mass arriving at each product monomial.
 
-    Keys are the packed codes of `_Cover.packing`, not exponent vectors.
+    Keys are the codes of `polycore.packing`, not exponent vectors.
     """
     signs_neg = list(signs_neg)
-    code = _Cover.packing(signs_neg, n, d)[0]
+    code = packing(signs_neg, n, d)[0]
     deltas = [(code(delta), multinomial(d, delta)) for delta in compositions(d, n)]
     inflow: dict = {}
     get = inflow.get
@@ -136,31 +136,15 @@ class _Cover:
     """Contributor bitmasks of a fixed point set at power d.
 
     Point i of `points` is bit i.  `masks` maps each product monomial A,
-    packed into one int by `packing`, to the bitmask of its contributors
-    {a : A - a in Delta_d}.  A pattern on these points is feasible exactly
-    when no mask meets its negative set without meeting its positive set.
+    packed into one int by `polycore.packing`, to the bitmask of its
+    contributors {a : A - a in Delta_d}.  A pattern on these points is
+    feasible exactly when no mask meets its negative set without meeting
+    its positive set.
     """
-
-    @staticmethod
-    def packing(points, n: int, d: int):
-        """(code, base) with code(a) = sum a_i * base**(n-1-i).
-
-        base = (largest degree among `points`) + d + 1 exceeds every
-        coordinate of a product monomial, so code(a + delta) = code(a) +
-        code(delta) and int order is tuple order.
-        """
-        base = max(map(sum, points), default=0) + d + 1
-        weights = [base ** (n - 1 - i) for i in range(n)]
-
-        def code(a):
-            return sum(map(mul, a, weights))
-
-        return code, base
 
     def __init__(self, points, n: int, d: int):
         points = list(points)
-        code, self.base = self.packing(points, n, d)
-        self.n = n
+        code, self._decode = packing(points, n, d)
         self.bit = {a: 1 << i for i, a in enumerate(points)}
         self._deltas = deltas = [code(delta) for delta in compositions(d, n)]
         self._codes = codes = list(map(code, points))
@@ -201,13 +185,7 @@ class _Cover:
         code = min(
             (A for A, m in self.masks.items() if m & neg and not m & pos), default=None
         )
-        if code is None:
-            return None
-        digits = []
-        for _ in range(self.n):
-            code, x = divmod(code, self.base)
-            digits.append(x)
-        return tuple(reversed(digits))
+        return None if code is None else self._decode([code])[0]
 
 
 def support_feasible(pat: SignPattern, d: int):
@@ -246,6 +224,10 @@ def realize_magnitudes(pat: SignPattern, d: int) -> RealSparsePoly:
     signs = {a: 1 for a in pat.pos}
     signs.update({a: -1 for a in pat.neg})
     return realize_signs(signs, pat.n, d)
+
+
+class _Budget(Exception):
+    """Local search ran out of evaluations; `_search_local` turns it into BudgetExhausted."""
 
 
 @dataclass(frozen=True)
@@ -333,41 +315,46 @@ def _hitting_set_size(masks, most: int, enough: int, nodes: list):
     the first set no larger than `enough` or than the root's bound.
     `nodes[0]` counts the nodes visited.
     """
-    best = most + 1
-
-    def packing(unhit):
-        used = count = 0
-        for m in unhit:
-            if not m & used:
-                used |= m
-                count += 1
-        return count
-
-    def rec(count, unhit):
-        nonlocal best
-        nodes[0] += 1
-        if not unhit:
-            best = count
-            return count <= enough
-        unhit.sort(key=int.bit_count)
-        if count + packing(unhit) >= best:
-            return False
-        m, excluded = unhit[0], 0
-        while m:
-            b = m & -m
-            m ^= b
-            rest = [u & ~excluded for u in unhit if not u & b]
-            if not all(rest):
-                return False
-            if rec(count + 1, rest):
-                return True
-            excluded |= b
-        return False
-
     masks = sorted(masks, key=int.bit_count)
-    enough = max(enough, packing(masks))
-    rec(0, masks)
-    return best if best <= most else None
+    best = [most + 1]
+    _branch(0, masks, max(enough, _disjoint_count(masks)), best, nodes)
+    return best[0] if best[0] <= most else None
+
+
+def _disjoint_count(unhit) -> int:
+    """Size of a greedy packing of pairwise disjoint masks, in the given order."""
+    used = count = 0
+    for m in unhit:
+        if not m & used:
+            used |= m
+            count += 1
+    return count
+
+
+def _branch(count: int, unhit: list, enough: int, best: list, nodes: list) -> bool:
+    """One node of `_hitting_set_size` with `count` bits taken; True stops the search.
+
+    A module-level function, not a closure over itself, so the recursion
+    leaves no reference cycle behind.  `best[0]` is the smallest size found.
+    """
+    nodes[0] += 1
+    if not unhit:
+        best[0] = count
+        return count <= enough
+    unhit.sort(key=int.bit_count)
+    if count + _disjoint_count(unhit) >= best[0]:
+        return False
+    m, excluded = unhit[0], 0
+    while m:
+        b = m & -m
+        m ^= b
+        rest = [u & ~excluded for u in unhit if not u & b]
+        if not all(rest):
+            return False
+        if _branch(count + 1, rest, enough, best, nodes):
+            return True
+        excluded |= b
+    return False
 
 
 def _search_exhaustive(n, D, d, support):
@@ -490,9 +477,6 @@ def _search_local(n, D, d, lattice, support, budget, seed):
 
     evals = 0
     best = None
-
-    class _Budget(Exception):
-        pass
 
     def spend(count):
         # charge a batch of evaluations up front: when the budget runs out

@@ -20,8 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, repeat
 from math import comb, gcd, lcm
+from operator import floordiv, mod
 
 from .errors import DuplicateMultiplierTerm, NotDiagonal, NotHermitian
 
@@ -297,30 +298,87 @@ class RealSparsePoly(_ScaledTable):
         return f"RealSparsePoly(n={self.n}, terms={len(self.table)})"
 
 
-def simplex_powers(p: RealSparsePoly):
-    """Yield (L, table) for d = 0, 1, 2, ...: table / L = p * (x_1 + ... + x_n)^d.
+def packing(points, n: int, d: int):
+    """(code, decode): code(a) = sum a_i * B**(n-1-i) packs an exponent vector into one int.
 
-    L is p's scale; each step is one convolution pass over Python ints, and
-    zero coefficients are dropped.
+    B = (largest degree among `points`) + d + 1 exceeds every coordinate of
+    a + delta for a in `points` and delta of degree at most d, so on those
+    monomials code(a + delta) = code(a) + code(delta), int order is tuple
+    order, and decode inverts code: it turns an iterable of codes into the
+    list of their exponent vectors, one column of digits at a time.
     """
-    L, table = p.scale, p.table
-    shifts = range(p.n)
-    while True:
-        yield L, table
-        nxt: dict = {}
-        get = nxt.get
-        for alpha, c in table.items():
-            for k in shifts:
-                key = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :]
-                nxt[key] = get(key, 0) + c
-        table = {a: c for a, c in nxt.items() if c}
+    base = max(map(sum, points), default=0) + d + 1
+    weights = [base ** (n - 1 - i) for i in range(n)]
+
+    def code(a):
+        k = 0
+        for x in a:
+            k = k * base + x
+        return k
+
+    def decode(codes) -> list:
+        rest, columns = list(codes), []
+        for w in weights[:-1]:
+            columns.append(list(map(floordiv, rest, repeat(w))))
+            rest = list(map(mod, rest, repeat(w)))
+        return list(zip(*columns, rest))
+
+    return code, decode
+
+
+def _packed(p: RealSparsePoly, d: int) -> tuple:
+    """(code, decode, codes): `packing` for p times anything of degree <= d, and p's table packed."""
+    code, decode = packing(p.table, p.n, d)
+    return code, decode, dict(zip(map(code, p.table), p.table.values()))
+
+
+def simplex_powers(p: RealSparsePoly, d_max: int):
+    """Yield (L, codes, decode) for d = 0, ..., d_max: codes / L = p * (x_1 + ... + x_n)^d.
+
+    L is p's scale, and decode(keys) lists the exponent vectors of keys of
+    codes, in the same order.  At d = 0 the table is p's own, keyed by
+    exponent vectors, so decode is `list`.  The first pass packs p's table
+    with `packing`; each pass is one convolution over Python ints, a shift
+    by x_k being one int add, and zero coefficients are dropped.
+    """
+    yield p.scale, p.table, list
+    if d_max < 1:
+        return
+    code, decode, codes = _packed(p, d_max)
+    units = [code(tuple(int(i == k) for i in range(p.n))) for k in range(p.n)]
+    for _ in range(d_max):
+        codes = _convolve(codes, units)
+        yield p.scale, codes, decode
+
+
+def _convolve(codes: dict, shifts: list) -> dict:
+    """A packed table times the sum of the monomials packed as `shifts`; zero entries dropped."""
+    out: dict = {}
+    get = out.get
+    for c, v in codes.items():
+        for u in shifts:
+            key = c + u
+            out[key] = get(key, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def unpack_table(L: int, codes: dict, decode) -> tuple:
+    """(L, table): a packed table with its exponent vectors decoded."""
+    return L, dict(zip(decode(codes), codes.values()))
+
+
+def packed_simplex_power(p: RealSparsePoly, d: int) -> tuple:
+    """The last item of `simplex_powers(p, d)`: (L, codes, decode) for p * (x_1 + ... + x_n)^d."""
+    if d < 0:
+        raise ValueError("power must be nonnegative")
+    for packed in simplex_powers(p, d):
+        pass
+    return packed
 
 
 def simplex_power_table(p: RealSparsePoly, d: int) -> tuple:
     """(L, table) with table / L = p * (x_1 + ... + x_n)^d."""
-    if d < 0:
-        raise ValueError("power must be nonnegative")
-    return next(islice(simplex_powers(p), d, None))
+    return unpack_table(*packed_simplex_power(p, d))
 
 
 def multiply_by_simplex_power(p: RealSparsePoly, d: int) -> RealSparsePoly:
@@ -342,19 +400,18 @@ def multiplier_exponents(s, n: int) -> list:
 
 
 def diagonal_multiplier_table(p: RealSparsePoly, s) -> tuple:
-    """(L, table) with table / L = p * sum_j x^{alpha_j}, alpha_j distinct."""
+    """(L, codes, decode) with codes / L = p * sum_j x^{alpha_j}, alpha_j distinct.
+
+    Packed as in `simplex_powers`: each product key is one int add.
+    """
     exps = multiplier_exponents(s, p.n)
-    out: dict = {}
-    for alpha, c in p.table.items():
-        for delta in exps:
-            key = add_index(alpha, delta)
-            out[key] = out.get(key, 0) + c
-    return p.scale, {a: c for a, c in out.items() if c}
+    code, decode, codes = _packed(p, max(map(sum, exps)))
+    return p.scale, _convolve(codes, list(map(code, exps))), decode
 
 
 def multiply_by_diagonal_multiplier(p: RealSparsePoly, s) -> RealSparsePoly:
     """p times sum_j x^{alpha_j} for distinct exponent vectors alpha_j."""
-    return RealSparsePoly._from_table(p.n, *diagonal_multiplier_table(p, s))
+    return RealSparsePoly._from_table(p.n, *unpack_table(*diagonal_multiplier_table(p, s)))
 
 
 def homogeneous_components(p: RealSparsePoly) -> list[RealSparsePoly]:

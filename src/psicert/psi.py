@@ -23,8 +23,9 @@ from .polycore import (
     diagonal_real_bridge,
     hermitian_multiplier_table,
     hermitian_powers,
-    simplex_power_table,
+    packed_simplex_power,
     simplex_powers,
+    unpack_table,
 )
 
 HARD_POWER_CAP = 64
@@ -73,24 +74,25 @@ class PsiReport:
     multiplier: tuple | None = None
 
 
-def _nonnegative_verdict(n: int, scaled: tuple, d, multiplier=None) -> PsiReport:
-    """Verdict on an integer product table (L, table): member iff no entry is negative.
+def _nonnegative_verdict(n: int, packed: tuple, d, multiplier=None) -> PsiReport:
+    """Verdict on a packed product table (L, codes, decode): member iff no entry is negative.
 
-    The witness is the least negative monomial, valued table[a] / L.
+    The witness is the least negative monomial, valued codes[k] / L: int
+    order on the codes is tuple order, so only that code is decoded.  A
+    member's product is decoded once, for its certificate.
     """
-    L, table = scaled
-    negatives = [a for a, c in table.items() if c < 0]
-    if negatives:
-        worst = min(negatives)
-        witness = NegativeCoefficientWitness(worst, Fraction(table[worst], L))
+    L, codes, decode = packed
+    worst = min((k for k, c in codes.items() if c < 0), default=None)
+    if worst is not None:
+        witness = NegativeCoefficientWitness(decode([worst])[0], Fraction(codes[worst], L))
         return PsiReport(d, False, witness, multiplier)
-    product = RealSparsePoly._from_table(n, L, table)
+    product = RealSparsePoly._from_table(n, *unpack_table(*packed))
     return PsiReport(d, True, NonnegativeProductCertificate(product), multiplier)
 
 
 def in_psi_diagonal(p: RealSparsePoly, d: int) -> PsiReport:
     """Diagonal membership: every coefficient of p times the simplex power is >= 0."""
-    return _nonnegative_verdict(p.n, simplex_power_table(p, d), d)
+    return _nonnegative_verdict(p.n, packed_simplex_power(p, d), d)
 
 
 def _psd_verdict(scaled: tuple) -> tuple:
@@ -144,8 +146,8 @@ def min_psi_index(obj, d_max: int = DEFAULT_POWER_CAP) -> int | None:
     if isinstance(obj, HermitianPoly) and obj.is_diagonal():
         obj = diagonal_real_bridge(obj)
     if isinstance(obj, RealSparsePoly):
-        for d, (_, table) in zip(range(d_max + 1), simplex_powers(obj)):
-            if all(c > 0 for c in table.values()):  # zeros are never stored
+        for d, (_, codes, _) in enumerate(simplex_powers(obj, d_max)):
+            if all(c > 0 for c in codes.values()):  # zeros are never stored
                 return d
         return None
     if isinstance(obj, HermitianPoly):
@@ -162,8 +164,7 @@ def in_psi_general_multiplier(obj, s) -> PsiReport:
     if isinstance(obj, HermitianPoly) and obj.is_diagonal():
         obj = diagonal_real_bridge(obj)
     if isinstance(obj, RealSparsePoly):
-        scaled = diagonal_multiplier_table(obj, exps)
-        return _nonnegative_verdict(obj.n, scaled, None, tuple(exps))
+        return _nonnegative_verdict(obj.n, diagonal_multiplier_table(obj, exps), None, tuple(exps))
     if isinstance(obj, HermitianPoly):
         member, cert = _psd_verdict(hermitian_multiplier_table(obj, exps))
         return PsiReport(None, member, cert, multiplier=tuple(exps))

@@ -652,3 +652,129 @@ def test_non_integer_multiplier_is_usage_error(tmp_path, capsys, mult):
     assert run(["check-psi", "--poly", str(inp), "--d", "0", "--multiplier", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "usage error" in out.err
+
+
+# -- collector pause, reference cycles and a closed stdout ---------------------
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _one_job_per_command(tmp_path):
+    from members import random_psi1_member
+    from psicert.patterns import pattern_from_poly, pattern_to_json
+    from psicert.polycore import hermitian_to_json
+
+    fig2 = _write(tmp_path, "fig2.json", poly_to_json(example_fig2()))
+    lam = _write(tmp_path, "lam.json", poly_to_json(generate_lambda_example(15)))
+    herm = _write(tmp_path, "herm.json", hermitian_to_json(random_psi1_member(3)))
+    mult = _write(tmp_path, "mult.json", {"n": 3, "exps": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    support = _write(tmp_path, "support.json", pattern_to_json(pattern_from_poly(example_fig2())))
+    search = ["search", "--n", "3", "--D", "3", "--d", "1"]
+    return [
+        ["generate", "pd", "--n", "3", "--D", "12"],
+        ["check-psi", "--poly", fig2, "--d", "1"],
+        ["check-psi", "--herm", herm, "--d", "0"],
+        ["check-psi", "--poly", fig2, "--d", "0", "--multiplier", mult],
+        ["min-d", "--poly", lam, "--max-d", "32"],
+        ["min-d", "--herm", herm, "--max-d", "2"],
+        ["signature", "--herm", herm],
+        ["verify-bounds", "--poly", fig2, "--d", "1"],
+        ["certificate", "--poly", fig2],
+        search,
+        ["search", "--n", "3", "--D", "6", "--d", "1", "--support", support],
+        [*search, "--strategy", "greedy"],
+        [*search, "--strategy", "local", "--seed", "5"],
+        [*search, "--strategy", "local", "--budget", "40"],
+        ["reduce", "--herm", herm],
+        ["diagram", "--poly", fig2, "--style", "ascii"],
+    ]
+
+
+def test_commands_leave_no_reference_cycles(tmp_path, capsys):
+    # the collector is paused inside run(), so every command must free all it
+    # allocates by refcounting alone; gc.collect() finds what would be left
+    import gc
+
+    jobs = _one_job_per_command(tmp_path)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for argv in jobs:
+            run(argv)  # first run: imports and caches may build cycles once
+        capsys.readouterr()
+        gc.collect()
+        left = {}
+        for argv in jobs:
+            assert run(argv) in (0, 1), argv
+            capsys.readouterr()
+            found = gc.collect()
+            if found:
+                left[" ".join(argv)] = found
+    finally:
+        if was:
+            gc.enable()
+    assert left == {}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv, fails, code",
+    [
+        (["signature", "--poly", "FIG2"], False, 0),
+        (["signature"], False, 2),  # usage error from the command body
+        (["signature", "--bogus"], False, 2),  # usage error from argparse
+        (["signature", "--poly", "FIG2"], True, 3),  # internal error
+    ],
+)
+def test_run_restores_the_collector(fig2_file, monkeypatch, capsys, enabled, argv, fails, code):
+    import gc
+
+    from psicert import cli
+
+    seen = []
+    command = cli._COMMANDS["signature"]
+
+    def watched(args):
+        seen.append(gc.isenabled())
+        if fails:
+            raise RuntimeError("bug inside a command")
+        return command(args)
+
+    monkeypatch.setitem(cli._COMMANDS, "signature", watched)
+    argv = [fig2_file if a == "FIG2" else a for a in argv]
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert run(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen == ([] if "--bogus" in argv else [False])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "pd", "--n", "3", "--D", "40"],  # larger than the buffer: print raises
+        ["generate", "fig2"],  # buffered until main flushes stdout
+    ],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # nobody reads the pipe: every write to stdout fails with EPIPE
+    import os
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "psicert", *argv], stdout=write_end, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(write_end)
+    assert r.returncode == 141
+    assert r.stderr == b""

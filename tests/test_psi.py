@@ -4,7 +4,7 @@ from itertools import islice
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -29,6 +29,7 @@ from psicert.polycore import (
     diagonal_real_bridge,
     hermitian_powers,
     real_to_diagonal,
+    simplex_power_table,
 )
 from psicert.psi import (
     NegativeCoefficientWitness,
@@ -247,15 +248,40 @@ def _sum_terms(n, terms, cancel):
 mixed_polys = st.integers(1, 4).flatmap(_mixed_poly)
 
 
+def _edge_poly(n):
+    """Mixed-sign polynomials, not homogeneous, some with pure powers x_k^top.
+
+    x_k^top with top the largest degree reaches the largest product
+    coordinate, top + d, which is one below the packing base.
+    """
+    top = st.integers(0, 9)
+    coefs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+    def terms(t):
+        spread = st.tuples(*([st.integers(0, t)] * n)).filter(lambda a: sum(a) <= t)
+        pure = st.sampled_from([tuple(t * (i == k) for i in range(n)) for k in range(n)])
+        return st.dictionaries(st.one_of(spread, pure), coefs, max_size=6)
+
+    return top.flatmap(terms).map(lambda drawn: RealSparsePoly(n, drawn))
+
+
+edge_polys = st.integers(1, 4).flatmap(_edge_poly)
+
+
 def _least_negative(product):
     negatives = sorted(a for a, c in product.items() if c < 0)
     return (negatives[0], product.coeff(negatives[0])) if negatives else None
 
 
-@settings(max_examples=150, deadline=None)
-@given(mixed_polys, st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mixed_polys, edge_polys), st.integers(0, 6))
+@example(RealSparsePoly(1, {(3,): -1, (0,): 2}), 6)
+@example(RealSparsePoly(3), 4)
+@example(RealSparsePoly(3, {(9, 0, 0): 1, (0, 0, 9): -1, (1, 1, 0): 2}), 6)
 def test_diagonal_verdict_matches_direct_oracle(p, d):
     expected = multiply_by_simplex_power_direct(p, d)
+    L, table = simplex_power_table(p, d)
+    assert RealSparsePoly._from_table(p.n, L, table) == expected
     report = in_psi_diagonal(p, d)
     least = _least_negative(expected)
     assert report.member == (least is None)
@@ -320,6 +346,28 @@ def test_min_psi_index_long_walk_matches_binomial_oracle():
     expected = lambda_example_min_d(lam)
     assert expected > 30
     assert min_psi_index(generate_lambda_example(lam), 64) == expected
+
+
+@pytest.mark.parametrize(
+    "lam", [-1, 0, 6, 12, 15, Fraction(31, 2), Fraction(202, 13), Fraction(63, 4), 16, 20]
+)
+def test_min_psi_index_matches_per_power_oracle_at_the_hard_cap(lam, tmp_path, capsys):
+    # one multinomial expansion per power, up to the hard cap, against the packed walk;
+    # the minimal powers are 0, 0, 0, 5, 29, 61, 65 (just above the cap), 125 and none
+    import json
+
+    from psicert.cli import run
+    from psicert.polycore import poly_to_json
+
+    p = generate_lambda_example(lam)
+    expected = next(
+        (d for d in range(65) if _least_negative(multiply_by_simplex_power_direct(p, d)) is None), None
+    )
+    assert min_psi_index(p, 64) == expected
+    path = tmp_path / "lam.json"
+    path.write_text(json.dumps(poly_to_json(p)))
+    assert run(["min-d", "--poly", str(path), "--max-d", "64"]) == (1 if expected is None else 0)
+    assert json.loads(capsys.readouterr().out)["min_d"] == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -86,7 +86,12 @@ def test_congruence_engine_holds_no_gaussian_rationals():
             "_parse",
             "_rational_texts",
             "_hermitian_closure",
+            "packing",
+            "_packed",
             "simplex_powers",
+            "_convolve",
+            "unpack_table",
+            "packed_simplex_power",
             "simplex_power_table",
             "_shift_table",
             "hermitian_powers",
@@ -107,3 +112,14 @@ def test_congruence_engine_holds_no_gaussian_rationals():
             if owners is None or owner in owners
         ]
     assert not uses, f"Gaussian rationals on a table path: {uses}"
+
+
+def test_one_monomial_packing():
+    # packed monomial codes have one format: polycore.packing is the only packing
+    defs = [
+        f"{path.relative_to(PACKAGE)}:{node.name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "packing"
+    ]
+    assert defs == ["polycore.py:packing"]
