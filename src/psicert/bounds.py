@@ -9,12 +9,13 @@ and the least monomial is never hit at all.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import CertificateFailure, NotInPsiD
-from .polycore import MultiIndex, RealSparsePoly, SignaturePair, sign_counts
+from .polycore import MultiIndex, RealSparsePoly, SignaturePair, _convolve, _packed, sign_counts
 from .psi import in_psi_diagonal
 
 
@@ -88,45 +89,44 @@ def pigeonhole_certificate(p: RealSparsePoly) -> PigeonholeCertificate:
     such j is chosen.  Preimages of any beta sit among beta - e_1 + e_j, so
     fibers have at most n-1 elements, and every candidate preimage of the
     least support monomial falls below it in the monomial order.  A zero,
-    non-homogeneous or non-member input raises NotInPsiD.
+    non-homogeneous or non-member input raises NotInPsiD.  p is packed once:
+    the verdict and the search read its codes, and only the answer is decoded.
     """
     if p.is_zero():
         raise NotInPsiD("zero polynomial has no certificate")
-    if not p.is_homogeneous():
+    degrees = set(map(sum, p.table))
+    if len(degrees) > 1:
         raise NotInPsiD("certificate requires a homogeneous polynomial")
-    if not in_psi_diagonal(p, 1).member:
-        raise NotInPsiD("certificate requires membership at power 1")
     n = p.n
-    pos = {a for a, c in p.table.items() if c > 0}
-    neg = {a for a, c in p.table.items() if c < 0}
-
-    assignment = []
-    for alpha in sorted(neg):
-        bumped = (alpha[0] + 1,) + alpha[1:]
-        target = None
-        for j in range(1, n):
-            if bumped[j] == 0:
-                continue
-            cand = bumped[:j] + (bumped[j] - 1,) + bumped[j + 1 :]
-            if cand in pos:
-                target = cand
+    code, decode, codes = _packed(p, degrees.pop(), 1)
+    units = [code(tuple(int(i == k) for i in range(n))) for k in range(n)]
+    if min(_convolve(codes, units).values()) < 0:
+        raise NotInPsiD("certificate requires membership at power 1")
+    pos = {c for c, v in codes.items() if v > 0}
+    neg = sorted(c for c, v in codes.items() if v < 0)  # int order is tuple order
+    # alpha + e_1 - e_j is code + steps[j - 2].  Where alpha_j = 0 the subtraction borrows: digit j
+    # becomes B - 1 = degree + 1, above every support coordinate, so the lookup misses as it must.
+    steps = [units[0] - u for u in units[1:]]
+    targets = []
+    for c in neg:
+        for step in steps:
+            if c + step in pos:
+                targets.append(c + step)
                 break
-        if target is None:
+        else:
             raise CertificateFailure(
-                f"no positive contributor for {alpha}; membership verification is inconsistent"
+                f"no positive contributor for {decode([c])[0]}; membership verification is inconsistent"
             )
-        assignment.append((alpha, target))
 
-    sizes: dict = {}
-    for _, beta in assignment:
-        sizes[beta] = sizes.get(beta, 0) + 1
+    sizes = Counter(targets)
     max_fiber = max(sizes.values(), default=0)
     if max_fiber > n - 1:
         raise CertificateFailure("a fiber exceeded n-1; construction is inconsistent")
 
-    least = min(pos | neg)
+    least = min(codes)
     if least not in pos:
         raise CertificateFailure("least support monomial is not positive")
-    if sizes.get(least, 0) != 0:
+    if sizes[least] != 0:
         raise CertificateFailure("least positive monomial has a nonempty fiber")
-    return PigeonholeCertificate(tuple(assignment), max_fiber, least)
+    assignment = tuple(zip(decode(neg), decode(targets)))
+    return PigeonholeCertificate(assignment, max_fiber, decode([least])[0])

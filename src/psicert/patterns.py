@@ -121,7 +121,7 @@ def _negative_inflow(signs_neg, n: int, d: int) -> dict:
     Keys are the codes of `polycore.packing`, not exponent vectors.
     """
     signs_neg = list(signs_neg)
-    code = packing(signs_neg, n, d)[0]
+    code = packing(max(map(sum, signs_neg), default=0), n, d)[0]
     deltas = [(code(delta), multinomial(d, delta)) for delta in compositions(d, n)]
     inflow: dict = {}
     get = inflow.get
@@ -144,7 +144,7 @@ class _Cover:
 
     def __init__(self, points, n: int, d: int):
         points = list(points)
-        code, self._decode = packing(points, n, d)
+        code, self._decode = packing(max(map(sum, points), default=0), n, d)
         self.bit = {a: 1 << i for i, a in enumerate(points)}
         self._deltas = deltas = [code(delta) for delta in compositions(d, n)]
         self._codes = codes = list(map(code, points))

@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from math import comb, gcd, lcm
-from operator import floordiv, mod
+from operator import floordiv, itemgetter, mod
 
 from .errors import DuplicateMultiplierTerm, NotDiagonal, NotHermitian
 
@@ -298,16 +298,16 @@ class RealSparsePoly(_ScaledTable):
         return f"RealSparsePoly(n={self.n}, terms={len(self.table)})"
 
 
-def packing(points, n: int, d: int):
+def packing(top: int, n: int, d: int):
     """(code, decode): code(a) = sum a_i * B**(n-1-i) packs an exponent vector into one int.
 
-    B = (largest degree among `points`) + d + 1 exceeds every coordinate of
-    a + delta for a in `points` and delta of degree at most d, so on those
-    monomials code(a + delta) = code(a) + code(delta), int order is tuple
-    order, and decode inverts code: it turns an iterable of codes into the
-    list of their exponent vectors, one column of digits at a time.
+    B = top + d + 1 exceeds every coordinate of a + delta for a of degree
+    at most `top` and delta of degree at most d, so on those monomials
+    code(a + delta) = code(a) + code(delta), int order is tuple order, and
+    decode inverts code: it turns an iterable of codes into the list of
+    their exponent vectors, one column of digits at a time.
     """
-    base = max(map(sum, points), default=0) + d + 1
+    base = top + d + 1
     weights = [base ** (n - 1 - i) for i in range(n)]
 
     def code(a):
@@ -326,9 +326,9 @@ def packing(points, n: int, d: int):
     return code, decode
 
 
-def _packed(p: RealSparsePoly, d: int) -> tuple:
-    """(code, decode, codes): `packing` for p times anything of degree <= d, and p's table packed."""
-    code, decode = packing(p.table, p.n, d)
+def _packed(p: RealSparsePoly, top: int, d: int) -> tuple:
+    """(code, decode, codes): `packing` for p, of degree <= top, times degree <= d; p's table packed."""
+    code, decode = packing(top, p.n, d)
     return code, decode, dict(zip(map(code, p.table), p.table.values()))
 
 
@@ -344,7 +344,7 @@ def simplex_powers(p: RealSparsePoly, d_max: int):
     yield p.scale, p.table, list
     if d_max < 1:
         return
-    code, decode, codes = _packed(p, d_max)
+    code, decode, codes = _packed(p, max(map(sum, p.table), default=0), d_max)
     units = [code(tuple(int(i == k) for i in range(p.n))) for k in range(p.n)]
     for _ in range(d_max):
         codes = _convolve(codes, units)
@@ -405,7 +405,7 @@ def diagonal_multiplier_table(p: RealSparsePoly, s) -> tuple:
     Packed as in `simplex_powers`: each product key is one int add.
     """
     exps = multiplier_exponents(s, p.n)
-    code, decode, codes = _packed(p, max(map(sum, exps)))
+    code, decode, codes = _packed(p, max(map(sum, p.table), default=0), max(map(sum, exps)))
     return p.scale, _convolve(codes, list(map(code, exps))), decode
 
 
@@ -609,20 +609,32 @@ def poly_to_json(p: RealSparsePoly) -> dict:
 
 
 def poly_from_json(doc) -> RealSparsePoly:
-    """Parse {"n", "terms": [{"exp", "coef"}, ...]}; repeated terms add up."""
+    """Parse {"n", "terms": [{"exp", "coef"}, ...]} in whole passes; repeated terms add up."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     n = _json_int(doc["n"])
-    parsed: dict = {}
-    read = [(_exponent_vector(t["exp"], n), _parse(parsed, str(t["coef"]))) for t in doc["terms"]]
-    L, value = _rational_texts(parsed)
-    table: dict = {}
-    for alpha, text in read:
-        c = value[text]
-        if alpha in table:
-            c += table[alpha]
-        table[alpha] = c
-    return RealSparsePoly._from_table(n, L, {a: c for a, c in table.items() if c})
+    terms = list(doc["terms"])
+    try:
+        alphas = list(map(tuple, map(itemgetter("exp"), terms)))
+        texts = list(map(str, map(itemgetter("coef"), terms)))
+        flat = list(chain.from_iterable(alphas))
+        sound = set(map(len, alphas)) <= {n} and set(map(type, flat)) <= {int} and min(flat, default=0) >= 0
+    except (KeyError, TypeError):
+        sound = False
+    if not sound:  # read again term by term: the first faulty term raises, as it always has
+        for t in terms:
+            _exponent_vector(t["exp"], n)
+            Fraction(str(t["coef"]))
+    L, value = _rational_texts({text: Fraction(text).as_integer_ratio() for text in dict.fromkeys(texts)})
+    values = list(map(value.__getitem__, texts))
+    table = dict(zip(alphas, values))
+    if len(table) < len(alphas):
+        table = {}
+        for alpha, c in zip(alphas, values):
+            table[alpha] = table.get(alpha, 0) + c
+    if 0 in table.values():
+        table = {a: c for a, c in table.items() if c}
+    return RealSparsePoly._from_table(n, L, table)
 
 
 def hermitian_to_json(r: HermitianPoly) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 
 from .errors import CapExceeded
@@ -49,11 +50,16 @@ class NegativeDirectionWitness:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonnegativeProductCertificate:
-    """The expanded diagonal product; all coefficients are nonnegative."""
+    """The diagonal product, packed as (L, codes, decode) and decoded on first access to `product`."""
 
-    product: RealSparsePoly
+    n: int
+    packed: tuple
+
+    @cached_property
+    def product(self) -> RealSparsePoly:
+        return RealSparsePoly._from_table(self.n, *unpack_table(*self.packed))
 
 
 @dataclass(frozen=True)
@@ -79,15 +85,14 @@ def _nonnegative_verdict(n: int, packed: tuple, d, multiplier=None) -> PsiReport
 
     The witness is the least negative monomial, valued codes[k] / L: int
     order on the codes is tuple order, so only that code is decoded.  A
-    member's product is decoded once, for its certificate.
+    member's certificate keeps the packed product.
     """
     L, codes, decode = packed
     worst = min((k for k, c in codes.items() if c < 0), default=None)
     if worst is not None:
         witness = NegativeCoefficientWitness(decode([worst])[0], Fraction(codes[worst], L))
         return PsiReport(d, False, witness, multiplier)
-    product = RealSparsePoly._from_table(n, *unpack_table(*packed))
-    return PsiReport(d, True, NonnegativeProductCertificate(product), multiplier)
+    return PsiReport(d, True, NonnegativeProductCertificate(n, packed), multiplier)
 
 
 def in_psi_diagonal(p: RealSparsePoly, d: int) -> PsiReport:
@@ -114,7 +119,7 @@ def in_psi_hermitian(r: HermitianPoly, d: int) -> PsiReport:
     if d < 0:
         raise ValueError("power must be nonnegative")
     if r.is_zero():
-        return PsiReport(d, True, NonnegativeProductCertificate(RealSparsePoly(r.n)))
+        return PsiReport(d, True, NonnegativeProductCertificate(r.n, (1, {}, list)))
     member, cert = _psd_verdict(next(islice(hermitian_powers(r), d, None)))
     return PsiReport(d, member, cert)
 

@@ -8,16 +8,19 @@ polynomial, the congruence factorization is the original elimination over
 Gaussian rationals on plain rows, the library factorization's integer data
 is read back as Gaussian-rational matrices, signed sums of squares are
 expanded over Gaussian rationals, sign patterns are checked by the
-original negative-inflow scan, and JSON documents are parsed term by term
-into Fraction and Gaussian-rational dicts.
+original negative-inflow scan, JSON documents are parsed term by term
+into Fraction and Gaussian-rational dicts (and by the original term-by-term
+polynomial reader), and the pigeonhole certificate is built on exponent
+vectors.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 
-from psicert.errors import NotHermitian
+from psicert.errors import CertificateFailure, NotHermitian, NotInPsiD
 from psicert.polycore import (
     GR_I,
     GR_ONE,
@@ -25,6 +28,10 @@ from psicert.polycore import (
     GaussianRational,
     HermitianPoly,
     RealSparsePoly,
+    _exponent_vector,
+    _json_int,
+    _parse,
+    _rational_texts,
     add_index,
     compositions,
     multinomial,
@@ -408,6 +415,62 @@ def plain_poly_parse(doc) -> dict:
         alpha = tuple(t["exp"])
         terms[alpha] = terms.get(alpha, Fraction(0)) + Fraction(str(t["coef"]))
     return {a: c for a, c in terms.items() if c}
+
+
+def term_by_term_poly_from_json(doc) -> RealSparsePoly:
+    """The original polynomial reader: each term's exponents checked and its text recorded in turn."""
+    if isinstance(doc, str):
+        doc = json.loads(doc)
+    n = _json_int(doc["n"])
+    parsed: dict = {}
+    read = [(_exponent_vector(t["exp"], n), _parse(parsed, str(t["coef"]))) for t in doc["terms"]]
+    L, value = _rational_texts(parsed)
+    table: dict = {}
+    for alpha, text in read:
+        c = value[text]
+        if alpha in table:
+            c += table[alpha]
+        table[alpha] = c
+    return RealSparsePoly._from_table(n, L, {a: c for a, c in table.items() if c})
+
+
+def tuple_pigeonhole_certificate(p: RealSparsePoly) -> tuple:
+    """(assignment, max_fiber, least_monomial) of the pigeonhole certificate, on exponent vectors.
+
+    Membership at power 1 is read off the multinomial expansion.  A zero,
+    non-homogeneous or non-member input raises NotInPsiD, a failed
+    construction CertificateFailure.
+    """
+    if p.is_zero():
+        raise NotInPsiD("zero polynomial has no certificate")
+    if not p.is_homogeneous():
+        raise NotInPsiD("certificate requires a homogeneous polynomial")
+    if any(c < 0 for c in multiply_by_simplex_power_direct(p, 1).table.values()):
+        raise NotInPsiD("certificate requires membership at power 1")
+    pos = {a for a, c in p.table.items() if c > 0}
+    neg = {a for a, c in p.table.items() if c < 0}
+    assignment = []
+    for alpha in sorted(neg):
+        bumped = (alpha[0] + 1,) + alpha[1:]
+        target = None
+        for j in range(1, p.n):
+            if bumped[j] == 0:
+                continue
+            cand = bumped[:j] + (bumped[j] - 1,) + bumped[j + 1 :]
+            if cand in pos:
+                target = cand
+                break
+        if target is None:
+            raise CertificateFailure(f"no positive contributor for {alpha}")
+        assignment.append((alpha, target))
+    sizes: dict = {}
+    for _, beta in assignment:
+        sizes[beta] = sizes.get(beta, 0) + 1
+    max_fiber = max(sizes.values(), default=0)
+    least = min(pos | neg)
+    if max_fiber > p.n - 1 or least not in pos or least in sizes:
+        raise CertificateFailure("construction is inconsistent")
+    return tuple(assignment), max_fiber, least
 
 
 def plain_hermitian_parse(doc) -> dict:

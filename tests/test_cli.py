@@ -778,3 +778,32 @@ def test_closed_stdout_exits_quietly(argv):
         os.close(write_end)
     assert r.returncode == 141
     assert r.stderr == b""
+
+
+# each reading flag and --out, given a directory: "usage error", never "internal error"
+_DIRECTORY_PATHS = [
+    ["check-psi", "--poly", "{dir}", "--d", "1"],
+    ["certificate", "--poly", "{dir}"],
+    ["signature", "--herm", "{dir}"],
+    ["check-psi", "--poly", "{fig2}", "--d", "1", "--multiplier", "{dir}"],
+    ["search", "--n", "3", "--D", "2", "--d", "1", "--support", "{dir}"],
+    ["diagram", "--pattern", "{dir}"],
+    ["generate", "pd", "--n", "3", "--D", "4", "--out", "{dir}"],
+    ["reduce", "--herm", "{herm}", "--out", "{dir}"],
+    ["diagram", "--poly", "{fig2}", "--out", "{dir}"],
+    ["generate", "pd", "--n", "3", "--D", "4", "--out", "{dir}/missing/x.json"],
+]
+
+
+@pytest.mark.parametrize("argv", _DIRECTORY_PATHS, ids=[" ".join(a[:1] + a[-2:-1]) for a in _DIRECTORY_PATHS])
+def test_path_that_cannot_be_opened_is_usage_error(tmp_path, fig2_file, capsys, argv):
+    from members import random_psi1_member
+    from psicert.polycore import hermitian_to_json
+
+    herm = tmp_path / "member.json"
+    herm.write_text(json.dumps(hermitian_to_json(random_psi1_member(3))))
+    paths = {"dir": str(tmp_path), "fig2": fig2_file, "herm": str(herm)}
+    assert run([arg.format(**paths) for arg in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage error: ") and "Error(" in out.err

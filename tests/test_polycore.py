@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -12,6 +12,7 @@ from oracles import (
     plain_hermitian_parse,
     plain_poly_parse,
     poly_dict,
+    term_by_term_poly_from_json,
 )
 from psicert.errors import DuplicateMultiplierTerm, NotDiagonal, NotHermitian
 from psicert.generators import example_fig2
@@ -292,6 +293,56 @@ _READER_TEXTS = ["1", "-1", "3/4", "0", "2/6", "-1/3", "0.5", " 1/2 ", "1e3", "-
 def test_poly_from_json_repeated_terms_match_plain_parse(doc):
     assert dict(poly_from_json(json.dumps(doc)).items()) == plain_poly_parse(doc)
     assert dict(poly_from_json(doc).items()) == plain_poly_parse(doc)
+
+
+_BAD_EXPONENTS = [True, False, 1.0, 0.5, "1", -1, -2, None]
+_BAD_TEXTS = ["1/0", "abc", "1/2/3", "", None, True]
+
+
+@st.composite
+def _reader_documents(draw):
+    """Polynomial documents with repeated exponents, some with one or two faulty terms."""
+    n = draw(st.integers(1, 3))
+    terms = draw(
+        st.lists(st.tuples(st.tuples(*([st.integers(0, 2)] * n)), st.sampled_from([*_READER_TEXTS, "1/2"])), max_size=12)
+    )
+    terms = [{"exp": list(a), "coef": c} for a, c in terms]
+    for k in draw(st.lists(st.integers(0, len(terms) - 1), max_size=2, unique=True)) if terms else ():
+        term = dict(terms[k])
+        fault = draw(st.sampled_from(["exponent", "arity", "scalar", "text", "key"]))
+        if fault == "exponent":
+            term["exp"] = list(term["exp"])
+            term["exp"][draw(st.integers(0, n - 1))] = draw(st.sampled_from(_BAD_EXPONENTS))
+        elif fault == "arity":
+            term["exp"] = term["exp"] + [0] if draw(st.booleans()) else term["exp"][:-1]
+        elif fault == "scalar":
+            term["exp"] = draw(st.sampled_from([0, 1, None]))
+        elif fault == "text":
+            term["coef"] = draw(st.sampled_from(_BAD_TEXTS))
+        else:
+            del term[draw(st.sampled_from(["exp", "coef"]))]
+        terms[k] = term
+    return {"n": n, "terms": terms}
+
+
+def _reader_outcome(read, doc):
+    """(n, scale, table) of read(doc), or the type and message of the error it raised."""
+    try:
+        p = read(doc)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return p.n, p.scale, p.table
+
+
+@settings(max_examples=400, deadline=None)
+@given(_reader_documents())
+@example({"n": 2, "terms": [{"exp": [1, 0], "coef": "1/2"}, {"exp": [1, 0], "coef": "-0.5"}]})
+@example({"n": 2, "terms": [{"exp": [1, 0], "coef": "1/0"}, {"exp": [1, -1], "coef": "1"}]})
+@example({"n": 2, "terms": [{"exp": [1, 0]}, {"coef": "1"}]})
+def test_poly_from_json_matches_term_by_term_reader(doc):
+    # same table, or the same error as the first faulty term raises when read on its own
+    for form in (doc, json.dumps(doc)):
+        assert _reader_outcome(poly_from_json, form) == _reader_outcome(term_by_term_poly_from_json, form)
 
 
 def test_json_readers_require_their_key():

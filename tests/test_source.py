@@ -123,3 +123,27 @@ def test_one_monomial_packing():
         if isinstance(node, ast.FunctionDef) and node.name == "packing"
     ]
     assert defs == ["polycore.py:packing"]
+
+
+def test_certificate_reads_the_shared_packing():
+    # bounds.py packs and convolves only through polycore: it defines no packing, digit weights or convolution
+    path = PACKAGE / "bounds.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "polycore"
+        for alias in node.names
+    }
+    assert {"_packed", "_convolve"} <= imported
+    defs = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not defs & {"packing", "_packed", "_convolve", "code", "decode", "unpack_table"}, defs
+    nested = [
+        f"{outer.name}:{inner.lineno}"
+        for outer in tree.body
+        if isinstance(outer, ast.FunctionDef)
+        for inner in ast.walk(outer)
+        if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.Lambda))
+    ]
+    powers = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)]
+    assert not nested and not powers, f"bounds.py builds its own codes: {nested} {powers}"
