@@ -90,7 +90,8 @@ def pigeonhole_certificate(p: RealSparsePoly) -> PigeonholeCertificate:
     fibers have at most n-1 elements, and every candidate preimage of the
     least support monomial falls below it in the monomial order.  A zero,
     non-homogeneous or non-member input raises NotInPsiD.  p is packed once:
-    the verdict and the search read its codes, and only the answer is decoded.
+    the verdict and the search read its codes, and the answer is looked up
+    in the map from each code back to the exponent vector it packs.
     """
     if p.is_zero():
         raise NotInPsiD("zero polynomial has no certificate")
@@ -98,7 +99,8 @@ def pigeonhole_certificate(p: RealSparsePoly) -> PigeonholeCertificate:
     if len(degrees) > 1:
         raise NotInPsiD("certificate requires a homogeneous polynomial")
     n = p.n
-    code, decode, codes = _packed(p, degrees.pop(), 1)
+    code, _, codes = _packed(p, degrees.pop(), 1)
+    vector = dict(zip(codes, p.table))  # codes packs p.table's keys in order
     units = [code(tuple(int(i == k) for i in range(n))) for k in range(n)]
     if min(_convolve(codes, units).values()) < 0:
         raise NotInPsiD("certificate requires membership at power 1")
@@ -115,7 +117,7 @@ def pigeonhole_certificate(p: RealSparsePoly) -> PigeonholeCertificate:
                 break
         else:
             raise CertificateFailure(
-                f"no positive contributor for {decode([c])[0]}; membership verification is inconsistent"
+                f"no positive contributor for {vector[c]}; membership verification is inconsistent"
             )
 
     sizes = Counter(targets)
@@ -128,5 +130,5 @@ def pigeonhole_certificate(p: RealSparsePoly) -> PigeonholeCertificate:
         raise CertificateFailure("least support monomial is not positive")
     if sizes[least] != 0:
         raise CertificateFailure("least positive monomial has a nonempty fiber")
-    assignment = tuple(zip(decode(neg), decode(targets)))
-    return PigeonholeCertificate(assignment, max_fiber, decode([least])[0])
+    assignment = tuple(zip(map(vector.__getitem__, neg), map(vector.__getitem__, targets)))
+    return PigeonholeCertificate(assignment, max_fiber, vector[least])

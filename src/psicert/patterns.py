@@ -63,6 +63,13 @@ class SignPattern:
             if len(a) != self.n or any(x < 0 for x in a) or total_degree(a) != self.D:
                 raise ValueError(f"{a} is not a degree-{self.D} point in {self.n} vars")
 
+    @classmethod
+    def _trusted(cls, n: int, D: int, pos: frozenset, neg: frozenset) -> "SignPattern":
+        """The pattern on disjoint frozensets of degree-D points in n variables, unchecked."""
+        pat = object.__new__(cls)
+        pat.__dict__.update(n=n, D=D, pos=pos, neg=neg)
+        return pat
+
     def sign(self, alpha: MultiIndex) -> Sign:
         alpha = tuple(alpha)
         if alpha in self.pos:
@@ -87,9 +94,10 @@ def pattern_from_poly(p: RealSparsePoly) -> SignPattern:
         raise ValueError("zero polynomial has no sign pattern")
     if not p.is_homogeneous():
         raise ValueError("sign patterns are defined for homogeneous polynomials")
+    # a RealSparsePoly's points are n-variable exponent vectors with nonzero coefficients
     pos = frozenset(a for a, c in p.table.items() if c > 0)
     neg = frozenset(a for a, c in p.table.items() if c < 0)
-    return SignPattern(p.n, p.degree, pos, neg)
+    return SignPattern._trusted(p.n, p.degree, pos, neg)
 
 
 def pattern_to_json(pat: SignPattern) -> dict:
@@ -115,21 +123,21 @@ def pattern_from_json(doc) -> SignPattern:
     )
 
 
-def _negative_inflow(signs_neg, n: int, d: int) -> dict:
-    """Multinomial-weighted negative mass arriving at each product monomial.
+def _magnitude(neg_codes, code, n: int, d: int) -> int:
+    """M = 1 + the largest multinomial-weighted negative mass into one product monomial.
 
-    Keys are the codes of `polycore.packing`, not exponent vectors.
+    `neg_codes` are the negative points packed by `code`, a `polycore.packing`
+    that has room for degree d more.  M on every positive point and -1 on
+    every negative one make every covered product coefficient positive.
     """
-    signs_neg = list(signs_neg)
-    code = packing(max(map(sum, signs_neg), default=0), n, d)[0]
     deltas = [(code(delta), multinomial(d, delta)) for delta in compositions(d, n)]
     inflow: dict = {}
     get = inflow.get
-    for c in map(code, signs_neg):
+    for c in neg_codes:
         for dc, w in deltas:
             key = c + dc
             inflow[key] = get(key, 0) + w
-    return inflow
+    return 1 + max(inflow.values(), default=0)
 
 
 class _Cover:
@@ -139,12 +147,16 @@ class _Cover:
     packed into one int by `polycore.packing`, to the bitmask of its
     contributors {a : A - a in Delta_d}.  A pattern on these points is
     feasible exactly when no mask meets its negative set without meeting
-    its positive set.
+    its positive set.  `realize` checks a pattern on all masks and builds its
+    member, so a search checks and realizes its result on its own cover.
     """
 
     def __init__(self, points, n: int, d: int):
+        if d < 1:
+            raise ValueError("power must be >= 1")
         points = list(points)
         code, self._decode = packing(max(map(sum, points), default=0), n, d)
+        self.n, self.d, self._code = n, d, code
         self.bit = {a: 1 << i for i, a in enumerate(points)}
         self._deltas = deltas = [code(delta) for delta in compositions(d, n)]
         self._codes = codes = list(map(code, points))
@@ -187,6 +199,25 @@ class _Cover:
         )
         return None if code is None else self._decode([code])[0]
 
+    def points(self, mask: int) -> frozenset:
+        return frozenset(a for a, b in self.bit.items() if mask & b)
+
+    def realize(self, pos: int, neg: int) -> RealSparsePoly:
+        """The uniform-magnitude member with these signs, after a check on every mask.
+
+        Points outside pos | neg carry no bit of either, so the verdict, the
+        witness and M are those of a cover over the pattern's support alone.
+        """
+        witness = self.witness(pos, neg)
+        if witness is not None:
+            raise Infeasible(f"no realization exists; uncovered product monomial {witness}")
+        bits = self.bit.values()
+        M = _magnitude([c for c, b in zip(self._codes, bits) if neg & b], self._code, self.n, self.d)
+        signed = pos | neg
+        return RealSparsePoly._from_table(
+            self.n, 1, {a: M if pos & b else -1 for a, b in self.bit.items() if signed & b}
+        )
+
 
 def support_feasible(pat: SignPattern, d: int):
     """(True, None) or (False, witness) for the covering condition at power d.
@@ -195,8 +226,6 @@ def support_feasible(pat: SignPattern, d: int):
     meets the negative support but not the positive one; the witness is the
     smallest such monomial.
     """
-    if d < 1:
-        raise ValueError("power must be >= 1")
     cover = _Cover(pat.support, pat.n, d)
     witness = cover.witness(cover.bits(pat.pos), cover.bits(pat.neg))
     return (True, None) if witness is None else (False, witness)
@@ -211,19 +240,15 @@ def realize_signs(signs: dict, n: int, d: int) -> RealSparsePoly:
     out positive.
     """
     neg = [a for a, s in signs.items() if s < 0]
-    inflow = _negative_inflow(neg, n, d)
-    M = 1 + max(inflow.values(), default=0)
+    code = packing(max(map(sum, neg), default=0), n, d)[0]
+    M = _magnitude(map(code, neg), code, n, d)
     return RealSparsePoly._from_table(n, 1, {a: M if s > 0 else -1 for a, s in signs.items() if s})
 
 
 def realize_magnitudes(pat: SignPattern, d: int) -> RealSparsePoly:
     """Exact class member with the pattern's signs, or Infeasible."""
-    ok, witness = support_feasible(pat, d)
-    if not ok:
-        raise Infeasible(f"no realization exists; uncovered product monomial {witness}")
-    signs = {a: 1 for a in pat.pos}
-    signs.update({a: -1 for a in pat.neg})
-    return realize_signs(signs, pat.n, d)
+    cover = _Cover(pat.support, pat.n, d)
+    return cover.realize(cover.bits(pat.pos), cover.bits(pat.neg))
 
 
 class _Budget(Exception):
@@ -237,12 +262,6 @@ class SearchResult:
     evaluations: int
     strategy: Strategy
     realized: RealSparsePoly
-
-
-def _pattern_on_support(n, D, support, pos_set):
-    pos = frozenset(pos_set)
-    neg = frozenset(support) - pos
-    return SignPattern(n, D, pos, neg)
 
 
 def search_max_ratio(
@@ -300,9 +319,11 @@ def search_max_ratio(
     return _search_local(n, D, d, lattice, support, budget, seed)
 
 
-def _finish(n, D, d, best, evals, strategy):
-    ratio = best.ratio() if best.pos else Fraction(0)
-    realized = realize_magnitudes(best, d)
+def _finish(cover, D, pos, neg, evals, strategy):
+    """The search's result, checked and realized on the cover it searched with."""
+    realized = cover.realize(pos, neg)
+    best = SignPattern._trusted(cover.n, D, cover.points(pos), cover.points(neg))
+    ratio = best.ratio() if pos else Fraction(0)
     return SearchResult(best, ratio, evals, strategy, realized)
 
 
@@ -363,7 +384,8 @@ def _search_exhaustive(n, D, d, support):
     # hitting set.  Of those, keep the lex-smallest (the first a scan of
     # combinations in sorted order would meet): take each point in turn
     # when a hitting set of the optimal size still exists with it.
-    masks = _Cover(support, n, d).distinct
+    cover = _Cover(support, n, d)
+    masks = cover.distinct
     nodes = [0]
     k = _hitting_set_size(masks, len(support), 0, nodes)
     chosen = excluded = 0
@@ -377,9 +399,8 @@ def _search_exhaustive(n, D, d, support):
             chosen |= b
         else:
             excluded |= b
-    pos = [a for i, a in enumerate(support) if chosen >> i & 1]
-    best = _pattern_on_support(n, D, support, pos)
-    return _finish(n, D, d, best, nodes[0], Strategy.EXHAUSTIVE)
+    full = (1 << len(support)) - 1
+    return _finish(cover, D, chosen, full ^ chosen, nodes[0], Strategy.EXHAUSTIVE)
 
 
 def _search_greedy(n, D, d, support, budget):
@@ -390,11 +411,6 @@ def _search_greedy(n, D, d, support, budget):
     cover = _Cover(support, n, d)
     full = pos = (1 << len(support)) - 1
     evals = dead = 0
-
-    def current():
-        kept = [a for i, a in enumerate(support) if pos >> i & 1]
-        return _pattern_on_support(n, D, support, kept)
-
     improved = True
     while improved:
         improved = False
@@ -407,7 +423,7 @@ def _search_greedy(n, D, d, support, budget):
             if evals >= budget:
                 raise BudgetExhausted(
                     f"greedy search stopped after {evals} evaluations",
-                    best=_finish(n, D, d, current(), evals, Strategy.GREEDY),
+                    best=_finish(cover, D, pos, full ^ pos, evals, Strategy.GREEDY),
                 )
             evals += 1
             if dead & b:
@@ -417,7 +433,7 @@ def _search_greedy(n, D, d, support, budget):
                 improved = True
                 break
             dead |= b
-    return _finish(n, D, d, current(), evals, Strategy.GREEDY)
+    return _finish(cover, D, pos, full ^ pos, evals, Strategy.GREEDY)
 
 
 def _search_local(n, D, d, lattice, support, budget, seed):
@@ -458,13 +474,13 @@ def _search_local(n, D, d, lattice, support, budget, seed):
         dense = generate_pD(n, D)
     except ParamsInfeasible:
         # no dense family for n = 1 or D = 0: start from the all-positive support
-        base = _pattern_on_support(n, D, support, support)
+        base = support_set, set()
     else:
         base = pattern_from_poly(dense)
-        base = SignPattern(n, D, base.pos & support_set, base.neg & support_set)
+        base = base.pos & support_set, base.neg & support_set
     starts = [base]
     for _ in range(2):
-        pos, neg = set(base.pos), set(base.neg)
+        pos, neg = set(base[0]), set(base[1])
         for point in rng.sample(sorted(support_set), max(1, len(support_set) // 4)):
             choice = rng.choice(("pos", "neg", "zero"))
             pos.discard(point)
@@ -473,7 +489,7 @@ def _search_local(n, D, d, lattice, support, budget, seed):
                 pos.add(point)
             elif choice == "neg":
                 neg.add(point)
-        starts.append(SignPattern(n, D, frozenset(pos), frozenset(neg)))
+        starts.append((pos, neg))
 
     evals = 0
     best = None
@@ -553,15 +569,9 @@ def _search_local(n, D, d, lattice, support, budget, seed):
         above = -(low << 1)
         return bool(y & above) if x & low else not x & above
 
-    def points(mask):
-        return tuple(a for k, a in enumerate(lattice) if mask >> k & 1)
-
-    def pattern(masks):
-        return SignPattern(n, D, frozenset(points(masks[0])), frozenset(points(masks[1])))
-
     try:
-        for start in starts:
-            masks = cover.bits(start.pos), cover.bits(start.neg)
+        for start_pos, start_neg in starts:
+            masks = cover.bits(start_pos), cover.bits(start_neg)
             spend(1)
             if not masks[0] or not cover.feasible(*masks):
                 masks = cover.bits(support), 0
@@ -585,6 +595,6 @@ def _search_local(n, D, d, lattice, support, budget, seed):
             raise BudgetExhausted(f"local search exhausted {budget} evaluations")
         raise BudgetExhausted(
             f"local search exhausted {budget} evaluations",
-            best=_finish(n, D, d, pattern(best), evals, Strategy.LOCAL),
+            best=_finish(cover, D, *best, evals, Strategy.LOCAL),
         )
-    return _finish(n, D, d, pattern(best), evals, Strategy.LOCAL)
+    return _finish(cover, D, *best, evals, Strategy.LOCAL)

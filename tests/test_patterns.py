@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import all_sign_patterns, inflow_support_feasible, scan_exhaustive
+from psicert import patterns
 from psicert.bounds import ratio_ceiling
+from psicert.cli import run
 from psicert.errors import BudgetExhausted, ExplicitLimit, Infeasible
 from psicert.generators import example_fig1, example_fig2, generate_pD
 from psicert.patterns import (
@@ -16,10 +18,12 @@ from psicert.patterns import (
     SignPattern,
     Strategy,
     _Cover,
+    _finish,
     pattern_from_json,
     pattern_from_poly,
     pattern_to_json,
     realize_magnitudes,
+    realize_signs,
     search_max_ratio,
     support_feasible,
 )
@@ -27,11 +31,21 @@ from psicert.polycore import monomials_of_degree, sign_counts
 from psicert.psi import in_psi_diagonal
 
 
+_BAD_PATTERNS = {
+    "wrong-arity": {"n": 2, "D": 2, "pos": [[1, 1, 0]], "neg": []},
+    "negative-coordinate": {"n": 2, "D": 2, "pos": [[3, -1]], "neg": []},
+    "wrong-degree": {"n": 2, "D": 3, "pos": [[1, 1]], "neg": []},
+    "both-signs": {"n": 2, "D": 2, "pos": [[1, 1], [2, 0]], "neg": [[1, 1]]},
+}
+
+
 def test_pattern_validation():
-    with pytest.raises(ValueError):
-        SignPattern(2, 3, frozenset({(1, 1)}), frozenset())  # wrong degree
-    with pytest.raises(ValueError):
-        SignPattern(2, 2, frozenset({(1, 1)}), frozenset({(1, 1)}))
+    # points from outside the program are checked; only patterns built internally skip it
+    for doc in _BAD_PATTERNS.values():
+        with pytest.raises(ValueError):
+            SignPattern(doc["n"], doc["D"], frozenset(map(tuple, doc["pos"])), frozenset(map(tuple, doc["neg"])))
+        with pytest.raises(ValueError):
+            pattern_from_json(doc)
 
 
 def test_pattern_signs_total():
@@ -198,6 +212,62 @@ def test_exhaustive_former_slow_cases(n, D, d, optimum):
     assert in_psi_diagonal(result.realized, d).member
 
 
+# -- one cover per search: the result is checked and realized on it -------------
+
+
+_ONE_COVER = {
+    "exhaustive": ["--n", "2", "--D", "8", "--d", "1"],
+    "exhaustive-restricted": ["--n", "3", "--D", "6", "--d", "1", "--support", "SUPPORT"],
+    "greedy": ["--n", "3", "--D", "5", "--d", "2", "--strategy", "greedy"],
+    "greedy-exhausted": ["--n", "3", "--D", "6", "--d", "1", "--strategy", "greedy", "--budget", "7"],
+    "local": ["--n", "2", "--D", "5", "--d", "1", "--strategy", "local", "--budget", "20000"],
+    "local-exhausted": ["--n", "4", "--D", "3", "--d", "1", "--strategy", "local", "--budget", "500",
+                        "--seed", "761211"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_COVER))
+def test_search_command_builds_one_cover(case, tmp_path, monkeypatch, capsys):
+    support = tmp_path / "support.json"
+    support.write_text(json.dumps(pattern_to_json(pattern_from_poly(example_fig2()))))
+    built = []
+
+    class Counted(_Cover):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(patterns, "_Cover", Counted)
+    argv = ["search", *(str(support) if a == "SUPPORT" else a for a in _ONE_COVER[case])]
+    assert run(argv) == 0, capsys.readouterr().err
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["budget_exhausted"] == case.endswith("-exhausted")
+    assert len(built) == 1
+
+
+_SMALL_LATTICES = [(n, D) for n in range(1, 5) for D in range(7) if len(monomials_of_degree(n, D)) <= 15]
+
+
+@given(
+    st.sampled_from(_SMALL_LATTICES),
+    st.integers(1, 3),
+    st.sampled_from(list(Strategy)),
+    st.integers(1, 3000),
+    st.integers(0, 99),
+)
+@settings(max_examples=150, deadline=None)
+def test_search_result_is_the_checked_realization(lattice, d, strategy, budget, seed):
+    n, D = lattice
+    try:
+        result = search_max_ratio(n, D, d, strategy=strategy, budget=budget, seed=seed)
+    except BudgetExhausted as exc:
+        result = exc.best
+    if result is None:
+        return
+    assert result.best == SignPattern(n, D, result.best.pos, result.best.neg)
+    assert result.realized == realize_magnitudes(result.best, d)
+
+
 # -- parity with the per-candidate scan (tests/oracles.py) -----------------------
 
 
@@ -250,6 +320,30 @@ def patterns_with_zeros(draw):
 @settings(max_examples=300, deadline=None)
 def test_support_feasible_matches_inflow_scan(pat, d):
     assert support_feasible(pat, d) == inflow_support_feasible(pat, d)
+
+
+@given(patterns_with_zeros(), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_finish_on_a_lattice_cover_matches_the_support_check(pat, d):
+    # local search finishes on a cover over the whole lattice, where the
+    # points off the pattern carry no bit: verdict, witness and member are
+    # those of the support alone, and the realization of the separate packing
+    n, D = pat.n, pat.D
+    cover = _Cover(monomials_of_degree(n, D), n, d)
+    pos, neg = cover.bits(pat.pos), cover.bits(pat.neg)
+    ok, witness = support_feasible(pat, d)
+    if not ok:
+        message = f"no realization exists; uncovered product monomial {witness}"
+        for finish in (lambda: _finish(cover, D, pos, neg, 0, Strategy.LOCAL), lambda: realize_magnitudes(pat, d)):
+            with pytest.raises(Infeasible) as info:
+                finish()
+            assert str(info.value) == message
+        return
+    result = _finish(cover, D, pos, neg, 0, Strategy.LOCAL)
+    assert result.best == pat
+    signs = dict.fromkeys(pat.pos, 1)
+    signs.update(dict.fromkeys(pat.neg, -1))
+    assert result.realized == realize_signs(signs, n, d) == realize_magnitudes(pat, d)
 
 
 @st.composite
@@ -320,6 +414,7 @@ def test_greedy_and_local_match_reference(case):
         assert result is None
         return
     assert sorted(result.best.pos) == [tuple(a) for a in case["pos"]]
+    assert result.best == SignPattern(case["n"], case["D"], result.best.pos, result.best.neg)
     assert sorted(result.best.neg) == [tuple(a) for a in case["neg"]]
     assert str(result.ratio) == case["ratio"]
     assert result.evaluations == case["evaluations"]
