@@ -5,7 +5,6 @@ from .bounds import (
     PigeonholeCertificate,
     pigeonhole_certificate,
     ratio_ceiling,
-    verify_min_positive,
     verify_ratio_bound,
 )
 from .diagram import DiagramSpec, render_diagram
@@ -43,8 +42,6 @@ from .polycore import (
     diagonal_real_bridge,
     hermitian_from_json,
     hermitian_to_json,
-    homogeneous_components,
-    multiply_by_diagonal_multiplier,
     multiply_by_simplex_power,
     poly_from_json,
     poly_to_json,
@@ -63,9 +60,7 @@ from .reduction import (
     DecomposedForm,
     HyperbolicStep,
     decompose,
-    hyperbolic_eliminate,
     is_partial_row_echelon,
-    lambda_scale,
     partial_row_echelon,
 )
 

@@ -15,8 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import CertificateFailure, NotInPsiD
-from .polycore import MultiIndex, RealSparsePoly, SignaturePair, _convolve, _packed, sign_counts
-from .psi import in_psi_diagonal
+from .polycore import MultiIndex, RealSparsePoly, SignaturePair, _convolve, _packed
 
 
 @dataclass(frozen=True)
@@ -46,18 +45,6 @@ def verify_ratio_bound(sig: SignaturePair, n: int, d: int) -> BoundReport:
     else:
         satisfied = Fraction(sig.n_minus, sig.n_plus) < bound
     return BoundReport(n, d, sig, bound, satisfied, strict=True)
-
-
-def verify_min_positive(p: RealSparsePoly, d: int) -> bool:
-    """Any member with a negative coefficient has at least n positive ones.
-
-    Requires membership at power d (checked); the guarantee is proved for
-    d = 1 and reported informationally for other powers.
-    """
-    if not in_psi_diagonal(p, d).member:
-        raise NotInPsiD(f"polynomial is not a member at power {d}")
-    sig = sign_counts(p)
-    return sig.n_minus == 0 or sig.n_plus >= p.n
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .polycore import (
     RealSparsePoly,
     SignaturePair,
     _json_int,
+    _rational_str,
     hermitian_from_json,
     multiplier_exponents,
     poly_from_json,
@@ -333,7 +334,7 @@ def _cmd_reduce(args) -> int:
             "pivot_col": s.pivot_col,
             "rows": list(s.rows),
             "lambda": str(s.lambda_used) if s.lambda_used is not None else None,
-            "t": [[[str(z.re), str(z.im)] for z in row] for row in s.t],
+            "t": [[[_rational_str(re, d), _rational_str(im, d)] for re, im in (x, y)] for x, y, d in s.t],
             "weights": {"before": list(map(str, s.weights[0])), "after": list(map(str, s.weights[1]))},
         }
         for s in steps
@@ -359,8 +360,10 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_verify_bounds(args) -> int:
     obj = _load_input(args)
-    sig = _signature(obj)
     n = obj.n if args.n is None else args.n
+    if n < 2:
+        raise SystemExit2(f"the ratio ceiling needs n >= 2; the input has n = {n}")
+    sig = _signature(obj)
     report = _bounds.verify_ratio_bound(sig, n, args.d)
     _emit(
         {

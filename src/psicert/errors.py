@@ -61,13 +61,5 @@ class BudgetExhausted(PsicertError):
         self.best = best
 
 
-class LambdaOutOfRange(PsicertError):
-    """A scaling factor was outside [0, 1]."""
-
-
-class PivotDominanceViolated(PsicertError):
-    """Hyperbolic elimination requires the plus-row pivot to dominate."""
-
-
 class UnsupportedDimension(PsicertError):
     """Diagram rendering only handles two or three variables."""

@@ -65,7 +65,6 @@ class CongruenceFactorization:
 
     basis: tuple  # index of each row and column
     diag: tuple  # of Fraction, original index order
-    pivot_log: tuple  # ordered pivot record, for reproducibility
     steps: tuple
     column_scales: tuple
     inverse_rows: tuple
@@ -75,6 +74,14 @@ class CongruenceFactorization:
         pos = sum(1 for d in self.diag if d > 0)
         neg = sum(1 for d in self.diag if d < 0)
         return (pos, neg, len(self.diag) - pos - neg)
+
+    @property
+    def pivot_log(self) -> tuple:
+        """The steps in order, read as ("pivot", k) and ("bump", i, j, "1" or "i")."""
+        return tuple(
+            ("bump", step[0], step[1], "1" if step[2] else "i") if len(step) == 4 else ("pivot", step[0])
+            for step in self.steps
+        )
 
     def integer_column(self, k: int) -> tuple:
         """Column k of T times its scale, as (re, im) int pairs.
@@ -197,7 +204,6 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
     inverse_rows = [None] * dim
     unit = None  # integer rows of T^-1 for active indices, once a bump has moved them
     prev = 1
-    log = []
     steps = []
     active = list(range(dim))
 
@@ -221,12 +227,7 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
                 break  # all-zero active block: zeros of the diagonal
             i, j = bump
             # a factor of 1 creates 2*Re(entry); fall back to i when that is zero
-            if re[i][j]:
-                fr, fi = 1, 0
-                log.append(("bump", i, j, "1"))
-            else:
-                fr, fi = 0, 1
-                log.append(("bump", i, j, "i"))
+            fr, fi = (1, 0) if re[i][j] else (0, 1)
             # congruence: column i += f * column j, then row i += conj(f) * row j
             for r in active:
                 a, b = re[r][j], im[r][j]
@@ -247,7 +248,6 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
             continue
 
         k = best
-        log.append(("pivot", k))
         p = re[k][k]
         rk, ik = re[k], im[k]
         entries = tuple((c, rk[c], ik[c]) for c in active)
@@ -297,7 +297,6 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
     return CongruenceFactorization(
         basis=basis,
         diag=tuple(Fraction(re[k][k], L * scales[k]) for k in range(dim)),
-        pivot_log=tuple(log),
         steps=tuple(steps),
         column_scales=tuple(scales),
         inverse_rows=tuple(inverse_rows),

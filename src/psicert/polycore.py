@@ -376,14 +376,9 @@ def packed_simplex_power(p: RealSparsePoly, d: int) -> tuple:
     return packed
 
 
-def simplex_power_table(p: RealSparsePoly, d: int) -> tuple:
-    """(L, table) with table / L = p * (x_1 + ... + x_n)^d."""
-    return unpack_table(*packed_simplex_power(p, d))
-
-
 def multiply_by_simplex_power(p: RealSparsePoly, d: int) -> RealSparsePoly:
     """p times (x_1 + ... + x_n)^d, computed by d exact convolution passes."""
-    return RealSparsePoly._from_table(p.n, *simplex_power_table(p, d))
+    return RealSparsePoly._from_table(p.n, *unpack_table(*packed_simplex_power(p, d)))
 
 
 def multiplier_exponents(s, n: int) -> list:
@@ -407,19 +402,6 @@ def diagonal_multiplier_table(p: RealSparsePoly, s) -> tuple:
     exps = multiplier_exponents(s, p.n)
     code, decode, codes = _packed(p, max(map(sum, p.table), default=0), max(map(sum, exps)))
     return p.scale, _convolve(codes, list(map(code, exps))), decode
-
-
-def multiply_by_diagonal_multiplier(p: RealSparsePoly, s) -> RealSparsePoly:
-    """p times sum_j x^{alpha_j} for distinct exponent vectors alpha_j."""
-    return RealSparsePoly._from_table(p.n, *unpack_table(*diagonal_multiplier_table(p, s)))
-
-
-def homogeneous_components(p: RealSparsePoly) -> list[RealSparsePoly]:
-    """Nonzero homogeneous parts of p, ordered by increasing total degree."""
-    buckets: dict = {}
-    for alpha, c in p.table.items():
-        buckets.setdefault(total_degree(alpha), {})[alpha] = c
-    return [RealSparsePoly._from_table(p.n, p.scale, buckets[deg]) for deg in sorted(buckets)]
 
 
 def sign_counts(p: RealSparsePoly) -> SignaturePair:
@@ -514,12 +496,6 @@ class HermitianPoly(_ScaledTable):
 
     def __repr__(self) -> str:
         return f"HermitianPoly(n={self.n}, entries={len(self.table)})"
-
-
-def hermitian_from_square(n: int, coeffs: dict) -> HermitianPoly:
-    """|f(z)|^2 for the holomorphic polynomial f with the given coefficients."""
-    items = [(tuple(a), _as_gaussian(c)) for a, c in coeffs.items()]
-    return HermitianPoly(n, {(alpha, beta): ca.conjugate() * cb for alpha, ca in items for beta, cb in items})
 
 
 def real_to_diagonal(p: RealSparsePoly) -> HermitianPoly:

@@ -124,15 +124,25 @@ def in_psi_hermitian(r: HermitianPoly, d: int) -> PsiReport:
     return PsiReport(d, member, cert)
 
 
+def _routed(obj):
+    """obj as its route takes it: a RealSparsePoly for the diagonal route, else a HermitianPoly.
+
+    A diagonal HermitianPoly is bridged to its real polynomial; any other
+    type raises TypeError.
+    """
+    if isinstance(obj, HermitianPoly) and obj.is_diagonal():
+        return diagonal_real_bridge(obj)
+    if isinstance(obj, (RealSparsePoly, HermitianPoly)):
+        return obj
+    raise TypeError(f"cannot test membership for {type(obj).__name__}")
+
+
 def in_psi(obj, d: int) -> PsiReport:
     """Dispatch on input kind; the diagonal route is the fast exact path."""
+    obj = _routed(obj)
     if isinstance(obj, RealSparsePoly):
         return in_psi_diagonal(obj, d)
-    if isinstance(obj, HermitianPoly):
-        if obj.is_diagonal():
-            return in_psi_diagonal(diagonal_real_bridge(obj), d)
-        return in_psi_hermitian(obj, d)
-    raise TypeError(f"cannot test membership for {type(obj).__name__}")
+    return in_psi_hermitian(obj, d)
 
 
 def min_psi_index(obj, d_max: int = DEFAULT_POWER_CAP) -> int | None:
@@ -148,29 +158,23 @@ def min_psi_index(obj, d_max: int = DEFAULT_POWER_CAP) -> int | None:
         raise CapExceeded(f"power cap {d_max} exceeds hard limit {HARD_POWER_CAP}")
     if d_max < 0:
         raise ValueError("cap must be nonnegative")
-    if isinstance(obj, HermitianPoly) and obj.is_diagonal():
-        obj = diagonal_real_bridge(obj)
+    obj = _routed(obj)
     if isinstance(obj, RealSparsePoly):
         for d, (_, codes, _) in enumerate(simplex_powers(obj, d_max)):
             if all(c > 0 for c in codes.values()):  # zeros are never stored
                 return d
         return None
-    if isinstance(obj, HermitianPoly):
-        for d, scaled in zip(range(d_max + 1), hermitian_powers(obj)):
-            if _psd_verdict(scaled)[0]:
-                return d
-        return None
-    raise TypeError(f"cannot test membership for {type(obj).__name__}")
+    for d, scaled in zip(range(d_max + 1), hermitian_powers(obj)):
+        if _psd_verdict(scaled)[0]:
+            return d
+    return None
 
 
 def in_psi_general_multiplier(obj, s) -> PsiReport:
     """Membership of r * sum_j |z^{alpha_j}|^2 among squared norms."""
     exps = [tuple(a) for a in s]
-    if isinstance(obj, HermitianPoly) and obj.is_diagonal():
-        obj = diagonal_real_bridge(obj)
+    obj = _routed(obj)
     if isinstance(obj, RealSparsePoly):
         return _nonnegative_verdict(obj.n, diagonal_multiplier_table(obj, exps), None, tuple(exps))
-    if isinstance(obj, HermitianPoly):
-        member, cert = _psd_verdict(hermitian_multiplier_table(obj, exps))
-        return PsiReport(None, member, cert, multiplier=tuple(exps))
-    raise TypeError(f"cannot test membership for {type(obj).__name__}")
+    member, cert = _psd_verdict(hermitian_multiplier_table(obj, exps))
+    return PsiReport(None, member, cert, multiplier=tuple(exps))

@@ -27,13 +27,13 @@ reduction ends with exact checks instead of tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import CertificateFailure, LambdaOutOfRange, NotInPsiD, PivotDominanceViolated
+from .errors import CertificateFailure, NotInPsiD
 from .inertia import congruence_factorization
-from .polycore import GaussianRational, HermitianPoly, _hermitian_closure
+from .polycore import HermitianPoly, _hermitian_closure
 from .psi import in_psi_hermitian
 
 
@@ -52,7 +52,6 @@ class DecomposedForm:
     minus_weights: tuple
     basis: tuple
     target: HermitianPoly | None = None
-    lambda_degenerate: bool = False
 
     @property
     def n_plus(self) -> int:
@@ -183,93 +182,56 @@ def decompose(r: HermitianPoly) -> DecomposedForm:
     )
 
 
-def lambda_scale(form: DecomposedForm, lam) -> DecomposedForm:
-    """Multiply every minus weight by lam: the form becomes (plus part) - lam (minus part).
-
-    The target gains (1 - lam) (minus part).  Membership at power 1 survives
-    any lam in [0, 1], since the removed negative mass reappears as extra
-    squares; when the target was a member, the new target is re-verified
-    exactly rather than assumed.  lam = 0 drops the minus rows.
-    """
-    lam = Fraction(lam)
-    if not (0 <= lam <= 1):
-        raise LambdaOutOfRange(f"lambda must be in [0, 1], got {lam}")
-    target = form.target
-    if target is not None:
-        moved = [(row, (1 - lam) * v) for row, v in zip(form.minus_rows, form.minus_weights)]
-        target = _add_squares(target, form.basis, moved)
-        if lam > 0 and in_psi_hermitian(form.target, 1).member:
-            if not in_psi_hermitian(target, 1).member:
-                raise CertificateFailure("membership lost under a rational rescale")
-    keep = lam > 0
-    return DecomposedForm(
-        plus_rows=form.plus_rows,
-        plus_weights=form.plus_weights,
-        minus_rows=form.minus_rows if keep else (),
-        minus_weights=tuple(v * lam for v in form.minus_weights) if keep else (),
-        basis=form.basis,
-        target=target,
-        lambda_degenerate=not keep,
-    )
-
-
 @dataclass(frozen=True)
 class HyperbolicStep:
     """One cross-block step: rows (a, b) become t (a, b), and t* diag(w', -v') t == diag(w, -v).
 
-    The engine stores each new row scaled by a positive rational, with its
+    t is `_rotation`'s rows ((x1, y1, d1), (x2, y2, d2)): row k of t is
+    (x_k, y_k) / d_k, Gaussian integers (re, im) over an int d_k > 0.  The
+    engine stores each new row scaled by a positive rational, with its
     weight divided by that rational's square.
     """
 
-    t: tuple  # ((t11, t12), (t21, t22)) of GaussianRational
+    t: tuple
     weights: tuple  # ((w, v), (w', v')): before and after the step, positive Fractions
-    pivot_col: int = -1
-    rows: tuple = (-1, -1)  # (plus row index, minus row index)
-    lambda_used: Fraction | None = None
+    pivot_col: int
+    rows: tuple  # (plus row index, minus row index)
+    lambda_used: Fraction | None
 
     def j_identity_holds(self) -> bool:
-        """t* diag(w', -v') t == diag(w, -v), exactly."""
+        """t* diag(w', -v') t == diag(w, -v), exactly: in ints times the weights, over (d1 d2)^2."""
         (w, v), (w1, v1) = self.weights
-        (t11, t12), (t21, t22) = self.t
-        return (
-            t11.abs2() * w1 - t21.abs2() * v1 == w
-            and t12.abs2() * w1 - t22.abs2() * v1 == -v
-            and (t11.conjugate() * t12 * w1 - t21.conjugate() * t22 * v1).is_zero()
-        )
+        (*r1, d1), (*r2, d2) = self.t
+        a, b, s = w1 * d2 * d2, v1 * d1 * d1, (d1 * d2) ** 2
+
+        def entry(i, j) -> tuple:
+            (pr, pi), (qr, qi) = _hdot(r1[i], r1[j]), _hdot(r2[i], r2[j])
+            return pr * a - qr * b, pi * a - qi * b
+
+        return entry(0, 0) == (w * s, 0) and entry(1, 1) == (-v * s, 0) and entry(0, 1) == (0, 0)
 
 
-def hyperbolic_eliminate(a1, b1, w=1, v=1) -> HyperbolicStep:
-    """The cross-block step sending the pivots (a1, b1) to (a1, 0).
-
-    a1 and b1 (ints, Fractions or GaussianRational) lead a plus row of
-    weight w and a minus row of weight v; the step needs w|a1|^2 > v|b1|^2.
-    t is [[1 + kappa mu, -kappa], [-mu, 1]] with mu = b1 / a1 and
-    kappa = v conj(mu) / c0, c0 = w - v|mu|^2; the new weights are
-    (c0, w v / c0).  The J-identity is checked exactly.
-    """
-    a1, b1 = (z if isinstance(z, GaussianRational) else GaussianRational.of(z) for z in (a1, b1))
-    den = lcm(a1.re.denominator, a1.im.denominator, b1.re.denominator, b1.im.denominator)
-    p, q = ((int(z.re * den), int(z.im * den)) for z in (a1, b1))
-    return _cross_step(p, q, Fraction(w), Fraction(v))[0]
+def _hdot(u, z) -> tuple:
+    """conj(u) z for Gaussian integers (re, im)."""
+    return u[0] * z[0] + u[1] * z[1], u[0] * z[1] - u[1] * z[0]
 
 
-def _cross_step(p, q, w, v) -> tuple:
+def _cross_step(p, q, w, v, pivot_col, rows, lambda_used) -> tuple:
     """(step, rotation): the checked cross-block step on Gaussian-integer pivots p, q.
 
     The rotation is the one to apply to the rows; the step is built from it,
-    so the dominance and J-identity checks hold for what is applied.
+    so the dominance and J-identity checks hold for what is applied.  The
+    rescale before a step restores dominance, so a failure of either check
+    is an internal fault and raises CertificateFailure.
     """
     p2, q2 = p[0] ** 2 + p[1] ** 2, q[0] ** 2 + q[1] ** 2
     if w * p2 <= v * q2:
-        raise PivotDominanceViolated(f"w|a1|^2 must exceed v|b1|^2: w = {w}, v = {v}, a1 : b1 = {p} : {q}")
+        raise CertificateFailure(f"w|a1|^2 must exceed v|b1|^2: w = {w}, v = {v}, a1 : b1 = {p} : {q}")
     rotation = _rotation(p, q, w, v, -1)
-    *rows, after = rotation
-    t = tuple(
-        tuple(GaussianRational(Fraction(zr, d), Fraction(zi, d)) for zr, zi in (x, y)) for x, y, d in rows
-    )
-    step = HyperbolicStep(t, ((w, v), after))
+    *t, after = rotation
+    step = HyperbolicStep(tuple(t), ((w, v), after), pivot_col, rows, lambda_used)
     if not step.j_identity_holds():
-        raise CertificateFailure(f"step {t} misses the J-identity")
+        raise CertificateFailure(f"step {step.t} misses the J-identity")
     return step, rotation
 
 
@@ -342,12 +304,12 @@ def partial_row_echelon(form: DecomposedForm) -> tuple:
             moved += [(row, (1 - lam) * u) for _, row, u in minus]
             minus = [(lead, row, u * lam) for lead, row, u in minus]
             v *= lam
-        step, rotation = _cross_step(a[c], b[c], w, v)
+        step, rotation = _cross_step(a[c], b[c], w, v, c, (ra, rb), lam)
         (a, w), (b, v) = _apply(rotation, a, b)
         plus[ra] = (c, a, w)
         del minus[rb]
         _insert(minus, b, v)
-        steps.append(replace(step, pivot_col=c, rows=(ra, rb), lambda_used=lam))
+        steps.append(step)
 
     reduced = DecomposedForm(
         plus_rows=tuple(row for _, row, _ in plus),

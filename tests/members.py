@@ -17,7 +17,7 @@ from psicert.polycore import (
     GaussianRational,
     HermitianPoly,
     RealSparsePoly,
-    hermitian_from_square,
+    _as_gaussian,
     real_to_diagonal,
 )
 from psicert.psi import in_psi_hermitian
@@ -28,6 +28,12 @@ def _permute_poly(p: RealSparsePoly, perm) -> RealSparsePoly:
     return RealSparsePoly(
         p.n, {tuple(a[perm[i]] for i in range(p.n)): c for a, c in p.items()}
     )
+
+
+def hermitian_from_square(n: int, coeffs: dict) -> HermitianPoly:
+    """|f(z)|^2 for the holomorphic polynomial f with the given coefficients."""
+    items = [(tuple(a), _as_gaussian(c)) for a, c in coeffs.items()]
+    return HermitianPoly(n, {(alpha, beta): ca.conjugate() * cb for alpha, ca in items for beta, cb in items})
 
 
 def random_psi1_member(seed: int) -> HermitianPoly:

@@ -7,7 +7,8 @@ rationals, tiny eigen problems are solved from the characteristic
 polynomial, the congruence factorization is the original elimination over
 Gaussian rationals on plain rows, the library factorization's integer data
 is read back as Gaussian-rational matrices, signed sums of squares are
-expanded over Gaussian rationals, sign patterns are checked by the
+expanded over Gaussian rationals, a reduction step's integer rows are read
+back as a Gaussian-rational 2x2 matrix, sign patterns are checked by the
 original negative-inflow scan, JSON documents are parsed term by term
 into Fraction and Gaussian-rational dicts (and by the original term-by-term
 polynomial reader), and the pigeonhole certificate is built on exponent
@@ -403,6 +404,13 @@ def form_polynomial(form) -> HermitianPoly:
     """The polynomial the rows of a reduction DecomposedForm represent."""
     minus = [(row, -w) for row, w in zip(form.minus_rows, form.minus_weights)]
     return signed_squares(form.basis, [*zip(form.plus_rows, form.plus_weights), *minus])
+
+
+def step_matrix(step) -> tuple:
+    """A reduction step's t as a 2x2 matrix of GaussianRational: row k is (x_k, y_k) / d_k."""
+    return tuple(
+        tuple(GaussianRational(Fraction(re, d), Fraction(im, d)) for re, im in (x, y)) for x, y, d in step.t
+    )
 
 
 def plain_poly_parse(doc) -> dict:

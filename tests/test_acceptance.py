@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from conftest import record_criterion
 from members import random_psi1_member
-from oracles import all_sign_patterns, form_polynomial
+from oracles import all_sign_patterns, form_polynomial, step_matrix
 from psicert.bounds import pigeonhole_certificate
 from psicert.generators import (
     example_fig1,
@@ -198,7 +198,7 @@ def test_criterion_8_reduction_pipeline():
         for step in steps:
             # t* diag(w', -v') t == diag(w, -v), entry by entry
             (w, v), (w1, v1) = step.weights
-            (t11, t12), (t21, t22) = step.t
+            (t11, t12), (t21, t22) = step_matrix(step)
             if (
                 t11.abs2() * w1 - t21.abs2() * v1 != w
                 or t12.abs2() * w1 - t22.abs2() * v1 != -v

@@ -9,7 +9,6 @@ from oracles import all_sign_patterns, tuple_pigeonhole_certificate
 from psicert.bounds import (
     pigeonhole_certificate,
     ratio_ceiling,
-    verify_min_positive,
     verify_ratio_bound,
 )
 from psicert.errors import CertificateFailure, NotInPsiD
@@ -41,15 +40,6 @@ def test_verify_ratio_bound_examples():
     assert not verify_ratio_bound(SignaturePair(0, 3), 2, 1).satisfied
     # equality with the ceiling violates the strict bound
     assert not verify_ratio_bound(SignaturePair(1, 1), 2, 1).satisfied
-
-
-def test_verify_min_positive():
-    fig1 = example_fig1()
-    assert verify_min_positive(fig1, 1)
-    allpos = RealSparsePoly(2, {(1, 0): 1})
-    assert verify_min_positive(allpos, 1)
-    with pytest.raises(NotInPsiD):
-        verify_min_positive(RealSparsePoly(2, {(1, 0): 1, (0, 1): -1}), 1)
 
 
 def test_family_members_respect_ceiling():
@@ -146,7 +136,8 @@ def test_hermitian_members_respect_ceiling_via_inertia():
 
 def test_hermitian_power_two_members_respect_ceiling():
     from psicert.inertia import inertia
-    from psicert.polycore import hermitian_from_square, real_to_diagonal
+    from members import hermitian_from_square
+    from psicert.polycore import real_to_diagonal
     from psicert.psi import in_psi_hermitian
 
     base = real_to_diagonal(generate_two_var(2, 2))

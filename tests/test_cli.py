@@ -222,8 +222,10 @@ def test_reduce_cli(tmp_path):
     doc = json.loads(r.stdout)
     assert doc["echelon"] is True
     assert doc["reconstruction_error"] == 0
+    # 3 steps, two of them after rescales by 1/2 and 1/32; the bytes are pinned
+    assert steps.read_bytes() == (GOLDEN / "reduce_steps.json").read_bytes()
     recorded = json.loads(steps.read_text())["steps"]
-    assert len(recorded) == doc["steps"] > 0
+    assert len(recorded) == doc["steps"] == 3
     G = GaussianRational.of
     for step in recorded:
         # every step is re-verified from its exact strings: t* diag(w', -v') t == diag(w, -v)
@@ -564,6 +566,9 @@ _WRONG_SHAPE = [
     ("--pattern", {"n": 2, "D": 2, "pos": {"a": 1}}, ["diagram"]),
     ("--pattern", {"n": 2, "D": 2, "pos": [1]}, ["diagram"]),
     ("--support", [1, 2], ["search", "--n", "2", "--D", "2", "--d", "1"]),
+    # the ratio ceiling needs n >= 2, as `verify-bounds --n 1` does
+    ("--poly", {"n": 1, "terms": [{"exp": [2], "coef": "1"}]}, ["verify-bounds", "--d", "1"]),
+    ("--herm", {"n": 1, "entries": [{"alpha": [1], "beta": [1], "re": "1"}]}, ["verify-bounds", "--d", "1"]),
 ]
 
 
@@ -571,7 +576,7 @@ _WRONG_SHAPE = [
     "flag, doc, argv",
     _WRONG_SHAPE,
     ids=["poly-list", "poly-dict-terms", "herm-list", "herm-dict-entries", "pattern-list",
-         "pattern-dict-pos", "pattern-int-point", "support-list"],
+         "pattern-dict-pos", "pattern-int-point", "support-list", "poly-n-1-bounds", "herm-n-1-bounds"],
 )
 def test_structurally_wrong_input_is_usage_error(tmp_path, capsys, flag, doc, argv):
     inp = tmp_path / "in.json"

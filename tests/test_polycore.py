@@ -20,23 +20,28 @@ from psicert.polycore import (
     GaussianRational,
     HermitianPoly,
     RealSparsePoly,
+    diagonal_multiplier_table,
     diagonal_real_bridge,
     hermitian_from_json,
     hermitian_to_json,
-    homogeneous_components,
     monomials_of_degree,
-    multiply_by_diagonal_multiplier,
     multiply_by_simplex_power,
+    packed_simplex_power,
     poly_from_json,
     poly_to_json,
     real_to_diagonal,
     sign_counts,
-    simplex_power_table,
+    unpack_table,
 )
 
 
 def P(n, terms):
     return RealSparsePoly(n, terms)
+
+
+def diagonal_product(p, s):
+    """p times sum_j x^{alpha_j}, read off the packed table of the diagonal multiplier route."""
+    return RealSparsePoly._from_table(p.n, *unpack_table(*diagonal_multiplier_table(p, s)))
 
 
 # -- strategies ---------------------------------------------------------------
@@ -133,47 +138,28 @@ def test_homogeneous_support_shifts_by_d(n, D, d):
 
 def test_diagonal_multiplier_examples():
     p = P(2, {(1, 0): 1})
-    assert multiply_by_diagonal_multiplier(p, [(1, 0), (0, 1)]) == P(
+    assert diagonal_product(p, [(1, 0), (0, 1)]) == P(
         2, {(2, 0): 1, (1, 1): 1}
     )
     q = P(2, {(1, 0): 1, (0, 1): -1})
-    assert multiply_by_diagonal_multiplier(q, [(2, 0)]) == P(
+    assert diagonal_product(q, [(2, 0)]) == P(
         2, {(3, 0): 1, (2, 1): -1}
     )
     one = P(2, {(0, 0): 1})
-    assert multiply_by_diagonal_multiplier(one, [(1, 1), (2, 0)]) == P(
+    assert diagonal_product(one, [(1, 1), (2, 0)]) == P(
         2, {(1, 1): 1, (2, 0): 1}
     )
 
 
 def test_diagonal_multiplier_rejects_duplicates():
     with pytest.raises(DuplicateMultiplierTerm):
-        multiply_by_diagonal_multiplier(P(2, {(0, 0): 1}), [(1, 0), (1, 0)])
+        diagonal_product(P(2, {(0, 0): 1}), [(1, 0), (1, 0)])
 
 
 def test_unit_multiplier_equals_simplex_power():
     p = P(3, {(1, 0, 2): 3, (0, 1, 0): -2})
     units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert multiply_by_diagonal_multiplier(p, units) == multiply_by_simplex_power(p, 1)
-
-
-def test_homogeneous_components():
-    p = P(2, {(2, 0): 1, (0, 1): 1})
-    comps = homogeneous_components(p)
-    assert comps == [P(2, {(0, 1): 1}), P(2, {(2, 0): 1})]
-    assert homogeneous_components(P(2, {(1, 1): 5})) == [P(2, {(1, 1): 5})]
-    assert homogeneous_components(P(2, {})) == []
-
-
-@given(small_polys)
-@settings(max_examples=40, deadline=None)
-def test_components_sum_to_input(p):
-    comps = homogeneous_components(p)
-    total = RealSparsePoly(p.n, {})
-    for c in comps:
-        assert c.is_homogeneous() and not c.is_zero()
-        total = total + c
-    assert total == p
+    assert diagonal_product(p, units) == multiply_by_simplex_power(p, 1)
 
 
 def test_sign_counts():
@@ -477,10 +463,10 @@ def test_equal_rationals_read_as_equal_polynomials():
 
 def test_simplex_power_table_is_scaled_product():
     p = P(2, {(1, 0): Fraction(1, 6), (0, 1): Fraction(-3, 4)})
-    L, table = simplex_power_table(p, 2)
+    L, table = unpack_table(*packed_simplex_power(p, 2))
     assert L == 12
     assert all(isinstance(c, int) for c in table.values())
     product = RealSparsePoly(2, {a: Fraction(c, L) for a, c in table.items()})
     assert product == multiply_by_simplex_power_direct(p, 2)
     with pytest.raises(ValueError):
-        simplex_power_table(p, -1)
+        packed_simplex_power(p, -1)

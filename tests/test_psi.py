@@ -28,8 +28,9 @@ from psicert.polycore import (
     RealSparsePoly,
     diagonal_real_bridge,
     hermitian_powers,
+    packed_simplex_power,
     real_to_diagonal,
-    simplex_power_table,
+    unpack_table,
 )
 from psicert.psi import (
     NegativeCoefficientWitness,
@@ -280,7 +281,7 @@ def _least_negative(product):
 @example(RealSparsePoly(3, {(9, 0, 0): 1, (0, 0, 9): -1, (1, 1, 0): 2}), 6)
 def test_diagonal_verdict_matches_direct_oracle(p, d):
     expected = multiply_by_simplex_power_direct(p, d)
-    L, table = simplex_power_table(p, d)
+    L, table = unpack_table(*packed_simplex_power(p, d))
     assert RealSparsePoly._from_table(p.n, L, table) == expected
     report = in_psi_diagonal(p, d)
     least = _least_negative(expected)

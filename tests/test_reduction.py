@@ -5,14 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 
 from members import clashing_form, hermitian_matrices, random_psi1_member
-from oracles import coefficient_matrix, form_polynomial, primitive_form, rational_congruence_factorization
-from psicert import reduction
-from psicert.errors import (
-    CertificateFailure,
-    LambdaOutOfRange,
-    NotInPsiD,
-    PivotDominanceViolated,
+from oracles import (
+    coefficient_matrix,
+    form_polynomial,
+    primitive_form,
+    rational_congruence_factorization,
+    step_matrix,
 )
+from psicert import reduction
+from psicert.errors import CertificateFailure, NotInPsiD
 from psicert.generators import example_fig1, generate_two_var
 from psicert.inertia import inertia
 from psicert.polycore import GaussianRational, HermitianPoly, RealSparsePoly, real_to_diagonal
@@ -21,9 +22,7 @@ from psicert.reduction import (
     DecomposedForm,
     HyperbolicStep,
     decompose,
-    hyperbolic_eliminate,
     is_partial_row_echelon,
-    lambda_scale,
     partial_row_echelon,
     reconstruction_error,
 )
@@ -35,7 +34,7 @@ ZERO = G(0)
 def weighted_j_identity(step) -> bool:
     """t* diag(w', -v') t == diag(w, -v), multiplied out entry by entry."""
     (w, v), (w1, v1) = step.weights
-    t, d = step.t, (w1, -v1)
+    t, d = step_matrix(step), (w1, -v1)
     got = [
         [sum((t[k][i].conjugate() * t[k][j] * d[k] for k in range(2)), ZERO) for j in range(2)]
         for i in range(2)
@@ -44,86 +43,85 @@ def weighted_j_identity(step) -> bool:
 
 
 def apply_to_pivots(step, a1, b1):
-    (t11, t12), (t21, t22) = step.t
+    (t11, t12), (t21, t22) = step_matrix(step)
     return t11 * a1 + t12 * b1, t21 * a1 + t22 * b1
 
 
+def cross_step(p, q, w=1, v=1) -> HyperbolicStep:
+    """The checked cross-block step on Gaussian-integer pivots p, q (pairs (re, im))."""
+    return reduction._cross_step(p, q, Fraction(w), Fraction(v), 0, (0, 0), None)[0]
+
+
 def test_hyperbolic_eliminate_reference_values():
-    step = hyperbolic_eliminate(2, 1)
+    step = cross_step((2, 0), (1, 0))
     # mu = 1/2, c0 = 1 - 1/4 = 3/4, kappa = mu / c0 = 2/3
     third, half = Fraction(1, 3), Fraction(1, 2)
-    assert step.t == ((G(4 * third), G(-2 * third)), (G(-half), G(1)))
+    assert step_matrix(step) == ((G(4 * third), G(-2 * third)), (G(-half), G(1)))
     assert step.weights == ((1, 1), (Fraction(3, 4), Fraction(4, 3)))
-    assert weighted_j_identity(step)
+    assert weighted_j_identity(step) and step.j_identity_holds()
     assert apply_to_pivots(step, G(2), G(1)) == (G(2), ZERO)
 
 
 def test_hyperbolic_eliminate_j_identity_breach_is_failure(monkeypatch):
     monkeypatch.setattr(HyperbolicStep, "j_identity_holds", lambda self: False)
-    with pytest.raises(CertificateFailure):
-        hyperbolic_eliminate(2, 1)
+    with pytest.raises(CertificateFailure, match="J-identity"):
+        cross_step((2, 0), (1, 0))
 
 
 def test_hyperbolic_eliminate_identity_case():
-    step = hyperbolic_eliminate(1, 0)
-    assert step.t == ((G(1), ZERO), (ZERO, G(1)))
+    step = cross_step((1, 0), (0, 0))
+    assert step_matrix(step) == ((G(1), ZERO), (ZERO, G(1)))
     assert step.weights == ((1, 1), (1, 1))
 
 
 def test_hyperbolic_eliminate_boundary_rejected():
-    with pytest.raises(PivotDominanceViolated):
-        hyperbolic_eliminate(1, 1)
-    with pytest.raises(PivotDominanceViolated):
-        hyperbolic_eliminate(1, 2)
+    # after the rescale the plus pivot dominates, so a step without dominance is an internal fault
+    with pytest.raises(CertificateFailure):
+        cross_step((1, 0), (1, 0))
+    with pytest.raises(CertificateFailure):
+        cross_step((1, 0), (2, 0))
     # dominance is weighted: 1 * 2^2 == 4 * 1^2
-    with pytest.raises(PivotDominanceViolated):
-        hyperbolic_eliminate(2, 1, w=1, v=4)
-    assert weighted_j_identity(hyperbolic_eliminate(1, 2, w=5, v=1))
+    with pytest.raises(CertificateFailure):
+        cross_step((2, 0), (1, 0), w=1, v=4)
+    assert weighted_j_identity(cross_step((1, 0), (2, 0), w=5, v=1))
 
 
 def test_hyperbolic_eliminate_complex_pivots():
-    a1, b1 = G(2, 1), G(Fraction(1, 2), Fraction(-1, 2))
+    # the pivots 2 + i and (1 - i) / 2, both scaled by 2
+    p, q = (4, 2), (1, -1)
     for w, v in ((1, 1), (Fraction(3), Fraction(2, 7))):
-        step = hyperbolic_eliminate(a1, b1, w, v)
-        assert weighted_j_identity(step)
-        assert apply_to_pivots(step, a1, b1) == (a1, ZERO)
+        step = cross_step(p, q, w, v)
+        assert weighted_j_identity(step) and step.j_identity_holds()
+        assert apply_to_pivots(step, G(*p), G(*q)) == (G(*p), ZERO)
 
 
-def test_lambda_scale_identity_and_degenerate():
-    r = random_psi1_member(0)
-    form = decompose(r)
-    same = lambda_scale(form, 1)
-    assert same.minus_rows == form.minus_rows
-    assert same.minus_weights == form.minus_weights
-    assert same.target == r
-    dropped = lambda_scale(form, 0)
-    assert dropped.n_minus == 0
-    assert dropped.lambda_degenerate
-    assert form_polynomial(dropped) == dropped.target
-
-
-def test_lambda_scale_range_check():
-    form = decompose(random_psi1_member(0))
-    with pytest.raises(LambdaOutOfRange):
-        lambda_scale(form, Fraction(3, 2))
-    with pytest.raises(LambdaOutOfRange):
-        lambda_scale(form, -1)
-
-
-def test_lambda_scale_membership_loss_is_failure(monkeypatch):
-    form = decompose(random_psi1_member(0))
-    minus_square = HermitianPoly(form.target.n, {(form.basis[0], form.basis[0]): -1})
-    monkeypatch.setattr(reduction, "_add_squares", lambda target, basis, terms: minus_square)
-    with pytest.raises(CertificateFailure):
-        lambda_scale(form, Fraction(1, 2))
+def test_j_identity_rejects_a_perturbed_step():
+    # the check in ints agrees with the Gaussian-rational one when an entry, a denominator or a weight is off;
+    # turning t12 by the phase i leaves both diagonal entries and breaks only the off-diagonal one
+    step = cross_step((4, 2), (1, -1), Fraction(3), Fraction(2, 7))
+    (x1, y1, d1), row2 = step.t
+    (w, v), (w1, v1) = step.weights
+    for bad in (
+        replace(step, weights=((w, v), (2 * w1, v1))),
+        replace(step, t=((x1, (y1[0] + 1, y1[1]), d1), row2)),
+        replace(step, t=((x1, (y1[0], y1[1] + 1), d1), row2)),
+        replace(step, t=((x1, y1, d1 + 1), row2)),
+        replace(step, t=((x1, (-y1[1], y1[0]), d1), row2)),
+    ):
+        assert not bad.j_identity_holds() and not weighted_j_identity(bad)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_lambda_scale_preserves_membership_and_signature(seed):
+    # the rescale partial_row_echelon makes: the minus weights halve, and the target gains the other half
     r = random_psi1_member(seed)
     form = decompose(r)
-    scaled = lambda_scale(form, Fraction(1, 2))
-    assert scaled.minus_weights == tuple(v / 2 for v in form.minus_weights)
+    half = [(row, v / 2) for row, v in zip(form.minus_rows, form.minus_weights)]
+    scaled = replace(
+        form,
+        minus_weights=tuple(v for _, v in half),
+        target=reduction._add_squares(r, form.basis, half),
+    )
     assert form_polynomial(scaled) == scaled.target
     assert in_psi_hermitian(scaled.target, 1).member
     if form.n_minus:
