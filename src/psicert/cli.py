@@ -102,7 +102,15 @@ def _auto_or_frac(text: str):
     return text if text == "auto" else _frac(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _input_flags(parser, *flags) -> None:
+    """Input file flags of which at most one may be given; the command checks for none."""
+    group = parser.add_mutually_exclusive_group()
+    for flag in flags:
+        group.add_argument(flag)
+
+
+def build_parsers() -> tuple:
+    """The top-level parser, and the map from command name to that command's parser."""
     top = argparse.ArgumentParser(prog="psicert")
     top.add_argument("--format", choices=("json", "text"), default=None)
     # accepted before or after the subcommand name
@@ -129,19 +137,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out")
 
     chk = sub.add_parser("check-psi", **sub_kwargs, help="membership at a fixed power")
-    chk.add_argument("--poly")
-    chk.add_argument("--herm")
+    _input_flags(chk, "--poly", "--herm")
     chk.add_argument("--d", type=_int_at_least(0), required=True)
     chk.add_argument("--multiplier", help="JSON file {n, exps: [[...]]}")
 
     mind = sub.add_parser("min-d", **sub_kwargs, help="smallest power admitting membership")
-    mind.add_argument("--poly")
-    mind.add_argument("--herm")
+    _input_flags(mind, "--poly", "--herm")
     mind.add_argument("--max-d", type=_int_at_least(0), default=_psi.DEFAULT_POWER_CAP)
 
     sig = sub.add_parser("signature", **sub_kwargs, help="signature pair of the input")
-    sig.add_argument("--poly")
-    sig.add_argument("--herm")
+    _input_flags(sig, "--poly", "--herm")
 
     srch = sub.add_parser("search", **sub_kwargs, help="hunt for extreme sign-ratio patterns")
     srch.add_argument("--n", type=_int_at_least(1), required=True)
@@ -150,7 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
     srch.add_argument(
         "--strategy", choices=("exhaustive", "greedy", "local"), default="exhaustive"
     )
-    srch.add_argument("--budget", type=_int_at_least(0), default=200_000)
+    srch.add_argument(
+        "--budget",
+        type=_int_at_least(0),
+        default=200_000,
+        help="evaluations allowed to greedy and local search; exhaustive search ignores it",
+    )
     srch.add_argument("--seed", type=int, default=0)
     srch.add_argument(
         "--support",
@@ -163,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("--out")
 
     vb = sub.add_parser("verify-bounds", **sub_kwargs, help="check the signature-ratio ceiling")
-    vb.add_argument("--poly")
-    vb.add_argument("--herm")
+    _input_flags(vb, "--poly", "--herm")
     vb.add_argument("--n", type=_int_at_least(2))
     vb.add_argument("--d", type=_int_at_least(1), required=True)
 
@@ -172,12 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--poly", required=True)
 
     dia = sub.add_parser("diagram", **sub_kwargs, help="render a lattice diagram")
-    dia.add_argument("--poly")
-    dia.add_argument("--pattern")
+    _input_flags(dia, "--poly", "--pattern")
     dia.add_argument("--style", choices=("svg", "ascii"), default="svg")
     dia.add_argument("--show-simplices", action="store_true")
     dia.add_argument("--out")
-    return top
+    return top, sub.choices
 
 
 def _cmd_generate(args) -> int:
@@ -435,7 +443,23 @@ _COMMANDS = {
 
 
 # built once: parse_args keeps no state between calls
-_PARSER = build_parser()
+_PARSER, _SUBPARSERS = build_parsers()
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The namespace `_PARSER.parse_args(argv)` gives, with one parser level when it can.
+
+    An argv that starts with a command name goes to that command's parser
+    alone.  Anything else, and a command argv with words its parser leaves
+    over, goes through the top-level parser, which reports the top-level
+    options, unknown commands and unrecognized arguments in its own words.
+    """
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0], format=None))
+        if not extra:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def run(argv) -> int:
@@ -449,7 +473,7 @@ def run(argv) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
         args.format = getattr(args, "format_late", None) or args.format or "json"
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # from argparse, which has printed its message

@@ -183,14 +183,22 @@ class _Cover:
         return sum(bit[a] for a in points)
 
     def feasible(self, pos: int, neg: int) -> bool:
-        return not any(m & neg and not m & pos for m in self.distinct)
+        # a plain loop: searches call this per candidate, and any() over a
+        # generator costs a frame per call
+        for m in self.distinct:
+            if m & neg and not m & pos:
+                return False
+        return True
 
     def feasible_move(self, pos: int, neg: int, k: int) -> bool:
         """`feasible(pos, neg)` for a pattern that differs from a feasible one at bit k only.
 
         Only a mask through bit k can have changed, so only those are read.
         """
-        return not any(m & neg and not m & pos for m in self.through[k])
+        for m in self.through[k]:
+            if m & neg and not m & pos:
+                return False
+        return True
 
     def witness(self, pos: int, neg: int):
         """Smallest product monomial fed by neg but not by pos, or None."""

@@ -812,3 +812,86 @@ def test_path_that_cannot_be_opened_is_usage_error(tmp_path, fig2_file, capsys, 
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("usage error: ") and "Error(" in out.err
+
+
+# -- two input files, and the one-level dispatch -------------------------------
+
+
+_CONFLICTS = {
+    "check-psi": ["check-psi", "--poly", "{fig2}", "--herm", "{herm}", "--d", "1"],
+    "min-d": ["min-d", "--herm", "{herm}", "--poly", "{fig2}", "--max-d", "2"],
+    "signature": ["signature", "--poly", "{fig2}", "--herm", "{herm}"],
+    "verify-bounds": ["verify-bounds", "--poly", "{fig2}", "--d", "1", "--herm", "{herm}"],
+    "diagram": ["diagram", "--poly", "{fig2}", "--pattern", "{pattern}", "--style", "ascii"],
+}
+
+
+def _input_files(tmp_path):
+    from members import random_psi1_member
+    from psicert.polycore import hermitian_to_json
+
+    return {
+        "fig2": _write(tmp_path, "fig2.json", poly_to_json(example_fig2())),
+        "herm": _write(tmp_path, "herm.json", hermitian_to_json(random_psi1_member(3))),
+        "pattern": _write(tmp_path, "pattern.json", _MEMBER_PATTERN),
+        "tmp": str(tmp_path),
+    }
+
+
+@pytest.mark.parametrize("argv", list(_CONFLICTS.values()), ids=list(_CONFLICTS))
+def test_two_input_files_are_a_usage_error(tmp_path, capsys, argv):
+    # the second file used to be dropped without a word (diagram drew --pattern)
+    argv = [a.format(**_input_files(tmp_path)) for a in argv]
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    first, second = [a for a in argv if a in ("--poly", "--herm", "--pattern")]
+    assert out.out == ""
+    assert f"{argv[0]}: error: argument {second}: not allowed with argument {first}\n" in out.err
+
+
+_SEARCH_D4 = ["search", "--n", "2", "--D", "4", "--d", "1"]
+_DISPATCH_CORPUS = [
+    ["search", "--n=2", "--D=4", "--d=1", "--strategy=greedy"],
+    [*_SEARCH_D4, "--strat", "local"],
+    [*_SEARCH_D4, "--strategy", "local", "--seed", "-3"],
+    ["--format", "text", "signature", "--poly", "{fig2}"],
+    ["signature", "--poly", "{fig2}", "--format", "text"],
+    ["--format=text", "search", "--n", "3", "--D", "3", "--d", "1", "--form", "json"],
+    ["generate", "fig2", "--out", "{tmp}/out.json"],
+    ["search", "-h"],
+    ["-h"],
+    ["--format", "text"],
+    ["frobnicate", "--poly", "{fig2}"],
+    [],
+    ["check-psi", "--poly", "{fig2}"],
+    [*_SEARCH_D4, "--strategy", "annealing"],
+    ["signature", "--poly", "{fig2}", "extra"],
+    ["signature", "--poly", "{fig2}", "--bogus"],
+    ["signature", "--", "--poly", "{fig2}"],
+    ["generate", "--", "pd", "--n", "3", "--D", "4"],
+    *_CONFLICTS.values(),
+]
+
+
+def test_dispatch_matches_the_full_parser(tmp_path, capsys, monkeypatch):
+    # run() hands an argv that starts with a command to that command's parser;
+    # with the map emptied every argv takes the two-level path through the
+    # top-level parser, and the two must not differ in any byte
+    from psicert import cli
+
+    files = _input_files(tmp_path)
+    corpus = _one_job_per_command(tmp_path) + [[a.format(**files) for a in argv] for argv in _DISPATCH_CORPUS]
+    out_file = tmp_path / "out.json"
+
+    def outcome(argv):
+        code = run(argv)
+        written = out_file.read_text() if out_file.exists() else None
+        out_file.unlink(missing_ok=True)
+        return code, *capsys.readouterr(), written
+
+    one_level = [outcome(argv) for argv in corpus]
+    monkeypatch.setattr(cli, "_SUBPARSERS", {})
+    assert [outcome(argv) for argv in corpus] == one_level
+    # the corpus reaches every command and every kind of exit
+    assert {argv[0] for argv in corpus if argv} >= set(cli._COMMANDS)
+    assert {code for code, *_ in one_level} == {0, 1, 2}

@@ -381,6 +381,46 @@ def test_incremental_check_matches_full_check(case):
                 assert cover.feasible_move(*moved, k) == cover.feasible(*moved)
 
 
+@st.composite
+def patterns_on_point_sets(draw):
+    """(cover, D, pos, neg): a pattern with zeros on a drawn point set, feasible or not."""
+    n = draw(st.integers(1, 4))
+    D = draw(st.integers(0, 5))
+    d = draw(st.integers(1, 3))
+    lattice = monomials_of_degree(n, D)
+    points = draw(st.lists(st.sampled_from(lattice), min_size=1, max_size=12, unique=True))
+    signs = draw(st.lists(st.sampled_from((1, -1, 0)), min_size=len(points), max_size=len(points)))
+    pos = sum(1 << k for k, s in enumerate(signs) if s == 1)
+    neg = sum(1 << k for k, s in enumerate(signs) if s == -1)
+    return _Cover(sorted(points), n, d), D, pos, neg
+
+
+@given(patterns_on_point_sets())
+@settings(max_examples=200, deadline=None)
+def test_cover_checks_match_the_inflow_scan(case):
+    # both bitmask loops against the per-monomial scan of tests/oracles.py:
+    # the full check on the drawn pattern, the single-point check on every
+    # move away from a feasible pattern drawn alongside it
+    cover, D, pos, neg = case
+
+    def scan(p, q):
+        return inflow_support_feasible(SignPattern(cover.n, D, cover.points(p), cover.points(q)), cover.d)
+
+    ok, witness = scan(pos, neg)
+    assert cover.feasible(pos, neg) is ok
+    assert (cover.witness(pos, neg) is None) is ok
+    assert cover.witness(pos, neg) == witness
+    # keep the negatives whose every mask meets pos: a feasible pattern
+    neg = sum(1 << k for k, masks in enumerate(cover.through) if neg >> k & 1 and all(m & pos for m in masks))
+    assert scan(pos, neg) == (True, None)
+    for k in range(len(cover.bit)):
+        b = 1 << k
+        rest_pos, rest_neg = pos & ~b, neg & ~b
+        for moved in ((rest_pos | b, rest_neg), (rest_pos, rest_neg | b), (rest_pos, rest_neg)):
+            if moved != (pos, neg):
+                assert cover.feasible_move(*moved, k) is scan(*moved)[0]
+
+
 # Results recorded from the implementation that tested every candidate with
 # the negative-inflow scan; greedy and local must reproduce them exactly.
 SEARCH_REFERENCE = json.loads(
