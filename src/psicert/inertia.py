@@ -13,11 +13,14 @@ factor of 1 or i) manufactures a nonzero diagonal entry, so square roots
 never appear.  Sylvester's law of inertia makes the sign counts of the
 resulting diagonal the inertia of the input.
 
-The factorization holds integer data only: the record of the elimination
-steps, from which `integer_column` replays one column of the congruence
-transform on demand, and the transform's inverse as Gaussian-integer rows
-over their pivots.  Vectors are tuples of (re, im) int pairs;
-`table_quadratic_form` evaluates a witness on the table itself.
+The factorization holds integer data only: each diagonal entry as a pair
+of ints, the record of the elimination steps, from which `integer_column`
+replays one column of the congruence transform on demand, and the
+transform's inverse as Gaussian-integer rows over their pivots.  The
+inertia and the first negative pivot are read off the signs of the pairs;
+`diag`, the same entries as reduced Fractions, is built on first access.
+Vectors are tuples of (re, im) int pairs; `table_quadratic_form` evaluates
+a witness on the table itself.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import gcd
 
 from .errors import CertificateFailure, ExplicitLimit, NotHermitian, PsicertError
@@ -51,8 +56,11 @@ def _dim_cap() -> int:
 class CongruenceFactorization:
     """diag == T* . M . T, exactly, M the matrix over `basis`.
 
-    The elimination leaves integer data only.  T is the product E_1 ... E_m
-    of the congruence steps in `steps`, in order: a pivot on q is
+    The elimination leaves integer data only.  `pivots[k]` is diagonal
+    entry k as the ints (num, den), not reduced: den is the scale L times
+    the pivot minor in force at k, nonzero but possibly negative; `diag`
+    reads them as Fractions.  T is the product E_1 ... E_m of the
+    congruence steps in `steps`, in order: a pivot on q is
     (q, p, ((c, re, im), ...)), p = a_qq and the entries a_qc of row q over
     the indices c then active; a bump is (i, j, fr, fi), column i += f *
     column j with f = fr + i*fi.  `column_scales[k]` is the pivot minor in
@@ -64,16 +72,26 @@ class CongruenceFactorization:
     """
 
     basis: tuple  # index of each row and column
-    diag: tuple  # of Fraction, original index order
+    pivots: tuple  # of (num, den) int pairs, original index order
     steps: tuple
     column_scales: tuple
     inverse_rows: tuple
 
+    @cached_property
+    def diag(self) -> tuple:
+        """The diagonal entries as reduced Fractions, original index order."""
+        return tuple(Fraction(num, den) for num, den in self.pivots)
+
     @property
     def inertia(self) -> tuple:
-        pos = sum(1 for d in self.diag if d > 0)
-        neg = sum(1 for d in self.diag if d < 0)
-        return (pos, neg, len(self.diag) - pos - neg)
+        pos = neg = 0
+        for num, den in self.pivots:
+            if num:
+                if (num > 0) == (den > 0):
+                    pos += 1
+                else:
+                    neg += 1
+        return (pos, neg, len(self.pivots) - pos - neg)
 
     @property
     def pivot_log(self) -> tuple:
@@ -94,7 +112,7 @@ class CongruenceFactorization:
         denominator, kept primitive.  A column that the scale does not make
         integral raises CertificateFailure.
         """
-        dim = len(self.diag)
+        dim = len(self.pivots)
         xr, xi = [0] * dim, [0] * dim
         xr[k] = den = 1
         steps = self.steps
@@ -163,14 +181,13 @@ def _integer_rows(scaled: tuple) -> tuple:
     cap = _dim_cap()
     if dim > cap:
         raise ExplicitLimit(f"dimension {dim} exceeds cap {cap}")
-    g = L
     for (alpha, beta), (x, y) in table.items():
         if alpha == beta:
             if y:
                 raise NotHermitian(f"diagonal entry at {alpha} is not real")
         elif table.get((beta, alpha)) != (x, -y):
             raise NotHermitian(f"entries at {(alpha, beta)} and {(beta, alpha)} are not conjugate")
-        g = gcd(g, x, y)
+    g = gcd(L, *chain.from_iterable(table.values()))
     pos = {b: i for i, b in enumerate(basis)}
     re = [[0] * dim for _ in range(dim)]
     im = [[0] * dim for _ in range(dim)]
@@ -191,7 +208,7 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
     complement.  Pivoting on k, with p = a_kk = m_{s+1}, maps a_ij to
     (p * a_ij - a_ik * a_kj) / m_s; Sylvester's identity makes the division
     exact, and a remainder raises CertificateFailure.  The pivot gets
-    diag[k] = p / (L * m_s).  The transform is not formed: each pivot and
+    pivots[k] = (p, L * m_s).  The transform is not formed: each pivot and
     bump is recorded as a step, and `integer_column` replays them.
 
     Pivot rule: among the active diagonal, take the entry of largest absolute
@@ -296,7 +313,7 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
             inverse_rows[i] = (1, tuple((t, ur[t], ui[t]) for t in range(dim)))
     return CongruenceFactorization(
         basis=basis,
-        diag=tuple(Fraction(re[k][k], L * scales[k]) for k in range(dim)),
+        pivots=tuple((re[k][k], L * scales[k]) for k in range(dim)),
         steps=tuple(steps),
         column_scales=tuple(scales),
         inverse_rows=tuple(inverse_rows),
@@ -336,7 +353,7 @@ def negative_direction(fact: CongruenceFactorization, value_of):
     CertificateFailure.  Returns None when no pivot is negative, i.e. when
     M is positive semidefinite.
     """
-    k = next((k for k, d in enumerate(fact.diag) if d < 0), None)
+    k = next((k for k, (num, den) in enumerate(fact.pivots) if num and (num > 0) != (den > 0)), None)
     if k is None:
         return None
     v = fact.integer_column(k)

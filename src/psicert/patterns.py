@@ -123,14 +123,19 @@ def pattern_from_json(doc) -> SignPattern:
     )
 
 
-def _magnitude(neg_codes, code, n: int, d: int) -> int:
+def _weighted_deltas(code, n: int, d: int) -> list:
+    """(code(delta), multinomial(d, delta)) for each delta in Delta_d, the degree-d vectors in n variables."""
+    return [(code(delta), multinomial(d, delta)) for delta in compositions(d, n)]
+
+
+def _magnitude(neg_codes, deltas) -> int:
     """M = 1 + the largest multinomial-weighted negative mass into one product monomial.
 
-    `neg_codes` are the negative points packed by `code`, a `polycore.packing`
-    that has room for degree d more.  M on every positive point and -1 on
-    every negative one make every covered product coefficient positive.
+    `neg_codes` are the negative points packed by a `polycore.packing` with
+    room for degree d more, and `deltas` is `_weighted_deltas` under the
+    same packing.  M on every positive point and -1 on every negative one
+    make every covered product coefficient positive.
     """
-    deltas = [(code(delta), multinomial(d, delta)) for delta in compositions(d, n)]
     inflow: dict = {}
     get = inflow.get
     for c in neg_codes:
@@ -156,14 +161,14 @@ class _Cover:
             raise ValueError("power must be >= 1")
         points = list(points)
         code, self._decode = packing(max(map(sum, points), default=0), n, d)
-        self.n, self.d, self._code = n, d, code
+        self.n, self.d = n, d
         self.bit = {a: 1 << i for i, a in enumerate(points)}
-        self._deltas = deltas = [code(delta) for delta in compositions(d, n)]
+        self._deltas = deltas = _weighted_deltas(code, n, d)
         self._codes = codes = list(map(code, points))
         masks: dict = {}
         get = masks.get
         for c, b in zip(codes, self.bit.values()):
-            for dc in deltas:
+            for dc, _ in deltas:
                 key = c + dc
                 masks[key] = get(key, 0) | b
         self.masks = masks
@@ -176,7 +181,7 @@ class _Cover:
     def through(self) -> list:
         """through[i]: the masks that contain bit i (one per delta)."""
         masks, deltas = self.masks, self._deltas
-        return [[masks[c + dc] for dc in deltas] for c in self._codes]
+        return [[masks[c + dc] for dc, _ in deltas] for c in self._codes]
 
     def bits(self, points) -> int:
         bit = self.bit
@@ -220,7 +225,7 @@ class _Cover:
         if witness is not None:
             raise Infeasible(f"no realization exists; uncovered product monomial {witness}")
         bits = self.bit.values()
-        M = _magnitude([c for c, b in zip(self._codes, bits) if neg & b], self._code, self.n, self.d)
+        M = _magnitude([c for c, b in zip(self._codes, bits) if neg & b], self._deltas)
         signed = pos | neg
         return RealSparsePoly._from_table(
             self.n, 1, {a: M if pos & b else -1 for a, b in self.bit.items() if signed & b}
@@ -249,7 +254,7 @@ def realize_signs(signs: dict, n: int, d: int) -> RealSparsePoly:
     """
     neg = [a for a, s in signs.items() if s < 0]
     code = packing(max(map(sum, neg), default=0), n, d)[0]
-    M = _magnitude(map(code, neg), code, n, d)
+    M = _magnitude(map(code, neg), _weighted_deltas(code, n, d))
     return RealSparsePoly._from_table(n, 1, {a: M if s > 0 else -1 for a, s in signs.items() if s})
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from math import comb, gcd, lcm
-from operator import floordiv, itemgetter, mod
+from operator import add, floordiv, itemgetter, mod, mul
 
 from .errors import DuplicateMultiplierTerm, NotDiagonal, NotHermitian
 
@@ -34,10 +34,6 @@ MultiIndex = tuple  # exponent vector: tuple of nonnegative ints
 
 def total_degree(alpha: MultiIndex) -> int:
     return sum(alpha)
-
-
-def add_index(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    return tuple(a + b for a, b in zip(alpha, beta))
 
 
 def compositions(total: int, parts: int):
@@ -327,9 +323,17 @@ def packing(top: int, n: int, d: int):
 
 
 def _packed(p: RealSparsePoly, top: int, d: int) -> tuple:
-    """(code, decode, codes): `packing` for p, of degree <= top, times degree <= d; p's table packed."""
+    """(code, decode, codes): `packing` for p, of degree <= top, times degree <= d; p's table packed.
+
+    The codes are built by Horner's rule over the columns of the exponent
+    vectors, base `packing`'s B = top + d + 1: the same ints `code` gives.
+    """
     code, decode = packing(top, p.n, d)
-    return code, decode, dict(zip(map(code, p.table), p.table.values()))
+    columns = zip(*p.table)
+    codes = next(columns, ())
+    for column in columns:
+        codes = map(add, map(mul, codes, repeat(top + d + 1)), column)
+    return code, decode, dict(zip(codes, p.table.values()))
 
 
 def simplex_powers(p: RealSparsePoly, d_max: int):
@@ -459,7 +463,7 @@ class HermitianPoly(_ScaledTable):
     @classmethod
     def _from_table(cls, n: int, scale: int, table: dict) -> "HermitianPoly":
         """table / scale, for a positive int scale and a table closed under conjugation; scale made minimal."""
-        g = gcd(scale, *(x for v in table.values() for x in v))
+        g = gcd(scale, *chain.from_iterable(table.values()))
         if g > 1:
             scale //= g
             table = {key: (x // g, y // g) for key, (x, y) in table.items()}
@@ -522,7 +526,7 @@ def _shift_table(scaled: tuple, exps) -> tuple:
     for key in table:
         for a in key:
             if a not in moved:
-                moved[a] = [add_index(a, delta) for delta in exps]
+                moved[a] = [tuple(map(add, a, delta)) for delta in exps]
     out: dict = {}
     get = out.get
     for (alpha, beta), (x, y) in table.items():
@@ -554,23 +558,45 @@ def hermitian_multiplier_table(r: HermitianPoly, s) -> tuple:
 # JSON interchange formats (bit-exact: rationals travel as strings)
 #
 # Readers accept JSON integers only for "n" and exponents.  Each distinct
-# coefficient text of a document is parsed once with Fraction(text), which
-# sets the grammar ("1/2", " 1/2 ", "0.5", "1e3", a bare JSON number); the
+# coefficient text of a document is read once by `_ratio`, whose grammar is
+# Fraction(text)'s ("1/2", " 1/2 ", "0.5", "1e3", a bare JSON number); the
 # table is built over the lcm of their denominators.
 
 
+def _ratio(text: str) -> tuple:
+    """Fraction(text).as_integer_ratio(): (p, q) in lowest terms with q > 0.
+
+    An ASCII text [-]digits[/digits] with a nonzero denominator, as
+    `_rational_str` writes it, is read with int() and one gcd; every other
+    text goes to Fraction, which sets the grammar and raises its errors.
+    """
+    num, slash, den = text.partition("/")
+    if text.isascii() and (num[1:] if num[:1] == "-" else num).isdigit() and (not slash or den.isdigit()):
+        p, q = int(num), int(den) if slash else 1
+        if q:
+            g = gcd(p, q)
+            return p // g, q // g
+    return Fraction(text).as_integer_ratio()
+
+
+def _parse(texts) -> dict:
+    """{text: _ratio(text)}, each distinct text read once, in the order given.
+
+    A faulty text raises as it would in a reading one text at a time.
+    """
+    return {text: _ratio(text) for text in dict.fromkeys(texts)}
+
+
 def _rational_texts(parsed: dict) -> tuple:
-    """(L, {text: Fraction(text) * L as an int}) for the parsed texts, L the lcm of their denominators."""
+    """(L, {text: p * L // q}) for the parsed texts' (p, q), L the lcm of their denominators."""
     L = lcm(*(den for _, den in parsed.values()))
     return L, {text: num * (L // den) for text, (num, den) in parsed.items()}
 
 
-def _parse(parsed: dict, text: str) -> str:
-    """Record Fraction(text) as (numerator, denominator) under text, once per document."""
-    if text not in parsed:
-        f = Fraction(text)
-        parsed[text] = f.numerator, f.denominator
-    return text
+def _exponents_sound(vectors: list, n: int) -> bool:
+    """Whether every vector has arity n and nonnegative int entries; one pass over them all."""
+    flat = list(chain.from_iterable(vectors))
+    return set(map(len, vectors)) <= {n} and set(map(type, flat)) <= {int} and min(flat, default=0) >= 0
 
 
 def _rational_str(c: int, L: int) -> str:
@@ -593,15 +619,14 @@ def poly_from_json(doc) -> RealSparsePoly:
     try:
         alphas = list(map(tuple, map(itemgetter("exp"), terms)))
         texts = list(map(str, map(itemgetter("coef"), terms)))
-        flat = list(chain.from_iterable(alphas))
-        sound = set(map(len, alphas)) <= {n} and set(map(type, flat)) <= {int} and min(flat, default=0) >= 0
+        sound = _exponents_sound(alphas, n)
     except (KeyError, TypeError):
         sound = False
     if not sound:  # read again term by term: the first faulty term raises, as it always has
         for t in terms:
             _exponent_vector(t["exp"], n)
-            Fraction(str(t["coef"]))
-    L, value = _rational_texts({text: Fraction(text).as_integer_ratio() for text in dict.fromkeys(texts)})
+            _ratio(str(t["coef"]))
+    L, value = _rational_texts(_parse(texts))
     values = list(map(value.__getitem__, texts))
     table = dict(zip(alphas, values))
     if len(table) < len(alphas):
@@ -624,23 +649,49 @@ def hermitian_to_json(r: HermitianPoly) -> dict:
     return {"n": r.n, "entries": entries}
 
 
+def _first_faulty_entry(entries, n: int) -> None:
+    """Read Hermitian entries one by one and raise what the first faulty one raises.
+
+    An entry's alpha, beta, "re" and "im" are checked in that order, and
+    an entry that repeats a key with another value raises NotHermitian.
+    """
+    seen: dict = {}
+    for e in entries:
+        key = (_exponent_vector(e["alpha"], n), _exponent_vector(e["beta"], n))
+        value = _ratio(str(e["re"])), _ratio(str(e.get("im", "0")))
+        if seen.setdefault(key, value) != value:
+            raise NotHermitian(f"conflicting duplicate entry at {key}")
+
+
 def hermitian_from_json(doc) -> HermitianPoly:
-    """Parse and validate; a repeated entry must equal the first, and the table must be Hermitian."""
+    """Parse and validate in whole passes; a repeated entry must equal the first, the table must be Hermitian.
+
+    A document with a faulty entry is read again entry by entry, so the
+    first faulty entry raises, as it would in a reading one entry at a time.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
     n = _json_int(doc["n"])
-    parsed: dict = {}
-    staged: dict = {}
-    for e in doc["entries"]:
-        key = (_exponent_vector(e["alpha"], n), _exponent_vector(e["beta"], n))
-        texts = (_parse(parsed, str(e["re"])), _parse(parsed, str(e.get("im", "0"))))
-        first = staged.setdefault(key, texts)
-        if first != texts and (parsed[first[0]], parsed[first[1]]) != (parsed[texts[0]], parsed[texts[1]]):
-            raise NotHermitian(f"conflicting duplicate entry at {key}")
-    L, value = _rational_texts(parsed)
-    ints = {}
-    for key, (re, im) in staged.items():
-        x, y = value[re], value[im]
-        if x or y:
-            ints[key] = (x, y)
-    return HermitianPoly._from_table(n, L, _hermitian_closure(ints))
+    entries = list(doc["entries"])
+    try:
+        alphas = map(tuple, map(itemgetter("alpha"), entries))
+        keys = list(zip(alphas, map(tuple, map(itemgetter("beta"), entries))))
+        res = list(map(str, map(itemgetter("re"), entries)))
+        ims = [str(e.get("im", "0")) for e in entries]
+        sound = _exponents_sound(list(chain.from_iterable(keys)), n)
+    except (KeyError, TypeError, AttributeError):
+        sound = False
+    if not sound:
+        _first_faulty_entry(entries, n)
+    try:
+        L, value = _rational_texts(_parse(chain.from_iterable(zip(res, ims))))
+    except (ValueError, ZeroDivisionError):
+        _first_faulty_entry(entries, n)  # an earlier conflicting repeat raises first
+        raise
+    pairs = list(zip(map(value.__getitem__, res), map(value.__getitem__, ims)))
+    staged = dict(zip(keys, pairs))
+    if len(staged) < len(keys):
+        _first_faulty_entry(entries, n)  # a key repeated with another value raises; equal repeats pass
+    if (0, 0) in staged.values():
+        staged = {key: v for key, v in staged.items() if v != (0, 0)}
+    return HermitianPoly._from_table(n, L, _hermitian_closure(staged))

@@ -11,8 +11,8 @@ expanded over Gaussian rationals, a reduction step's integer rows are read
 back as a Gaussian-rational 2x2 matrix, sign patterns are checked by the
 original negative-inflow scan, JSON documents are parsed term by term
 into Fraction and Gaussian-rational dicts (and by the original term-by-term
-polynomial reader), and the pigeonhole certificate is built on exponent
-vectors.
+polynomial and Hermitian readers), and the pigeonhole certificate is built
+on exponent vectors.
 """
 
 import json
@@ -30,13 +30,16 @@ from psicert.polycore import (
     HermitianPoly,
     RealSparsePoly,
     _exponent_vector,
+    _hermitian_closure,
     _json_int,
-    _parse,
     _rational_texts,
-    add_index,
     compositions,
     multinomial,
 )
+
+
+def add_index(alpha, beta) -> tuple:
+    return tuple(a + b for a, b in zip(alpha, beta))
 
 
 def naive_mul(a: dict, b: dict) -> dict:
@@ -425,6 +428,14 @@ def plain_poly_parse(doc) -> dict:
     return {a: c for a, c in terms.items() if c}
 
 
+def _parse(parsed: dict, text: str) -> str:
+    """Record Fraction(text) as (numerator, denominator) under text, once per document."""
+    if text not in parsed:
+        f = Fraction(text)
+        parsed[text] = f.numerator, f.denominator
+    return text
+
+
 def term_by_term_poly_from_json(doc) -> RealSparsePoly:
     """The original polynomial reader: each term's exponents checked and its text recorded in turn."""
     if isinstance(doc, str):
@@ -505,3 +516,28 @@ def plain_hermitian_parse(doc) -> dict:
         out[(alpha, beta)] = v
         out[(beta, alpha)] = v.conjugate()
     return out
+
+
+def term_by_term_hermitian_from_json(doc) -> HermitianPoly:
+    """The original Hermitian reader: each entry's exponents checked and its texts recorded in turn.
+
+    A repeated entry must equal the first, and the table must be Hermitian.
+    """
+    if isinstance(doc, str):
+        doc = json.loads(doc)
+    n = _json_int(doc["n"])
+    parsed: dict = {}
+    staged: dict = {}
+    for e in doc["entries"]:
+        key = (_exponent_vector(e["alpha"], n), _exponent_vector(e["beta"], n))
+        texts = (_parse(parsed, str(e["re"])), _parse(parsed, str(e.get("im", "0"))))
+        first = staged.setdefault(key, texts)
+        if first != texts and (parsed[first[0]], parsed[first[1]]) != (parsed[texts[0]], parsed[texts[1]]):
+            raise NotHermitian(f"conflicting duplicate entry at {key}")
+    L, value = _rational_texts(parsed)
+    ints = {}
+    for key, (re, im) in staged.items():
+        x, y = value[re], value[im]
+        if x or y:
+            ints[key] = (x, y)
+    return HermitianPoly._from_table(n, L, _hermitian_closure(ints))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -421,6 +422,42 @@ def test_signature_and_verify_bounds_agree_on_both_inputs(tmp_path, capsys):
         assert run(["verify-bounds", flag, str(path), "--d", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert (doc["n"], doc["n_plus"], doc["n_minus"]) == (3, 7, 6)
+
+
+def test_hermitian_verdicts_build_no_fraction_before_the_witness_value(tmp_path, monkeypatch, capsys):
+    # a non-diagonal table with imaginary parts, read from canonical texts, goes from the document
+    # to the verdict in ints: the only Fraction built is each witness value v* M v
+    from importlib import import_module
+
+    from members import random_psi1_member
+    from psicert.polycore import hermitian_to_json
+
+    r = random_psi1_member(3)
+    assert not r.is_diagonal() and any(y for _, y in r.table.values())
+    herm = _write(tmp_path, "herm.json", hermitian_to_json(r))
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    for module in ("psicert.polycore", "psicert.inertia"):  # the package binds the name `inertia` to a function
+        monkeypatch.setattr(import_module(module), "Fraction", Counting)
+    assert run(["signature", "--herm", herm]) == 0
+    assert json.loads(capsys.readouterr().out) == {"n_plus": 5, "n_minus": 1, "rank": 6}
+    assert built == []
+    assert run(["check-psi", "--herm", herm, "--d", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["member"] is True
+    assert built == []
+    assert run(["check-psi", "--herm", herm, "--d", "0"]) == 1
+    value = json.loads(capsys.readouterr().out)["witness"]["value"]
+    assert [str(Fraction(*args)) for args in built] == [value]
+    built.clear()
+    assert run(["min-d", "--herm", herm, "--max-d", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["min_d"] == 1
+    # power 0 fails, and its witness value is the one Fraction
+    assert [str(Fraction(*args)) for args in built] == [value]
 
 
 # |z1 - z2|^2, not diagonal, and its negative: a member at power 0 and a non-member at every power

@@ -419,3 +419,44 @@ def test_replay_of_a_corrupted_step_is_failure():
         corrupted = replace(fact, steps=(*fact.steps[:s], (q, p, bad), *fact.steps[s + 1 :]))
         with pytest.raises(CertificateFailure):
             corrupted.integer_column(0)
+
+
+# A negative pivot minor: pivoting 2 (p = -2) leaves the imaginary block [[0, 6i], [-6i, 0]], bumped by i
+_NEGATIVE_MINOR_I_BUMP = [[(0, 0), (0, 3), (0, 0)], [(0, -3), (0, 0), (0, 0)], [(0, 0), (0, 0), (-2, 0)]]
+_NEGATIVE_MINORS_COMPLEX = [[(2, 0), (1, 1), (0, 0)], [(1, -1), (-3, 0), (1, 0)], [(0, 0), (1, 0), (5, 0)]]
+
+
+def test_integer_pivots_cover_negative_minors_and_i_bumps():
+    # the integer pivot pairs, their denominators negative after a negative pivot, read as the oracle's diagonal
+    bumped = _factor([[G(*z) for z in row] for row in _NEGATIVE_MINOR_I_BUMP])
+    assert ("bump", 0, 1, "i") in bumped.pivot_log
+    complex_minors = _factor([[G(*z) for z in row] for row in _NEGATIVE_MINORS_COMPLEX])
+    for fact in (bumped, complex_minors):
+        assert any(den < 0 for _, den in fact.pivots)
+        assert all(type(x) is int for pair in fact.pivots for x in pair)
+        assert fact.diag == tuple(Fraction(num, den) for num, den in fact.pivots)
+
+
+@given(hermitian_int_matrices(), st.integers(1, 6))
+@example(_NEGATIVE_MINOR_I_BUMP, 1)
+@example(_NEGATIVE_MINORS_COMPLEX, 4)
+@settings(max_examples=200, deadline=None)
+def test_integer_pivot_verdicts_match_the_oracle(rows, L):
+    # inertia, the first negative pivot's vector and value, and diag, read off the integer pivots,
+    # are the rational eliminator's on (rows) / L
+    M = [[G(Fraction(x, L), Fraction(y, L)) for x, y in row] for row in rows]
+    scaled = L, {((i,), (j,)): z for i, row in enumerate(rows) for j, z in enumerate(row)}
+    fact = congruence_factorization(scaled)
+    ref = rational_congruence_factorization(M)
+    assert fact.diag == ref.diag
+    signs = [(d > 0) - (d < 0) for d in ref.diag]
+    assert fact.inertia == (signs.count(1), signs.count(-1), signs.count(0))
+    found = negative_direction(fact, lambda v: table_quadratic_form(scaled, fact.basis, v))
+    k = next((k for k, d in enumerate(ref.diag) if d < 0), None)
+    if k is None:
+        assert found is None
+        return
+    vector, value = found
+    scale = fact.column_scales[k]
+    assert [G(*z) for z in vector] == [row[k] * G(scale) for row in ref.transform]
+    assert value == quadratic_form(M, [G(*z) for z in vector]).re == scale**2 * ref.diag[k]

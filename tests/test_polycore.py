@@ -12,6 +12,7 @@ from oracles import (
     plain_hermitian_parse,
     plain_poly_parse,
     poly_dict,
+    term_by_term_hermitian_from_json,
     term_by_term_poly_from_json,
 )
 from psicert.errors import DuplicateMultiplierTerm, NotDiagonal, NotHermitian
@@ -20,12 +21,15 @@ from psicert.polycore import (
     GaussianRational,
     HermitianPoly,
     RealSparsePoly,
+    _packed,
+    _ratio,
     diagonal_multiplier_table,
     diagonal_real_bridge,
     hermitian_from_json,
     hermitian_to_json,
     monomials_of_degree,
     multiply_by_simplex_power,
+    packing,
     packed_simplex_power,
     poly_from_json,
     poly_to_json,
@@ -134,6 +138,20 @@ def test_homogeneous_support_shifts_by_d(n, D, d):
     p = RealSparsePoly(n, terms)
     out = multiply_by_simplex_power(p, d)
     assert all(sum(a) == D + d for a in out.support)
+
+
+@given(small_polys, st.integers(2, 4), st.lists(st.tuples(*([st.integers(0, 3)] * 3)), min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_packed_codes_are_the_packing_codes(p, d, exps):
+    # Horner's rule over the exponent columns gives code(a) for every vector, at a power d > 1 and
+    # at a multiplier's degree
+    top = max(map(sum, p.table), default=0)
+    exps = list(dict.fromkeys(a[: p.n] for a in exps))
+    for extra in (d, max(map(sum, exps))):
+        code, decode, codes = _packed(p, top, extra)
+        assert codes == {code(a): c for a, c in p.table.items()}
+        assert list(codes) == list(map(packing(top, p.n, extra)[0], p.table))
+        assert decode(codes) == list(p.table)
 
 
 def test_diagonal_multiplier_examples():
@@ -315,7 +333,7 @@ def _reader_outcome(read, doc):
     """(n, scale, table) of read(doc), or the type and message of the error it raised."""
     try:
         p = read(doc)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, NotHermitian) as exc:
         return type(exc), str(exc)
     return p.n, p.scale, p.table
 
@@ -331,6 +349,78 @@ def test_poly_from_json_matches_term_by_term_reader(doc):
         assert _reader_outcome(poly_from_json, form) == _reader_outcome(term_by_term_poly_from_json, form)
 
 
+@st.composite
+def _hermitian_reader_documents(draw):
+    """Hermitian documents with repeated keys, some with one or two faulty entries."""
+    n = draw(st.integers(1, 2))
+    index = st.tuples(*([st.integers(0, 1)] * n))
+    texts = st.sampled_from([*_READER_TEXTS, "1/2"])
+    raw = draw(st.lists(st.tuples(index, index, texts, st.sampled_from([None, "0", "-0", "1/2", "-1"])), max_size=10))
+    entries = []
+    for alpha, beta, re, im in raw:
+        e = {"alpha": list(alpha), "beta": list(beta), "re": re}
+        if im is not None:
+            e["im"] = im
+        entries.append(e)
+    for k in draw(st.lists(st.integers(0, len(entries) - 1), max_size=2, unique=True)) if entries else ():
+        e = dict(entries[k])
+        fault = draw(st.sampled_from(["exponent", "arity", "scalar", "text", "key"]))
+        side = draw(st.sampled_from(["alpha", "beta"]))
+        if fault == "exponent":
+            e[side] = list(e[side])
+            e[side][draw(st.integers(0, n - 1))] = draw(st.sampled_from(_BAD_EXPONENTS))
+        elif fault == "arity":
+            e[side] = e[side] + [0] if draw(st.booleans()) else e[side][:-1]
+        elif fault == "scalar":
+            e[side] = draw(st.sampled_from([0, 1, None]))
+        elif fault == "text":
+            e[draw(st.sampled_from(["re", "im"]))] = draw(st.sampled_from(_BAD_TEXTS))
+        else:
+            e.pop(draw(st.sampled_from(["alpha", "beta", "re"])))
+        entries[k] = e
+    return {"n": n, "entries": entries}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hermitian_reader_documents())
+@example({"n": 1, "entries": [{"alpha": [0], "beta": [1], "re": "1", "im": "abc"},
+                              {"alpha": [1], "beta": [1], "re": "1/0"}]})
+@example({"n": 1, "entries": [{"alpha": [1], "beta": [1], "re": "2", "im": "1/0"},
+                              {"alpha": [0], "beta": [0], "re": "x"}]})
+@example({"n": 1, "entries": [{"alpha": [1], "beta": [0], "re": "1", "im": "1"},
+                              {"alpha": [1], "beta": [0], "re": "1", "im": "-1"},
+                              {"alpha": [0], "beta": [0], "re": "1/0"}]})
+@example({"n": 1, "entries": [{"alpha": [1], "beta": [0], "re": "1/2", "im": "1"},
+                              {"alpha": [1], "beta": [0], "re": "2/4", "im": "1.0"},
+                              {"alpha": [0], "beta": [1], "re": "0.5", "im": "-1"}]})
+@example({"n": 2, "entries": [{"alpha": [1, 0], "beta": [0, 1], "re": "1", "im": "2"},
+                              {"alpha": [0, 1], "beta": [1, 0], "re": "1", "im": "2"}]})
+@example({"n": 1, "entries": [{"alpha": [1], "beta": [1], "re": "1", "im": "bad"}, {"alpha": [1], "re": "1"}]})
+def test_hermitian_from_json_matches_term_by_term_reader(doc):
+    # same table, or the same error as the first faulty entry raises when entries are read one by one
+    for form in (doc, json.dumps(doc)):
+        assert _reader_outcome(hermitian_from_json, form) == _reader_outcome(term_by_term_hermitian_from_json, form)
+
+
+_RATIO_CORPUS = [
+    "-0", "007/014", "+3", " 1/2 ", "1_000", "\u0663", "\u00b2", "-", "--1", "1/-2", "3/", "/2", "1/0", "",
+    "12/8", "-12/8", "0/5", "0", "-7", "5e-1", "1" * 4400, "2/" + "3" * 4400,
+]
+
+
+@pytest.mark.parametrize("text", _RATIO_CORPUS, ids=[repr(t[:12]) for t in _RATIO_CORPUS])
+def test_ratio_is_the_fraction_ratio(text):
+    try:
+        want = Fraction(text).as_integer_ratio()
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            _ratio(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = _ratio(text)
+        assert got == want and all(type(x) is int for x in got)
+
+
 def test_json_readers_require_their_key():
     # a document of the other kind is an error, not the zero polynomial
     with pytest.raises(KeyError, match="terms"):
@@ -343,26 +433,38 @@ def test_json_readers_require_their_key():
 
 
 _RATIONAL_TEXTS = ["1", "-1", "3/4", "-3/4", "0", "2/6", "-1/3", "5"]
+_NONCANONICAL_TEXTS = [" 1/2 ", "0.5", "1e3", "+3", "-0.25"]
 
 
 def test_readers_parse_each_distinct_text_once(monkeypatch):
+    # each distinct text is read once by _ratio, and only a text outside [-]digits[/digits] builds a Fraction
     import psicert.polycore as polycore
 
-    calls = []
+    read, built = [], []
+    ratio = polycore._ratio
+
+    def counting_ratio(text):
+        read.append(text)
+        return ratio(text)
 
     class Counting(Fraction):
         def __new__(cls, *args):
-            calls.append(args)
+            built.append(args)
             return super().__new__(cls, *args)
 
+    monkeypatch.setattr(polycore, "_ratio", counting_ratio)
     monkeypatch.setattr(polycore, "Fraction", Counting)
-    texts = list(enumerate(_RATIONAL_TEXTS * 2))
+    distinct = _RATIONAL_TEXTS + _NONCANONICAL_TEXTS
+    texts = list(enumerate(distinct * 2))
     poly_from_json({"n": 1, "terms": [{"exp": [k], "coef": text} for k, text in texts]})
-    assert sorted(calls) == sorted((text,) for text in _RATIONAL_TEXTS)
-    calls.clear()
+    assert sorted(read) == sorted(distinct)
+    assert sorted(built) == sorted((text,) for text in _NONCANONICAL_TEXTS)
+    read.clear()
+    built.clear()
     entries = [{"alpha": [k], "beta": [k], "re": text, "im": "0"} for k, text in texts]
     hermitian_from_json({"n": 1, "entries": entries})
-    assert sorted(calls) == sorted((text,) for text in _RATIONAL_TEXTS)
+    assert sorted(read) == sorted({*distinct, "0"})
+    assert sorted(built) == sorted((text,) for text in _NONCANONICAL_TEXTS)
 
 
 def _hermitian_documents(n):
