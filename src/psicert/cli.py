@@ -29,15 +29,12 @@ from .errors import (
     PsicertError,
 )
 from .polycore import (
-    RealSparsePoly,
-    SignaturePair,
     _json_int,
     _rational_str,
     hermitian_from_json,
     multiplier_exponents,
     poly_from_json,
     poly_to_json,
-    sign_counts,
 )
 
 OK, NEGATIVE, USAGE, INTERNAL, BROKEN_PIPE = 0, 1, 2, 3, 141
@@ -270,18 +267,8 @@ def _cmd_min_d(args) -> int:
     return OK if found is not None else NEGATIVE
 
 
-def _signature(obj) -> SignaturePair:
-    """Sign counts of a real polynomial, inertia of a Hermitian table."""
-    if isinstance(obj, RealSparsePoly):
-        return sign_counts(obj)
-    from .inertia import inertia
-
-    pos, neg, _zero = inertia(obj)
-    return SignaturePair(pos, neg)
-
-
 def _cmd_signature(args) -> int:
-    sig = _signature(_load_input(args))
+    sig = _psi.signature(_load_input(args))
     _emit({"n_plus": sig.n_plus, "n_minus": sig.n_minus, "rank": sig.rank}, args)
     return OK
 
@@ -371,7 +358,7 @@ def _cmd_verify_bounds(args) -> int:
     n = obj.n if args.n is None else args.n
     if n < 2:
         raise SystemExit2(f"the ratio ceiling needs n >= 2; the input has n = {n}")
-    sig = _signature(obj)
+    sig = _psi.signature(obj)
     report = _bounds.verify_ratio_bound(sig, n, args.d)
     _emit(
         {

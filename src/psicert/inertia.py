@@ -17,10 +17,10 @@ The factorization holds integer data only: each diagonal entry as a pair
 of ints, the record of the elimination steps, from which `integer_column`
 replays one column of the congruence transform on demand, and the
 transform's inverse as Gaussian-integer rows over their pivots.  The
-inertia and the first negative pivot are read off the signs of the pairs;
-`diag`, the same entries as reduced Fractions, is built on first access.
-Vectors are tuples of (re, im) int pairs; `table_quadratic_form` evaluates
-a witness on the table itself.
+inertia is read off the signs of the pairs; `diag`, the same entries as
+reduced Fractions, is built on first access.  Vectors are tuples of
+(re, im) int pairs; `table_quadratic_form` evaluates a witness on the table
+itself.
 """
 
 from __future__ import annotations
@@ -342,25 +342,6 @@ def table_quadratic_form(scaled: tuple, basis, v) -> Fraction:
     if acc_im:
         raise CertificateFailure(f"v* M v has imaginary part {Fraction(acc_im, L)}")
     return Fraction(acc_re, L)
-
-
-def negative_direction(fact: CongruenceFactorization, value_of):
-    """(v, value_of(v)) for the first negative pivot of `fact`.
-
-    v is that pivot's transform column as (re, im) int pairs; `value_of` must
-    evaluate v* M v on the factored matrix M itself rather than read it off
-    the factorization, and a value that is not negative raises
-    CertificateFailure.  Returns None when no pivot is negative, i.e. when
-    M is positive semidefinite.
-    """
-    k = next((k for k, (num, den) in enumerate(fact.pivots) if num and (num > 0) != (den > 0)), None)
-    if k is None:
-        return None
-    v = fact.integer_column(k)
-    value = value_of(v)
-    if value >= 0:
-        raise CertificateFailure(f"negative pivot {k} gives v* M v = {value} >= 0")
-    return v, value
 
 
 def inertia(r: HermitianPoly) -> tuple:

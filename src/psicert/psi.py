@@ -4,7 +4,8 @@ A real-valued bihomogeneous polynomial r sits in class d when r times the
 d-th power of the squared norm is a squared norm of holomorphic polynomials.
 Diagonal inputs reduce to coefficient nonnegativity of an exact product;
 general inputs reduce to positive semidefiniteness of an exact coefficient
-matrix.  Both routes produce checkable certificates.
+matrix.  Both routes produce checkable certificates.  `_routed` is the one
+place that picks the route, for membership and for the signature alike.
 """
 
 from __future__ import annotations
@@ -14,17 +15,19 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 
-from .errors import CapExceeded
-from .inertia import congruence_factorization, negative_direction, table_quadratic_form
+from .errors import CapExceeded, CertificateFailure
+from .inertia import congruence_factorization, table_quadratic_form
 from .polycore import (
     HermitianPoly,
     MultiIndex,
     RealSparsePoly,
+    SignaturePair,
     diagonal_multiplier_table,
     diagonal_real_bridge,
     hermitian_multiplier_table,
     hermitian_powers,
     packed_simplex_power,
+    sign_counts,
     simplex_powers,
     unpack_table,
 )
@@ -103,23 +106,27 @@ def in_psi_diagonal(p: RealSparsePoly, d: int) -> PsiReport:
 def _psd_verdict(scaled: tuple) -> tuple:
     """Factor the product table (L, table) once.
 
-    (True, PsdCertificate) or (False, NegativeDirectionWitness); the
-    witness value is evaluated again on the table.
+    (True, PsdCertificate) or (False, NegativeDirectionWitness).  The
+    witness is the transform column of the first negative pivot; its value
+    v* M v is evaluated again on the table rather than read off the
+    factorization, and a value that is not negative raises
+    CertificateFailure.
     """
     fact = congruence_factorization(scaled)
-    found = negative_direction(fact, lambda v: table_quadratic_form(scaled, fact.basis, v))
-    if found is None:
+    k = next((k for k, (num, den) in enumerate(fact.pivots) if num and (num > 0) != (den > 0)), None)
+    if k is None:
         return True, PsdCertificate(fact, fact.basis)
-    vector, value = found
-    return False, NegativeDirectionWitness(vector, fact.basis, value)
+    v = fact.integer_column(k)
+    value = table_quadratic_form(scaled, fact.basis, v)
+    if value >= 0:
+        raise CertificateFailure(f"negative pivot {k} gives v* M v = {value} >= 0")
+    return False, NegativeDirectionWitness(v, fact.basis, value)
 
 
 def in_psi_hermitian(r: HermitianPoly, d: int) -> PsiReport:
     """General membership: the product coefficient matrix must be PSD, exactly."""
     if d < 0:
         raise ValueError("power must be nonnegative")
-    if r.is_zero():
-        return PsiReport(d, True, NonnegativeProductCertificate(r.n, (1, {}, list)))
     member, cert = _psd_verdict(next(islice(hermitian_powers(r), d, None)))
     return PsiReport(d, member, cert)
 
@@ -137,6 +144,15 @@ def _routed(obj):
     raise TypeError(f"cannot test membership for {type(obj).__name__}")
 
 
+def signature(obj) -> SignaturePair:
+    """(N+, N-) of obj: sign counts on the diagonal route, else the inertia of r's own matrix."""
+    obj = _routed(obj)
+    if isinstance(obj, RealSparsePoly):
+        return sign_counts(obj)
+    pos, neg, _zero = congruence_factorization((obj.scale, obj.table)).inertia
+    return SignaturePair(pos, neg)
+
+
 def in_psi(obj, d: int) -> PsiReport:
     """Dispatch on input kind; the diagonal route is the fast exact path."""
     obj = _routed(obj)
@@ -152,7 +168,8 @@ def min_psi_index(obj, d_max: int = DEFAULT_POWER_CAP) -> int | None:
     nonnegativity and PSD-ness), so the first success is the minimum.
     Diagonal input walks the simplex powers once, one convolution pass per
     power; other Hermitian input walks the squared-norm powers once, one
-    shift pass per power, factoring each product matrix.
+    shift pass per power, factoring each product matrix and reading only
+    its inertia: the answer is a power, so no witness is built.
     """
     if d_max > HARD_POWER_CAP:
         raise CapExceeded(f"power cap {d_max} exceeds hard limit {HARD_POWER_CAP}")
@@ -165,7 +182,7 @@ def min_psi_index(obj, d_max: int = DEFAULT_POWER_CAP) -> int | None:
                 return d
         return None
     for d, scaled in zip(range(d_max + 1), hermitian_powers(obj)):
-        if _psd_verdict(scaled)[0]:
+        if congruence_factorization(scaled).inertia[1] == 0:
             return d
     return None
 

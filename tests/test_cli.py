@@ -307,18 +307,15 @@ def test_malformed_input_is_usage_error(tmp_path):
 
 
 def test_core_value_error_is_internal(tmp_path, monkeypatch):
-    import importlib
-
-    from psicert.polycore import hermitian_to_json, real_to_diagonal
+    from psicert import psi
 
     herm = tmp_path / "h.json"
-    herm.write_text(json.dumps(hermitian_to_json(real_to_diagonal(example_fig2()))))
+    herm.write_text(json.dumps(_HERM_SQUARE))
 
     def broken(scaled):
         raise ValueError("bug inside the exact core")
 
-    inertia_mod = importlib.import_module("psicert.inertia")
-    monkeypatch.setattr(inertia_mod, "congruence_factorization", broken)
+    monkeypatch.setattr(psi, "congruence_factorization", broken)
     assert run(["signature", "--herm", str(herm)]) == 3
 
 
@@ -408,7 +405,8 @@ def test_search_off_lattice_support_is_usage_error(tmp_path, capsys):
                 "--support", str(support)]) == 2
 
 
-def test_signature_and_verify_bounds_agree_on_both_inputs(tmp_path, capsys):
+def test_signature_and_verify_bounds_agree_on_both_inputs(tmp_path, monkeypatch, capsys):
+    from psicert import psi
     from psicert.polycore import hermitian_to_json, real_to_diagonal
 
     poly = tmp_path / "p.json"
@@ -422,14 +420,29 @@ def test_signature_and_verify_bounds_agree_on_both_inputs(tmp_path, capsys):
         assert run(["verify-bounds", flag, str(path), "--d", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert (doc["n"], doc["n_plus"], doc["n_minus"]) == (3, 7, 6)
+    # a diagonal table takes the diagonal route, as check-psi --herm does: no factorization, no dimension cap
+    def no_factoring(scaled):
+        raise AssertionError("a diagonal table was factored")
+
+    monkeypatch.setenv("PSI_MAX_DIM", "1")
+    monkeypatch.setattr(psi, "congruence_factorization", no_factoring)
+    assert run(["signature", "--herm", str(herm)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"n_plus": 7, "n_minus": 6, "rank": 13}
+    assert run(["verify-bounds", "--herm", str(herm), "--d", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["n"], doc["n_plus"], doc["n_minus"]) == (3, 7, 6)
+    assert run(["check-psi", "--herm", str(herm), "--d", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["member"] is True
 
 
 def test_hermitian_verdicts_build_no_fraction_before_the_witness_value(tmp_path, monkeypatch, capsys):
     # a non-diagonal table with imaginary parts, read from canonical texts, goes from the document
-    # to the verdict in ints: the only Fraction built is each witness value v* M v
+    # to the verdict in ints: the only Fraction built is a printed witness value v* M v, and only
+    # a printed witness replays a transform column
     from importlib import import_module
 
     from members import random_psi1_member
+    from psicert.inertia import CongruenceFactorization
     from psicert.polycore import hermitian_to_json
 
     r = random_psi1_member(3)
@@ -444,20 +457,31 @@ def test_hermitian_verdicts_build_no_fraction_before_the_witness_value(tmp_path,
 
     for module in ("psicert.polycore", "psicert.inertia"):  # the package binds the name `inertia` to a function
         monkeypatch.setattr(import_module(module), "Fraction", Counting)
+    columns = []
+    integer_column = CongruenceFactorization.integer_column
+
+    def counting_column(fact, k):
+        columns.append(k)
+        return integer_column(fact, k)
+
+    monkeypatch.setattr(CongruenceFactorization, "integer_column", counting_column)
     assert run(["signature", "--herm", herm]) == 0
     assert json.loads(capsys.readouterr().out) == {"n_plus": 5, "n_minus": 1, "rank": 6}
     assert built == []
     assert run(["check-psi", "--herm", herm, "--d", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["member"] is True
     assert built == []
+    assert columns == []
     assert run(["check-psi", "--herm", herm, "--d", "0"]) == 1
     value = json.loads(capsys.readouterr().out)["witness"]["value"]
     assert [str(Fraction(*args)) for args in built] == [value]
+    assert len(columns) == 1
     built.clear()
+    columns.clear()
     assert run(["min-d", "--herm", herm, "--max-d", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["min_d"] == 1
-    # power 0 fails, and its witness value is the one Fraction
-    assert [str(Fraction(*args)) for args in built] == [value]
+    # power 0 fails, but min-d prints no witness, so none is built
+    assert built == [] and columns == []
 
 
 # |z1 - z2|^2, not diagonal, and its negative: a member at power 0 and a non-member at every power

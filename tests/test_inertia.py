@@ -20,12 +20,12 @@ from oracles import (
     rational_inverse,
     rational_transform,
 )
+from psicert import psi
 from psicert.errors import CertificateFailure, ExplicitLimit, NotHermitian, PsicertError
 from psicert.inertia import (
     _integer_rows,
     congruence_factorization,
     inertia,
-    negative_direction,
     table_quadratic_form,
 )
 from psicert.polycore import (
@@ -68,10 +68,8 @@ def _inertia(rows):
 
 def _psd(rows):
     """(True, None) when PSD; otherwise (False, witness) with witness* M witness < 0."""
-    scaled = _table(rows)
-    fact = congruence_factorization(scaled)
-    found = negative_direction(fact, lambda v: table_quadratic_form(scaled, fact.basis, v))
-    return (True, None) if found is None else (False, [G(*z) for z in found[0]])
+    ok, cert = psi._psd_verdict(_table(rows))
+    return (True, None) if ok else (False, [G(*z) for z in cert.vector])
 
 
 def test_inertia_identity_and_diag():
@@ -186,11 +184,11 @@ def test_quadratic_form_imaginary_value_is_failure():
         table_quadratic_form((1, {basis: (1, 0)}), basis, [(1, 0), (0, 1)])
 
 
-def test_psd_witness_that_does_not_reevaluate_is_failure():
+def test_psd_witness_that_does_not_reevaluate_is_failure(monkeypatch):
     # a value read as 0 instead of re-evaluated as -1 is not a witness
-    fact = _factor([[1, 0], [0, -1]])
+    monkeypatch.setattr(psi, "table_quadratic_form", lambda scaled, basis, v: Fraction(0))
     with pytest.raises(CertificateFailure):
-        negative_direction(fact, lambda v: Fraction(0))
+        psi._psd_verdict(_table([[1, 0], [0, -1]]))
 
 
 def test_factorization_diag_passthrough():
@@ -359,10 +357,10 @@ def test_columns_and_witness_match_reference(case):
     assert [list(e) for e in fact.pivot_log] == case["pivot_log"]
     assert [str(d) for d in fact.diag] == case["diag"]
     assert [[list(z) for z in fact.integer_column(k)] for k in range(len(fact.diag))] == case["columns"]
-    found = negative_direction(fact, lambda v: table_quadratic_form(scaled, fact.basis, v))
+    ok, witness = psi._psd_verdict(scaled)
     expect = case["witness"]
-    assert found is not None and expect is not None
-    assert ([list(z) for z in found[0]], str(found[1])) == (expect["vector"], expect["value"])
+    assert not ok and expect is not None
+    assert ([list(z) for z in witness.vector], str(witness.value)) == (expect["vector"], expect["value"])
 
 
 @st.composite
@@ -451,12 +449,13 @@ def test_integer_pivot_verdicts_match_the_oracle(rows, L):
     assert fact.diag == ref.diag
     signs = [(d > 0) - (d < 0) for d in ref.diag]
     assert fact.inertia == (signs.count(1), signs.count(-1), signs.count(0))
-    found = negative_direction(fact, lambda v: table_quadratic_form(scaled, fact.basis, v))
+    ok, cert = psi._psd_verdict(scaled)
     k = next((k for k, d in enumerate(ref.diag) if d < 0), None)
     if k is None:
-        assert found is None
+        assert ok
         return
-    vector, value = found
+    assert not ok
+    vector, value = cert.vector, cert.value
     scale = fact.column_scales[k]
     assert [G(*z) for z in vector] == [row[k] * G(scale) for row in ref.transform]
     assert value == quadratic_form(M, [G(*z) for z in vector]).re == scale**2 * ref.diag[k]

@@ -108,6 +108,10 @@ def test_hermitian_member_perfect_square():
         },
     )
     assert in_psi_hermitian(r, 0).member
+    # the zero table factors to an empty factorization, which is PSD, at every power
+    zero = HermitianPoly(2, {})
+    for d in range(3):
+        assert in_psi_hermitian(zero, d).member and in_psi(zero, d).member
 
 
 def test_hermitian_witness_is_sound():

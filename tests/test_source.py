@@ -96,6 +96,12 @@ def test_congruence_engine_holds_no_gaussian_rationals():
             "hermitian_powers",
             "diagonal_multiplier_table",
             "hermitian_multiplier_table",
+            "_ratio",
+            "_exponents_sound",
+            "_first_faulty_entry",
+            "_rational_str",
+            "_json_int",
+            "sign_counts",
         },
         "reduction.py": None,
     }
@@ -111,6 +117,14 @@ def test_congruence_engine_holds_no_gaussian_rationals():
             if owners is None or owner in owners
         ]
     assert not uses, f"Gaussian rationals on a table path: {uses}"
+
+
+def test_only_psi_picks_the_route():
+    # the CLI asks psi for verdicts and signatures; it neither routes an input nor factors one itself
+    path = PACKAGE / "cli.py"
+    routing = {"sign_counts", "inertia", "congruence_factorization", "diagonal_real_bridge", "is_diagonal"}
+    uses = _references(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), routing)
+    assert not uses, f"cli.py routes or factors: {uses}"
 
 
 def test_one_monomial_packing():
