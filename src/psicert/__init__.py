@@ -23,7 +23,7 @@ from .generators import (
     generate_two_var,
     pD_ratio_lower_bound,
 )
-from .inertia import CongruenceFactorization, congruence_factorization, inertia
+from .inertia import CongruenceFactorization, congruence_factorization
 from .patterns import (
     SearchResult,
     Sign,

@@ -123,7 +123,9 @@ def generate_pD(n: int, D: int) -> RealSparsePoly:
     is generate_fig2_family.
     """
     _check_dense_params(n, D)
-    return RealSparsePoly._from_table(n, 1, {a: gamma(a, D, n) for a in monomials_of_degree(n, D)})
+    # gamma's rule on points that are degree-D n-vectors by construction
+    terms = {a: n - 1 if 0 in a or _residue_zero(a, D, n) else -1 for a in monomials_of_degree(n, D)}
+    return RealSparsePoly._from_table(n, 1, terms)
 
 
 def generate_fig2_family(n: int, D: int) -> RealSparsePoly:

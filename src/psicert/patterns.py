@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import BudgetExhausted, ExplicitLimit, Infeasible, ParamsInfeasible
 from .polycore import (
@@ -29,6 +29,11 @@ from .polycore import (
 )
 
 EXHAUSTIVE_POINT_CAP = 24
+# Geometry kept per process, shared read-only: contributor covers by
+# (points, n, d), and local search's shift maps and dense start pattern by
+# (n, D).  A pass of search jobs revisits a few dozen such keys.
+COVER_CACHE_SIZE = 32
+SHIFT_CACHE_SIZE = 16
 
 
 class Sign(enum.Enum):
@@ -154,6 +159,10 @@ class _Cover:
     feasible exactly when no mask meets its negative set without meeting
     its positive set.  `realize` checks a pattern on all masks and builds its
     member, so a search checks and realizes its result on its own cover.
+
+    `_cover` shares one cover per (points, n, d), so nothing writes to a
+    cover after `__init__`: `distinct` and `through` are built on first
+    read and never changed, and callers sort copies of them.
     """
 
     def __init__(self, points, n: int, d: int):
@@ -232,6 +241,12 @@ class _Cover:
         )
 
 
+@lru_cache(maxsize=COVER_CACHE_SIZE)
+def _cover(points: tuple, n: int, d: int) -> _Cover:
+    """The shared `_Cover` of a tuple of points at power d."""
+    return _Cover(points, n, d)
+
+
 def support_feasible(pat: SignPattern, d: int):
     """(True, None) or (False, witness) for the covering condition at power d.
 
@@ -239,7 +254,7 @@ def support_feasible(pat: SignPattern, d: int):
     meets the negative support but not the positive one; the witness is the
     smallest such monomial.
     """
-    cover = _Cover(pat.support, pat.n, d)
+    cover = _cover(tuple(sorted(pat.support)), pat.n, d)
     witness = cover.witness(cover.bits(pat.pos), cover.bits(pat.neg))
     return (True, None) if witness is None else (False, witness)
 
@@ -260,7 +275,7 @@ def realize_signs(signs: dict, n: int, d: int) -> RealSparsePoly:
 
 def realize_magnitudes(pat: SignPattern, d: int) -> RealSparsePoly:
     """Exact class member with the pattern's signs, or Infeasible."""
-    cover = _Cover(pat.support, pat.n, d)
+    cover = _cover(tuple(sorted(pat.support)), pat.n, d)
     return cover.realize(cover.bits(pat.pos), cover.bits(pat.neg))
 
 
@@ -311,13 +326,14 @@ def search_max_ratio(
                 f"exhaustive search needs <= {EXHAUSTIVE_POINT_CAP} lattice points; "
                 f"got {len(lattice)}; pass an explicit support restriction"
             )
-    support = sorted(tuple(a) for a in support)
-    if len(set(support)) != len(support):
-        raise ValueError("support has duplicates")
-    lattice_set = set(lattice)
-    for a in support:
-        if a not in lattice_set:
-            raise ValueError(f"support point {a} is not on the degree-{D} lattice")
+    else:
+        support = tuple(sorted(tuple(a) for a in support))
+        if len(set(support)) != len(support):
+            raise ValueError("support has duplicates")
+        lattice_set = set(lattice)
+        for a in support:
+            if a not in lattice_set:
+                raise ValueError(f"support point {a} is not on the degree-{D} lattice")
     if strategy is Strategy.EXHAUSTIVE and len(support) > EXHAUSTIVE_POINT_CAP:
         raise ExplicitLimit(
             f"exhaustive search needs <= {EXHAUSTIVE_POINT_CAP} support points"
@@ -397,7 +413,7 @@ def _search_exhaustive(n, D, d, support):
     # hitting set.  Of those, keep the lex-smallest (the first a scan of
     # combinations in sorted order would meet): take each point in turn
     # when a hitting set of the optimal size still exists with it.
-    cover = _Cover(support, n, d)
+    cover = _cover(support, n, d)
     masks = cover.distinct
     nodes = [0]
     k = _hitting_set_size(masks, len(support), 0, nodes)
@@ -421,7 +437,7 @@ def _search_greedy(n, D, d, support, budget):
     # Every accepted flip keeps the pattern feasible, so each candidate is
     # checked on the masks through its own point; a flip that fails once
     # fails for every smaller positive set and is not checked again
-    cover = _Cover(support, n, d)
+    cover = _cover(support, n, d)
     full = pos = (1 << len(support)) - 1
     evals = dead = 0
     improved = True
@@ -449,6 +465,42 @@ def _search_greedy(n, D, d, support, budget):
     return _finish(cover, D, pos, full ^ pos, evals, Strategy.GREEDY)
 
 
+@lru_cache(maxsize=SHIFT_CACHE_SIZE)
+def _shift_maps(n: int, D: int) -> tuple:
+    """Per lattice shift e_i - e_j: (to, leave), over the bits of the sorted degree-D lattice.
+
+    to[k] is the bit that point k moves to, 0 when it leaves the lattice,
+    and `leave` is the mask of the points that leave.
+    """
+    lattice = monomials_of_degree(n, D)
+    bit = {a: 1 << k for k, a in enumerate(lattice)}
+    shifts = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                to = []
+                for a in lattice:
+                    b = list(a)
+                    b[i] += 1
+                    b[j] -= 1
+                    to.append(bit[tuple(b)] if b[j] >= 0 else 0)
+                leave = sum(1 << k for k, t in enumerate(to) if not t)
+                shifts.append((tuple(to), leave))
+    return tuple(shifts)
+
+
+@lru_cache(maxsize=SHIFT_CACHE_SIZE)
+def _dense_start(n: int, D: int):
+    """(pos, neg) frozensets of the dense family's pattern, or None for n = 1 or D = 0, where it has none."""
+    from .generators import generate_pD
+
+    try:
+        dense = pattern_from_poly(generate_pD(n, D))
+    except ParamsInfeasible:
+        return None
+    return dense.pos, dense.neg
+
+
 def _search_local(n, D, d, lattice, support, budget, seed):
     """Steepest ascent on (pos, neg) lattice bitmasks; see `search_max_ratio`.
 
@@ -461,40 +513,23 @@ def _search_local(n, D, d, lattice, support, budget, seed):
     """
     import random
 
-    from .generators import generate_pD
-
     rng = random.Random(seed)
     size = len(lattice)
-    cover = _Cover(lattice, n, d)
+    cover = _cover(lattice, n, d)
     support_set = set(support)
-    # per shift e_i - e_j, the bit each lattice point moves to (0 when it
-    # leaves) and the mask of the points that leave
-    shifts = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                to = []
-                for a in lattice:
-                    b = list(a)
-                    b[i] += 1
-                    b[j] -= 1
-                    to.append(cover.bit[tuple(b)] if b[j] >= 0 else 0)
-                leave = sum(1 << k for k, t in enumerate(to) if not t)
-                shifts.append((to, leave))
+    shifts = _shift_maps(n, D)
     step_cost = 2 * size + len(shifts)
 
-    try:
-        dense = generate_pD(n, D)
-    except ParamsInfeasible:
+    dense = _dense_start(n, D)
+    if dense is None:
         # no dense family for n = 1 or D = 0: start from the all-positive support
         base = support_set, set()
     else:
-        base = pattern_from_poly(dense)
-        base = base.pos & support_set, base.neg & support_set
+        base = dense[0] & support_set, dense[1] & support_set
     starts = [base]
     for _ in range(2):
         pos, neg = set(base[0]), set(base[1])
-        for point in rng.sample(sorted(support_set), max(1, len(support_set) // 4)):
+        for point in rng.sample(support, max(1, len(support_set) // 4)):
             choice = rng.choice(("pos", "neg", "zero"))
             pos.discard(point)
             neg.discard(point)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, repeat
 from math import comb, gcd, lcm
 from operator import add, floordiv, itemgetter, mod, mul
@@ -53,9 +54,15 @@ def compositions(total: int, parts: int):
         yield tuple(out)
 
 
-def monomials_of_degree(n: int, degree: int) -> list[MultiIndex]:
-    """All degree-`degree` exponent vectors in `n` variables, sorted."""
-    return sorted(compositions(degree, n))
+# lattices kept by `monomials_of_degree`: a search or diagram job reads the
+# same few (n, degree) over and over
+LATTICE_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def monomials_of_degree(n: int, degree: int) -> tuple[MultiIndex, ...]:
+    """All degree-`degree` exponent vectors in `n` variables, sorted; one shared tuple per (n, degree)."""
+    return tuple(sorted(compositions(degree, n)))
 
 
 def multinomial(d: int, delta: MultiIndex) -> int:

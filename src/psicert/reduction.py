@@ -33,8 +33,8 @@ from math import gcd, lcm
 
 from .errors import CertificateFailure, NotInPsiD
 from .inertia import congruence_factorization
-from .polycore import HermitianPoly, _hermitian_closure
-from .psi import in_psi_hermitian
+from .polycore import HermitianPoly, RealSparsePoly, _hermitian_closure
+from .psi import _routed, in_psi
 
 
 @dataclass(frozen=True)
@@ -155,29 +155,43 @@ def _add_squares(target: HermitianPoly, basis, terms) -> HermitianPoly:
 def decompose(r: HermitianPoly) -> DecomposedForm:
     """The exact signed-squares decomposition of r, as a form whose target is r.
 
-    r's coefficient matrix M is factored as diag == T* M T, so
+    On the diagonal route (`psi._routed`) r is sum_a (c_a / L) |z^a|^2
+    already: each monomial a of its table is the one-row square e_a of
+    weight |c_a| / L, in the plus block when c_a > 0, and nothing is
+    factored.  Otherwise r's coefficient matrix M is factored as
+    diag == T* M T, so
     M == sum_k diag[k] (row k of T^-1)* (row k of T^-1).  Row k of T^-1 is
     Gaussian integers over its pivot minor den, which may be negative; it
     becomes the row sign(den) * entries of weight |diag[k]| / den^2, made
     primitive, in the plus block when diag[k] > 0 and the minus block when
     diag[k] < 0.
     """
-    fact = congruence_factorization((r.scale, r.table))
+    routed = _routed(r)
     plus, minus = [], []
-    for d, (den, entries) in zip(fact.diag, fact.inverse_rows):
-        if not d:
-            continue
-        row = [(0, 0)] * len(fact.basis)
-        s = 1 if den > 0 else -1
-        for c, x, y in entries:
-            row[c] = (s * x, s * y)
-        (plus if d > 0 else minus).append(_primitive(row, abs(d) / (den * den)))
+    if isinstance(routed, RealSparsePoly):
+        basis = tuple(sorted(routed.table))
+        for j, a in enumerate(basis):
+            c = routed.table[a]
+            row = [(0, 0)] * len(basis)
+            row[j] = (1, 0)
+            (plus if c > 0 else minus).append((tuple(row), Fraction(abs(c), routed.scale)))
+    else:
+        fact = congruence_factorization((r.scale, r.table))
+        basis = fact.basis
+        for d, (den, entries) in zip(fact.diag, fact.inverse_rows):
+            if not d:
+                continue
+            row = [(0, 0)] * len(basis)
+            s = 1 if den > 0 else -1
+            for c, x, y in entries:
+                row[c] = (s * x, s * y)
+            (plus if d > 0 else minus).append(_primitive(row, abs(d) / (den * den)))
     return DecomposedForm(
         plus_rows=tuple(row for row, _ in plus),
         plus_weights=tuple(w for _, w in plus),
         minus_rows=tuple(row for row, _ in minus),
         minus_weights=tuple(w for _, w in minus),
-        basis=fact.basis,
+        basis=basis,
         target=r,
     )
 
@@ -281,7 +295,7 @@ def partial_row_echelon(form: DecomposedForm) -> tuple:
     """
     if form.target is None:
         raise NotInPsiD("reduction requires the exact target polynomial")
-    if not in_psi_hermitian(form.target, 1).member:
+    if not in_psi(form.target, 1).member:
         raise NotInPsiD("target is not a member at power 1")
 
     plus = _echelon(form.plus_rows, form.plus_weights)

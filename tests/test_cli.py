@@ -435,12 +435,37 @@ def test_signature_and_verify_bounds_agree_on_both_inputs(tmp_path, monkeypatch,
     assert json.loads(capsys.readouterr().out)["member"] is True
 
 
+def test_reduce_takes_the_diagonal_route(tmp_path, monkeypatch, capsys):
+    # a diagonal table's signed squares are its own monomials: reduce factors nothing, so the
+    # dimension cap does not apply, and it prints what the factoring run printed
+    from psicert import reduction
+    from psicert.polycore import hermitian_to_json, real_to_diagonal
+
+    herm = _write(tmp_path, "h.json", hermitian_to_json(real_to_diagonal(example_fig2())))
+    out = str(tmp_path / "steps.json")
+    assert run(["reduce", "--herm", herm, "--out", out]) == 0
+    uncapped = capsys.readouterr().out
+    assert json.loads(uncapped) == {
+        "echelon": True, "n_minus": 6, "n_plus": 7, "out": out, "reconstruction_error": 0, "steps": 0,
+    }
+
+    def no_factoring(scaled):
+        raise AssertionError("a diagonal table was factored")
+
+    monkeypatch.setenv("PSI_MAX_DIM", "1")
+    monkeypatch.setattr(reduction, "congruence_factorization", no_factoring)
+    Path(out).unlink()
+    assert run(["reduce", "--herm", herm, "--out", out]) == 0
+    assert capsys.readouterr().out == uncapped
+    assert json.loads(Path(out).read_text()) == {"steps": []}
+
+
 def test_hermitian_verdicts_build_no_fraction_before_the_witness_value(tmp_path, monkeypatch, capsys):
     # a non-diagonal table with imaginary parts, read from canonical texts, goes from the document
     # to the verdict in ints: the only Fraction built is a printed witness value v* M v, and only
     # a printed witness replays a transform column
-    from importlib import import_module
-
+    import psicert.inertia
+    import psicert.polycore
     from members import random_psi1_member
     from psicert.inertia import CongruenceFactorization
     from psicert.polycore import hermitian_to_json
@@ -455,8 +480,8 @@ def test_hermitian_verdicts_build_no_fraction_before_the_witness_value(tmp_path,
             built.append(args)
             return super().__new__(cls, *args)
 
-    for module in ("psicert.polycore", "psicert.inertia"):  # the package binds the name `inertia` to a function
-        monkeypatch.setattr(import_module(module), "Fraction", Counting)
+    for module in (psicert.polycore, psicert.inertia):
+        monkeypatch.setattr(module, "Fraction", Counting)
     columns = []
     integer_column = CongruenceFactorization.integer_column
 

@@ -54,6 +54,13 @@ def test_generate_pD_support_and_membership():
     assert in_psi_diagonal(p, 1).member
 
 
+@pytest.mark.parametrize("n, D", [(2, 1), (2, 7), (3, 1), (3, 6), (3, 13), (4, 5), (5, 4), (6, 3)])
+def test_generate_pD_follows_gamma(n, D):
+    # the family's own loop applies gamma's rule without gamma's argument checks
+    expected = {a: gamma(a, D, n) for a in monomials_of_degree(n, D)}
+    assert poly_dict(generate_pD(n, D)) == {a: Fraction(c) for a, c in expected.items()}
+
+
 def test_generate_pD_small_two_var():
     p = generate_pD(2, 3)
     assert len(p.support) == 4

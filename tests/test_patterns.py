@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +28,7 @@ from psicert.patterns import (
     search_max_ratio,
     support_feasible,
 )
-from psicert.polycore import monomials_of_degree, sign_counts
+from psicert.polycore import compositions, monomials_of_degree, poly_to_json, sign_counts
 from psicert.psi import in_psi_diagonal
 
 
@@ -226,8 +227,40 @@ _ONE_COVER = {
 }
 
 
+def _geometry_caches() -> list:
+    """Every memoized function of the package, once each."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name == "psicert" or name.startswith("psicert."):
+            for fn in vars(module).values():
+                if callable(getattr(fn, "cache_clear", None)):
+                    found[id(fn)] = fn
+    return list(found.values())
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every geometry cache before the test and after it."""
+    for fn in _geometry_caches():
+        fn.cache_clear()
+    yield
+    for fn in _geometry_caches():
+        fn.cache_clear()
+
+
+def test_geometry_caches_are_the_known_ones():
+    names = sorted(f"{fn.__module__}.{fn.__qualname__}" for fn in _geometry_caches())
+    assert names == [
+        "psicert.patterns._cover",
+        "psicert.patterns._dense_start",
+        "psicert.patterns._shift_maps",
+        "psicert.polycore.monomials_of_degree",
+    ]
+
+
 @pytest.mark.parametrize("case", sorted(_ONE_COVER))
-def test_search_command_builds_one_cover(case, tmp_path, monkeypatch, capsys):
+def test_search_command_builds_one_cover(case, tmp_path, monkeypatch, capsys, cold_caches):
+    # with the caches empty the first run builds its one cover; an identical second run reuses it
     support = tmp_path / "support.json"
     support.write_text(json.dumps(pattern_to_json(pattern_from_poly(example_fig2()))))
     built = []
@@ -240,9 +273,83 @@ def test_search_command_builds_one_cover(case, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(patterns, "_Cover", Counted)
     argv = ["search", *(str(support) if a == "SUPPORT" else a for a in _ONE_COVER[case])]
     assert run(argv) == 0, capsys.readouterr().err
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["budget_exhausted"] == case.endswith("-exhausted")
+    first = capsys.readouterr().out
+    assert json.loads(first)["budget_exhausted"] == case.endswith("-exhausted")
     assert len(built) == 1
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+    assert len(built) == 1
+
+
+def _cache_commands(tmp_path) -> list:
+    """Search commands of every strategy and budget outcome, and diagrams of every style, as argvs."""
+    support = tmp_path / "support.json"
+    support.write_text(json.dumps(pattern_to_json(pattern_from_poly(example_fig2()))))
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"n": 2, "D": 20, "pos": [[20 - k, k] for k in range(0, 12, 2)],
+                                 "neg": [[20 - k, k] for k in range(1, 12, 2)]}))
+    commands = [["search", *(str(support) if a == "SUPPORT" else a for a in argv)] for argv in _ONE_COVER.values()]
+    commands += [
+        ["search", "--n", "3", "--D", "6", "--d", "2", "--strategy", "local", "--support", str(support),
+         "--budget", "3000", "--seed", "4"],
+        ["search", "--n", "2", "--D", "20", "--d", "1", "--support", str(small)],
+        ["search", "--n", "2", "--D", "20", "--d", "1", "--strategy", "greedy", "--support", str(small)],
+        ["search", "--n", "3", "--D", "4", "--d", "2"],
+        ["search", "--n", "3", "--D", "5", "--d", "1", "--strategy", "local", "--budget", "40", "--seed", "2"],
+        ["search", "--n", "1", "--D", "3", "--d", "1", "--strategy", "local"],
+    ]
+    for pat in (support, small):
+        commands += [
+            ["diagram", "--pattern", str(pat), "--style", "ascii"],
+            ["diagram", "--pattern", str(pat), "--style", "svg"],
+            ["diagram", "--pattern", str(pat), "--style", "svg", "--show-simplices"],
+        ]
+    fig1 = tmp_path / "fig1.json"
+    fig1.write_text(json.dumps(poly_to_json(example_fig1())))
+    commands.append(["diagram", "--poly", str(fig1), "--style", "svg", "--show-simplices"])
+    return commands
+
+
+def test_warm_caches_print_what_cold_caches_print(tmp_path, capsys, cold_caches):
+    # every command twice, in two orders, so each meets caches filled by other (n, D, d), then
+    # once more with every cache emptied first: all three runs print the same bytes
+    commands = _cache_commands(tmp_path)
+
+    def run_all(order, clear):
+        outs = {}
+        for i in order:
+            if clear:
+                for fn in _geometry_caches():
+                    fn.cache_clear()
+            rc = run(commands[i])
+            captured = capsys.readouterr()
+            outs[i] = (rc, captured.out, captured.err)
+        return outs
+
+    first = run_all(range(len(commands)), False)
+    second = run_all(reversed(range(len(commands))), False)
+    cold = run_all(range(len(commands)), True)
+    assert first == second == cold
+    assert {rc for rc, _, _ in first.values()} == {0, 1}
+
+
+def test_geometry_caches_stay_within_their_bounds(cold_caches):
+    keys = [(n, D) for n in (2, 3) for D in range(1, 26)]
+    for n, D in keys:
+        monomials_of_degree(n, D)
+        patterns._shift_maps(n, D)
+        patterns._dense_start(n, D)
+        patterns._cover(monomials_of_degree(n, D)[:3], n, 1)
+    for fn in _geometry_caches():
+        info = fn.cache_info()
+        assert info.maxsize < len(keys)
+        assert info.currsize == info.maxsize, fn
+
+
+def test_the_shared_lattice_is_immutable(cold_caches):
+    lattice = monomials_of_degree(3, 4)
+    assert isinstance(lattice, tuple) and monomials_of_degree(3, 4) is lattice
+    assert lattice == tuple(sorted(compositions(4, 3)))
 
 
 _SMALL_LATTICES = [(n, D) for n in range(1, 5) for D in range(7) if len(monomials_of_degree(n, D)) <= 15]

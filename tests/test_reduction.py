@@ -14,7 +14,7 @@ from oracles import (
 )
 from psicert import reduction
 from psicert.errors import CertificateFailure, NotInPsiD
-from psicert.generators import example_fig1, generate_two_var
+from psicert.generators import example_fig1, example_fig2, generate_two_var
 from psicert.inertia import inertia
 from psicert.polycore import GaussianRational, HermitianPoly, RealSparsePoly, real_to_diagonal
 from psicert.psi import in_psi_hermitian
@@ -241,3 +241,36 @@ def test_decompose_matches_primitive_oracle_inverse_rows(rows):
     assert form.plus_weights == tuple(w for _, w in plus)
     assert form.minus_rows == tuple(row for row, _ in minus)
     assert form.minus_weights == tuple(w for _, w in minus)
+
+
+def _no_factoring(scaled):
+    raise AssertionError("a diagonal table was factored")
+
+
+@pytest.mark.parametrize(
+    "p", [example_fig1(), example_fig2(), generate_two_var(1, 3).times(Fraction(3, 7))], ids=["fig1", "fig2", "two-var"]
+)
+def test_decompose_reads_a_diagonal_table_off_without_factoring(p, monkeypatch):
+    # the diagonal route gives the rows and weights the factorization of the diagonal matrix gives
+    r = real_to_diagonal(p)
+    M = coefficient_matrix(dict(r.items()))
+    ref = rational_congruence_factorization(M.rows)
+    plus = [primitive_form(row, d) for row, d in zip(ref.inverse, ref.diag) if d > 0]
+    minus = [primitive_form(row, -d) for row, d in zip(ref.inverse, ref.diag) if d < 0]
+    monkeypatch.setenv("PSI_MAX_DIM", "1")
+    monkeypatch.setattr(reduction, "congruence_factorization", _no_factoring)
+    form = decompose(r)
+    assert form.basis == M.basis and form.target == r
+    assert (form.plus_rows, form.plus_weights) == (tuple(x for x, _ in plus), tuple(w for _, w in plus))
+    assert (form.minus_rows, form.minus_weights) == (tuple(x for x, _ in minus), tuple(w for _, w in minus))
+    assert reconstruction_error(form) == 0
+    reduced, steps = partial_row_echelon(form)
+    assert steps == [] and (reduced.n_plus, reduced.n_minus) == (form.n_plus, form.n_minus)
+
+
+def test_diagonal_non_member_is_refused_without_factoring(monkeypatch):
+    monkeypatch.setenv("PSI_MAX_DIM", "1")
+    monkeypatch.setattr(reduction, "congruence_factorization", _no_factoring)
+    bad = real_to_diagonal(RealSparsePoly(2, {(2, 0): 1, (1, 1): -3, (0, 2): 1}))
+    with pytest.raises(NotInPsiD):
+        partial_row_echelon(decompose(bad))

@@ -162,6 +162,14 @@ def test_certificate_reads_the_shared_packing():
     assert not nested and not powers, f"bounds.py builds its own codes: {nested} {powers}"
 
 
+def test_inertia_is_the_submodule():
+    # the package binds no function over the name of its submodule
+    import psicert.inertia as module
+
+    assert module is sys.modules["psicert.inertia"] is psicert.inertia
+    assert callable(module.inertia) and module.inertia.__module__ == "psicert.inertia"
+
+
 def test_readme_library_tour_runs():
     # the first python block of the README imports and calls only names the package still has
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
