@@ -96,9 +96,12 @@ def gamma(alpha: MultiIndex, D: int, n: int) -> int:
         raise DegreeMismatch(f"{alpha} does not have {n} coordinates")
     if total_degree(alpha) != D:
         raise DegreeMismatch(f"{alpha} does not have total degree {D}")
-    if any(a == 0 for a in alpha):
-        return n - 1
-    return n - 1 if _residue_zero(alpha, D, n) else -1
+    return _gamma_rule(alpha, D, n)
+
+
+def _gamma_rule(alpha: MultiIndex, D: int, n: int) -> int:
+    """`gamma` on a point already known to be a degree-D n-vector."""
+    return n - 1 if 0 in alpha or _residue_zero(alpha, D, n) else -1
 
 
 def _residue_zero(alpha: MultiIndex, D: int, n: int) -> bool:
@@ -123,8 +126,7 @@ def generate_pD(n: int, D: int) -> RealSparsePoly:
     is generate_fig2_family.
     """
     _check_dense_params(n, D)
-    # gamma's rule on points that are degree-D n-vectors by construction
-    terms = {a: n - 1 if 0 in a or _residue_zero(a, D, n) else -1 for a in monomials_of_degree(n, D)}
+    terms = {a: _gamma_rule(a, D, n) for a in monomials_of_degree(n, D)}
     return RealSparsePoly._from_table(n, 1, terms)
 
 

@@ -17,6 +17,7 @@ from functools import cached_property, lru_cache
 
 from .errors import BudgetExhausted, ExplicitLimit, Infeasible, ParamsInfeasible
 from .polycore import (
+    GEOMETRY_CACHE_SIZE,
     MultiIndex,
     RealSparsePoly,
     _exponent_vector,
@@ -29,11 +30,6 @@ from .polycore import (
 )
 
 EXHAUSTIVE_POINT_CAP = 24
-# Geometry kept per process, shared read-only: contributor covers by
-# (points, n, d), and local search's shift maps and dense start pattern by
-# (n, D).  A pass of search jobs revisits a few dozen such keys.
-COVER_CACHE_SIZE = 32
-SHIFT_CACHE_SIZE = 16
 
 
 class Sign(enum.Enum):
@@ -160,9 +156,9 @@ class _Cover:
     its positive set.  `realize` checks a pattern on all masks and builds its
     member, so a search checks and realizes its result on its own cover.
 
-    `_cover` shares one cover per (points, n, d), so nothing writes to a
-    cover after `__init__`: `distinct` and `through` are built on first
-    read and never changed, and callers sort copies of them.
+    The searches share one cover per (points, n, d) through `_cover`, so
+    nothing writes to a cover after `__init__`: `distinct` and `through` are
+    built on first read and never changed, and callers sort copies of them.
     """
 
     def __init__(self, points, n: int, d: int):
@@ -241,9 +237,20 @@ class _Cover:
         )
 
 
-@lru_cache(maxsize=COVER_CACHE_SIZE)
 def _cover(points: tuple, n: int, d: int) -> _Cover:
-    """The shared `_Cover` of a tuple of points at power d."""
+    """The searches' `_Cover` of a tuple of points at power d.
+
+    Covers of at most EXHAUSTIVE_POINT_CAP points are shared per key; a
+    cover's memory grows with its point count, so a larger one is built per
+    call and freed with it.
+    """
+    if len(points) > EXHAUSTIVE_POINT_CAP:
+        return _Cover(points, n, d)
+    return _shared_cover(points, n, d)
+
+
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _shared_cover(points: tuple, n: int, d: int) -> _Cover:
     return _Cover(points, n, d)
 
 
@@ -254,7 +261,7 @@ def support_feasible(pat: SignPattern, d: int):
     meets the negative support but not the positive one; the witness is the
     smallest such monomial.
     """
-    cover = _cover(tuple(sorted(pat.support)), pat.n, d)
+    cover = _Cover(pat.support, pat.n, d)
     witness = cover.witness(cover.bits(pat.pos), cover.bits(pat.neg))
     return (True, None) if witness is None else (False, witness)
 
@@ -275,7 +282,7 @@ def realize_signs(signs: dict, n: int, d: int) -> RealSparsePoly:
 
 def realize_magnitudes(pat: SignPattern, d: int) -> RealSparsePoly:
     """Exact class member with the pattern's signs, or Infeasible."""
-    cover = _cover(tuple(sorted(pat.support)), pat.n, d)
+    cover = _Cover(pat.support, pat.n, d)
     return cover.realize(cover.bits(pat.pos), cover.bits(pat.neg))
 
 
@@ -465,13 +472,18 @@ def _search_greedy(n, D, d, support, budget):
     return _finish(cover, D, pos, full ^ pos, evals, Strategy.GREEDY)
 
 
-@lru_cache(maxsize=SHIFT_CACHE_SIZE)
-def _shift_maps(n: int, D: int) -> tuple:
-    """Per lattice shift e_i - e_j: (to, leave), over the bits of the sorted degree-D lattice.
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _local_geometry(n: int, D: int) -> tuple:
+    """(shifts, dense) of the sorted degree-D lattice, for local search.
 
-    to[k] is the bit that point k moves to, 0 when it leaves the lattice,
-    and `leave` is the mask of the points that leave.
+    shifts holds, per lattice shift e_i - e_j, the pair (to, leave): to[k]
+    is the bit that point k moves to, 0 when it leaves the lattice, and
+    `leave` is the mask of the points that leave.  dense is the (pos, neg)
+    frozensets of the dense family's pattern, or None for n = 1 or D = 0,
+    where it has none.
     """
+    from .generators import generate_pD
+
     lattice = monomials_of_degree(n, D)
     bit = {a: 1 << k for k, a in enumerate(lattice)}
     shifts = []
@@ -486,19 +498,11 @@ def _shift_maps(n: int, D: int) -> tuple:
                     to.append(bit[tuple(b)] if b[j] >= 0 else 0)
                 leave = sum(1 << k for k, t in enumerate(to) if not t)
                 shifts.append((tuple(to), leave))
-    return tuple(shifts)
-
-
-@lru_cache(maxsize=SHIFT_CACHE_SIZE)
-def _dense_start(n: int, D: int):
-    """(pos, neg) frozensets of the dense family's pattern, or None for n = 1 or D = 0, where it has none."""
-    from .generators import generate_pD
-
     try:
         dense = pattern_from_poly(generate_pD(n, D))
     except ParamsInfeasible:
-        return None
-    return dense.pos, dense.neg
+        return tuple(shifts), None
+    return tuple(shifts), (dense.pos, dense.neg)
 
 
 def _search_local(n, D, d, lattice, support, budget, seed):
@@ -517,10 +521,11 @@ def _search_local(n, D, d, lattice, support, budget, seed):
     size = len(lattice)
     cover = _cover(lattice, n, d)
     support_set = set(support)
-    shifts = _shift_maps(n, D)
+    # shared like the lattice's cover, up to the same point count
+    geometry = _local_geometry if size <= EXHAUSTIVE_POINT_CAP else _local_geometry.__wrapped__
+    shifts, dense = geometry(n, D)
     step_cost = 2 * size + len(shifts)
 
-    dense = _dense_start(n, D)
     if dense is None:
         # no dense family for n = 1 or D = 0: start from the all-positive support
         base = support_set, set()

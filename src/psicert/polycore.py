@@ -54,14 +54,21 @@ def compositions(total: int, parts: int):
         yield tuple(out)
 
 
-# lattices kept by `monomials_of_degree`: a search or diagram job reads the
-# same few (n, degree) over and over
-LATTICE_CACHE_SIZE = 32
+# keys kept by each geometry memo (lattices here, covers and local-search
+# maps in `patterns`): a search or diagram job reads the same few keys over
+# and over
+GEOMETRY_CACHE_SIZE = 32
 
 
-@lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def monomials_of_degree(n: int, degree: int) -> tuple[MultiIndex, ...]:
     """All degree-`degree` exponent vectors in `n` variables, sorted; one shared tuple per (n, degree)."""
+    # a plain function over the memo, so that wrappers which take only plain
+    # functions (perfbench's tracer) still see this name
+    return _lattice(n, degree)
+
+
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _lattice(n: int, degree: int) -> tuple[MultiIndex, ...]:
     return tuple(sorted(compositions(degree, n)))
 
 

@@ -15,6 +15,7 @@ from psicert.cli import run
 from psicert.errors import BudgetExhausted, ExplicitLimit, Infeasible
 from psicert.generators import example_fig1, example_fig2, generate_pD
 from psicert.patterns import (
+    EXHAUSTIVE_POINT_CAP,
     Sign,
     SignPattern,
     Strategy,
@@ -251,16 +252,16 @@ def cold_caches():
 def test_geometry_caches_are_the_known_ones():
     names = sorted(f"{fn.__module__}.{fn.__qualname__}" for fn in _geometry_caches())
     assert names == [
-        "psicert.patterns._cover",
-        "psicert.patterns._dense_start",
-        "psicert.patterns._shift_maps",
-        "psicert.polycore.monomials_of_degree",
+        "psicert.patterns._local_geometry",
+        "psicert.patterns._shared_cover",
+        "psicert.polycore._lattice",
     ]
 
 
 @pytest.mark.parametrize("case", sorted(_ONE_COVER))
 def test_search_command_builds_one_cover(case, tmp_path, monkeypatch, capsys, cold_caches):
-    # with the caches empty the first run builds its one cover; an identical second run reuses it
+    # with the caches empty the first run builds its one cover; an identical second run reuses
+    # it, unless it has more points than the covers that are shared
     support = tmp_path / "support.json"
     support.write_text(json.dumps(pattern_to_json(pattern_from_poly(example_fig2()))))
     built = []
@@ -278,7 +279,7 @@ def test_search_command_builds_one_cover(case, tmp_path, monkeypatch, capsys, co
     assert len(built) == 1
     assert run(argv) == 0
     assert capsys.readouterr().out == first
-    assert len(built) == 1
+    assert len(built) == (1 if len(built[0][0]) <= EXHAUSTIVE_POINT_CAP else 2)
 
 
 def _cache_commands(tmp_path) -> list:
@@ -337,13 +338,25 @@ def test_geometry_caches_stay_within_their_bounds(cold_caches):
     keys = [(n, D) for n in (2, 3) for D in range(1, 26)]
     for n, D in keys:
         monomials_of_degree(n, D)
-        patterns._shift_maps(n, D)
-        patterns._dense_start(n, D)
+        patterns._local_geometry(n, D)
         patterns._cover(monomials_of_degree(n, D)[:3], n, 1)
     for fn in _geometry_caches():
         info = fn.cache_info()
         assert info.maxsize < len(keys)
         assert info.currsize == info.maxsize, fn
+
+
+def test_geometry_past_the_point_cap_is_not_kept(cold_caches):
+    # covers and local-search maps grow with the point count; past the cap they live for one call
+    lattice = monomials_of_degree(3, 6)
+    assert len(lattice) > EXHAUSTIVE_POINT_CAP
+    assert patterns._cover(lattice, 3, 1) is not patterns._cover(lattice, 3, 1)
+    search_max_ratio(3, 6, 1, strategy=Strategy.LOCAL, budget=20_000, seed=1)
+    search_max_ratio(3, 6, 1, strategy=Strategy.GREEDY)
+    assert patterns._shared_cover.cache_info().currsize == 0
+    assert patterns._local_geometry.cache_info().currsize == 0
+    small = lattice[:EXHAUSTIVE_POINT_CAP]
+    assert patterns._cover(small, 3, 1) is patterns._cover(small, 3, 1)
 
 
 def test_the_shared_lattice_is_immutable(cold_caches):
