@@ -382,16 +382,18 @@ def _cmd_certificate(args) -> int:
     except NotInPsiD as exc:
         _emit({"error": str(exc)}, args)
         return NEGATIVE
-    _emit(
-        {
-            "assignment": [
-                {"from": list(a), "to": list(b)} for a, b in cert.assignment
-            ],
-            "max_fiber": cert.max_fiber,
-            "least_monomial": list(cert.least_monomial),
-        },
-        args,
-    )
+    doc = {"max_fiber": cert.max_fiber, "least_monomial": list(cert.least_monomial)}
+    if args.format != "json":
+        doc["assignment"] = [{"from": list(a), "to": list(b)} for a, b in cert.assignment]
+        _emit(doc, args)
+        return OK
+    # The bytes json.dumps(sort_keys=True) writes for the whole document, with the assignment
+    # (the one large part) written pair by pair through one template: its exponents are ints
+    # that the reader checked (type(x) is int), which %d writes as json does.
+    coords = ", ".join(["%d"] * poly.n)
+    pair = '{"from": [%s], "to": [%s]}' % (coords, coords)
+    pairs = ", ".join([pair % (a + b) for a, b in cert.assignment])
+    print('{"assignment": [' + pairs + "], " + json.dumps(doc, sort_keys=True, check_circular=False)[1:])
     return OK
 
 

@@ -138,14 +138,19 @@ def generate_fig2_family(n: int, D: int) -> RealSparsePoly:
     exactly one zero coordinate gets n-1 on-residue and is absent otherwise;
     a point with two or more zero coordinates is absent.
 
-    The product with x_1 + ... + x_n is nonnegative for every n >= 2 and
-    D >= 1.  A product monomial beta with a zero coordinate only receives
-    contributions beta - e_i that also have a zero coordinate, and those are
-    never negative.  An interior beta has all n contributors beta - e_i,
-    whose residues w-1, ..., w-(n-1), w are pairwise distinct; exactly one
-    is on-residue and brings n-1, each other one brings -1 or nothing.
+    Below D = n - 1 every point has two or more zero coordinates, so the
+    family would be the zero polynomial: n < 2, D < 1 and D < n - 1 raise
+    ParamsInfeasible.  The product with x_1 + ... + x_n is nonnegative for
+    every n >= 2 and D >= n - 1.  A product monomial beta with a zero
+    coordinate only receives contributions beta - e_i that also have a zero
+    coordinate, and those are never negative.  An interior beta has all n
+    contributors beta - e_i, whose residues w-1, ..., w-(n-1), w are
+    pairwise distinct; exactly one is on-residue and brings n-1, each other
+    one brings -1 or nothing.
     """
     _check_dense_params(n, D)
+    if D < n - 1:
+        raise ParamsInfeasible(f"the family is empty below degree n - 1 = {n - 1}")
     terms = {}
     for a in monomials_of_degree(n, D):
         zeros = a.count(0)

@@ -1,7 +1,8 @@
 """Seeded generators of exact power-1 members used across the test suite.
 
-Also the hypothesis strategy for small Hermitian matrices shared by the
-parity tests.  Members are sums of a known diagonal member (with a negative square) and a
+Also the hypothesis strategies for small Hermitian matrices shared by the
+parity tests, and for pigeonhole-certificate inputs shared by the bounds and
+CLI tests.  Members are sums of a known diagonal member (with a negative square) and a
 few random holomorphic squares, which stays in the class because the
 multiplier distributes over sums.  Every instance is re-verified exactly.
 """
@@ -12,22 +13,23 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from psicert.generators import example_fig1, generate_two_var
+from psicert.patterns import realize_signs
 from psicert.polycore import (
     GR_ZERO,
     GaussianRational,
     HermitianPoly,
     RealSparsePoly,
     _as_gaussian,
+    monomials_of_degree,
     real_to_diagonal,
 )
 from psicert.psi import in_psi_hermitian
 from psicert.reduction import DecomposedForm, decompose
 
 
-def _permute_poly(p: RealSparsePoly, perm) -> RealSparsePoly:
-    return RealSparsePoly(
-        p.n, {tuple(a[perm[i]] for i in range(p.n)): c for a, c in p.items()}
-    )
+def relabel(p: RealSparsePoly, perm, scale=1) -> RealSparsePoly:
+    """p with its variables permuted (variable i of the result is perm[i] of p), times scale."""
+    return RealSparsePoly(p.n, {tuple(a[i] for i in perm): c * scale for a, c in p.items()})
 
 
 def hermitian_from_square(n: int, coeffs: dict) -> HermitianPoly:
@@ -44,12 +46,10 @@ def random_psi1_member(seed: int) -> HermitianPoly:
         base = generate_two_var(1, rng.choice((1, 2)))  # degree 2 or 4
     else:
         perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)]
-        base = _permute_poly(example_fig1(), rng.choice(perms))
+        base = relabel(example_fig1(), rng.choice(perms))
     D = base.degree
     scale = Fraction(rng.randint(1, 4), rng.randint(1, 3))
     r = real_to_diagonal(base.times(scale))
-
-    from psicert.polycore import monomials_of_degree
 
     basis = monomials_of_degree(n, D)
     for _ in range(rng.randint(0, 2)):
@@ -63,7 +63,8 @@ def random_psi1_member(seed: int) -> HermitianPoly:
         if not square.is_zero():
             r = r + square.times(Fraction(rng.randint(1, 2), rng.randint(1, 3)))
 
-    assert in_psi_hermitian(r, 1).member
+    if not in_psi_hermitian(r, 1).member:
+        raise AssertionError(f"seed {seed} built a non-member")
     return r
 
 
@@ -79,7 +80,8 @@ def clashing_form() -> DecomposedForm:
     """
     base = generate_two_var(1, 1)  # x^2 - xy + y^2
     form = decompose(real_to_diagonal(base))  # basis ((0,2), (1,1), (2,0)), unit rows
-    assert set(form.plus_weights + form.minus_weights) == {1}
+    if set(form.plus_weights + form.minus_weights) != {1}:
+        raise AssertionError("the two-variable base no longer decomposes into unit-weight rows")
     plus = list(form.plus_rows)
     (b,) = form.minus_rows
     # mix the plus row leading where the minus row leads after mixing
@@ -118,3 +120,23 @@ def hermitian_matrices(draw):
             rows[i][j] = draw(_entry(zero_prob=True))
             rows[j][i] = rows[i][j].conjugate()
     return rows
+
+
+_LATTICE_DEGREES = {1: 5, 2: 7, 3: 4, 4: 3}
+CERTIFICATE_SCALES = [Fraction(1), Fraction(3, 7), Fraction(5)]
+
+
+@st.composite
+def certificate_inputs(draw):
+    """Realized sign maps on a degree-D lattice in 1 to 4 variables (members when feasible), relabelled and rescaled.
+
+    Some get a term of another degree, which makes them non-homogeneous.
+    """
+    n = draw(st.integers(1, 4))
+    lattice = monomials_of_degree(n, draw(st.integers(0, _LATTICE_DEGREES[n])))
+    signs = draw(st.lists(st.sampled_from((1, 1, -1, 0)), min_size=len(lattice), max_size=len(lattice)))
+    p = realize_signs(dict(zip(lattice, signs)), n, 1)
+    p = relabel(p, draw(st.permutations(range(n))), draw(st.sampled_from(CERTIFICATE_SCALES)))
+    if draw(st.integers(0, 5)) == 0:
+        p = p + RealSparsePoly(n, {(0,) * n: draw(st.sampled_from((1, -1)))})
+    return p

@@ -11,8 +11,9 @@ expanded over Gaussian rationals, a reduction step's integer rows are read
 back as a Gaussian-rational 2x2 matrix, sign patterns are checked by the
 original negative-inflow scan, JSON documents are parsed term by term
 into Fraction and Gaussian-rational dicts (and by the original term-by-term
-polynomial and Hermitian readers), and the pigeonhole certificate is built
-on exponent vectors.
+polynomial and Hermitian readers), the pigeonhole certificate is built
+on exponent vectors, and the certificate document is written by the generic
+JSON encoder.
 """
 
 import json
@@ -490,6 +491,20 @@ def tuple_pigeonhole_certificate(p: RealSparsePoly) -> tuple:
     if max_fiber > p.n - 1 or least not in pos or least in sizes:
         raise CertificateFailure("construction is inconsistent")
     return tuple(assignment), max_fiber, least
+
+
+def certificate_document(cert) -> dict:
+    """The `certificate` command's document for a PigeonholeCertificate, as a dict of lists."""
+    return {
+        "assignment": [{"from": list(a), "to": list(b)} for a, b in cert.assignment],
+        "max_fiber": cert.max_fiber,
+        "least_monomial": list(cert.least_monomial),
+    }
+
+
+def certificate_json(cert) -> str:
+    """The `certificate --format json` line without its newline, written by the generic encoder."""
+    return json.dumps(certificate_document(cert), sort_keys=True, check_circular=False)
 
 
 def plain_hermitian_parse(doc) -> dict:

@@ -3,8 +3,8 @@ from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
+from members import CERTIFICATE_SCALES, certificate_inputs, relabel
 from oracles import all_sign_patterns, tuple_pigeonhole_certificate
 from psicert.bounds import (
     pigeonhole_certificate,
@@ -19,7 +19,7 @@ from psicert.generators import (
     generate_two_var,
 )
 from psicert.patterns import SignPattern, realize_magnitudes, realize_signs, support_feasible
-from psicert.polycore import RealSparsePoly, SignaturePair, monomials_of_degree, sign_counts
+from psicert.polycore import RealSparsePoly, SignaturePair, sign_counts
 from psicert.psi import in_psi_diagonal
 
 
@@ -169,12 +169,6 @@ def _certificate_outcome(build, p):
     return cert if isinstance(cert, tuple) else (cert.assignment, cert.max_fiber, cert.least_monomial)
 
 
-def _relabel(p: RealSparsePoly, perm, scale) -> RealSparsePoly:
-    return RealSparsePoly(p.n, {tuple(a[i] for i in perm): c * scale for a, c in p.items()})
-
-
-_LATTICE_DEGREES = {1: 5, 2: 7, 3: 4, 4: 3}
-_SCALES = [Fraction(1), Fraction(3, 7), Fraction(5)]
 # negatives (1, 0, 1), and (1, 0, 3) and (3, 0, 1) among the pure fourth powers: each
 # candidate at j = 2 borrows, and each target is at j = 3, (4, 0, 0) for (3, 0, 1)
 _BORROW = {(0, 0, 2): 1, (0, 1, 1): 1, (0, 2, 0): 1, (1, 0, 1): -1, (1, 1, 0): -1, (2, 0, 0): 1}
@@ -183,24 +177,8 @@ _BORROW_TOP = {
 }
 
 
-@st.composite
-def _certificate_inputs(draw):
-    """Realized sign maps on a degree-D lattice (members when feasible), relabelled and rescaled.
-
-    Some get a term of another degree, which makes them non-homogeneous.
-    """
-    n = draw(st.integers(1, 4))
-    lattice = monomials_of_degree(n, draw(st.integers(0, _LATTICE_DEGREES[n])))
-    signs = draw(st.lists(st.sampled_from((1, 1, -1, 0)), min_size=len(lattice), max_size=len(lattice)))
-    p = realize_signs(dict(zip(lattice, signs)), n, 1)
-    p = _relabel(p, draw(st.permutations(range(n))), draw(st.sampled_from(_SCALES)))
-    if draw(st.integers(0, 5)) == 0:
-        p = p + RealSparsePoly(n, {(0,) * n: draw(st.sampled_from((1, -1)))})
-    return p
-
-
 @settings(max_examples=300, deadline=None)
-@given(_certificate_inputs())
+@given(certificate_inputs())
 @example(realize_signs(_BORROW, 3, 1))
 @example(RealSparsePoly(3, {}))
 @example(realize_signs(_BORROW_TOP, 3, 1))
@@ -216,8 +194,8 @@ def test_pigeonhole_certificate_matches_tuple_oracle(p):
 )
 def test_pigeonhole_certificate_matches_tuple_oracle_on_families(p):
     for perm in permutations(range(p.n)):
-        for scale in _SCALES:
-            q = _relabel(p, perm, scale)
+        for scale in CERTIFICATE_SCALES:
+            q = relabel(p, perm, scale)
             cert = _certificate_outcome(pigeonhole_certificate, q)
             assert isinstance(cert, tuple)  # relabelling and positive scaling keep membership
             assert cert == _certificate_outcome(tuple_pigeonhole_certificate, q)

@@ -1,14 +1,28 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
+from members import certificate_inputs
+from oracles import certificate_document, certificate_json
+from psicert.bounds import pigeonhole_certificate
 from psicert.cli import run
-from psicert.generators import example_fig2, generate_fig2_family, generate_lambda_example
-from psicert.polycore import poly_from_json, poly_to_json
+from psicert.errors import NotInPsiD
+from psicert.generators import (
+    example_fig1,
+    example_fig2,
+    generate_fig2_family,
+    generate_lambda_example,
+    generate_pD,
+)
+from psicert.polycore import RealSparsePoly, poly_from_json, poly_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -133,7 +147,9 @@ def test_generate_fig2_takes_n_and_D(capsys):
     assert poly_from_json(json.loads(capsys.readouterr().out)) == generate_fig2_family(4, 6)
 
 
-@pytest.mark.parametrize("args", [["--n", "1"], ["--D", "0"]])
+@pytest.mark.parametrize(
+    "args", [["--n", "1"], ["--D", "0"], ["--n", "3", "--D", "1"], ["--n", "4", "--D", "2"]]
+)
 def test_generate_fig2_infeasible_params_is_usage_error(capsys, args):
     assert run(["generate", "fig2", *args]) == 2
     captured = capsys.readouterr()
@@ -189,6 +205,46 @@ def test_certificate_zero_polynomial_is_negative_verdict(tmp_path, capsys):
     path.write_text(json.dumps({"n": 2, "terms": []}))
     assert run(["certificate", "--poly", str(path)]) == 1
     assert json.loads(capsys.readouterr().out) == {"error": "zero polynomial has no certificate"}
+
+
+def _certificate_run(p: RealSparsePoly, *extra) -> tuple:
+    """(exit code, stdout) of `psicert certificate` on p, run in-process."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        path.write_text(json.dumps(poly_to_json(p)))
+        with redirect_stdout(out):
+            code = run(["certificate", "--poly", str(path), *extra])
+    return code, out.getvalue()
+
+
+def _assert_certificate_bytes(p: RealSparsePoly) -> None:
+    """stdout is the generic encoder's document plus a newline, in both formats; a non-member's too."""
+    try:
+        cert = pigeonhole_certificate(p)
+    except NotInPsiD as exc:
+        assert _certificate_run(p) == (1, json.dumps({"error": str(exc)}) + "\n")
+        assert _certificate_run(p, "--format", "text") == (1, f"error: {exc}\n")
+        return
+    assert _certificate_run(p) == (0, certificate_json(cert) + "\n")
+    doc = certificate_document(cert)
+    text = "".join(f"{key}: {doc[key]}\n" for key in sorted(doc))
+    assert _certificate_run(p, "--format", "text") == (0, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificate_inputs())
+@example(RealSparsePoly(1, {(4,): Fraction(2, 3)}))  # n = 1: nothing negative
+@example(RealSparsePoly(3, {(2, 0, 0): 1, (0, 2, 0): 3, (0, 0, 2): 5}))  # no negative term: empty assignment
+@example(example_fig1().times(Fraction(7, 3)))  # rescaled member
+@example(RealSparsePoly(4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): -1}))  # non-member
+def test_certificate_writes_the_generic_encoders_bytes(p):
+    _assert_certificate_bytes(p)
+
+
+def test_certificate_writes_the_generic_encoders_bytes_on_large_members():
+    for p in (generate_pD(3, 96), generate_pD(4, 12).times(Fraction(5, 2)), generate_fig2_family(5, 9)):
+        _assert_certificate_bytes(p)
 
 
 def test_search_cli_restricted(tmp_path, fig2_file):

@@ -120,6 +120,13 @@ def test_fig2_family_validation():
         generate_fig2_family(1, 4)
     with pytest.raises(ParamsInfeasible):
         generate_fig2_family(3, 0)
+    # below D = n - 1 every point has two zero coordinates: the family would be the zero polynomial
+    for n, D in ((3, 1), (4, 1), (4, 2), (5, 3)):
+        with pytest.raises(ParamsInfeasible, match="empty below degree"):
+            generate_fig2_family(n, D)
+    for n in range(2, 6):
+        for D in range(n - 1, 9):
+            assert not generate_fig2_family(n, D).is_zero()
 
 
 # -- two-variable family -------------------------------------------------------
