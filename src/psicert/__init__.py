@@ -7,10 +7,8 @@ from .bounds import (
     ratio_ceiling,
     verify_ratio_bound,
 )
-from .diagram import DiagramSpec, render_diagram
+from .diagram import render_diagram
 from .generators import (
-    FamilyParams,
-    build_family,
     example_fig1,
     example_fig2,
     find_qk_epsilon,

@@ -29,11 +29,12 @@ class BoundReport:
 
 
 def ratio_ceiling(n: int, d: int) -> Fraction:
-    """The proven strict upper bound on N-/N+ at multiplier power d."""
+    """The proven strict upper bound on N-/N+ at multiplier power d.
+
+    binom(n-1+d, d) - 1, which is n-1 at d = 1.
+    """
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
-    if d == 1:
-        return Fraction(n - 1)
     return Fraction(comb(n - 1 + d, d) - 1)
 
 

@@ -20,7 +20,7 @@ from . import generators as _gen
 from . import patterns as _patterns
 from . import psi as _psi
 from . import reduction as _reduction
-from .diagram import DiagramSpec, render_diagram
+from .diagram import render_diagram
 from .errors import (
     BudgetExhausted,
     CertificateFailure,
@@ -67,7 +67,7 @@ def _int_at_least(low: int):
 
 def _emit(doc: dict, args) -> None:
     # like every document the CLI writes, doc is a fresh tree: json's cycle check could never fire
-    if getattr(args, "format", "json") == "json":
+    if args.format == "json":
         print(json.dumps(doc, sort_keys=True, check_circular=False))
     else:
         for key in sorted(doc):
@@ -109,12 +109,11 @@ def _input_flags(parser, *flags) -> None:
 def build_parsers() -> tuple:
     """The top-level parser, and the map from command name to that command's parser."""
     top = argparse.ArgumentParser(prog="psicert")
-    top.add_argument("--format", choices=("json", "text"), default=None)
-    # accepted before or after the subcommand name
+    top.add_argument("--format", choices=("json", "text"), default="json")
+    # accepted after the subcommand name too, where it overrides one given before it:
+    # a subcommand leaves out of the namespace a flag it was not given
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", dest="format_late", choices=("json", "text"), default=None
-    )
+    common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
     sub = top.add_subparsers(dest="command", required=True)
     sub_kwargs = {"parents": [common]}
 
@@ -186,33 +185,43 @@ def build_parsers() -> tuple:
 
 
 def _cmd_generate(args) -> int:
-    fam = args.family
+    fam, n, D, d, m, k = args.family, args.n, args.D, args.d, args.m, args.k
     meta: dict = {}
-    params = _gen.FamilyParams(
-        n=args.n,
-        D=args.D,
-        d=args.d,
-        m=args.m,
-        nu=args.nu,
-        k=args.k,
-        lam=args.lam,
-        epsilon=args.epsilon,
-        homogenize=args.homogenize,
-    )
-    if fam == "qk" and args.epsilon == "auto":
-        if args.n is None or args.k is None:
-            raise SystemExit2("generate qk needs --n and --k")
-        report = _gen.find_qk_epsilon(args.n, args.k)
-        poly = report.poly
-        meta = {"epsilon": str(report.epsilon), "power": report.power}
-        print(f"epsilon={report.epsilon} power={report.power}", file=sys.stderr)
-    else:
-        try:
-            poly = _gen.build_family(fam, params)
-        except ParamsInfeasible as exc:
-            raise SystemExit2(str(exc))
-    if fam == "lambda" and not _gen.lambda_in_positive_regime(args.lam):
-        print("warning: lambda >= 16 leaves the positive regime", file=sys.stderr)
+    try:
+        if fam == "pd":
+            if n is None or D is None:
+                raise ParamsInfeasible("dense family needs n and D")
+            poly = _gen.generate_pD(n, D)
+        elif fam == "two-var":
+            if d is None or m is None:
+                raise ParamsInfeasible("two-variable family needs d and m")
+            if D is not None and D != (d + 1) * m:
+                raise ParamsInfeasible(f"two-variable family requires D = (d+1)m, got D={D}")
+            poly = _gen.generate_two_var(d, m)
+        elif fam == "inductive":
+            if n is None or d is None or k is None:
+                raise ParamsInfeasible("layered family needs n, d and k")
+            poly = _gen.generate_inductive(n, d, k, args.nu, homogenize=args.homogenize)
+        elif fam == "qk":
+            if n is None or k is None:
+                raise ParamsInfeasible("separating family needs n and k")
+            if args.epsilon == "auto":
+                report = _gen.find_qk_epsilon(n, k)
+                poly = report.poly
+                meta = {"epsilon": str(report.epsilon), "power": report.power}
+                print(f"epsilon={report.epsilon} power={report.power}", file=sys.stderr)
+            else:
+                poly = _gen.generate_qk(n, k, args.epsilon)
+        elif fam == "lambda":
+            if args.lam is None:
+                raise ParamsInfeasible("quartic example needs lambda")
+            poly = _gen.generate_lambda_example(args.lam)
+            if not _gen.lambda_in_positive_regime(args.lam):
+                print("warning: lambda >= 16 leaves the positive regime", file=sys.stderr)
+        else:  # fig2, Figure 2's (3, 6) member unless told otherwise
+            poly = _gen.generate_fig2_family(3 if n is None else n, 6 if D is None else D)
+    except ParamsInfeasible as exc:
+        raise SystemExit2(str(exc))
     doc = poly_to_json(poly)
     if meta and args.format == "text":
         doc = dict(doc, **meta)
@@ -404,9 +413,7 @@ def _cmd_diagram(args) -> int:
         pat = _load(args.poly, lambda doc: _patterns.pattern_from_poly(poly_from_json(doc)))
     else:
         raise SystemExit2("diagram needs --poly or --pattern")
-    doc = render_diagram(
-        DiagramSpec(pat, fmt=args.style, show_simplices=args.show_simplices)
-    )
+    doc = render_diagram(pat, args.style, args.show_simplices)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(doc)
@@ -445,7 +452,7 @@ def _parse(argv) -> argparse.Namespace:
     """
     sub = _SUBPARSERS.get(argv[0]) if argv else None
     if sub is not None:
-        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0], format=None))
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0], format="json"))
         if not extra:
             return args
     return _PARSER.parse_args(argv)
@@ -463,7 +470,6 @@ def run(argv) -> int:
     gc.disable()
     try:
         args = _parse(argv)
-        args.format = getattr(args, "format_late", None) or args.format or "json"
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # from argparse, which has printed its message
         return USAGE if exc.code not in (0, None) else OK

@@ -10,8 +10,6 @@ bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UnsupportedDimension
 from .patterns import Sign, SignPattern
 from .polycore import monomials_of_degree
@@ -20,13 +18,6 @@ _SQRT3_2 = 0.8660254037844386
 _CELL = 44.0
 _MARGIN = 40.0
 _RADIUS = 12.0
-
-
-@dataclass(frozen=True)
-class DiagramSpec:
-    pattern: SignPattern
-    fmt: str = "svg"  # "svg" or "ascii"
-    show_simplices: bool = False
 
 
 def _q(x: float) -> str:
@@ -43,13 +34,16 @@ def _xy(alpha):
     return _MARGIN + u * _CELL, v * _CELL
 
 
-def render_diagram(spec: DiagramSpec) -> str:
-    pat = spec.pattern
-    if pat.n not in (2, 3):
-        raise UnsupportedDimension(f"diagrams need 2 or 3 variables, got {pat.n}")
-    if spec.fmt == "ascii":
-        return _render_ascii(pat)
-    return _render_svg(pat, spec.show_simplices)
+def render_diagram(pattern: SignPattern, fmt: str = "svg", show_simplices: bool = False) -> str:
+    """The diagram of `pattern` as `fmt` ("svg" or "ascii") text.
+
+    `show_simplices` overlays the power-1 contributor triangles on a three-variable SVG.
+    """
+    if pattern.n not in (2, 3):
+        raise UnsupportedDimension(f"diagrams need 2 or 3 variables, got {pattern.n}")
+    if fmt == "ascii":
+        return _render_ascii(pattern)
+    return _render_svg(pattern, show_simplices)
 
 
 def _render_ascii(pat: SignPattern) -> str:

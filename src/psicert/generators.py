@@ -27,62 +27,6 @@ from .patterns import realize_signs
 from .psi import in_psi_diagonal
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Parameter bundle for the family constructors.
-
-    Only the fields a family consumes need to be set; build_family validates
-    the combination (for instance the two-variable family forces
-    D = (d+1) * m when D is given explicitly).
-    """
-
-    n: int | None = None
-    D: int | None = None
-    d: int | None = None
-    m: int | None = None
-    nu: int | None = None
-    k: int | None = None
-    lam: Fraction | None = None
-    epsilon: object = "auto"  # positive rational or "auto"
-    homogenize: bool = False
-
-
-def build_family(family: str, params: FamilyParams) -> RealSparsePoly:
-    """Dispatch a family name to its constructor with validated parameters."""
-    if family == "pd":
-        if params.n is None or params.D is None:
-            raise ParamsInfeasible("dense family needs n and D")
-        return generate_pD(params.n, params.D)
-    if family == "two-var":
-        if params.d is None or params.m is None:
-            raise ParamsInfeasible("two-variable family needs d and m")
-        if params.D is not None and params.D != (params.d + 1) * params.m:
-            raise ParamsInfeasible(
-                f"two-variable family requires D = (d+1)m, got D={params.D}"
-            )
-        return generate_two_var(params.d, params.m)
-    if family == "inductive":
-        if params.n is None or params.d is None or params.k is None:
-            raise ParamsInfeasible("layered family needs n, d and k")
-        return generate_inductive(
-            params.n, params.d, params.k, params.nu, homogenize=params.homogenize
-        )
-    if family == "qk":
-        if params.n is None or params.k is None:
-            raise ParamsInfeasible("separating family needs n and k")
-        if params.epsilon == "auto":
-            return find_qk_epsilon(params.n, params.k).poly
-        return generate_qk(params.n, params.k, Fraction(params.epsilon))
-    if family == "lambda":
-        if params.lam is None:
-            raise ParamsInfeasible("quartic example needs lambda")
-        return generate_lambda_example(params.lam)
-    if family == "fig2":
-        n = 3 if params.n is None else params.n
-        return generate_fig2_family(n, 6 if params.D is None else params.D)
-    raise ParamsInfeasible(f"unknown family {family!r}")
-
-
 def gamma(alpha: MultiIndex, D: int, n: int) -> int:
     """Coefficient rule for the dense degree-D family.
 

@@ -19,8 +19,11 @@ from psicert.generators import (
     example_fig1,
     example_fig2,
     generate_fig2_family,
+    generate_inductive,
     generate_lambda_example,
     generate_pD,
+    generate_qk,
+    generate_two_var,
 )
 from psicert.polycore import RealSparsePoly, poly_from_json, poly_to_json
 
@@ -173,6 +176,41 @@ def test_generate_qk_bad_epsilon_is_usage_error(capsys, epsilon):
 def test_generate_qk_rational_epsilon(capsys):
     assert run(["generate", "qk", "--n", "3", "--k", "2", "--epsilon", "1/2"]) == 0
     assert poly_from_json(json.loads(capsys.readouterr().out)).n == 3
+
+
+@pytest.mark.parametrize("args", [["--n", "2", "--k", "3"], ["--n", "3", "--k", "1"], ["--n", "3"]])
+def test_generate_qk_faults_read_the_same_with_and_without_the_search(capsys, args):
+    outcomes = []
+    for epsilon in ("auto", "1/2"):
+        code = run(["generate", "qk", *args, "--epsilon", epsilon])
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: ")
+        outcomes.append((code, captured.err))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 2
+
+
+def test_generate_family_dispatch(capsys):
+    for argv, poly in (
+        (["fig2"], example_fig2()),
+        (["pd", "--n", "3", "--D", "6"], generate_pD(3, 6)),
+        (["two-var", "--d", "2", "--m", "3"], generate_two_var(2, 3)),
+        (["inductive", "--n", "3", "--d", "2", "--k", "4"], generate_inductive(3, 2, 4)),
+        (["qk", "--n", "3", "--k", "2", "--epsilon", "1/4"], generate_qk(3, 2, Fraction(1, 4))),
+        (["lambda", "--lam", "15"], generate_lambda_example(15)),
+    ):
+        assert run(["generate", *argv]) == 0
+        assert json.loads(capsys.readouterr().out) == poly_to_json(poly)
+
+
+def test_generate_validates_combinations(capsys):
+    assert run(["generate", "pd", "--n", "3"]) == 2  # missing D
+    assert capsys.readouterr().err == "usage error: dense family needs n and D\n"
+    assert run(["generate", "two-var", "--d", "2", "--m", "3", "--D", "8"]) == 2  # D must be (d+1)m
+    assert capsys.readouterr().err == "usage error: two-variable family requires D = (d+1)m, got D=8\n"
+    assert run(["generate", "two-var", "--d", "2", "--m", "3", "--D", "9"]) == 0
+    assert json.loads(capsys.readouterr().out) == poly_to_json(generate_two_var(2, 3))
+    assert run(["generate", "mystery"]) == 2
+    assert "invalid choice: 'mystery'" in capsys.readouterr().err
 
 
 def test_verify_bounds(fig2_file):
@@ -749,6 +787,14 @@ def test_back_to_back_runs_share_no_state(fig2_file, capsys):
         fresh = _run_cli(argv)
         assert run(argv) == fresh.returncode
         assert capsys.readouterr().out == fresh.stdout
+
+
+def test_format_after_the_command_overrides_one_before_it(fig2_file, capsys):
+    sig = ["signature", "--poly", fig2_file]
+    assert run(["--format", "text", *sig, "--format", "json"]) == 0
+    assert capsys.readouterr().out == '{"n_minus": 6, "n_plus": 7, "rank": 13}\n'
+    assert run(["--format", "json", *sig, "--format", "text"]) == 0
+    assert capsys.readouterr().out == "n_minus: 6\nn_plus: 7\nrank: 13\n"
 
 
 _MEMBER_PATTERN = {"n": 2, "D": 2, "pos": [[2, 0], [0, 2]], "neg": [[1, 1]]}

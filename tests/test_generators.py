@@ -266,35 +266,6 @@ def test_qk_validation():
         generate_qk(3, 3, 0)
 
 
-# -- parameter bundle -------------------------------------------------------------
-
-
-def test_build_family_dispatch():
-    from psicert.generators import FamilyParams, build_family
-
-    assert build_family("fig2", FamilyParams()) == example_fig2()
-    assert build_family("pd", FamilyParams(n=3, D=6)) == generate_pD(3, 6)
-    assert build_family("two-var", FamilyParams(d=2, m=3)) == generate_two_var(2, 3)
-    assert build_family(
-        "qk", FamilyParams(n=3, k=2, epsilon=Fraction(1, 4))
-    ) == generate_qk(3, 2, Fraction(1, 4))
-    assert build_family(
-        "lambda", FamilyParams(lam=Fraction(15))
-    ) == generate_lambda_example(15)
-
-
-def test_build_family_validates_combinations():
-    from psicert.generators import FamilyParams, build_family
-
-    with pytest.raises(ParamsInfeasible):
-        build_family("pd", FamilyParams(n=3))  # missing D
-    with pytest.raises(ParamsInfeasible):
-        build_family("two-var", FamilyParams(d=2, m=3, D=8))  # D must be (d+1)m
-    build_family("two-var", FamilyParams(d=2, m=3, D=9))
-    with pytest.raises(ParamsInfeasible):
-        build_family("mystery", FamilyParams())
-
-
 # -- quartic example -------------------------------------------------------------
 
 
