@@ -75,12 +75,10 @@ def _emit(doc: dict, args) -> None:
 
 
 def _load_input(args):
-    """Either --poly or --herm, returning the parsed object."""
-    if getattr(args, "poly", None):
+    """The --poly or the --herm input, whichever was given, parsed."""
+    if args.poly is not None:
         return _load(args.poly, poly_from_json)
-    if getattr(args, "herm", None):
-        return _load(args.herm, hermitian_from_json)
-    raise SystemExit2("one of --poly or --herm is required")
+    return _load(args.herm, hermitian_from_json)
 
 
 class SystemExit2(Exception):
@@ -100,8 +98,8 @@ def _auto_or_frac(text: str):
 
 
 def _input_flags(parser, *flags) -> None:
-    """Input file flags of which at most one may be given; the command checks for none."""
-    group = parser.add_mutually_exclusive_group()
+    """Input file flags of which exactly one must be given."""
+    group = parser.add_mutually_exclusive_group(required=True)
     for flag in flags:
         group.add_argument(flag)
 
@@ -116,21 +114,35 @@ def build_parsers() -> tuple:
     common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
     sub = top.add_subparsers(dest="command", required=True)
     sub_kwargs = {"parents": [common]}
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    out_kwargs = {"parents": [common, out]}
 
     gen = sub.add_parser("generate", **sub_kwargs, help="emit one of the polynomial families")
-    gen.add_argument(
-        "family", choices=("pd", "two-var", "inductive", "qk", "lambda", "fig2")
-    )
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--D", type=int)
-    gen.add_argument("--d", type=int)
-    gen.add_argument("--m", type=int)
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--nu", type=int)
-    gen.add_argument("--lam", "--lambda", dest="lam", type=_frac)
-    gen.add_argument("--epsilon", type=_auto_or_frac, default="auto")
-    gen.add_argument("--homogenize", action="store_true")
-    gen.add_argument("--out")
+    # each family's parser declares the flags its constructor reads, and no other
+    families = gen.add_subparsers(dest="family", required=True)
+    pd = families.add_parser("pd", **out_kwargs, help="the dense family pD(n, D)")
+    pd.add_argument("--n", type=int, required=True)
+    pd.add_argument("--D", type=int, required=True)
+    two = families.add_parser("two-var", **out_kwargs, help="the two-variable family")
+    two.add_argument("--d", type=int, required=True)
+    two.add_argument("--m", type=int, required=True)
+    two.add_argument("--D", type=int, help="the degree, checked against (d+1)m")
+    ind = families.add_parser("inductive", **out_kwargs, help="the layered family")
+    ind.add_argument("--n", type=int, required=True)
+    ind.add_argument("--d", type=int, required=True)
+    ind.add_argument("--k", type=int, required=True)
+    ind.add_argument("--nu", type=int)
+    ind.add_argument("--homogenize", action="store_true")
+    qk = families.add_parser("qk", **out_kwargs, help="the separating family q_k")
+    qk.add_argument("--n", type=int, required=True)
+    qk.add_argument("--k", type=int, required=True)
+    qk.add_argument("--epsilon", type=_auto_or_frac, default="auto")
+    lam = families.add_parser("lambda", **out_kwargs, help="the lambda-quartic example")
+    lam.add_argument("--lam", "--lambda", dest="lam", type=_frac, required=True)
+    fig2 = families.add_parser("fig2", **out_kwargs, help="Figure 2's family")
+    fig2.add_argument("--n", type=int, default=3)
+    fig2.add_argument("--D", type=int, default=6)
 
     chk = sub.add_parser("check-psi", **sub_kwargs, help="membership at a fixed power")
     _input_flags(chk, "--poly", "--herm")
@@ -164,9 +176,8 @@ def build_parsers() -> tuple:
         "(local search: its start patterns only; its moves may leave the support)",
     )
 
-    red = sub.add_parser("reduce", **sub_kwargs, help="partial row-echelon reduction")
+    red = sub.add_parser("reduce", **out_kwargs, help="partial row-echelon reduction")
     red.add_argument("--herm", required=True)
-    red.add_argument("--out")
 
     vb = sub.add_parser("verify-bounds", **sub_kwargs, help="check the signature-ratio ceiling")
     _input_flags(vb, "--poly", "--herm")
@@ -176,50 +187,39 @@ def build_parsers() -> tuple:
     cert = sub.add_parser("certificate", **sub_kwargs, help="pigeonhole certificate at power 1")
     cert.add_argument("--poly", required=True)
 
-    dia = sub.add_parser("diagram", **sub_kwargs, help="render a lattice diagram")
+    dia = sub.add_parser("diagram", **out_kwargs, help="render a lattice diagram")
     _input_flags(dia, "--poly", "--pattern")
     dia.add_argument("--style", choices=("svg", "ascii"), default="svg")
     dia.add_argument("--show-simplices", action="store_true")
-    dia.add_argument("--out")
     return top, sub.choices
 
 
 def _cmd_generate(args) -> int:
-    fam, n, D, d, m, k = args.family, args.n, args.D, args.d, args.m, args.k
+    fam = args.family
     meta: dict = {}
     try:
         if fam == "pd":
-            if n is None or D is None:
-                raise ParamsInfeasible("dense family needs n and D")
-            poly = _gen.generate_pD(n, D)
+            poly = _gen.generate_pD(args.n, args.D)
         elif fam == "two-var":
-            if d is None or m is None:
-                raise ParamsInfeasible("two-variable family needs d and m")
-            if D is not None and D != (d + 1) * m:
-                raise ParamsInfeasible(f"two-variable family requires D = (d+1)m, got D={D}")
-            poly = _gen.generate_two_var(d, m)
+            if args.D is not None and args.D != (args.d + 1) * args.m:
+                raise ParamsInfeasible(f"two-variable family requires D = (d+1)m, got D={args.D}")
+            poly = _gen.generate_two_var(args.d, args.m)
         elif fam == "inductive":
-            if n is None or d is None or k is None:
-                raise ParamsInfeasible("layered family needs n, d and k")
-            poly = _gen.generate_inductive(n, d, k, args.nu, homogenize=args.homogenize)
+            poly = _gen.generate_inductive(args.n, args.d, args.k, args.nu, homogenize=args.homogenize)
         elif fam == "qk":
-            if n is None or k is None:
-                raise ParamsInfeasible("separating family needs n and k")
             if args.epsilon == "auto":
-                report = _gen.find_qk_epsilon(n, k)
+                report = _gen.find_qk_epsilon(args.n, args.k)
                 poly = report.poly
                 meta = {"epsilon": str(report.epsilon), "power": report.power}
                 print(f"epsilon={report.epsilon} power={report.power}", file=sys.stderr)
             else:
-                poly = _gen.generate_qk(n, k, args.epsilon)
+                poly = _gen.generate_qk(args.n, args.k, args.epsilon)
         elif fam == "lambda":
-            if args.lam is None:
-                raise ParamsInfeasible("quartic example needs lambda")
             poly = _gen.generate_lambda_example(args.lam)
             if not _gen.lambda_in_positive_regime(args.lam):
                 print("warning: lambda >= 16 leaves the positive regime", file=sys.stderr)
         else:  # fig2, Figure 2's (3, 6) member unless told otherwise
-            poly = _gen.generate_fig2_family(3 if n is None else n, 6 if D is None else D)
+            poly = _gen.generate_fig2_family(args.n, args.D)
     except ParamsInfeasible as exc:
         raise SystemExit2(str(exc))
     doc = poly_to_json(poly)
@@ -407,12 +407,10 @@ def _cmd_certificate(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    if args.pattern:
+    if args.pattern is not None:
         pat = _load(args.pattern, _patterns.pattern_from_json)
-    elif args.poly:
-        pat = _load(args.poly, lambda doc: _patterns.pattern_from_poly(poly_from_json(doc)))
     else:
-        raise SystemExit2("diagram needs --poly or --pattern")
+        pat = _load(args.poly, lambda doc: _patterns.pattern_from_poly(poly_from_json(doc)))
     doc = render_diagram(pat, args.style, args.show_simplices)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

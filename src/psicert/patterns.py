@@ -46,7 +46,11 @@ class Strategy(enum.Enum):
 
 @dataclass(frozen=True)
 class SignPattern:
-    """Total sign assignment on the degree-D lattice in n variables."""
+    """Total sign assignment on the degree-D lattice in n variables.
+
+    `pos` and `neg` may be any iterables of points; each point must be n
+    nonnegative ints summing to D, and they are kept as frozensets of tuples.
+    """
 
     n: int
     D: int
@@ -54,14 +58,14 @@ class SignPattern:
     neg: frozenset
 
     def __post_init__(self):
-        pos = frozenset(tuple(a) for a in self.pos)
-        neg = frozenset(tuple(a) for a in self.neg)
+        pos = frozenset(_exponent_vector(a, self.n) for a in self.pos)
+        neg = frozenset(_exponent_vector(a, self.n) for a in self.neg)
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "neg", neg)
         if pos & neg:
             raise ValueError("a point cannot be both positive and negative")
         for a in pos | neg:
-            if len(a) != self.n or any(x < 0 for x in a) or total_degree(a) != self.D:
+            if total_degree(a) != self.D:
                 raise ValueError(f"{a} is not a degree-{self.D} point in {self.n} vars")
 
     @classmethod
@@ -115,13 +119,7 @@ def pattern_from_json(doc) -> SignPattern:
 
     if isinstance(doc, str):
         doc = _json.loads(doc)
-    n = _json_int(doc["n"])
-    return SignPattern(
-        n,
-        _json_int(doc["D"]),
-        frozenset(_exponent_vector(a, n) for a in doc.get("pos", [])),
-        frozenset(_exponent_vector(a, n) for a in doc.get("neg", [])),
-    )
+    return SignPattern(_json_int(doc["n"]), _json_int(doc["D"]), doc.get("pos", []), doc.get("neg", []))
 
 
 def _weighted_deltas(code, n: int, d: int) -> list:

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -184,7 +185,9 @@ def test_generate_qk_faults_read_the_same_with_and_without_the_search(capsys, ar
     for epsilon in ("auto", "1/2"):
         code = run(["generate", "qk", *args, "--epsilon", epsilon])
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("usage error: ")
+        # a value out of range is the family's usage error; a missing flag is argparse's
+        prefix = "usage error: " if "--k" in args else "usage: psicert generate qk "
+        assert captured.out == "" and captured.err.startswith(prefix)
         outcomes.append((code, captured.err))
     assert outcomes[0] == outcomes[1] and outcomes[0][0] == 2
 
@@ -204,13 +207,55 @@ def test_generate_family_dispatch(capsys):
 
 def test_generate_validates_combinations(capsys):
     assert run(["generate", "pd", "--n", "3"]) == 2  # missing D
-    assert capsys.readouterr().err == "usage error: dense family needs n and D\n"
+    assert capsys.readouterr().err.endswith("psicert generate pd: error: the following arguments are required: --D\n")
     assert run(["generate", "two-var", "--d", "2", "--m", "3", "--D", "8"]) == 2  # D must be (d+1)m
     assert capsys.readouterr().err == "usage error: two-variable family requires D = (d+1)m, got D=8\n"
     assert run(["generate", "two-var", "--d", "2", "--m", "3", "--D", "9"]) == 0
     assert json.loads(capsys.readouterr().out) == poly_to_json(generate_two_var(2, 3))
     assert run(["generate", "mystery"]) == 2
     assert "invalid choice: 'mystery'" in capsys.readouterr().err
+
+
+# (a family's valid command line, flags that family does not read)
+_FOREIGN_FLAGS = [
+    (["pd", "--n", "3", "--D", "2"], ["--k", "7"]),
+    (["fig2"], ["--lam", "1"]),
+    (["qk", "--n", "3", "--k", "2"], ["--homogenize"]),
+    (["lambda", "--lam", "15"], ["--n", "3"]),
+    (["two-var", "--d", "2", "--m", "3"], ["--epsilon", "1/2"]),
+    (["inductive", "--n", "3", "--d", "2", "--k", "4"], ["--m", "2"]),
+    (["pd", "--n", "3", "--D", "2"], ["--k", "7", "--epsilon", "1/2", "--lam", "99", "--homogenize"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, foreign", _FOREIGN_FLAGS, ids=[" ".join(a + f) for a, f in _FOREIGN_FLAGS]
+)
+def test_generate_rejects_a_flag_its_family_does_not_read(capsys, argv, foreign):
+    # a family must not read past another family's flags: `pd` typed for `fig2` gives another polynomial
+    assert run(["generate", *argv]) == 0
+    capsys.readouterr()
+    assert run(["generate", *argv, *foreign]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(f"psicert: error: unrecognized arguments: {' '.join(foreign)}\n")
+
+
+_FAMILY_FLAGS = {
+    "pd": {"--n", "--D"},
+    "two-var": {"--d", "--m", "--D"},
+    "inductive": {"--n", "--d", "--k", "--nu", "--homogenize"},
+    "qk": {"--n", "--k", "--epsilon"},
+    "lambda": {"--lam", "--lambda"},
+    "fig2": {"--n", "--D"},
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_FLAGS))
+def test_generate_family_help_lists_its_own_flags(capsys, family):
+    assert run(["generate", family, "-h"]) == 0
+    shown = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", capsys.readouterr().out))
+    assert shown == {"-h", "--help", "--format", "--out"} | _FAMILY_FLAGS[family]
 
 
 def test_verify_bounds(fig2_file):
@@ -918,7 +963,7 @@ def test_commands_leave_no_reference_cycles(tmp_path, capsys):
     "argv, fails, code",
     [
         (["signature", "--poly", "FIG2"], False, 0),
-        (["signature"], False, 2),  # usage error from the command body
+        (["signature", "--poly", ""], False, 2),  # usage error from the command body
         (["signature", "--bogus"], False, 2),  # usage error from argparse
         (["signature", "--poly", "FIG2"], True, 3),  # internal error
     ],
@@ -1057,6 +1102,13 @@ _DISPATCH_CORPUS = [
     ["signature", "--poly", "{fig2}", "--bogus"],
     ["signature", "--", "--poly", "{fig2}"],
     ["generate", "--", "pd", "--n", "3", "--D", "4"],
+    ["generate", "pd", "--n", "3", "--D", "4", "--k", "7"],
+    ["generate", "inductive", "--n", "3", "--d", "2"],
+    ["check-psi", "--d", "1"],
+    ["min-d", "--max-d", "2"],
+    ["signature"],
+    ["verify-bounds", "--d", "1"],
+    ["diagram", "--style", "ascii"],
     *_CONFLICTS.values(),
 ]
 

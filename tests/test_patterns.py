@@ -50,6 +50,14 @@ def test_pattern_validation():
             pattern_from_json(doc)
 
 
+@pytest.mark.parametrize("point", [(1.0, 1.0), (True, True)], ids=["float", "bool"])
+def test_pattern_points_must_be_ints(point):
+    # one point check for both doors: pattern_to_json would write [1.0, 1.0], which pattern_from_json rejects
+    for pos, neg in (({point}, ()), ((), {point})):
+        with pytest.raises(ValueError, match="is not an integer"):
+            SignPattern(2, 2, pos, neg)
+
+
 def test_pattern_signs_total():
     pat = SignPattern(2, 2, frozenset({(2, 0)}), frozenset({(1, 1)}))
     assert pat.sign((2, 0)) is Sign.POS
