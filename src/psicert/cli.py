@@ -297,7 +297,6 @@ def _cmd_search(args) -> int:
             return points
 
         support = _load(args.support, parse)
-    budget_hit = False
     try:
         result = _patterns.search_max_ratio(
             args.n,
@@ -309,18 +308,15 @@ def _cmd_search(args) -> int:
             support=support,
         )
     except BudgetExhausted as exc:
-        if exc.best is None:
-            print(f"nothing found: {exc}", file=sys.stderr)
-            return NEGATIVE
-        result = exc.best
-        budget_hit = True
+        print(f"nothing found: {exc}", file=sys.stderr)
+        return NEGATIVE
     doc = {
         "pattern": _patterns.pattern_to_json(result.best),
         "ratio": str(result.ratio),
         "evaluations": result.evaluations,
         "strategy": result.strategy.value,
         "seed": args.seed,
-        "budget_exhausted": budget_hit,
+        "budget_exhausted": result.budget_exhausted,
         "realized": poly_to_json(result.realized),
     }
     if args.n == 3:

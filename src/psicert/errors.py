@@ -54,11 +54,7 @@ class Infeasible(PsicertError):
 
 
 class BudgetExhausted(PsicertError):
-    """A search ran out of evaluation budget.  Carries the best result so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """A search ran out of evaluation budget before it found any result."""
 
 
 class UnsupportedDimension(PsicertError):

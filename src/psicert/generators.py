@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .errors import (
@@ -23,7 +24,7 @@ from .polycore import (
     monomials_of_degree,
     total_degree,
 )
-from .patterns import realize_signs
+from .patterns import SignPattern, realize_magnitudes
 from .psi import in_psi_diagonal
 
 
@@ -142,15 +143,6 @@ def _base_row_signs(d: int, k: int) -> dict:
     return {(i,): (1 if i % spacing == 0 else -1) for i in range(length + 1)}
 
 
-def _box_points(box):
-    if not box:
-        yield ()
-        return
-    for i in range(box[0] + 1):
-        for rest in _box_points(box[1:]):
-            yield (i,) + rest
-
-
 def _layered_signs(m: int, d: int, nu, k: int) -> dict:
     """Dehomogenized sign pattern in m coordinates for multiplier power d.
 
@@ -169,7 +161,7 @@ def _layered_signs(m: int, d: int, nu, k: int) -> dict:
         raise ParamsInfeasible(f"need k >= 2(nu+1) (got k={k}, nu={nu_eff})")
     sub = _layered_signs(m - 1, d - nu_eff, None, k)
     box = tuple(max(p[i] for p in sub) for i in range(m - 1))
-    full_box = list(_box_points(box))
+    full_box = list(product(*(range(b + 1) for b in box)))
     neg_box = [p for p in full_box if all(p[i] <= box[i] - d for i in range(m - 1))]
     out = {}
     for j in range(k + 1):
@@ -193,21 +185,20 @@ def generate_inductive(
     Returns the polynomial in the n-1 dehomogenized variables by default;
     with homogenize=True the last variable is restored, giving a homogeneous
     class member.  nu is the layer-skip parameter (None picks floor(d/2) at
-    every level; an explicit value applies to the top level only).
+    every level; an explicit value applies to the top level only).  The
+    homogenized signs are realized through `realize_magnitudes`, which checks
+    the covering condition first, so a layered pattern that fails it raises
+    Infeasible.
     """
     if n < 3:
         raise ParamsInfeasible("the layered construction needs n >= 3")
     if d < 1:
         raise ParamsInfeasible("need d >= 1")
-    nu_top = d // 2 if nu is None else nu
-    if not (0 <= nu_top < d):
-        raise ParamsInfeasible(f"need 0 <= nu < d (got nu={nu_top}, d={d})")
-    if k < 2 * (nu_top + 1):
-        raise ParamsInfeasible(f"need k >= 2(nu+1) (got k={k}, nu={nu_top})")
-    signs = _layered_signs(n - 1, d, nu_top, k)
+    signs = _layered_signs(n - 1, d, nu, k)
     D = max(total_degree(p) for p in signs)
-    homog = {p + (D - total_degree(p),): s for p, s in signs.items()}
-    poly = realize_signs(homog, n, d)
+    pos = [p + (D - total_degree(p),) for p, s in signs.items() if s > 0]
+    neg = [p + (D - total_degree(p),) for p, s in signs.items() if s < 0]
+    poly = realize_magnitudes(SignPattern(n, D, pos, neg), d)
     if homogenize:
         return poly
     return dehomogenize(poly)

@@ -122,28 +122,6 @@ def pattern_from_json(doc) -> SignPattern:
     return SignPattern(_json_int(doc["n"]), _json_int(doc["D"]), doc.get("pos", []), doc.get("neg", []))
 
 
-def _weighted_deltas(code, n: int, d: int) -> list:
-    """(code(delta), multinomial(d, delta)) for each delta in Delta_d, the degree-d vectors in n variables."""
-    return [(code(delta), multinomial(d, delta)) for delta in compositions(d, n)]
-
-
-def _magnitude(neg_codes, deltas) -> int:
-    """M = 1 + the largest multinomial-weighted negative mass into one product monomial.
-
-    `neg_codes` are the negative points packed by a `polycore.packing` with
-    room for degree d more, and `deltas` is `_weighted_deltas` under the
-    same packing.  M on every positive point and -1 on every negative one
-    make every covered product coefficient positive.
-    """
-    inflow: dict = {}
-    get = inflow.get
-    for c in neg_codes:
-        for dc, w in deltas:
-            key = c + dc
-            inflow[key] = get(key, 0) + w
-    return 1 + max(inflow.values(), default=0)
-
-
 class _Cover:
     """Contributor bitmasks of a fixed point set at power d.
 
@@ -166,7 +144,7 @@ class _Cover:
         code, self._decode = packing(max(map(sum, points), default=0), n, d)
         self.n, self.d = n, d
         self.bit = {a: 1 << i for i, a in enumerate(points)}
-        self._deltas = deltas = _weighted_deltas(code, n, d)
+        self._deltas = deltas = [(code(delta), multinomial(d, delta)) for delta in compositions(d, n)]
         self._codes = codes = list(map(code, points))
         masks: dict = {}
         get = masks.get
@@ -221,14 +199,23 @@ class _Cover:
     def realize(self, pos: int, neg: int) -> RealSparsePoly:
         """The uniform-magnitude member with these signs, after a check on every mask.
 
+        Every negative point gets -1 and every positive one M = 1 + the
+        largest multinomial-weighted negative inflow into one product
+        monomial, which makes every covered product coefficient positive.
         Points outside pos | neg carry no bit of either, so the verdict, the
         witness and M are those of a cover over the pattern's support alone.
         """
         witness = self.witness(pos, neg)
         if witness is not None:
             raise Infeasible(f"no realization exists; uncovered product monomial {witness}")
-        bits = self.bit.values()
-        M = _magnitude([c for c, b in zip(self._codes, bits) if neg & b], self._deltas)
+        inflow: dict = {}
+        get = inflow.get
+        for c, b in zip(self._codes, self.bit.values()):
+            if neg & b:
+                for dc, w in self._deltas:
+                    key = c + dc
+                    inflow[key] = get(key, 0) + w
+        M = 1 + max(inflow.values(), default=0)
         signed = pos | neg
         return RealSparsePoly._from_table(
             self.n, 1, {a: M if pos & b else -1 for a, b in self.bit.items() if signed & b}
@@ -264,20 +251,6 @@ def support_feasible(pat: SignPattern, d: int):
     return (True, None) if witness is None else (False, witness)
 
 
-def realize_signs(signs: dict, n: int, d: int) -> RealSparsePoly:
-    """Realize a raw sign map (point -> +1/-1) with the uniform magnitude policy.
-
-    Negative points get coefficient -1; positive points get
-    M = 1 + (largest multinomial-weighted negative mass into any product
-    monomial), which is enough for every covered product coefficient to come
-    out positive.
-    """
-    neg = [a for a, s in signs.items() if s < 0]
-    code = packing(max(map(sum, neg), default=0), n, d)[0]
-    M = _magnitude(map(code, neg), _weighted_deltas(code, n, d))
-    return RealSparsePoly._from_table(n, 1, {a: M if s > 0 else -1 for a, s in signs.items() if s})
-
-
 def realize_magnitudes(pat: SignPattern, d: int) -> RealSparsePoly:
     """Exact class member with the pattern's signs, or Infeasible."""
     cover = _Cover(pat.support, pat.n, d)
@@ -285,16 +258,19 @@ def realize_magnitudes(pat: SignPattern, d: int) -> RealSparsePoly:
 
 
 class _Budget(Exception):
-    """Local search ran out of evaluations; `_search_local` turns it into BudgetExhausted."""
+    """Local search ran out of evaluations; `_search_local` stops its climb on it."""
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A search's best pattern, realized; `budget_exhausted` when the budget stopped it first."""
+
     best: SignPattern
     ratio: Fraction
     evaluations: int
     strategy: Strategy
     realized: RealSparsePoly
+    budget_exhausted: bool
 
 
 def search_max_ratio(
@@ -318,19 +294,16 @@ def search_max_ratio(
     known-good pattern (the dense family's skeleton, or the all-positive
     support when n = 1 or D = 0).  LOCAL uses `support` only to restrict its
     start patterns: its moves range over the whole lattice and may leave the
-    support.  For both, `evaluations` counts the candidate patterns tested.
-    An empty support raises Infeasible.
+    support.  For both, `evaluations` counts the candidate patterns tested,
+    and a search that runs out of `budget` returns its best pattern so far
+    with `budget_exhausted` set; a local search that has found nothing by
+    then raises BudgetExhausted.  An empty support raises Infeasible.
     """
     if isinstance(strategy, str):
         strategy = Strategy(strategy.lower())
     lattice = monomials_of_degree(n, D)
     if support is None:
         support = lattice
-        if strategy is Strategy.EXHAUSTIVE and len(lattice) > EXHAUSTIVE_POINT_CAP:
-            raise ExplicitLimit(
-                f"exhaustive search needs <= {EXHAUSTIVE_POINT_CAP} lattice points; "
-                f"got {len(lattice)}; pass an explicit support restriction"
-            )
     else:
         support = tuple(sorted(tuple(a) for a in support))
         if len(set(support)) != len(support):
@@ -341,7 +314,8 @@ def search_max_ratio(
                 raise ValueError(f"support point {a} is not on the degree-{D} lattice")
     if strategy is Strategy.EXHAUSTIVE and len(support) > EXHAUSTIVE_POINT_CAP:
         raise ExplicitLimit(
-            f"exhaustive search needs <= {EXHAUSTIVE_POINT_CAP} support points"
+            f"exhaustive search needs <= {EXHAUSTIVE_POINT_CAP} support points; "
+            f"got {len(support)}; pass an explicit support restriction"
         )
     if not support:
         raise Infeasible("empty support: there is no pattern to search")
@@ -353,12 +327,12 @@ def search_max_ratio(
     return _search_local(n, D, d, lattice, support, budget, seed)
 
 
-def _finish(cover, D, pos, neg, evals, strategy):
+def _finish(cover, D, pos, neg, evals, strategy, exhausted=False):
     """The search's result, checked and realized on the cover it searched with."""
     realized = cover.realize(pos, neg)
     best = SignPattern._trusted(cover.n, D, cover.points(pos), cover.points(neg))
     ratio = best.ratio() if pos else Fraction(0)
-    return SearchResult(best, ratio, evals, strategy, realized)
+    return SearchResult(best, ratio, evals, strategy, realized, exhausted)
 
 
 def _hitting_set_size(masks, most: int, enough: int, nodes: list):
@@ -455,10 +429,7 @@ def _search_greedy(n, D, d, support, budget):
             if pos.bit_count() == 1:
                 break
             if evals >= budget:
-                raise BudgetExhausted(
-                    f"greedy search stopped after {evals} evaluations",
-                    best=_finish(cover, D, pos, full ^ pos, evals, Strategy.GREEDY),
-                )
+                return _finish(cover, D, pos, full ^ pos, evals, Strategy.GREEDY, True)
             evals += 1
             if dead & b:
                 continue
@@ -644,8 +615,5 @@ def _search_local(n, D, d, lattice, support, budget, seed):
     except _Budget:
         if best is None:
             raise BudgetExhausted(f"local search exhausted {budget} evaluations")
-        raise BudgetExhausted(
-            f"local search exhausted {budget} evaluations",
-            best=_finish(cover, D, *best, evals, Strategy.LOCAL),
-        )
+        return _finish(cover, D, *best, evals, Strategy.LOCAL, True)
     return _finish(cover, D, *best, evals, Strategy.LOCAL)

@@ -66,16 +66,13 @@ class NonnegativeProductCertificate:
 
 
 @dataclass(frozen=True)
-class PsdCertificate:
-    """Exact congruence factorization of the product coefficient matrix."""
-
-    factorization: object
-    basis: tuple
-
-
-@dataclass(frozen=True)
 class PsiReport:
-    """Outcome of a membership test at a fixed multiplier power."""
+    """Outcome of a membership test at a fixed multiplier power.
+
+    A member's certificate is a NonnegativeProductCertificate (diagonal
+    route) or the inertia.CongruenceFactorization of the product matrix; a
+    non-member's is a NegativeCoefficientWitness or NegativeDirectionWitness.
+    """
 
     d: int | None
     member: bool
@@ -106,7 +103,7 @@ def in_psi_diagonal(p: RealSparsePoly, d: int) -> PsiReport:
 def _psd_verdict(scaled: tuple) -> tuple:
     """Factor the product table (L, table) once.
 
-    (True, PsdCertificate) or (False, NegativeDirectionWitness).  The
+    (True, CongruenceFactorization) or (False, NegativeDirectionWitness).  The
     witness is the transform column of the first negative pivot; its value
     v* M v is evaluated again on the table rather than read off the
     factorization, and a value that is not negative raises
@@ -115,7 +112,7 @@ def _psd_verdict(scaled: tuple) -> tuple:
     fact = congruence_factorization(scaled)
     k = next((k for k, (num, den) in enumerate(fact.pivots) if num and (num > 0) != (den > 0)), None)
     if k is None:
-        return True, PsdCertificate(fact, fact.basis)
+        return True, fact
     v = fact.integer_column(k)
     value = table_quadratic_form(scaled, fact.basis, v)
     if value >= 0:

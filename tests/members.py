@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from oracles import realize_signs
 from psicert.generators import example_fig1, generate_two_var
-from psicert.patterns import realize_signs
 from psicert.polycore import (
     GR_ZERO,
     GaussianRational,

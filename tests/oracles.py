@@ -9,11 +9,12 @@ Gaussian rationals on plain rows, the library factorization's integer data
 is read back as Gaussian-rational matrices, signed sums of squares are
 expanded over Gaussian rationals, a reduction step's integer rows are read
 back as a Gaussian-rational 2x2 matrix, sign patterns are checked by the
-original negative-inflow scan, JSON documents are parsed term by term
-into Fraction and Gaussian-rational dicts (and by the original term-by-term
-polynomial and Hermitian readers), the pigeonhole certificate is built
-on exponent vectors, and the certificate document is written by the generic
-JSON encoder.
+original negative-inflow scan and realized by the original unchecked
+magnitude rule, JSON documents are parsed term by term into Fraction and
+Gaussian-rational dicts (and by the original term-by-term polynomial and
+Hermitian readers), the pigeonhole certificate is built on exponent
+vectors, and the certificate document is written by the generic JSON
+encoder.
 """
 
 import json
@@ -198,6 +199,25 @@ def inflow_support_feasible(pat, d: int):
     """
     witness = _first_uncovered(pat.pos, pat.neg, list(compositions(d, pat.n)))
     return (True, None) if witness is None else (False, witness)
+
+
+def realize_signs(signs: dict, n: int, d: int) -> RealSparsePoly:
+    """Uniform-magnitude realization of a raw sign map (point -> +1/-1/0), unchecked.
+
+    Negative points get -1 and positive points M = 1 + the largest
+    multinomial-weighted negative inflow into one product monomial, summed
+    over tuple keys.  Nothing checks the covering condition, so an
+    infeasible map gives a non-member.
+    """
+    deltas = list(compositions(d, n))
+    inflow = {}
+    for a, s in signs.items():
+        if s < 0:
+            for delta in deltas:
+                key = add_index(a, delta)
+                inflow[key] = inflow.get(key, 0) + multinomial(d, delta)
+    M = 1 + max(inflow.values(), default=0)
+    return RealSparsePoly(n, {a: M if s > 0 else -1 for a, s in signs.items() if s})
 
 
 def scan_exhaustive(n: int, D: int, d: int, support):

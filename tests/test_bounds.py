@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from members import CERTIFICATE_SCALES, certificate_inputs, relabel
-from oracles import all_sign_patterns, tuple_pigeonhole_certificate
+from oracles import all_sign_patterns, realize_signs, tuple_pigeonhole_certificate
 from psicert.bounds import (
     pigeonhole_certificate,
     ratio_ceiling,
@@ -18,7 +18,7 @@ from psicert.generators import (
     generate_pD,
     generate_two_var,
 )
-from psicert.patterns import SignPattern, realize_magnitudes, realize_signs, support_feasible
+from psicert.patterns import SignPattern, realize_magnitudes, support_feasible
 from psicert.polycore import RealSparsePoly, SignaturePair, sign_counts
 from psicert.psi import in_psi_diagonal
 

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import naive_mul, naive_simplex_power, poly_dict
+from oracles import naive_mul, naive_simplex_power, poly_dict, realize_signs
+from psicert import generators
+from psicert.cli import run
 from psicert.errors import (
     DegreeMismatch,
     DomainTooSmall,
+    Infeasible,
     ParamsInfeasible,
 )
 from psicert.generators import (
@@ -212,6 +215,28 @@ def test_inductive_ratio_grows_with_k():
         gaps.append(target - r)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < Fraction(13, 10)
+
+
+@pytest.mark.parametrize(
+    "n, d, k, nu",
+    [(3, 1, 4, None), (3, 2, 6, 0), (3, 3, 12, 1), (3, 4, 8, None), (4, 2, 4, None), (4, 3, 8, 1)],
+)
+def test_inductive_is_the_unchecked_realization_of_its_signs(n, d, k, nu):
+    # the checked realization gives the layered signs the magnitudes of the unchecked rule
+    signs = generators._layered_signs(n - 1, d, nu, k)
+    D = max(map(sum, signs))
+    homog = {p + (D - sum(p),): s for p, s in signs.items()}
+    assert generate_inductive(n, d, k, nu, homogenize=True) == realize_signs(homog, n, d)
+
+
+def test_inductive_checks_its_layered_signs(monkeypatch, capsys):
+    # one negative that no positive covers: (2, 1, 0) is fed by (1, 1, 0) alone
+    monkeypatch.setattr(generators, "_layered_signs", lambda m, d, nu, k: {(0, 0): 1, (1, 1): -1})
+    with pytest.raises(Infeasible, match="no realization exists"):
+        generate_inductive(3, 1, 4)
+    assert run(["generate", "inductive", "--n", "3", "--d", "1", "--k", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "no realization exists" in err
 
 
 def test_inductive_validation():

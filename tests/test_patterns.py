@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_sign_patterns, inflow_support_feasible, scan_exhaustive
+from oracles import all_sign_patterns, inflow_support_feasible, realize_signs, scan_exhaustive
 from psicert import patterns
 from psicert.bounds import ratio_ceiling
 from psicert.cli import run
@@ -25,7 +25,6 @@ from psicert.patterns import (
     pattern_from_poly,
     pattern_to_json,
     realize_magnitudes,
-    realize_signs,
     search_max_ratio,
     support_feasible,
 )
@@ -196,12 +195,17 @@ def test_local_full_lattice_climbs_toward_known_optimum():
     assert in_psi_diagonal(result.realized, 1).member
 
 
-def test_budget_exhausted_carries_best_so_far():
+def test_greedy_out_of_budget_returns_its_best_so_far():
+    result = search_max_ratio(2, 5, 1, strategy=Strategy.GREEDY, budget=2)
+    assert result.budget_exhausted and result.evaluations == 2
+    assert in_psi_diagonal(result.realized, 1).member
+    assert not search_max_ratio(2, 5, 1, strategy=Strategy.GREEDY).budget_exhausted
+
+
+def test_local_search_that_finds_nothing_raises_with_no_result():
     with pytest.raises(BudgetExhausted) as info:
-        search_max_ratio(2, 5, 1, strategy=Strategy.GREEDY, budget=2)
-    best = info.value.best
-    assert best is not None
-    assert in_psi_diagonal(best.realized, 1).member
+        search_max_ratio(3, 5, 1, strategy=Strategy.LOCAL, budget=50, seed=9)
+    assert not hasattr(info.value, "best")
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -388,9 +392,7 @@ def test_search_result_is_the_checked_realization(lattice, d, strategy, budget, 
     n, D = lattice
     try:
         result = search_max_ratio(n, D, d, strategy=strategy, budget=budget, seed=seed)
-    except BudgetExhausted as exc:
-        result = exc.best
-    if result is None:
+    except BudgetExhausted:  # a local search that found nothing
         return
     assert result.best == SignPattern(n, D, result.best.pos, result.best.neg)
     assert result.realized == realize_magnitudes(result.best, d)
@@ -574,9 +576,9 @@ def test_greedy_and_local_match_reference(case):
             case["n"], case["D"], case["d"], strategy=case["strategy"],
             budget=case["budget"], seed=case["seed"], support=support,
         )
-        exhausted = False
-    except BudgetExhausted as exc:
-        result, exhausted = exc.best, True
+        exhausted = result.budget_exhausted
+    except BudgetExhausted:
+        result, exhausted = None, True
     assert exhausted == case["exhausted"]
     if case["pos"] is None:
         assert result is None
