@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import CertificateFailure, NotInPsiD
-from .polycore import MultiIndex, RealSparsePoly, SignaturePair, _convolve, _packed
+from .polycore import MultiIndex, RealSparsePoly, SignaturePair, _packed, packed_lines
 
 
 @dataclass(frozen=True)
@@ -78,20 +78,21 @@ def pigeonhole_certificate(p: RealSparsePoly) -> PigeonholeCertificate:
     fibers have at most n-1 elements, and every candidate preimage of the
     least support monomial falls below it in the monomial order.  A zero,
     non-homogeneous or non-member input raises NotInPsiD.  p is packed once:
-    the verdict and the search read its codes, and the answer is looked up
-    in the map from each code back to the exponent vector it packs.
+    the verdict is the mask test on the lines of p * (x_1 + ... + x_n),
+    derived from the codes; the search reads the codes, and the answer is
+    looked up in the map from each code back to the exponent vector it packs.
     """
     if p.is_zero():
         raise NotInPsiD("zero polynomial has no certificate")
     degrees = set(map(sum, p.table))
     if len(degrees) > 1:
         raise NotInPsiD("certificate requires a homogeneous polynomial")
-    n = p.n
-    code, _, codes = _packed(p, degrees.pop(), 1)
+    n, degree = p.n, degrees.pop()
+    code, _, codes = _packed(p, degree, 1)
+    if not packed_lines(p, codes, degree, 1, n).times_simplex().is_nonnegative():
+        raise NotInPsiD("certificate requires membership at power 1")
     vector = dict(zip(codes, p.table))  # codes packs p.table's keys in order
     units = [code(tuple(int(i == k) for i in range(n))) for k in range(n)]
-    if min(_convolve(codes, units).values()) < 0:
-        raise NotInPsiD("certificate requires membership at power 1")
     pos = {c for c, v in codes.items() if v > 0}
     neg = sorted(c for c, v in codes.items() if v < 0)  # int order is tuple order
     # alpha + e_1 - e_j is code + steps[j - 2].  Where alpha_j = 0 the subtraction borrows: digit j

@@ -5,9 +5,13 @@ int L and a map from exponent vectors to nonzero ints, standing for
 table / L.  A Hermitian polynomial is the same with pairs (alpha, beta) of
 exponent vectors as keys and Gaussian integers (re, im) as entries, over
 both triangles.  L is minimal, so equal polynomials have equal tables.  The
-readers, the simplex and shift passes, the congruence factorization and the
+readers, the Hermitian shift passes, the congruence factorization and the
 reduction all work on these tables; Fractions and Gaussian rationals appear
 only at the edges (constructor input, `items()`, `coeff()`, `entry()`).
+A diagonal product p * (sum of monomials) is held as `DiagonalLines`: one
+int per line of the lattice, coefficients in signed slots along one
+variable, so a simplex power is a shift and an add per line and the sign
+test is a mask.
 Diagonal Hermitian polynomials and real polynomials are interchangeable via
 the substitution x_k = |z_k|^2, and everything here is immutable after
 construction.
@@ -21,11 +25,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, groupby, islice, repeat
 from math import comb, gcd, lcm
-from operator import add, floordiv, itemgetter, mod, mul
+from operator import add, floordiv, itemgetter, lshift, mod, mul
 
-from .errors import DuplicateMultiplierTerm, NotDiagonal, NotHermitian
+from .errors import CertificateFailure, DuplicateMultiplierTerm, NotDiagonal, NotHermitian
 
 MultiIndex = tuple  # exponent vector: tuple of nonnegative ints
 
@@ -350,53 +354,278 @@ def _packed(p: RealSparsePoly, top: int, d: int) -> tuple:
     return code, decode, dict(zip(codes, p.table.values()))
 
 
-def simplex_powers(p: RealSparsePoly, d_max: int):
-    """Yield (L, codes, decode) for d = 0, ..., d_max: codes / L = p * (x_1 + ... + x_n)^d.
+def _line_columns(vectors, n: int) -> tuple:
+    """(prefixes, tails, slots) of exponent vectors of arity n, a column at a time.
 
-    L is p's scale, and decode(keys) lists the exponent vectors of keys of
-    codes, in the same order.  At d = 0 the table is p's own, keyed by
-    exponent vectors, so decode is `list`.  The first pass packs p's table
-    with `packing`; each pass is one convolution over Python ints, a shift
-    by x_k being one int add, and zero coefficients are dropped.
+    prefixes are the columns of a_1, ..., a_{n-2}, tails the column of
+    t = a_{n-1} + a_n and slots the column of a_{n-1}; with one variable
+    there is no prefix, t = a_1 and the slot is 0.
     """
-    yield p.scale, p.table, list
-    if d_max < 1:
-        return
-    code, decode, codes = _packed(p, max(map(sum, p.table), default=0), d_max)
-    units = [code(tuple(int(i == k) for i in range(p.n))) for k in range(p.n)]
-    for _ in range(d_max):
-        codes = _convolve(codes, units)
-        yield p.scale, codes, decode
+    columns = list(zip(*vectors)) or [()] * n
+    if n == 1:
+        return [], columns[0], repeat(0)
+    return columns[:-2], list(map(add, columns[-2], columns[-1])), columns[-2]
 
 
-def _convolve(codes: dict, shifts: list) -> dict:
-    """A packed table times the sum of the monomials packed as `shifts`; zero entries dropped."""
+def _line_keys(prefixes, tails, base: int):
+    """The line keys: (a_1, ..., a_{n-2}, t) packed in base `base`, additive while no digit reaches it."""
+    if not prefixes:
+        return tails
+    keys = prefixes[0]
+    for column in [*prefixes[1:], tails]:
+        keys = map(add, map(mul, keys, repeat(base)), column)
+    return keys
+
+
+def _moves(exps, n: int, base: int, width: int) -> list:
+    """[(key step, slot multiplier)] for sum_j x^{alpha_j}: x^alpha adds its key and shifts by its slot."""
+    prefixes, tails, slots = _line_columns(exps, n)
+    moves: dict = {}
+    for key, slot in zip(_line_keys(prefixes, tails, base), slots):
+        moves[key] = moves.get(key, 0) + (1 << slot * width)
+    return list(moves.items())
+
+
+def _spread(lines: dict, moves: list) -> dict:
+    """Every line moved and shifted by each (key step, slot multiplier) of a multiplier, summed per key."""
     out: dict = {}
     get = out.get
-    for c, v in codes.items():
-        for u in shifts:
-            key = c + u
-            out[key] = get(key, 0) + v
-    return {k: v for k, v in out.items() if v}
+    items = lines.items()
+    for move, m in moves:
+        if m == 1:
+            for key, line in items:
+                out[key + move] = get(key + move, 0) + line
+        else:
+            for key, line in items:
+                out[key + move] = get(key + move, 0) + line * m
+    return out
 
 
-def unpack_table(L: int, codes: dict, decode) -> tuple:
-    """(L, table): a packed table with its exponent vectors decoded."""
-    return L, dict(zip(decode(codes), codes.values()))
+class DiagonalLines:
+    """A diagonal product held as packed lines of the lattice: one int per line.
+
+    A line is every monomial a with a fixed prefix (a_1, ..., a_{n-2}) and
+    a fixed tail degree t = a_{n-1} + a_n, keyed as `_line_keys` packs
+    them.  Its coefficients sit in signed `width`-bit slots of one Python
+    int, the coefficient of a in slot j = a_{n-1}: line = sum_j c_j *
+    2**(j * width), and a_n = t - j is implied.  With one variable a line
+    holds one monomial, in slot 0.  Multiplying by x^alpha moves every line
+    by one int add to its key and shifts it by alpha_{n-1} slots, so the
+    simplex factor x_1 + ... + x_n costs one shift and add per line for
+    x_{n-1} and x_n together, and one move for each other variable.
+
+    `width` is fixed when the lines are built: max|c| times the coefficient
+    sum of every multiplier to come (n**d for the d-th simplex power) is
+    below 2**(width - 1), so no slot ever carries into the next.  Adding
+    2**(width - 1) to every slot then leaves a slot's top bit set exactly
+    when its coefficient is nonnegative, which is the sign test.  `room` and
+    `gain` are the degree and coefficient sum still allowed: a multiplier
+    beyond them raises ValueError, and a line found outside its slots raises
+    CertificateFailure.  `top` bounds the lines' tail degrees.  Multiplying
+    returns new lines, which share the sign masks and the simplex moves.
+    """
+
+    __slots__ = ("n", "scale", "base", "width", "top", "room", "gain", "lines", "_masks", "_simplex")
+
+    def __init__(self, n, scale, base, width, top, room, gain, lines, masks=None, simplex=None):
+        self.n, self.scale, self.base, self.width, self.top = n, scale, base, width, top
+        self.room, self.gain, self.lines = room, gain, lines
+        self._masks, self._simplex = [] if masks is None else masks, simplex
+
+    def _moved(self, moves: list, degree: int, count: int) -> "DiagonalLines":
+        """These lines times the multiplier with these moves.
+
+        The multiplier has total degree `degree` and coefficient sum `count`.
+        """
+        if degree > self.room or count > self.gain:
+            raise ValueError("multiplier exceeds the degree or coefficient sum the lines were built for")
+        return DiagonalLines(
+            self.n,
+            self.scale,
+            self.base,
+            self.width,
+            self.top + degree,
+            self.room - degree,
+            self.gain // count,
+            _spread(self.lines, moves),
+            self._masks,
+            self._simplex,
+        )
+
+    def times(self, exps) -> "DiagonalLines":
+        """These lines times sum_j x^{alpha_j}, for distinct exponent vectors alpha_j of arity n."""
+        moves = _moves(exps, self.n, self.base, self.width)
+        return self._moved(moves, max(map(sum, exps)), len(exps))
+
+    def _simplex_moves(self) -> list:
+        """The moves of x_1 + ... + x_n: x_k for k <= n - 2 steps the key by base**(n-1-k), and
+        x_{n-1} and x_n share one key step of 1, with slot multiplier 1 + 2**width."""
+        if self._simplex is None:
+            n, base = self.n, self.base
+            tail = 1 if n == 1 else 1 + (1 << self.width)
+            self._simplex = [(1, tail)] + [(base ** (n - 1 - k), 1) for k in range(1, n - 1)]
+        return self._simplex
+
+    def times_simplex(self) -> "DiagonalLines":
+        """These lines times x_1 + ... + x_n."""
+        return self._moved(self._simplex_moves(), 1, self.n)
+
+    def simplex_signs(self, count: int):
+        """Yield, for d = 1, ..., count, whether these lines times (x_1 + ... + x_n)^d are nonnegative.
+
+        The walk of `times_simplex` and `is_nonnegative`, kept on the bare line dicts.
+        """
+        if count > self.room or self.n**count > self.gain:
+            raise ValueError("walk exceeds the degree or coefficient sum the lines were built for")
+        moves, lines, top = self._simplex_moves(), self.lines, self.top
+        for _ in range(count):
+            lines, top = _spread(lines, moves), top + 1
+            yield self._nonnegative(lines, top)
+
+    def _mask_table(self, top: int) -> list:
+        """(H, bits) for each tail degree t <= top: a line of t + 1 slots fills `bits` bits, and H
+        holds 2**(width-1) in each slot, so the offset line u = line + H has a slot's top bit
+        clear exactly where the slot is negative, and 0 <= u < 2**bits while no slot overflowed."""
+        masks, width = self._masks, self.width
+        h = masks[-1][0] if masks else 0
+        for t in range(len(masks), top + 1):
+            bits = (t + 1) * width
+            h |= 1 << bits - 1
+            masks.append((h, bits))
+        return masks
+
+    def _check_slots(self, key: int, u: int) -> None:
+        """Raise CertificateFailure if the offset line u = line + H left its slots."""
+        bits = self._masks[key % self.base][1]
+        if u < 0 or u >> bits:
+            raise CertificateFailure(f"line {key} outgrew its {bits // self.width} slots of {self.width} bits")
+
+    def _nonnegative(self, lines: dict, top: int) -> bool:
+        """Whether no line of `lines`, of tail degrees <= top, has a negative slot."""
+        masks, base = self._mask_table(top), self.base
+        for key, line in lines.items():
+            h, bits = masks[key % base]
+            u = line + h
+            if u & h != h or u >> bits:
+                self._check_slots(key, u)
+                return False
+        return True
+
+    def is_nonnegative(self) -> bool:
+        """Whether no coefficient is negative."""
+        return self._nonnegative(self.lines, self.top)
+
+    def least_negative(self) -> tuple | None:
+        """(monomial, coefficient) of the least negative monomial in tuple order, or None.
+
+        A line's lowest negative slot is its least negative monomial; the
+        answer is the least of those over the lines with a negative slot,
+        compared as (prefix, a_{n-1}, a_n).
+        """
+        masks, base, width = self._mask_table(self.top), self.base, self.width
+        best = None
+        for key, line in self.lines.items():
+            h, bits = masks[key % base]
+            u = line + h
+            if u & h != h or u >> bits:
+                self._check_slots(key, u)
+                bad = h & ~u
+                j = ((bad & -bad).bit_length() - 1) // width
+                found = (key // base, j, key % base - j, key, u)
+                if best is None or found < best:
+                    best = found
+        if best is None:
+            return None
+        _, j, _, key, u = best
+        return self._head(key) + (j, key % base - j)[self.n == 1 :], self._slot(u, j)
+
+    def _head(self, key: int) -> tuple:
+        """The prefix (a_1, ..., a_{n-2}) of line `key`."""
+        base, prefix, digits = self.base, key // self.base, []
+        for _ in range(self.n - 2):
+            prefix, x = divmod(prefix, base)
+            digits.append(x)
+        return tuple(reversed(digits))
+
+    def _slot(self, u: int, j: int) -> int:
+        """The coefficient in slot j of the offset line u."""
+        width = self.width
+        return (u >> j * width & (1 << width) - 1) - (1 << width - 1)
+
+    def poly(self) -> RealSparsePoly:
+        """The product, decoded: table / scale."""
+        masks, base, one = self._mask_table(self.top), self.base, self.n == 1
+        table = {}
+        for key, line in self.lines.items():
+            u = line + masks[key % base][0]
+            self._check_slots(key, u)
+            head, t = self._head(key), key % base
+            for j in range(1 if one else t + 1):
+                c = self._slot(u, j)
+                if c:
+                    table[head + (j, t - j)[one:]] = c
+        return RealSparsePoly._from_table(self.n, self.scale, table)
 
 
-def packed_simplex_power(p: RealSparsePoly, d: int) -> tuple:
-    """The last item of `simplex_powers(p, d)`: (L, codes, decode) for p * (x_1 + ... + x_n)^d."""
+def diagonal_lines(p: RealSparsePoly, room: int, gain: int) -> DiagonalLines:
+    """p's lines, wide enough for multipliers of total degree <= room and coefficient sum <= gain.
+
+    The base is room + 1 above p's largest prefix coordinate and tail
+    degree, so no digit of a key reaches it.
+    """
+    prefixes, tails, slots = _line_columns(p.table, p.n)
+    top = max(tails, default=0)
+    base = max([top, *(max(column, default=0) for column in prefixes)]) + room + 1
+    return _gathered(p, _line_keys(prefixes, tails, base), slots, base, top, room, gain)
+
+
+def packed_lines(p: RealSparsePoly, codes: dict, top: int, room: int, gain: int) -> DiagonalLines:
+    """`diagonal_lines`, derived from p's codes `_packed(p, top, room)` in their base B = top + room + 1.
+
+    A code c has key c // B + c % B and slot (c // B) % B.
+    """
+    base = top + room + 1
+    heads = list(map(floordiv, codes, repeat(base)))
+    keys = map(add, heads, map(mod, codes, repeat(base)))
+    return _gathered(p, keys, map(mod, heads, repeat(base)), base, top, room, gain)
+
+
+def _gathered(p: RealSparsePoly, keys, slots, base: int, top: int, room: int, gain: int) -> DiagonalLines:
+    """The lines of p's terms, given in table order with their keys and slots: a shift per term.
+
+    The terms are added into their lines one by one, except where the keys
+    come sorted (a table in tuple order, as the JSON writer leaves it, has
+    each homogeneous line's terms together) and the lines hold six terms or
+    more on average: then each line is one `sum` over its run of terms,
+    which measured faster from about that length on.
+    """
+    values = p.table.values()
+    width = (max(max(values, default=0), -min(values, default=0)) * gain).bit_length() + 1
+    keys = list(keys)
+    shifted = map(lshift, values, map(mul, slots, repeat(width)))
+    if len(keys) >= 6 * len(set(keys)) and keys == sorted(keys):
+        lines = {key: sum(islice(shifted, len(list(run)))) for key, run in groupby(keys)}
+    else:
+        lines = {}
+        get = lines.get
+        for key, v in zip(keys, shifted):
+            lines[key] = get(key, 0) + v
+    return DiagonalLines(p.n, p.scale, base, width, top, room, gain, lines)
+
+
+def simplex_power_lines(p: RealSparsePoly, d: int) -> DiagonalLines:
+    """The lines of p * (x_1 + ... + x_n)^d: d passes of `times_simplex`."""
     if d < 0:
         raise ValueError("power must be nonnegative")
-    for packed in simplex_powers(p, d):
-        pass
-    return packed
+    lines = diagonal_lines(p, d, p.n**d)
+    for _ in range(d):
+        lines = lines.times_simplex()
+    return lines
 
 
 def multiply_by_simplex_power(p: RealSparsePoly, d: int) -> RealSparsePoly:
-    """p times (x_1 + ... + x_n)^d, computed by d exact convolution passes."""
-    return RealSparsePoly._from_table(p.n, *unpack_table(*packed_simplex_power(p, d)))
+    """p times (x_1 + ... + x_n)^d, computed on packed lines."""
+    return simplex_power_lines(p, d).poly()
 
 
 def multiplier_exponents(s, n: int) -> list:
@@ -412,14 +641,10 @@ def multiplier_exponents(s, n: int) -> list:
     return exps
 
 
-def diagonal_multiplier_table(p: RealSparsePoly, s) -> tuple:
-    """(L, codes, decode) with codes / L = p * sum_j x^{alpha_j}, alpha_j distinct.
-
-    Packed as in `simplex_powers`: each product key is one int add.
-    """
+def multiplier_lines(p: RealSparsePoly, s) -> DiagonalLines:
+    """The lines of p * sum_j x^{alpha_j}, the alpha_j checked by `multiplier_exponents`."""
     exps = multiplier_exponents(s, p.n)
-    code, decode, codes = _packed(p, max(map(sum, p.table), default=0), max(map(sum, exps)))
-    return p.scale, _convolve(codes, list(map(code, exps))), decode
+    return diagonal_lines(p, max(map(sum, exps)), len(exps)).times(exps)
 
 
 def sign_counts(p: RealSparsePoly) -> SignaturePair:

@@ -22,14 +22,13 @@ from .polycore import (
     MultiIndex,
     RealSparsePoly,
     SignaturePair,
-    diagonal_multiplier_table,
+    diagonal_lines,
     diagonal_real_bridge,
     hermitian_multiplier_table,
     hermitian_powers,
-    packed_simplex_power,
+    multiplier_lines,
     sign_counts,
-    simplex_powers,
-    unpack_table,
+    simplex_power_lines,
 )
 
 HARD_POWER_CAP = 64
@@ -55,14 +54,17 @@ class NegativeDirectionWitness:
 
 @dataclass(frozen=True, eq=False)
 class NonnegativeProductCertificate:
-    """The diagonal product, packed as (L, codes, decode) and decoded on first access to `product`."""
+    """The diagonal product, decoded on first access to `product`.
 
-    n: int
-    packed: tuple
+    `held` is p itself at power 0, else the polycore.DiagonalLines of the product.
+    """
+
+    held: object
 
     @cached_property
     def product(self) -> RealSparsePoly:
-        return RealSparsePoly._from_table(self.n, *unpack_table(*self.packed))
+        held = self.held
+        return held if isinstance(held, RealSparsePoly) else held.poly()
 
 
 @dataclass(frozen=True)
@@ -80,24 +82,31 @@ class PsiReport:
     multiplier: tuple | None = None
 
 
-def _nonnegative_verdict(n: int, packed: tuple, d, multiplier=None) -> PsiReport:
-    """Verdict on a packed product table (L, codes, decode): member iff no entry is negative.
+def _nonnegative_verdict(held, d, multiplier=None) -> PsiReport:
+    """Verdict on a diagonal product: member iff no coefficient is negative.
 
-    The witness is the least negative monomial, valued codes[k] / L: int
-    order on the codes is tuple order, so only that code is decoded.  A
-    member's certificate keeps the packed product.
+    `held` is p itself (power 0) or the product's lines.  The witness is the
+    least negative monomial in tuple order, valued at its coefficient over
+    p's scale; a member's certificate keeps what was held.
     """
-    L, codes, decode = packed
-    worst = min((k for k, c in codes.items() if c < 0), default=None)
+    if isinstance(held, RealSparsePoly):
+        table = held.table
+        monomial = min([a for a, c in table.items() if c < 0], default=None)
+        worst = None if monomial is None else (monomial, table[monomial])
+    else:
+        worst = held.least_negative()
     if worst is not None:
-        witness = NegativeCoefficientWitness(decode([worst])[0], Fraction(codes[worst], L))
-        return PsiReport(d, False, witness, multiplier)
-    return PsiReport(d, True, NonnegativeProductCertificate(n, packed), multiplier)
+        monomial, c = worst
+        return PsiReport(d, False, NegativeCoefficientWitness(monomial, Fraction(c, held.scale)), multiplier)
+    return PsiReport(d, True, NonnegativeProductCertificate(held), multiplier)
 
 
 def in_psi_diagonal(p: RealSparsePoly, d: int) -> PsiReport:
-    """Diagonal membership: every coefficient of p times the simplex power is >= 0."""
-    return _nonnegative_verdict(p.n, packed_simplex_power(p, d), d)
+    """Diagonal membership: every coefficient of p times the simplex power is >= 0.
+
+    Power 0 reads p's own table; a higher power is read off the product's lines.
+    """
+    return _nonnegative_verdict(p if d == 0 else simplex_power_lines(p, d), d)
 
 
 def _psd_verdict(scaled: tuple) -> tuple:
@@ -163,10 +172,12 @@ def min_psi_index(obj, d_max: int = DEFAULT_POWER_CAP) -> int | None:
 
     Classes are nested (multiplying by one more simplex factor preserves
     nonnegativity and PSD-ness), so the first success is the minimum.
-    Diagonal input walks the simplex powers once, one convolution pass per
-    power; other Hermitian input walks the squared-norm powers once, one
+    Diagonal input answers power 0 from p's own table, building nothing;
+    past it, p's lines are built once, wide enough for d_max, and each power
+    is one pass of `simplex_signs`: a shift and add per line and a mask
+    test.  Other Hermitian input walks the squared-norm powers once, one
     shift pass per power, factoring each product matrix and reading only
-    its inertia: the answer is a power, so no witness is built.
+    its inertia.  The answer is a power, so no witness is built.
     """
     if d_max > HARD_POWER_CAP:
         raise CapExceeded(f"power cap {d_max} exceeds hard limit {HARD_POWER_CAP}")
@@ -174,10 +185,12 @@ def min_psi_index(obj, d_max: int = DEFAULT_POWER_CAP) -> int | None:
         raise ValueError("cap must be nonnegative")
     obj = _routed(obj)
     if isinstance(obj, RealSparsePoly):
-        for d, (_, codes, _) in enumerate(simplex_powers(obj, d_max)):
-            if all(c > 0 for c in codes.values()):  # zeros are never stored
-                return d
-        return None
+        if min(obj.table.values(), default=0) >= 0:
+            return 0
+        if d_max == 0:
+            return None
+        signs = diagonal_lines(obj, d_max, obj.n**d_max).simplex_signs(d_max)
+        return next((d for d, nonnegative in enumerate(signs, 1) if nonnegative), None)
     for d, scaled in zip(range(d_max + 1), hermitian_powers(obj)):
         if congruence_factorization(scaled).inertia[1] == 0:
             return d
@@ -189,6 +202,6 @@ def in_psi_general_multiplier(obj, s) -> PsiReport:
     exps = [tuple(a) for a in s]
     obj = _routed(obj)
     if isinstance(obj, RealSparsePoly):
-        return _nonnegative_verdict(obj.n, diagonal_multiplier_table(obj, exps), None, tuple(exps))
+        return _nonnegative_verdict(multiplier_lines(obj, exps), None, tuple(exps))
     member, cert = _psd_verdict(hermitian_multiplier_table(obj, exps))
     return PsiReport(None, member, cert, multiplier=tuple(exps))

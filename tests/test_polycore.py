@@ -15,27 +15,29 @@ from oracles import (
     term_by_term_hermitian_from_json,
     term_by_term_poly_from_json,
 )
-from psicert.errors import DuplicateMultiplierTerm, NotDiagonal, NotHermitian
-from psicert.generators import example_fig2
+from psicert.errors import CertificateFailure, DuplicateMultiplierTerm, NotDiagonal, NotHermitian
+from psicert.generators import example_fig2, generate_pD
 from psicert.polycore import (
+    DiagonalLines,
     GaussianRational,
     HermitianPoly,
     RealSparsePoly,
     _packed,
     _ratio,
-    diagonal_multiplier_table,
+    diagonal_lines,
     diagonal_real_bridge,
     hermitian_from_json,
     hermitian_to_json,
     monomials_of_degree,
+    multiplier_lines,
     multiply_by_simplex_power,
+    packed_lines,
     packing,
-    packed_simplex_power,
     poly_from_json,
     poly_to_json,
     real_to_diagonal,
     sign_counts,
-    unpack_table,
+    simplex_power_lines,
 )
 
 
@@ -44,8 +46,8 @@ def P(n, terms):
 
 
 def diagonal_product(p, s):
-    """p times sum_j x^{alpha_j}, read off the packed table of the diagonal multiplier route."""
-    return RealSparsePoly._from_table(p.n, *unpack_table(*diagonal_multiplier_table(p, s)))
+    """p times sum_j x^{alpha_j}, decoded from the lines of the diagonal multiplier route."""
+    return multiplier_lines(p, s).poly()
 
 
 # -- strategies ---------------------------------------------------------------
@@ -178,6 +180,93 @@ def test_unit_multiplier_equals_simplex_power():
     p = P(3, {(1, 0, 2): 3, (0, 1, 0): -2})
     units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert diagonal_product(p, units) == multiply_by_simplex_power(p, 1)
+
+
+# -- the line engine -----------------------------------------------------------
+
+
+def _wide_poly(n):
+    # mixed degrees, and coefficients from small to well above 2**64, over small denominators
+    coef = st.one_of(
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 6)),
+    )
+    return st.dictionaries(st.tuples(*([st.integers(0, 2)] * n)), coef, max_size=5).map(
+        lambda terms: RealSparsePoly(n, terms)
+    )
+
+
+def _least_negative(product):
+    negatives = sorted(a for a, c in product.table.items() if c < 0)
+    return (negatives[0], product.coeff(negatives[0])) if negatives else None
+
+
+def _assert_lines_hold(lines, expected):
+    # the decoded product, the verdict and the least negative monomial with its exact value
+    assert lines.poly() == expected
+    least = _least_negative(expected)
+    assert lines.is_nonnegative() == (least is None)
+    got = lines.least_negative()
+    assert (None if got is None else (got[0], Fraction(got[1], lines.scale))) == least
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(_wide_poly(n), st.integers(0, 8))))
+@example((RealSparsePoly(4), 5))
+@example((RealSparsePoly(2, {(0, 0): 2**70, (1, 1): -(2**66) - 1}), 8))
+@example((RealSparsePoly(1, {(2,): -3, (0,): 2**65}), 8))
+@example((generate_pD(3, 12), 2))  # in tuple order, about seven terms a line: summed a line at a time
+@example((RealSparsePoly._from_table(3, 1, dict(reversed(generate_pD(3, 12).table.items()))), 2))
+def test_line_engine_matches_direct_oracle(case):
+    p, d = case
+    lines = simplex_power_lines(p, d)
+    _assert_lines_hold(lines, multiply_by_simplex_power_direct(p, d))
+    # the same lines derived from p's packed codes
+    top = max(map(sum, p.table), default=0)
+    packed = packed_lines(p, _packed(p, top, d)[2], top, d, p.n**d)
+    for _ in range(d):
+        packed = packed.times_simplex()
+    _assert_lines_hold(packed, multiply_by_simplex_power_direct(p, d))
+    walked = list(diagonal_lines(p, d, p.n**d).simplex_signs(d))
+    assert walked == [_least_negative(multiply_by_simplex_power_direct(p, k)) is None for k in range(1, d + 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            _wide_poly(n), st.sets(st.tuples(*([st.integers(0, 2)] * n)), min_size=1, max_size=4)
+        )
+    )
+)
+@example((RealSparsePoly(3), {(0, 0, 0), (1, 0, 2)}))
+def test_line_engine_matches_naive_multiplier_product(case):
+    p, exps = case
+    expected = RealSparsePoly(p.n, naive_mul(poly_dict(p), {e: Fraction(1) for e in exps}))
+    _assert_lines_hold(multiplier_lines(p, sorted(exps)), expected)
+
+
+def test_line_outside_its_slots_raises():
+    # slots of 2 bits hold |c| <= 1; six simplex factors on 1 give binomials up to 20, which
+    # outgrow the top slot: every reader raises, by an explicit check that python -O keeps
+    wide = diagonal_lines(P(2, {(0, 0): 1}), 6, 2**6)
+    narrow = DiagonalLines(2, 1, wide.base, 2, wide.top, wide.room, wide.gain, wide.lines)
+    for _ in range(6):
+        narrow = narrow.times_simplex()
+    for read in (narrow.is_nonnegative, narrow.least_negative, narrow.poly):
+        with pytest.raises(CertificateFailure):
+            read()
+    with pytest.raises(CertificateFailure):
+        list(DiagonalLines(2, 1, wide.base, 2, wide.top, wide.room, wide.gain, wide.lines).simplex_signs(6))
+    # the width the builder chose holds every power it was built for, and no more
+    lines = wide
+    for _ in range(6):
+        lines = lines.times_simplex()
+    assert lines.poly() == multiply_by_simplex_power_direct(P(2, {(0, 0): 1}), 6)
+    with pytest.raises(ValueError):
+        lines.times_simplex()
+    with pytest.raises(ValueError):
+        list(wide.simplex_signs(7))
 
 
 def test_sign_counts():
@@ -565,10 +654,11 @@ def test_equal_rationals_read_as_equal_polynomials():
 
 def test_simplex_power_table_is_scaled_product():
     p = P(2, {(1, 0): Fraction(1, 6), (0, 1): Fraction(-3, 4)})
-    L, table = unpack_table(*packed_simplex_power(p, 2))
-    assert L == 12
-    assert all(isinstance(c, int) for c in table.values())
-    product = RealSparsePoly(2, {a: Fraction(c, L) for a, c in table.items()})
+    lines = simplex_power_lines(p, 2)
+    assert lines.scale == 12
+    assert all(isinstance(line, int) for line in lines.lines.values())
+    product = lines.poly()
+    assert product.scale == 12 and all(isinstance(c, int) for c in product.table.values())
     assert product == multiply_by_simplex_power_direct(p, 2)
     with pytest.raises(ValueError):
-        packed_simplex_power(p, -1)
+        simplex_power_lines(p, -1)

@@ -28,9 +28,8 @@ from psicert.polycore import (
     RealSparsePoly,
     diagonal_real_bridge,
     hermitian_powers,
-    packed_simplex_power,
     real_to_diagonal,
-    unpack_table,
+    simplex_power_lines,
 )
 from psicert.psi import (
     NegativeCoefficientWitness,
@@ -285,8 +284,7 @@ def _least_negative(product):
 @example(RealSparsePoly(3, {(9, 0, 0): 1, (0, 0, 9): -1, (1, 1, 0): 2}), 6)
 def test_diagonal_verdict_matches_direct_oracle(p, d):
     expected = multiply_by_simplex_power_direct(p, d)
-    L, table = unpack_table(*packed_simplex_power(p, d))
-    assert RealSparsePoly._from_table(p.n, L, table) == expected
+    assert simplex_power_lines(p, d).poly() == expected
     report = in_psi_diagonal(p, d)
     least = _least_negative(expected)
     assert report.member == (least is None)
@@ -337,6 +335,24 @@ def test_general_multiplier_real_matches_naive_product(case):
             assert rep.certificate.product == expected
         else:
             assert (rep.certificate.monomial, rep.certificate.value) == least
+
+
+def test_power_zero_builds_no_lines(monkeypatch):
+    # power 0 is read off p's own table, by min_psi_index and by in_psi_diagonal alike
+    import psicert.psi as psi
+    from psicert.generators import generate_pD
+
+    def refuse(*args):
+        raise AssertionError("lines built for power 0")
+
+    monkeypatch.setattr(psi, "diagonal_lines", refuse)
+    monkeypatch.setattr(psi, "simplex_power_lines", refuse)
+    member = generate_pD(6, 3)
+    assert min_psi_index(member, 64) == 0
+    report = in_psi_diagonal(member, 0)
+    assert report.member and report.certificate.product is member
+    witness = in_psi_diagonal(example_fig2(), 0).certificate
+    assert (witness.monomial, witness.value) == _least_negative(example_fig2())
 
 
 def test_min_psi_index_lambda_above_hard_cap_is_none():

@@ -88,13 +88,17 @@ def test_congruence_engine_holds_no_gaussian_rationals():
             "_hermitian_closure",
             "packing",
             "_packed",
-            "simplex_powers",
-            "_convolve",
-            "unpack_table",
-            "packed_simplex_power",
+            "_line_columns",
+            "_line_keys",
+            "_moves",
+            "diagonal_lines",
+            "packed_lines",
+            "_gathered",
+            "simplex_power_lines",
+            "multiply_by_simplex_power",
+            "multiplier_lines",
             "_shift_table",
             "hermitian_powers",
-            "diagonal_multiplier_table",
             "hermitian_multiplier_table",
             "_ratio",
             "_exponents_sound",
@@ -116,6 +120,9 @@ def test_congruence_engine_holds_no_gaussian_rationals():
             for owner, name in _references(tree, {"GaussianRational", "GR_ZERO"})
             if owners is None or owner in owners
         ]
+        lines = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "DiagonalLines"]
+        rationals = {"GaussianRational", "GR_ZERO", "Fraction"}
+        uses += [f"{module}:DiagonalLines {name}" for cls in lines for _, name in _references(cls, rationals)]
     assert not uses, f"Gaussian rationals on a table path: {uses}"
 
 
@@ -138,19 +145,24 @@ def test_one_monomial_packing():
     assert defs == ["polycore.py:packing"]
 
 
-def test_certificate_reads_the_shared_packing():
-    # bounds.py packs and convolves only through polycore: it defines no packing, digit weights or convolution
-    path = PACKAGE / "bounds.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    imported = {
+def _polycore_imports(tree) -> set:
+    return {
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "polycore"
         for alias in node.names
     }
-    assert {"_packed", "_convolve"} <= imported
+
+
+def test_certificate_reads_the_shared_packing():
+    # bounds.py packs through polycore and takes its power-1 verdict from the line engine, built on
+    # the shared codes: it defines no packing, digit weights, line layout or product of its own
+    path = PACKAGE / "bounds.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert {"_packed", "packed_lines"} <= _polycore_imports(tree)
     defs = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert not defs & {"packing", "_packed", "_convolve", "code", "decode", "unpack_table"}, defs
+    own = {"packing", "_packed", "_line_columns", "_line_keys", "_moves", "code", "decode", "times", "times_simplex"}
+    assert not defs & own, defs
     nested = [
         f"{outer.name}:{inner.lineno}"
         for outer in tree.body
@@ -160,6 +172,42 @@ def test_certificate_reads_the_shared_packing():
     ]
     powers = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)]
     assert not nested and not powers, f"bounds.py builds its own codes: {nested} {powers}"
+
+
+def test_one_diagonal_product_engine():
+    # polycore holds a diagonal product one way, as DiagonalLines, gathered in one function and
+    # multiplied in one method; psi and bounds reach products only through the engine's builders
+    # and public methods, never through the line layout, and the per-monomial convolution is gone
+    path = PACKAGE / "polycore.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defs = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    gone = {"_convolve", "simplex_powers", "packed_simplex_power", "unpack_table", "diagonal_multiplier_table"}
+    assert not defs & gone, defs & gone
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    builders = sorted(
+        fn.name
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "DiagonalLines"
+    )
+    assert builders == ["_gathered", "_moved"], builders
+    engine = {"diagonal_lines", "packed_lines", "simplex_power_lines", "multiplier_lines"}
+    layout = {"_line_columns", "_line_keys", "_moves", "_gathered", "DiagonalLines"}
+    internals = {"lines", "width", "base", "top", "room", "gain", "_moved", "_mask_table", "_check_slots", "_slot"}
+    reached = {}
+    for module in ("psi.py", "bounds.py"):
+        path = PACKAGE / module
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = _polycore_imports(tree)
+        reached[module] = imported & engine
+        touched = [
+            node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in internals
+        ]
+        assert not imported & layout and not touched, (module, imported & layout, touched)
+    assert reached == {
+        "psi.py": {"diagonal_lines", "simplex_power_lines", "multiplier_lines"},
+        "bounds.py": {"packed_lines"},
+    }
 
 
 def test_inertia_is_the_submodule():
