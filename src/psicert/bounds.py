@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import CertificateFailure, NotInPsiD
-from .polycore import MultiIndex, RealSparsePoly, SignaturePair, _packed, packed_lines
+from .polycore import MultiIndex, RealSparsePoly, SignaturePair, _packed, simplex_power_lines
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,10 @@ def pigeonhole_certificate(p: RealSparsePoly) -> PigeonholeCertificate:
     such j is chosen.  Preimages of any beta sit among beta - e_1 + e_j, so
     fibers have at most n-1 elements, and every candidate preimage of the
     least support monomial falls below it in the monomial order.  A zero,
-    non-homogeneous or non-member input raises NotInPsiD.  p is packed once:
-    the verdict is the mask test on the lines of p * (x_1 + ... + x_n),
-    derived from the codes; the search reads the codes, and the answer is
-    looked up in the map from each code back to the exponent vector it packs.
+    non-homogeneous or non-member input raises NotInPsiD.  The verdict is
+    the mask test on the lines of p * (x_1 + ... + x_n); the search reads p
+    packed once, and the answer is looked up in the map from each code back
+    to the exponent vector it packs.
     """
     if p.is_zero():
         raise NotInPsiD("zero polynomial has no certificate")
@@ -88,9 +88,9 @@ def pigeonhole_certificate(p: RealSparsePoly) -> PigeonholeCertificate:
     if len(degrees) > 1:
         raise NotInPsiD("certificate requires a homogeneous polynomial")
     n, degree = p.n, degrees.pop()
-    code, _, codes = _packed(p, degree, 1)
-    if not packed_lines(p, codes, degree, 1, n).times_simplex().is_nonnegative():
+    if not simplex_power_lines(p, 1).is_nonnegative():
         raise NotInPsiD("certificate requires membership at power 1")
+    code, _, codes = _packed(p, degree, 1)
     vector = dict(zip(codes, p.table))  # codes packs p.table's keys in order
     units = [code(tuple(int(i == k) for i in range(n))) for k in range(n)]
     pos = {c for c, v in codes.items() if v > 0}

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, groupby, islice, repeat
+from itertools import chain, combinations, repeat
 from math import comb, gcd, lcm
 from operator import add, floordiv, itemgetter, lshift, mod, mul
 
@@ -421,16 +421,21 @@ class DiagonalLines:
     when its coefficient is nonnegative, which is the sign test.  `room` and
     `gain` are the degree and coefficient sum still allowed: a multiplier
     beyond them raises ValueError, and a line found outside its slots raises
-    CertificateFailure.  `top` bounds the lines' tail degrees.  Multiplying
-    returns new lines, which share the sign masks and the simplex moves.
+    CertificateFailure.  `top` bounds the lines' tail degrees, so no line
+    ever has more than top + room + 1 slots: one mask H of that many slots,
+    2**(width-1) in each, serves every line, a line of tail degree t taking
+    its t + 1 low slots' share by a right shift.  Multiplying returns new
+    lines, which share the mask and the simplex moves.
     """
 
-    __slots__ = ("n", "scale", "base", "width", "top", "room", "gain", "lines", "_masks", "_simplex")
+    __slots__ = ("n", "scale", "base", "width", "top", "room", "gain", "lines", "_mask", "_simplex")
 
-    def __init__(self, n, scale, base, width, top, room, gain, lines, masks=None, simplex=None):
+    def __init__(self, n, scale, base, width, top, room, gain, lines, mask=None, simplex=None):
         self.n, self.scale, self.base, self.width, self.top = n, scale, base, width, top
-        self.room, self.gain, self.lines = room, gain, lines
-        self._masks, self._simplex = [] if masks is None else masks, simplex
+        self.room, self.gain, self.lines, self._simplex = room, gain, lines, simplex
+        if mask is None:
+            mask = ((1 << (top + room + 1) * width) - 1) // ((1 << width) - 1) << width - 1
+        self._mask = mask
 
     def _moved(self, moves: list, degree: int, count: int) -> "DiagonalLines":
         """These lines times the multiplier with these moves.
@@ -448,7 +453,7 @@ class DiagonalLines:
             self.room - degree,
             self.gain // count,
             _spread(self.lines, moves),
-            self._masks,
+            self._mask,
             self._simplex,
         )
 
@@ -470,50 +475,34 @@ class DiagonalLines:
         """These lines times x_1 + ... + x_n."""
         return self._moved(self._simplex_moves(), 1, self.n)
 
-    def simplex_signs(self, count: int):
-        """Yield, for d = 1, ..., count, whether these lines times (x_1 + ... + x_n)^d are nonnegative.
+    def _shares(self) -> tuple:
+        """(H, last, bits): the mask, the largest tail degree it covers and its bit length.
 
-        The walk of `times_simplex` and `is_nonnegative`, kept on the bare line dicts.
+        Line `key` of tail degree t takes h = H >> cut, cut = (last - t) *
+        width: the offset line u = line + h has a slot's top bit clear
+        exactly where the slot is negative, and 0 <= u < 2**(bits - cut)
+        while no slot overflowed.
         """
-        if count > self.room or self.n**count > self.gain:
-            raise ValueError("walk exceeds the degree or coefficient sum the lines were built for")
-        moves, lines, top = self._simplex_moves(), self.lines, self.top
-        for _ in range(count):
-            lines, top = _spread(lines, moves), top + 1
-            yield self._nonnegative(lines, top)
-
-    def _mask_table(self, top: int) -> list:
-        """(H, bits) for each tail degree t <= top: a line of t + 1 slots fills `bits` bits, and H
-        holds 2**(width-1) in each slot, so the offset line u = line + H has a slot's top bit
-        clear exactly where the slot is negative, and 0 <= u < 2**bits while no slot overflowed."""
-        masks, width = self._masks, self.width
-        h = masks[-1][0] if masks else 0
-        for t in range(len(masks), top + 1):
-            bits = (t + 1) * width
-            h |= 1 << bits - 1
-            masks.append((h, bits))
-        return masks
+        last = self.top + self.room
+        return self._mask, last, (last + 1) * self.width
 
     def _check_slots(self, key: int, u: int) -> None:
-        """Raise CertificateFailure if the offset line u = line + H left its slots."""
-        bits = self._masks[key % self.base][1]
-        if u < 0 or u >> bits:
-            raise CertificateFailure(f"line {key} outgrew its {bits // self.width} slots of {self.width} bits")
-
-    def _nonnegative(self, lines: dict, top: int) -> bool:
-        """Whether no line of `lines`, of tail degrees <= top, has a negative slot."""
-        masks, base = self._mask_table(top), self.base
-        for key, line in lines.items():
-            h, bits = masks[key % base]
-            u = line + h
-            if u & h != h or u >> bits:
-                self._check_slots(key, u)
-                return False
-        return True
+        """Raise CertificateFailure if the offset line u = line + h left its slots."""
+        slots = key % self.base + 1
+        if u < 0 or u >> slots * self.width:
+            raise CertificateFailure(f"line {key} outgrew its {slots} slots of {self.width} bits")
 
     def is_nonnegative(self) -> bool:
         """Whether no coefficient is negative."""
-        return self._nonnegative(self.lines, self.top)
+        (mask, last, bits), base, width = self._shares(), self.base, self.width
+        for key, line in self.lines.items():
+            cut = (last - key % base) * width
+            h = mask >> cut
+            u = line + h
+            if u & h != h or u >> bits - cut:
+                self._check_slots(key, u)
+                return False
+        return True
 
     def least_negative(self) -> tuple | None:
         """(monomial, coefficient) of the least negative monomial in tuple order, or None.
@@ -522,12 +511,13 @@ class DiagonalLines:
         answer is the least of those over the lines with a negative slot,
         compared as (prefix, a_{n-1}, a_n).
         """
-        masks, base, width = self._mask_table(self.top), self.base, self.width
+        (mask, last, bits), base, width = self._shares(), self.base, self.width
         best = None
         for key, line in self.lines.items():
-            h, bits = masks[key % base]
+            cut = (last - key % base) * width
+            h = mask >> cut
             u = line + h
-            if u & h != h or u >> bits:
+            if u & h != h or u >> bits - cut:
                 self._check_slots(key, u)
                 bad = h & ~u
                 j = ((bad & -bad).bit_length() - 1) // width
@@ -554,10 +544,10 @@ class DiagonalLines:
 
     def poly(self) -> RealSparsePoly:
         """The product, decoded: table / scale."""
-        masks, base, one = self._mask_table(self.top), self.base, self.n == 1
+        (mask, last, _), base, width, one = self._shares(), self.base, self.width, self.n == 1
         table = {}
         for key, line in self.lines.items():
-            u = line + masks[key % base][0]
+            u = line + (mask >> (last - key % base) * width)
             self._check_slots(key, u)
             head, t = self._head(key), key % base
             for j in range(1 if one else t + 1):
@@ -571,45 +561,18 @@ def diagonal_lines(p: RealSparsePoly, room: int, gain: int) -> DiagonalLines:
     """p's lines, wide enough for multipliers of total degree <= room and coefficient sum <= gain.
 
     The base is room + 1 above p's largest prefix coordinate and tail
-    degree, so no digit of a key reaches it.
+    degree, so no digit of a key reaches it.  Each term is one shift and
+    one add into its line.
     """
     prefixes, tails, slots = _line_columns(p.table, p.n)
     top = max(tails, default=0)
     base = max([top, *(max(column, default=0) for column in prefixes)]) + room + 1
-    return _gathered(p, _line_keys(prefixes, tails, base), slots, base, top, room, gain)
-
-
-def packed_lines(p: RealSparsePoly, codes: dict, top: int, room: int, gain: int) -> DiagonalLines:
-    """`diagonal_lines`, derived from p's codes `_packed(p, top, room)` in their base B = top + room + 1.
-
-    A code c has key c // B + c % B and slot (c // B) % B.
-    """
-    base = top + room + 1
-    heads = list(map(floordiv, codes, repeat(base)))
-    keys = map(add, heads, map(mod, codes, repeat(base)))
-    return _gathered(p, keys, map(mod, heads, repeat(base)), base, top, room, gain)
-
-
-def _gathered(p: RealSparsePoly, keys, slots, base: int, top: int, room: int, gain: int) -> DiagonalLines:
-    """The lines of p's terms, given in table order with their keys and slots: a shift per term.
-
-    The terms are added into their lines one by one, except where the keys
-    come sorted (a table in tuple order, as the JSON writer leaves it, has
-    each homogeneous line's terms together) and the lines hold six terms or
-    more on average: then each line is one `sum` over its run of terms,
-    which measured faster from about that length on.
-    """
     values = p.table.values()
     width = (max(max(values, default=0), -min(values, default=0)) * gain).bit_length() + 1
-    keys = list(keys)
-    shifted = map(lshift, values, map(mul, slots, repeat(width)))
-    if len(keys) >= 6 * len(set(keys)) and keys == sorted(keys):
-        lines = {key: sum(islice(shifted, len(list(run)))) for key, run in groupby(keys)}
-    else:
-        lines = {}
-        get = lines.get
-        for key, v in zip(keys, shifted):
-            lines[key] = get(key, 0) + v
+    lines: dict = {}
+    get = lines.get
+    for key, v in zip(_line_keys(prefixes, tails, base), map(lshift, values, map(mul, slots, repeat(width)))):
+        lines[key] = get(key, 0) + v
     return DiagonalLines(p.n, p.scale, base, width, top, room, gain, lines)
 
 

@@ -174,10 +174,10 @@ def min_psi_index(obj, d_max: int = DEFAULT_POWER_CAP) -> int | None:
     nonnegativity and PSD-ness), so the first success is the minimum.
     Diagonal input answers power 0 from p's own table, building nothing;
     past it, p's lines are built once, wide enough for d_max, and each power
-    is one pass of `simplex_signs`: a shift and add per line and a mask
-    test.  Other Hermitian input walks the squared-norm powers once, one
-    shift pass per power, factoring each product matrix and reading only
-    its inertia.  The answer is a power, so no witness is built.
+    is one `times_simplex` (a shift and add per line) and a mask test.
+    Other Hermitian input walks the squared-norm powers once, one shift pass
+    per power, factoring each product matrix and reading only its inertia.
+    The answer is a power, so no witness is built.
     """
     if d_max > HARD_POWER_CAP:
         raise CapExceeded(f"power cap {d_max} exceeds hard limit {HARD_POWER_CAP}")
@@ -189,8 +189,12 @@ def min_psi_index(obj, d_max: int = DEFAULT_POWER_CAP) -> int | None:
             return 0
         if d_max == 0:
             return None
-        signs = diagonal_lines(obj, d_max, obj.n**d_max).simplex_signs(d_max)
-        return next((d for d, nonnegative in enumerate(signs, 1) if nonnegative), None)
+        lines = diagonal_lines(obj, d_max, obj.n**d_max)
+        for d in range(1, d_max + 1):
+            lines = lines.times_simplex()
+            if lines.is_nonnegative():
+                return d
+        return None
     for d, scaled in zip(range(d_max + 1), hermitian_powers(obj)):
         if congruence_factorization(scaled).inertia[1] == 0:
             return d

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,6 @@ from psicert.polycore import (
     monomials_of_degree,
     multiplier_lines,
     multiply_by_simplex_power,
-    packed_lines,
     packing,
     poly_from_json,
     poly_to_json,
@@ -215,19 +215,16 @@ def _assert_lines_hold(lines, expected):
 @example((RealSparsePoly(4), 5))
 @example((RealSparsePoly(2, {(0, 0): 2**70, (1, 1): -(2**66) - 1}), 8))
 @example((RealSparsePoly(1, {(2,): -3, (0,): 2**65}), 8))
-@example((generate_pD(3, 12), 2))  # in tuple order, about seven terms a line: summed a line at a time
-@example((RealSparsePoly._from_table(3, 1, dict(reversed(generate_pD(3, 12).table.items()))), 2))
+@example((generate_pD(3, 12), 2))
 def test_line_engine_matches_direct_oracle(case):
     p, d = case
     lines = simplex_power_lines(p, d)
     _assert_lines_hold(lines, multiply_by_simplex_power_direct(p, d))
-    # the same lines derived from p's packed codes
-    top = max(map(sum, p.table), default=0)
-    packed = packed_lines(p, _packed(p, top, d)[2], top, d, p.n**d)
+    # the walk of min-d: lines built once for d and multiplied one factor at a time
+    walked, lines = [], diagonal_lines(p, d, p.n**d)
     for _ in range(d):
-        packed = packed.times_simplex()
-    _assert_lines_hold(packed, multiply_by_simplex_power_direct(p, d))
-    walked = list(diagonal_lines(p, d, p.n**d).simplex_signs(d))
+        lines = lines.times_simplex()
+        walked.append(lines.is_nonnegative())
     assert walked == [_least_negative(multiply_by_simplex_power_direct(p, k)) is None for k in range(1, d + 1)]
 
 
@@ -256,8 +253,6 @@ def test_line_outside_its_slots_raises():
     for read in (narrow.is_nonnegative, narrow.least_negative, narrow.poly):
         with pytest.raises(CertificateFailure):
             read()
-    with pytest.raises(CertificateFailure):
-        list(DiagonalLines(2, 1, wide.base, 2, wide.top, wide.room, wide.gain, wide.lines).simplex_signs(6))
     # the width the builder chose holds every power it was built for, and no more
     lines = wide
     for _ in range(6):
@@ -265,8 +260,30 @@ def test_line_outside_its_slots_raises():
     assert lines.poly() == multiply_by_simplex_power_direct(P(2, {(0, 0): 1}), 6)
     with pytest.raises(ValueError):
         lines.times_simplex()
-    with pytest.raises(ValueError):
-        list(wide.simplex_signs(7))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # one line of 10**5 + 1 slots
+        {(10**5, 0): 1, (0, 10**5): 1, (5 * 10**4, 5 * 10**4): -1},
+        # three lines of tail degrees 0, 5 * 10**4 and 10**5, each holding one term
+        {(10**5, 0, 0): 1, (0, 0, 10**5): 1, (5 * 10**4, 0, 5 * 10**4): -1},
+    ],
+)
+def test_sparse_high_degree_lines_stay_small(terms):
+    # a few terms of degree 10**5: the lines and their sign masks grow with the degree, not its square
+    p = RealSparsePoly(len(next(iter(terms))), terms)
+    tracemalloc.start()
+    try:
+        lines = simplex_power_lines(p, 1)
+        nonnegative, least = lines.is_nonnegative(), lines.least_negative()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22, peak
+    assert not nonnegative
+    assert least == _least_negative(multiply_by_simplex_power_direct(p, 1))
 
 
 def test_sign_counts():

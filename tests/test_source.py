@@ -92,8 +92,6 @@ def test_congruence_engine_holds_no_gaussian_rationals():
             "_line_keys",
             "_moves",
             "diagonal_lines",
-            "packed_lines",
-            "_gathered",
             "simplex_power_lines",
             "multiply_by_simplex_power",
             "multiplier_lines",
@@ -155,11 +153,11 @@ def _polycore_imports(tree) -> set:
 
 
 def test_certificate_reads_the_shared_packing():
-    # bounds.py packs through polycore and takes its power-1 verdict from the line engine, built on
-    # the shared codes: it defines no packing, digit weights, line layout or product of its own
+    # bounds.py packs through polycore and takes its power-1 verdict from the line engine: it
+    # defines no packing, digit weights, line layout or product of its own
     path = PACKAGE / "bounds.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert {"_packed", "packed_lines"} <= _polycore_imports(tree)
+    assert {"_packed", "simplex_power_lines"} <= _polycore_imports(tree)
     defs = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     own = {"packing", "_packed", "_line_columns", "_line_keys", "_moves", "code", "decode", "times", "times_simplex"}
     assert not defs & own, defs
@@ -175,13 +173,15 @@ def test_certificate_reads_the_shared_packing():
 
 
 def test_one_diagonal_product_engine():
-    # polycore holds a diagonal product one way, as DiagonalLines, gathered in one function and
+    # polycore holds a diagonal product one way, as DiagonalLines, built in one function and
     # multiplied in one method; psi and bounds reach products only through the engine's builders
-    # and public methods, never through the line layout, and the per-monomial convolution is gone
+    # and public methods, never through the line layout; the per-monomial convolution is gone, and
+    # so are the second line builder and the second simplex walk
     path = PACKAGE / "polycore.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     defs = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     gone = {"_convolve", "simplex_powers", "packed_simplex_power", "unpack_table", "diagonal_multiplier_table"}
+    gone |= {"packed_lines", "_gathered", "simplex_signs"}
     assert not defs & gone, defs & gone
     functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     builders = sorted(
@@ -190,10 +190,10 @@ def test_one_diagonal_product_engine():
         for node in ast.walk(fn)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "DiagonalLines"
     )
-    assert builders == ["_gathered", "_moved"], builders
-    engine = {"diagonal_lines", "packed_lines", "simplex_power_lines", "multiplier_lines"}
-    layout = {"_line_columns", "_line_keys", "_moves", "_gathered", "DiagonalLines"}
-    internals = {"lines", "width", "base", "top", "room", "gain", "_moved", "_mask_table", "_check_slots", "_slot"}
+    assert builders == ["_moved", "diagonal_lines"], builders
+    engine = {"diagonal_lines", "simplex_power_lines", "multiplier_lines"}
+    layout = {"_line_columns", "_line_keys", "_moves", "DiagonalLines"}
+    internals = {"lines", "width", "base", "top", "room", "gain", "_moved", "_shares", "_check_slots", "_slot"}
     reached = {}
     for module in ("psi.py", "bounds.py"):
         path = PACKAGE / module
@@ -206,7 +206,7 @@ def test_one_diagonal_product_engine():
         assert not imported & layout and not touched, (module, imported & layout, touched)
     assert reached == {
         "psi.py": {"diagonal_lines", "simplex_power_lines", "multiplier_lines"},
-        "bounds.py": {"packed_lines"},
+        "bounds.py": {"simplex_power_lines"},
     }
 
 
