@@ -77,18 +77,20 @@ def pigeonhole_certificate(p: RealSparsePoly) -> PigeonholeCertificate:
     such j is chosen.  Preimages of any beta sit among beta - e_1 + e_j, so
     fibers have at most n-1 elements, and every candidate preimage of the
     least support monomial falls below it in the monomial order.  A zero,
-    non-homogeneous or non-member input raises NotInPsiD.  The verdict is
-    the mask test on the lines of p * (x_1 + ... + x_n); the search reads p
-    packed once, and the answer is looked up in the map from each code back
-    to the exponent vector it packs.
+    non-homogeneous or non-member input raises NotInPsiD.  Homogeneity and
+    the verdict are read off the lines of p * (x_1 + ... + x_n): their
+    degrees, each one above a degree of p, and the mask test.  The search
+    reads p packed once, and the answer is looked up in the map from each
+    code back to the exponent vector it packs.
     """
     if p.is_zero():
         raise NotInPsiD("zero polynomial has no certificate")
-    degrees = set(map(sum, p.table))
+    product = simplex_power_lines(p, 1)
+    degrees = product.degrees()
     if len(degrees) > 1:
         raise NotInPsiD("certificate requires a homogeneous polynomial")
-    n, degree = p.n, degrees.pop()
-    if not simplex_power_lines(p, 1).is_nonnegative():
+    n, degree = p.n, degrees.pop() - 1
+    if not product.is_nonnegative():
         raise NotInPsiD("certificate requires membership at power 1")
     code, _, codes = _packed(p, degree, 1)
     vector = dict(zip(codes, p.table))  # codes packs p.table's keys in order

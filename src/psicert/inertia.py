@@ -11,7 +11,11 @@ minors.  Pivots are 1x1 only.  When the active diagonal vanishes but the
 block does not, a congruence that adds one row/column into another (with a
 factor of 1 or i) manufactures a nonzero diagonal entry, so square roots
 never appear.  Sylvester's law of inertia makes the sign counts of the
-resulting diagonal the inertia of the input.
+resulting diagonal the inertia of the input.  A larger matrix whose nonzero
+pattern is a direct sum of blocks, as the product matrices of members
+rotated in one coordinate plane are, is eliminated block by block, and the
+blocks' steps are merged into the order the whole-matrix elimination would
+take, so every pivot, column and witness is the same.
 
 The factorization holds integer data only: each diagonal entry as a pair
 of ints, the record of the elimination steps, from which `integer_column`
@@ -36,6 +40,10 @@ from .errors import CertificateFailure, ExplicitLimit, NotHermitian, PsicertErro
 from .polycore import HermitianPoly
 
 _HARD_DIM_CAP = 2048
+# Below this many indices the whole matrix is eliminated without looking for
+# blocks: there the split's per-block calls and merge cost more than the
+# dense elimination they save.
+_SPLIT_MIN_DIM = 12
 
 
 def _dim_cap() -> int:
@@ -63,12 +71,16 @@ class CongruenceFactorization:
     congruence steps in `steps`, in order: a pivot on q is
     (q, p, ((c, re, im), ...)), p = a_qq and the entries a_qc of row q over
     the indices c then active; a bump is (i, j, fr, fi), column i += f *
-    column j with f = fr + i*fi.  `column_scales[k]` is the pivot minor in
-    force when k was pivoted, or the last minor for indices left in a zero
-    block, and makes column k of T integral.  `inverse_rows[k]` is row k of
-    T^-1 as (den, ((col, re, im), ...)): Gaussian integers over den, the
-    pivot minor at k, which may be negative.  Before any bump, a pivot
-    step's entries are the entries of its inverse row.
+    column j with f = fr + i*fi.  When the matrix was eliminated block by
+    block, a pivot step's p and entries are at its block's scale, over the
+    indices then active in its block; only the ratios a_qc / p enter T.
+    `column_scales[k]` is the pivot minor of the whole matrix in force when
+    k was pivoted, or the last minor for indices left in a zero block, and
+    makes column k of T integral.  `inverse_rows[k]` is row k of T^-1 as
+    (den, ((col, re, im), ...)): Gaussian integers over den, the pivot
+    minor at k (its block's, when split), which may be negative.  Before
+    any bump in its block, a pivot step's entries are the entries of its
+    inverse row.
     """
 
     basis: tuple  # index of each row and column
@@ -160,9 +172,125 @@ def congruence_factorization(scaled: tuple) -> CongruenceFactorization:
     ints, as a `HermitianPoly` holds it (`(r.scale, r.table)`); the matrix is indexed
     by the sorted index set, which the factorization carries as `basis`.
     Pivots are deterministic.  A table that is not Hermitian raises
-    NotHermitian, and one over more than `PSI_MAX_DIM` indices ExplicitLimit.
+    NotHermitian, and one over more than `PSI_MAX_DIM` indices ExplicitLimit:
+    the cap counts the whole matrix, not its largest block.
+
+    A matrix of at least `_SPLIT_MIN_DIM` indices whose nonzero pattern falls
+    into several connected blocks is eliminated block by block, and
+    `_merged` interleaves the blocks' steps in the order the whole-matrix
+    elimination takes them; any other matrix is eliminated whole.
     """
-    return _bareiss(*_integer_rows(scaled))
+    basis, L, re, im = _integer_rows(scaled)
+    blocks = _blocks(re, im) if len(basis) >= _SPLIT_MIN_DIM else ()
+    if len(blocks) > 1:
+        rows = [
+            (tuple(basis[i] for i in b), L, [[re[i][j] for j in b] for i in b], [[im[i][j] for j in b] for i in b])
+            for b in blocks
+        ]
+    else:
+        rows = [(basis, L, re, im)]
+    parts = [_bareiss(*block_rows) for block_rows in rows]
+    return _merged(basis, L, blocks, parts) if len(blocks) > 1 else parts[0]
+
+
+def _blocks(re, im) -> list:
+    """The connected components of the nonzero pattern of re + i*im, as ascending index lists.
+
+    Components are grown in order of their least index, starting at 0, and
+    the scan stops as soon as the first covers every index, which it
+    returns as the one block.
+    """
+    blocks, rest = [], list(range(len(re)))
+    while rest:
+        block = [rest.pop(0)]
+        for i in block:  # grows while it is walked
+            if not rest:
+                break
+            ri, ii = re[i], im[i]
+            linked = [j for j in rest if ri[j] or ii[j]]
+            if linked:
+                block += linked
+                rest = [] if len(linked) == len(rest) else [j for j in rest if not (ri[j] or ii[j])]
+        block.sort()
+        blocks.append(block)
+    return blocks
+
+
+def _merged(basis, L: int, blocks, parts) -> CongruenceFactorization:
+    """The factorization of a direct sum, from its blocks', as the whole-matrix elimination gives it.
+
+    parts[b] factors the rows of blocks[b] over (re + i*im) / L.  The Schur
+    complement of a direct sum is the direct sum of the blocks' complements,
+    so the whole elimination, restricted to one block, takes that block's
+    steps in the block's order; the merge interleaves the blocks' heads by
+    the same rule.  The next step is the pivot head of largest |num/den|,
+    the block's active diagonal entry of the rational complement (smallest
+    index on ties); only when no head is a pivot, the bump head of least
+    row index.  The whole matrix's minor g is the product of the block
+    minors, so a pivot pair is its block's pair times g over the block's
+    minor, and its column scale is g; an index no block pivots gets the
+    final product.  Steps and inverse rows keep their block's scale.
+    """
+    dim = len(basis)
+    pivots, scales, inverse_rows, steps = [None] * dim, [None] * dim, [None] * dim, []
+    heads, queues = {}, []  # per block: its steps over global indices, reversed, and the head taken off
+    for index, (block, part) in enumerate(zip(blocks, parts)):
+        mapped = {}  # id of a block's entry tuple -> the tuple over global indices; steps share theirs with rows
+        for k, (den, entries) in zip(block, part.inverse_rows):
+            mapped[id(entries)] = row = tuple([(block[c], x, y) for c, x, y in entries])
+            inverse_rows[k] = (den, row)
+        queue = []
+        for step in reversed(part.steps):
+            if len(step) == 4:
+                i, j, fr, fi = step
+                queue.append(((block[i], block[j], fr, fi), None, None, 0, 0))
+            else:
+                q, p, entries = step
+                row = mapped.get(id(entries)) or tuple([(block[c], x, y) for c, x, y in entries])
+                num, den = part.pivots[q]
+                queue.append(((block[q], p, row), num, den, abs(num), abs(den)))
+        if queue:
+            heads[index] = queue.pop()
+        queues.append(queue)
+
+    minors, g = [1] * len(parts), 1
+    while heads:
+        pick = None
+        for b, (step, num, _, x, y) in heads.items():
+            if num is None:
+                continue
+            if pick is not None:
+                lhs, rhs = x * top_y, top_x * y
+                if lhs < rhs or (lhs == rhs and step[0] > top):
+                    continue
+            pick, top, top_x, top_y = b, step[0], x, y
+        if pick is None:
+            pick = min(heads, key=lambda b: heads[b][0][0])
+        step, num, den, _, _ = heads[pick]
+        queue = queues[pick]
+        if queue:
+            heads[pick] = queue.pop()
+        else:
+            del heads[pick]
+        steps.append(step)
+        if num is not None:  # a pivot: num and den are its block's pair, den L times the block's minor
+            others = g // minors[pick]
+            pivots[step[0]] = (num * others, den * others)
+            scales[step[0]] = g
+            g = others * num
+            minors[pick] = num
+
+    for k in range(dim):
+        if pivots[k] is None:
+            pivots[k] = (0, L * g)
+            scales[k] = g
+    return CongruenceFactorization(
+        basis=basis,
+        pivots=tuple(pivots),
+        steps=tuple(steps),
+        column_scales=tuple(scales),
+        inverse_rows=tuple(inverse_rows),
+    )
 
 
 def _integer_rows(scaled: tuple) -> tuple:

@@ -542,18 +542,41 @@ class DiagonalLines:
         width = self.width
         return (u >> j * width & (1 << width) - 1) - (1 << width - 1)
 
+    def degrees(self) -> set:
+        """The total degree of every line, as a set: the digit sum of its key."""
+        base, found = self.base, set()
+        for key in self.lines:
+            degree = 0
+            while key:
+                key, digit = divmod(key, base)
+                degree += digit
+            found.add(degree)
+        return found
+
     def poly(self) -> RealSparsePoly:
-        """The product, decoded: table / scale."""
+        """The product, decoded: table / scale.
+
+        A line of tail degree t is read once, as the binary text of u ^ h
+        over its t + 1 slots: a slot of it is zero exactly where the
+        coefficient is, and holds (c + 2**(width-1)) ^ 2**(width-1)
+        otherwise.  The walk jumps from one nonzero slot to the next, lowest
+        first, so a line costs time linear in its bits, however sparse.
+        """
         (mask, last, _), base, width, one = self._shares(), self.base, self.width, self.n == 1
+        half = 1 << width - 1
         table = {}
         for key, line in self.lines.items():
-            u = line + (mask >> (last - key % base) * width)
+            t = key % base
+            h = mask >> (last - t) * width
+            u = line + h
             self._check_slots(key, u)
-            head, t = self._head(key), key % base
-            for j in range(1 if one else t + 1):
-                c = self._slot(u, j)
-                if c:
-                    table[head + (j, t - j)[one:]] = c
+            head, end = self._head(key), (t + 1) * width
+            text = format(u ^ h, "b").zfill(end)  # slot j is text[end - (j + 1) * width : end - j * width]
+            stop = end
+            while (i := text.rfind("1", 0, stop)) >= 0:
+                j = (end - 1 - i) // width
+                stop = end - (j + 1) * width
+                table[head + (j, t - j)[one:]] = (int(text[stop : stop + width], 2) ^ half) - half
         return RealSparsePoly._from_table(self.n, self.scale, table)
 
 

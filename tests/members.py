@@ -1,9 +1,10 @@
 """Seeded generators of exact power-1 members used across the test suite.
 
 Also the hypothesis strategies for small Hermitian matrices shared by the
-parity tests, and for pigeonhole-certificate inputs shared by the bounds and
-CLI tests.  Members are sums of a known diagonal member (with a negative square) and a
-few random holomorphic squares, which stays in the class because the
+parity tests, for permuted direct sums of Hermitian blocks, and for
+pigeonhole-certificate inputs shared by the bounds and CLI tests.  Members
+are sums of a known diagonal member (with a negative square) and a few
+random holomorphic squares, which stays in the class because the
 multiplier distributes over sums.  Every instance is re-verified exactly.
 """
 
@@ -36,6 +37,35 @@ def hermitian_from_square(n: int, coeffs: dict) -> HermitianPoly:
     """|f(z)|^2 for the holomorphic polynomial f with the given coefficients."""
     items = [(tuple(a), _as_gaussian(c)) for a, c in coeffs.items()]
     return HermitianPoly(n, {(alpha, beta): ca.conjugate() * cb for alpha, ca in items for beta, cb in items})
+
+
+def plane_rotated(p: RealSparsePoly, phase=GaussianRational.of(Fraction(3, 5), Fraction(4, 5))) -> HermitianPoly:
+    """r(Uz) for the diagonal r = sum_a c_a |z^a|^2 and a unitary U acting on z_1, z_2 only.
+
+    U multiplies z_2 by the unit `phase` and then rotates the plane of z_1,
+    z_2 by the (3, 4, 5) triangle, so the table has imaginary parts (a
+    phase on a row of U would cancel in every |f|^2).  U is unitary, so
+    r(Uz) lies in exactly the classes r does; it keeps each of a_3, ...,
+    a_n, so its coefficient matrix, and the product matrix at every power,
+    falls into blocks.
+    """
+    n, c, s = p.n, GaussianRational.of(Fraction(3, 5)), GaussianRational.of(Fraction(4, 5))
+    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    rows = [{unit[0]: c, unit[1]: -s * phase}, {unit[0]: s, unit[1]: c * phase}]
+    rows += [{unit[k]: GaussianRational.of(1)} for k in range(2, n)]
+    r = HermitianPoly(n, {})
+    for alpha, coef in p.items():
+        f = {(0,) * n: GaussianRational.of(1)}
+        for row, e in zip(rows, alpha):
+            for _ in range(e):
+                out = {}
+                for a, x in f.items():
+                    for b, y in row.items():
+                        key = tuple(u + v for u, v in zip(a, b))
+                        out[key] = out.get(key, GR_ZERO) + x * y
+                f = out
+        r = r + hermitian_from_square(n, f).times(coef)
+    return r
 
 
 def random_psi1_member(seed: int) -> HermitianPoly:
@@ -120,6 +150,42 @@ def hermitian_matrices(draw):
             rows[i][j] = draw(_entry(zero_prob=True))
             rows[j][i] = rows[i][j].conjugate()
     return rows
+
+
+@st.composite
+def hermitian_direct_sums(draw):
+    """(rows, blocks): a permuted direct sum of 1 to 5 Hermitian Gaussian-integer blocks.
+
+    rows are (re, im) int pairs.  A block is all zero, has a zero diagonal
+    (so the elimination bumps) or a diagonal of both signs (so pivot minors
+    turn negative); its off-diagonal entries are real, purely imaginary or
+    both, and a chain of nonzero ones keeps it connected.  The blocks'
+    indices are shuffled together; `blocks` lists each nonzero block's
+    indices, ascending.
+    """
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    order = draw(st.permutations(range(sum(sizes))))
+    dim = len(order)
+    rows = [[(0, 0)] * dim for _ in range(dim)]
+    part = st.integers(-4, 4).filter(bool)
+    entry = st.one_of(
+        st.tuples(part, st.just(0)), st.tuples(st.just(0), part), st.tuples(part, part)
+    )
+    blocks, start = [], 0
+    for size in sizes:
+        idx = order[start : start + size]
+        start += size
+        kind = draw(st.sampled_from(("zero", "zero diagonal", "signed diagonal")))
+        if kind == "zero":
+            continue
+        blocks.append(sorted(idx))
+        for a, i in enumerate(idx):
+            if kind == "signed diagonal":
+                rows[i][i] = (draw(st.integers(-5, 5)), 0)
+            for b, j in enumerate(idx[a + 1 :], a + 1):
+                z = draw(entry) if b == a + 1 else draw(st.one_of(st.just((0, 0)), entry))
+                rows[i][j], rows[j][i] = z, (z[0], -z[1])
+    return rows, blocks
 
 
 _LATTICE_DEGREES = {1: 5, 2: 7, 3: 4, 4: 3}

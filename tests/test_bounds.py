@@ -105,6 +105,16 @@ def test_pigeonhole_requires_membership_and_homogeneity():
         pigeonhole_certificate(RealSparsePoly(2, {(1, 0): 1, (0, 0): 1}))
 
 
+def test_pigeonhole_refusals_keep_their_order():
+    # zero, then non-homogeneous, then non-member: a non-homogeneous non-member is refused as non-homogeneous
+    with pytest.raises(NotInPsiD, match="zero polynomial"):
+        pigeonhole_certificate(RealSparsePoly(2, {}))
+    with pytest.raises(NotInPsiD, match="homogeneous"):
+        pigeonhole_certificate(RealSparsePoly(2, {(1, 0): -1, (0, 0): 1}))
+    with pytest.raises(NotInPsiD, match="membership"):
+        pigeonhole_certificate(RealSparsePoly(2, {(1, 0): 1, (0, 1): -1}))
+
+
 def test_pigeonhole_zero_polynomial_is_not_in_psi_d():
     # a user input, not an invariant breach: NotInPsiD rather than CertificateFailure
     with pytest.raises(NotInPsiD, match="zero polynomial"):

@@ -1,5 +1,7 @@
 import json
 import random
+from contextlib import contextmanager
+from itertools import islice
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from members import hermitian_matrices
+from members import hermitian_direct_sums, hermitian_matrices, plane_rotated
 from oracles import (
     eig_signs_2x2,
     form_polynomial,
@@ -20,9 +22,13 @@ from oracles import (
     rational_inverse,
     rational_transform,
 )
+from psicert import inertia as inertia_module
 from psicert import psi
 from psicert.errors import CertificateFailure, ExplicitLimit, NotHermitian, PsicertError
+from psicert.generators import generate_pD
 from psicert.inertia import (
+    _bareiss,
+    _blocks,
     _integer_rows,
     congruence_factorization,
     inertia,
@@ -33,6 +39,7 @@ from psicert.polycore import (
     GaussianRational,
     HermitianPoly,
     RealSparsePoly,
+    hermitian_powers,
     real_to_diagonal,
     sign_counts,
 )
@@ -459,3 +466,124 @@ def test_integer_pivot_verdicts_match_the_oracle(rows, L):
     scale = fact.column_scales[k]
     assert [G(*z) for z in vector] == [row[k] * G(scale) for row in ref.transform]
     assert value == quadratic_form(M, [G(*z) for z in vector]).re == scale**2 * ref.diag[k]
+
+
+# -- block split ---------------------------------------------------------------
+
+
+def _int_table(rows, L=1):
+    """(L, table) of a matrix of (re, im) int pairs, zeros kept, row i indexed by (i,)."""
+    return L, {((i,), (j,)): z for i, row in enumerate(rows) for j, z in enumerate(row)}
+
+
+def _same_factorization(fact, whole):
+    # every integer datum the whole-matrix elimination leaves, but the block-scaled steps and inverse rows
+    assert fact.basis == whole.basis
+    assert fact.pivots == whole.pivots
+    assert fact.column_scales == whole.column_scales
+    assert fact.pivot_log == whole.pivot_log
+    assert fact.diag == whole.diag
+    assert [fact.integer_column(k) for k in range(len(fact.pivots))] == [
+        whole.integer_column(k) for k in range(len(whole.pivots))
+    ]
+
+
+@contextmanager
+def _split_from(size):
+    """Look for blocks from `size` indices up, in place of `_SPLIT_MIN_DIM`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inertia_module, "_SPLIT_MIN_DIM", size)
+        yield
+
+
+@given(hermitian_direct_sums())
+@settings(max_examples=150, deadline=None)
+def test_blocks_are_the_connected_components(case):
+    rows, blocks = case
+    re = [[x for x, _ in row] for row in rows]
+    im = [[y for _, y in row] for row in rows]
+    covered = {i for block in blocks for i in block}
+    expected = sorted(blocks + [[i] for i in range(len(rows)) if i not in covered])
+    assert _blocks(re, im) == expected
+
+
+@given(hermitian_direct_sums(), st.integers(1, 6))
+@example(([[(0, 0), (0, 3), (0, 0)], [(0, -3), (0, 0), (0, 0)], [(0, 0), (0, 0), (-2, 0)]], [[0, 1], [2]]), 1)
+@settings(max_examples=200, deadline=None)
+def test_block_split_matches_the_whole_matrix_elimination(case, L):
+    rows, _ = case
+    scaled = _int_table(rows, L)
+    with _split_from(0):
+        fact = congruence_factorization(scaled)
+        split_verdict = psi._psd_verdict(scaled)
+    _same_factorization(fact, _bareiss(*_integer_rows(scaled)))
+    with _split_from(len(rows) + 1):
+        whole_verdict = psi._psd_verdict(scaled)
+    ok, cert = split_verdict
+    assert ok == whole_verdict[0]
+    if not ok:
+        assert cert == whole_verdict[1]
+
+
+@given(hermitian_direct_sums(), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_block_split_matches_the_rational_oracle(case, L):
+    rows, _ = case
+    M = [[G(Fraction(x, L), Fraction(y, L)) for x, y in row] for row in rows]
+    with _split_from(0):
+        fact = congruence_factorization(_int_table(rows, L))
+    ref = rational_congruence_factorization(M)
+    assert (fact.pivot_log, fact.diag) == (ref.pivot_log, ref.diag)
+    assert rational_transform(fact) == ref.transform
+    assert rational_inverse(fact) == ref.inverse
+
+
+def _counting_bareiss(monkeypatch):
+    calls = []
+
+    def counted(basis, L, re, im):
+        calls.append(len(basis))
+        return _bareiss(basis, L, re, im)
+
+    monkeypatch.setattr(inertia_module, "_bareiss", counted)
+    return calls
+
+
+def test_connected_input_takes_one_whole_elimination(monkeypatch):
+    # a tridiagonal matrix above the split size: the scan walks the chain and finds one block
+    dim = inertia_module._SPLIT_MIN_DIM + 2
+    rows = [[(0, 0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        rows[i][i] = (2 * (i % 3) - 1, 0)
+        if i + 1 < dim:
+            rows[i][i + 1], rows[i + 1][i] = (1, i % 2), (1, -(i % 2))
+    calls = _counting_bareiss(monkeypatch)
+    fact = congruence_factorization(_int_table(rows))
+    assert calls == [dim]
+    _same_factorization(fact, _bareiss(*_integer_rows(_int_table(rows))))
+    # below the split size even a direct sum is eliminated whole
+    calls.clear()
+    congruence_factorization(_int_table([[(1, 0), (0, 0)], [(0, 0), (-1, 0)]]))
+    assert calls == [2]
+
+
+def test_rotated_dense_family_factors_block_by_block(monkeypatch):
+    # pD(3, 4) rotated in the plane of z_1, z_2: its product matrix at d = 1 has dimension 21 in blocks
+    # 6, 5, 4, 3, 1, 1, 1, each eliminated on its own, and the result is the whole-matrix elimination's
+    r = plane_rotated(generate_pD(3, 4))
+    assert any(im for _, im in r.table.values())
+    scaled = next(islice(hermitian_powers(r), 1, None))
+    basis, _, re, im = _integer_rows(scaled)
+    assert sorted(map(len, _blocks(re, im)), reverse=True) == [6, 5, 4, 3, 1, 1, 1]
+    calls = _counting_bareiss(monkeypatch)
+    fact = congruence_factorization(scaled)
+    assert sorted(calls, reverse=True) == [6, 5, 4, 3, 1, 1, 1]
+    _same_factorization(fact, _bareiss(*_integer_rows(scaled)))
+    assert fact.inertia == (20, 0, 1)
+    # at d = 0 (dimension 15) it is not a member: the witness is the whole-matrix one
+    own = next(hermitian_powers(r))
+    ok, witness = psi._psd_verdict(own)
+    assert not ok and witness.value < 0
+    whole = _bareiss(*_integer_rows(own))
+    k = next(k for k, (num, den) in enumerate(whole.pivots) if num and (num > 0) != (den > 0))
+    assert witness.vector == whole.integer_column(k)

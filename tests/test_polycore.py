@@ -286,6 +286,38 @@ def test_sparse_high_degree_lines_stay_small(terms):
     assert least == _least_negative(multiply_by_simplex_power_direct(p, 1))
 
 
+def _sparse_high_degree(n):
+    # a few terms of degree up to 3 000 in each variable, so a line holds long runs of zero slots
+    coef = st.integers(-(2**70), 2**70).filter(bool)
+    return st.dictionaries(st.tuples(*([st.integers(0, 3000)] * n)), coef, min_size=1, max_size=4).map(
+        lambda terms: RealSparsePoly(n, terms)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(_sparse_high_degree(n), st.integers(0, 2))))
+@example((RealSparsePoly(2, {(20000, 0): 1, (0, 20000): 1}), 1))
+@example((RealSparsePoly(1, {(10**4,): -3}), 2))
+@example((generate_pD(3, 40), 1))
+@example((generate_pD(4, 6), 2))
+def test_decode_matches_direct_oracle_on_sparse_and_dense_lines(case):
+    # poly() jumps between a line's nonzero slots: sparse lines of thousands of slots and
+    # dense pD lines decode to the direct product
+    p, d = case
+    lines = simplex_power_lines(p, d)
+    assert lines.poly() == multiply_by_simplex_power_direct(p, d)
+    assert lines.degrees() == {sum(a) + d for a in p.table}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(_wide_poly(n), st.integers(0, 3))))
+@example((RealSparsePoly(3), 1))
+def test_line_degrees_are_the_product_degrees(case):
+    # one degree per line, read off its key: the degrees of p, each raised by d
+    p, d = case
+    assert simplex_power_lines(p, d).degrees() == {sum(a) + d for a in p.table}
+
+
 def test_sign_counts():
     fig1 = P(3, {(2, 0, 0): 1, (0, 2, 0): 1, (1, 0, 1): 1, (1, 1, 0): -1})
     assert sign_counts(fig1) == sign_counts(fig1)
