@@ -1,9 +1,9 @@
 import json
 import random
 from contextlib import contextmanager
-from itertools import islice
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from pathlib import Path
 
