@@ -11,11 +11,12 @@ minors.  Pivots are 1x1 only.  When the active diagonal vanishes but the
 block does not, a congruence that adds one row/column into another (with a
 factor of 1 or i) manufactures a nonzero diagonal entry, so square roots
 never appear.  Sylvester's law of inertia makes the sign counts of the
-resulting diagonal the inertia of the input.  A larger matrix whose nonzero
+resulting diagonal the inertia of the input.  A matrix whose nonzero
 pattern is a direct sum of blocks, as the product matrices of members
-rotated in one coordinate plane are, is eliminated block by block, and the
-blocks' steps are merged into the order the whole-matrix elimination would
-take, so every pivot, column and witness is the same.
+rotated in one coordinate plane are, is eliminated in the same one body
+with a pivot minor per block: each pivot updates its own block only, and
+the whole matrix's minor is the product of the block minors, so every
+pivot, column and witness is the one a single minor would give.
 
 The factorization holds integer data only: each diagonal entry as a pair
 of ints, the record of the elimination steps, from which `integer_column`
@@ -40,11 +41,6 @@ from .errors import CertificateFailure, ExplicitLimit, NotHermitian, PsicertErro
 from .polycore import HermitianPoly
 
 _HARD_DIM_CAP = 2048
-# Below this many indices the whole matrix is eliminated without looking for
-# blocks: there the split's per-block calls and merge cost more than the
-# dense elimination they save (measured on the rotated members of the
-# benchmark, the split breaks even between dimensions 10 and 11).
-_SPLIT_MIN_DIM = 12
 
 
 def _dim_cap() -> int:
@@ -71,17 +67,15 @@ class CongruenceFactorization:
     reads them as Fractions.  T is the product E_1 ... E_m of the
     congruence steps in `steps`, in order: a pivot on q is
     (q, p, ((c, re, im), ...)), p = a_qq and the entries a_qc of row q over
-    the indices c then active; a bump is (i, j, fr, fi), column i += f *
-    column j with f = fr + i*fi.  When the matrix was eliminated block by
-    block, a pivot step's p and entries are at its block's scale, over the
-    indices then active in its block; only the ratios a_qc / p enter T.
-    `column_scales[k]` is the pivot minor of the whole matrix in force when
-    k was pivoted, or the last minor for indices left in a zero block, and
-    makes column k of T integral.  `inverse_rows[k]` is row k of T^-1 as
-    (den, ((col, re, im), ...)): Gaussian integers over den, the pivot
-    minor at k (its block's, when split), which may be negative.  Before
-    any bump in its block, a pivot step's entries are the entries of its
-    inverse row.
+    the indices c then active in q's block, at that block's scale; only the
+    ratios a_qc / p enter T.  A bump is (i, j, fr, fi), column i += f *
+    column j with f = fr + i*fi.  `column_scales[k]` is the pivot minor of
+    the whole matrix in force when k was pivoted, or the last minor for
+    indices left in a zero block, and makes column k of T integral.
+    `inverse_rows[k]` is row k of T^-1 as (den, ((col, re, im), ...)):
+    Gaussian integers over den, the pivot of k in its block, which may be
+    negative.  Before any bump in its block, a pivot step's entries are the
+    entries of its inverse row.
     """
 
     basis: tuple  # index of each row and column
@@ -176,124 +170,39 @@ def congruence_factorization(scaled: tuple) -> CongruenceFactorization:
     NotHermitian, and one over more than `PSI_MAX_DIM` indices ExplicitLimit:
     the cap counts the whole matrix, not its largest block.
 
-    A matrix of at least `_SPLIT_MIN_DIM` indices whose nonzero pattern falls
-    into several connected blocks is eliminated block by block, and
-    `_merged` interleaves the blocks' steps in the order the whole-matrix
-    elimination takes them; any other matrix is eliminated whole.
+    Every matrix takes the same path: its rows, the connected blocks of
+    their nonzero pattern, and one elimination that keeps a pivot minor per
+    block.
     """
-    basis, L, re, im = whole = _integer_rows(scaled)
-    blocks = _blocks(re, im) if len(basis) >= _SPLIT_MIN_DIM else ()
-    if len(blocks) > 1:
-        pieces = [
-            (tuple(basis[i] for i in b), L, [[re[i][j] for j in b] for i in b], [[im[i][j] for j in b] for i in b])
-            for b in blocks
-        ]
-    else:
-        pieces = (whole,)
-    parts = []
-    for piece in pieces:
-        parts.append(_bareiss(*piece))
-    return _merged(basis, L, blocks, parts) if len(blocks) > 1 else parts[0]
+    basis, L, re, im = _integer_rows(scaled)
+    return _bareiss(basis, L, re, im, _blocks(re, im))
 
 
 def _blocks(re, im) -> list:
-    """The connected components of the nonzero pattern of re + i*im, as ascending index lists.
+    """The connected component of the nonzero pattern of re + i*im that holds each index.
 
-    Components are grown in order of their least index, starting at 0, and
-    the scan stops as soon as the first covers every index, which it
-    returns as the one block.
+    Components are numbered 0, 1, ... in order of their least index and
+    grown from index 0; the scan stops as soon as the first covers every
+    index, which is then all one block.
     """
-    blocks, rest = [], list(range(len(re)))
+    labels, rest, label = [0] * len(re), list(range(len(re))), 0
     while rest:
         block = [rest.pop(0)]
         for i in block:  # grows while it is walked
             if not rest:
                 break
             ri, ii = re[i], im[i]
-            linked = [j for j in rest if ri[j] or ii[j]]
-            if linked:
-                block += linked
-                rest = [] if len(linked) == len(rest) else [j for j in rest if not (ri[j] or ii[j])]
-        block.sort()
-        blocks.append(block)
-    return blocks
-
-
-def _merged(basis, L: int, blocks, parts) -> CongruenceFactorization:
-    """The factorization of a direct sum, from its blocks', as the whole-matrix elimination gives it.
-
-    parts[b] factors the rows of blocks[b] over (re + i*im) / L.  The Schur
-    complement of a direct sum is the direct sum of the blocks' complements,
-    so the whole elimination, restricted to one block, takes that block's
-    steps in the block's order; the merge interleaves the blocks' heads by
-    the same rule.  The next step is the pivot head of largest |num/den|,
-    the block's active diagonal entry of the rational complement (smallest
-    index on ties); only when no head is a pivot, the bump head of least
-    row index.  The whole matrix's minor g is the product of the block
-    minors, so a pivot pair is its block's pair times g over the block's
-    minor, and its column scale is g; an index no block pivots gets the
-    final product.  Steps and inverse rows keep their block's scale.
-    """
-    dim = len(basis)
-    pivots, scales, inverse_rows, steps = [None] * dim, [None] * dim, [None] * dim, []
-    heads, queues = {}, []  # per block: its steps over global indices, reversed, and the head taken off
-    for index, (block, part) in enumerate(zip(blocks, parts)):
-        mapped = {}  # id of a block's entry tuple -> the tuple over global indices; steps share theirs with rows
-        for k, (den, entries) in zip(block, part.inverse_rows):
-            mapped[id(entries)] = row = tuple([(block[c], x, y) for c, x, y in entries])
-            inverse_rows[k] = (den, row)
-        queue = []
-        for step in reversed(part.steps):
-            if len(step) == 4:
-                i, j, fr, fi = step
-                queue.append(((block[i], block[j], fr, fi), None, None, 0, 0))
-            else:
-                q, p, entries = step
-                row = mapped.get(id(entries)) or tuple([(block[c], x, y) for c, x, y in entries])
-                num, den = part.pivots[q]
-                queue.append(((block[q], p, row), num, den, abs(num), abs(den)))
-        if queue:
-            heads[index] = queue.pop()
-        queues.append(queue)
-
-    minors, g = [1] * len(parts), 1
-    while heads:
-        pick = None
-        for b, (step, num, _, x, y) in heads.items():
-            if num is None:
-                continue
-            if pick is not None:
-                lhs, rhs = x * top_y, top_x * y
-                if lhs < rhs or (lhs == rhs and step[0] > top):
-                    continue
-            pick, top, top_x, top_y = b, step[0], x, y
-        if pick is None:
-            pick = min(heads, key=lambda b: heads[b][0][0])
-        step, num, den, _, _ = heads[pick]
-        queue = queues[pick]
-        if queue:
-            heads[pick] = queue.pop()
-        else:
-            del heads[pick]
-        steps.append(step)
-        if num is not None:  # a pivot: num and den are its block's pair, den L times the block's minor
-            others = g // minors[pick]
-            pivots[step[0]] = (num * others, den * others)
-            scales[step[0]] = g
-            g = others * num
-            minors[pick] = num
-
-    for k in range(dim):
-        if pivots[k] is None:
-            pivots[k] = (0, L * g)
-            scales[k] = g
-    return CongruenceFactorization(
-        basis=basis,
-        pivots=tuple(pivots),
-        steps=tuple(steps),
-        column_scales=tuple(scales),
-        inverse_rows=tuple(inverse_rows),
-    )
+            unlinked = []
+            for j in rest:
+                if ri[j] or ii[j]:
+                    block.append(j)
+                else:
+                    unlinked.append(j)
+            rest = unlinked
+        for i in block:
+            labels[i] = label
+        label += 1
+    return labels
 
 
 def _integer_rows(scaled: tuple) -> tuple:
@@ -329,51 +238,73 @@ def _integer_rows(scaled: tuple) -> tuple:
     return tuple(basis), L // g, re, im
 
 
-def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
-    """Symmetric Bareiss elimination of (re + i*im) / L over Gaussian integers.
+def _bareiss(basis, L: int, re, im, labels) -> CongruenceFactorization:
+    """Symmetric Bareiss elimination of (re + i*im) / L over Gaussian integers, a pivot minor per block.
 
     `re` and `im` are the rows of a Hermitian matrix of ints over `basis`
-    and L > 0; the rows are overwritten.  Let m_s be the principal minor of
-    re + i*im on the first s pivots, after any bumps (m_0 = 1).  An active
-    entry a_ij then holds m_s * L times the matching entry of the rational Schur
-    complement.  Pivoting on k, with p = a_kk = m_{s+1}, maps a_ij to
+    and L > 0; the rows are overwritten.  `labels[k]` names the block of
+    index k, and no nonzero entry links two blocks.  Let m_s be the
+    principal minor of a block on its first s pivots, after any bumps
+    (m_0 = 1).  An active entry a_ij of that block then holds m_s * L times
+    the matching entry of the rational Schur complement.  Pivoting on k,
+    with p = a_kk = m_{s+1}, maps a_ij over k's block to
     (p * a_ij - a_ik * a_kj) / m_s; Sylvester's identity makes the division
-    exact, and a remainder raises CertificateFailure.  The pivot gets
-    pivots[k] = (p, L * m_s).  The transform is not formed: each pivot and
+    exact, and a remainder raises CertificateFailure.  The pivot minor g of
+    the whole matrix is the product of the block minors, so the pivot gets
+    pivots[k] = (p * g / m_s, L * g) and column scale g, as the whole-matrix
+    elimination gives them.  The transform is not formed: each pivot and
     bump is recorded as a step, and `integer_column` replays them.
 
-    Pivot rule: among the active diagonal, take the entry of largest absolute
-    value (smallest index on ties).  If the active diagonal is all zero but an
+    Pivot rule: among the active diagonal, take the entry of largest
+    |a_kk| / |m_s|, its block's minor, which orders the entries of the
+    rational complement; blocks are compared by cross-multiplied ints, the
+    smallest index on ties.  If the active diagonal is all zero but an
     active off-diagonal entry remains, add row/column j into row/column i
-    (factor 1, or i when the entry is purely imaginary) to create a pivot.
+    (factor 1, or i when the entry is purely imaginary) to create a pivot,
+    i the least such row.  With every index in one block this is the plain
+    symmetric Bareiss elimination.
     """
     dim = len(re)
-    scales = [1] * dim
-    inverse_rows = [None] * dim
-    unit = None  # integer rows of T^-1 for active indices, once a bump has moved them
-    prev = 1
+    blocks = {}  # label -> [pivot minor, active indices ascending]
+    for k, label in enumerate(labels):
+        blocks.setdefault(label, [1, []])[1].append(k)
+    pivots, scales, inverse_rows = [None] * dim, [None] * dim, [None] * dim
+    unit = {}  # integer rows of T^-1 for the active indices of each block a bump has moved
+    g = 1
     steps = []
-    active = list(range(dim))
+    left = dim  # indices not yet pivoted
 
-    while active:
-        best, best_mag = None, 0
-        for k in active:
-            mag = abs(re[k][k])
-            if mag > best_mag:
-                best, best_mag = k, mag
-        if best is None:
+    while left:
+        block = None
+        for state in blocks.values():
+            minor, active = state
+            best, best_mag = None, 0
+            for k in active:
+                mag = abs(re[k][k])
+                if mag > best_mag:
+                    best, best_mag = k, mag
+            if best is None:
+                continue
+            if block is not None:  # |a_kk| / |minor| against the best block's so far
+                lhs, rhs = best_mag * abs(block[0]), top_mag * abs(minor)
+                if lhs < rhs or (lhs == rhs and best > top):
+                    continue
+            block, top, top_mag = state, best, best_mag
+        if block is None:
+            rows = sorted(chain.from_iterable(active for _, active in blocks.values()))
             bump = next(
                 (
                     (i, j)
-                    for i in active
-                    for j in active
+                    for i in rows
+                    for j in blocks[labels[i]][1]
                     if i != j and (re[i][j] or im[i][j])
                 ),
                 None,
             )
             if bump is None:
-                break  # all-zero active block: zeros of the diagonal
+                break  # all-zero active blocks: zeros of the diagonal
             i, j = bump
+            active = blocks[labels[i]][1]
             # a factor of 1 creates 2*Re(entry); fall back to i when that is zero
             fr, fi = (1, 0) if re[i][j] else (0, 1)
             # congruence: column i += f * column j, then row i += conj(f) * row j
@@ -386,8 +317,8 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
                 re[i][c] += fr * a + fi * b
                 im[i][c] += fr * b - fi * a
             steps.append((i, j, fr, fi))
-            if unit is None:
-                unit = {a: ([int(a == c) for c in range(dim)], [0] * dim) for a in active}
+            if i not in unit:
+                unit.update((a, ([int(a == c) for c in range(dim)], [0] * dim)) for a in active)
             (ur, ui), (vr, vi) = unit[j], unit[i]
             for c in range(dim):
                 a, b = vr[c], vi[c]
@@ -395,13 +326,14 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
                 ui[c] -= fr * b + fi * a
             continue
 
-        k = best
+        prev, active = block
+        k = top
         p = re[k][k]
         rk, ik = re[k], im[k]
         entries = tuple((c, rk[c], ik[c]) for c in active)
         steps.append((k, p, entries))
-        # row k of T^-1 is sum_c a_kc * (row c of T^-1) over the active c, divided by p
-        if unit is None:
+        # row k of T^-1 is sum_c a_kc * (row c of T^-1) over the active c of its block, divided by p
+        if k not in unit:
             inverse_rows[k] = (p, entries)
         else:
             sr, si = [0] * dim, [0] * dim
@@ -415,7 +347,12 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
             inverse_rows[k] = (p, tuple((t, sr[t], si[t]) for t in range(dim)))
             del unit[k]
         active.remove(k)
-        scales[k] = prev
+        left -= 1
+        num = p if g == prev else p * (g // prev)  # times the other blocks' minors
+        pivots[k] = (num, L * g)
+        scales[k] = g
+        g = num
+        block[0] = p
         col = [(i, re[i][k], im[i][k]) for i in active]
 
         # active block: upper triangle, mirrored into the lower
@@ -433,18 +370,19 @@ def _bareiss(basis, L: int, re, im) -> CongruenceFactorization:
                 ii[j] = ni
                 re[j][i] = nr
                 im[j][i] = -ni
-        prev = p
 
-    for i in active:
-        scales[i] = prev
-        if unit is None:
-            inverse_rows[i] = (1, ((i, 1, 0),))
-        else:
-            ur, ui = unit[i]
-            inverse_rows[i] = (1, tuple((t, ur[t], ui[t]) for t in range(dim)))
+    for _, active in blocks.values():
+        for i in active:
+            pivots[i] = (0, L * g)
+            scales[i] = g
+            if i in unit:
+                ur, ui = unit[i]
+                inverse_rows[i] = (1, tuple((t, ur[t], ui[t]) for t in range(dim)))
+            else:
+                inverse_rows[i] = (1, ((i, 1, 0),))
     return CongruenceFactorization(
         basis=basis,
-        pivots=tuple((re[k][k], L * scales[k]) for k in range(dim)),
+        pivots=tuple(pivots),
         steps=tuple(steps),
         column_scales=tuple(scales),
         inverse_rows=tuple(inverse_rows),

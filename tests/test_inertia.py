@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -351,7 +352,10 @@ def test_oracle_parity_covers_both_bump_factors():
 
 # Columns and witnesses recorded from the engine that carried the whole
 # transform through the elimination: dense, bump-after-pivot, two-bump and
-# zero-block inputs, and squared-norm product tables.
+# zero-block inputs, and squared-norm product tables.  `rotated-split-d0`,
+# rotated pD(3, 4) at d = 0 (dimension 15 in blocks of 5, 4, 3, 1, 1, 1), was
+# recorded from the engine that eliminated each block in its own call and
+# merged their steps.
 WITNESS_REFERENCE = json.loads(
     (Path(__file__).parent / "data" / "witness_reference.json").read_text()
 )
@@ -468,7 +472,7 @@ def test_integer_pivot_verdicts_match_the_oracle(rows, L):
     assert value == quadratic_form(M, [G(*z) for z in vector]).re == scale**2 * ref.diag[k]
 
 
-# -- block split ---------------------------------------------------------------
+# -- blocks ----------------------------------------------------------------------
 
 
 def _int_table(rows, L=1):
@@ -476,8 +480,22 @@ def _int_table(rows, L=1):
     return L, {((i,), (j,)): z for i, row in enumerate(rows) for j, z in enumerate(row)}
 
 
+def _one_block(scaled):
+    """The factorization of (L, table) with every index in one block: one pivot minor for the whole matrix."""
+    basis, L, re, im = _integer_rows(scaled)
+    return _bareiss(basis, L, re, im, [0] * len(basis))
+
+
+@contextmanager
+def _all_one_block():
+    """Factor every matrix with every index in one block, in place of its connected components."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inertia_module, "_blocks", lambda re, im: [0] * len(re))
+        yield
+
+
 def _same_factorization(fact, whole):
-    # every integer datum the whole-matrix elimination leaves, but the block-scaled steps and inverse rows
+    # every integer datum the one-minor elimination leaves, but the block-scaled steps and inverse rows
     assert fact.basis == whole.basis
     assert fact.pivots == whole.pivots
     assert fact.column_scales == whole.column_scales
@@ -488,22 +506,19 @@ def _same_factorization(fact, whole):
     ]
 
 
-@contextmanager
-def _split_from(size):
-    """Look for blocks from `size` indices up, in place of `_SPLIT_MIN_DIM`."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inertia_module, "_SPLIT_MIN_DIM", size)
-        yield
-
-
 @given(hermitian_direct_sums())
 @settings(max_examples=150, deadline=None)
 def test_blocks_are_the_connected_components(case):
+    # each index is labelled with its component, components numbered in order of their least index
     rows, blocks = case
     re = [[x for x, _ in row] for row in rows]
     im = [[y for _, y in row] for row in rows]
     covered = {i for block in blocks for i in block}
-    expected = sorted(blocks + [[i] for i in range(len(rows)) if i not in covered])
+    components = sorted(blocks + [[i] for i in range(len(rows)) if i not in covered])
+    expected = [None] * len(rows)
+    for label, component in enumerate(components):
+        for i in component:
+            expected[i] = label
     assert _blocks(re, im) == expected
 
 
@@ -511,13 +526,13 @@ def test_blocks_are_the_connected_components(case):
 @example(([[(0, 0), (0, 3), (0, 0)], [(0, -3), (0, 0), (0, 0)], [(0, 0), (0, 0), (-2, 0)]], [[0, 1], [2]]), 1)
 @settings(max_examples=200, deadline=None)
 def test_block_split_matches_the_whole_matrix_elimination(case, L):
+    # at every size, a minor per block gives what one minor for the whole matrix gives, witness included
     rows, _ = case
     scaled = _int_table(rows, L)
-    with _split_from(0):
-        fact = congruence_factorization(scaled)
-        split_verdict = psi._psd_verdict(scaled)
-    _same_factorization(fact, _bareiss(*_integer_rows(scaled)))
-    with _split_from(len(rows) + 1):
+    fact = congruence_factorization(scaled)
+    split_verdict = psi._psd_verdict(scaled)
+    _same_factorization(fact, _one_block(scaled))
+    with _all_one_block():
         whole_verdict = psi._psd_verdict(scaled)
     ok, cert = split_verdict
     assert ok == whole_verdict[0]
@@ -530,8 +545,7 @@ def test_block_split_matches_the_whole_matrix_elimination(case, L):
 def test_block_split_matches_the_rational_oracle(case, L):
     rows, _ = case
     M = [[G(Fraction(x, L), Fraction(y, L)) for x, y in row] for row in rows]
-    with _split_from(0):
-        fact = congruence_factorization(_int_table(rows, L))
+    fact = congruence_factorization(_int_table(rows, L))
     ref = rational_congruence_factorization(M)
     assert (fact.pivot_log, fact.diag) == (ref.pivot_log, ref.diag)
     assert rational_transform(fact) == ref.transform
@@ -541,17 +555,17 @@ def test_block_split_matches_the_rational_oracle(case, L):
 def _counting_bareiss(monkeypatch):
     calls = []
 
-    def counted(basis, L, re, im):
-        calls.append(len(basis))
-        return _bareiss(basis, L, re, im)
+    def counted(basis, L, re, im, labels):
+        calls.append((len(basis), sorted(Counter(labels).values(), reverse=True)))
+        return _bareiss(basis, L, re, im, labels)
 
     monkeypatch.setattr(inertia_module, "_bareiss", counted)
     return calls
 
 
 def test_connected_input_takes_one_whole_elimination(monkeypatch):
-    # a tridiagonal matrix above the split size: the scan walks the chain and finds one block
-    dim = inertia_module._SPLIT_MIN_DIM + 2
+    # every input, connected or a direct sum, small or large, is one elimination, labelled by its blocks
+    dim = 14
     rows = [[(0, 0)] * dim for _ in range(dim)]
     for i in range(dim):
         rows[i][i] = (2 * (i % 3) - 1, 0)
@@ -559,36 +573,39 @@ def test_connected_input_takes_one_whole_elimination(monkeypatch):
             rows[i][i + 1], rows[i + 1][i] = (1, i % 2), (1, -(i % 2))
     calls = _counting_bareiss(monkeypatch)
     fact = congruence_factorization(_int_table(rows))
-    assert calls == [dim]
-    _same_factorization(fact, _bareiss(*_integer_rows(_int_table(rows))))
-    # below the split size even a direct sum is eliminated whole
+    assert calls == [(dim, [dim])]
+    _same_factorization(fact, _one_block(_int_table(rows)))
+    # a small direct sum and a large one, split into their blocks
     calls.clear()
     congruence_factorization(_int_table([[(1, 0), (0, 0)], [(0, 0), (-1, 0)]]))
-    assert calls == [2]
+    sum_rows = [[(0, 0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        sum_rows[i][i] = (i - 5, 0)
+    congruence_factorization(_int_table(sum_rows))
+    assert calls == [(2, [1, 1]), (dim, [1] * dim)]
 
 
 def test_rotated_dense_family_factors_block_by_block(monkeypatch):
     # pD(3, 4) rotated in the plane of z_1, z_2: its product matrix at d = 1 has dimension 21 in blocks
-    # 6, 5, 4, 3, 1, 1, 1, each eliminated on its own, and the result is the whole-matrix elimination's
+    # 6, 5, 4, 3, 1, 1, 1, each with its own minor in the one elimination, and the result is the one-minor one's
     r = plane_rotated(generate_pD(3, 4))
     assert any(im for _, im in r.table.values())
     scaled = next(islice(hermitian_powers(r), 1, None))
     basis, _, re, im = _integer_rows(scaled)
-    assert sorted(map(len, _blocks(re, im)), reverse=True) == [6, 5, 4, 3, 1, 1, 1]
+    assert sorted(Counter(_blocks(re, im)).values(), reverse=True) == [6, 5, 4, 3, 1, 1, 1]
     calls = _counting_bareiss(monkeypatch)
     fact = congruence_factorization(scaled)
-    assert sorted(calls, reverse=True) == [6, 5, 4, 3, 1, 1, 1]
-    _same_factorization(fact, _bareiss(*_integer_rows(scaled)))
+    assert calls == [(21, [6, 5, 4, 3, 1, 1, 1])]
+    _same_factorization(fact, _one_block(scaled))
     assert fact.inertia == (20, 0, 1)
     # the dimension cap counts the whole matrix, not its largest block
     monkeypatch.setenv("PSI_MAX_DIM", str(len(basis) - 1))
     with pytest.raises(ExplicitLimit):
         congruence_factorization(scaled)
     monkeypatch.delenv("PSI_MAX_DIM")
-    # at d = 0 (dimension 15) it is not a member: the witness is the whole-matrix one
+    # at d = 0 (dimension 15) it is not a member: the witness is the one-minor elimination's
     own = next(hermitian_powers(r))
     ok, witness = psi._psd_verdict(own)
     assert not ok and witness.value < 0
-    whole = _bareiss(*_integer_rows(own))
-    k = next(k for k, (num, den) in enumerate(whole.pivots) if num and (num > 0) != (den > 0))
-    assert witness.vector == whole.integer_column(k)
+    with _all_one_block():
+        assert psi._psd_verdict(own) == (False, witness)

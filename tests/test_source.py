@@ -62,15 +62,36 @@ def _references(tree, names):
 
 
 def test_congruence_engine_has_one_door():
-    # the row layout and the Bareiss body are reached only through inertia.congruence_factorization
-    private = {"_integer_rows", "_bareiss"}
+    # the row layout, the block labels and the Bareiss body are reached only through inertia.congruence_factorization
+    private = {"_integer_rows", "_blocks", "_bareiss"}
     uses = sorted(
         (f"{path.relative_to(PACKAGE)}:{owner}", name)
         for path in sorted(PACKAGE.rglob("*.py"))
         for owner, name in _references(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), private)
     )
     door = "inertia.py:congruence_factorization"
-    assert uses == [(door, "_bareiss"), (door, "_integer_rows")], f"other uses of the engine: {uses}"
+    assert uses == [(door, "_bareiss"), (door, "_blocks"), (door, "_integer_rows")], f"other uses of the engine: {uses}"
+
+
+def test_factorizations_are_built_at_one_site():
+    # one elimination body builds every CongruenceFactorization; nothing assembles one from pieces
+    sites = [
+        f"{path.relative_to(PACKAGE)}:{owner}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for owner, node in _calls(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+        == "CongruenceFactorization"
+    ]
+    assert sites == ["inertia.py:_bareiss"], f"CongruenceFactorization built at: {sites}"
+
+
+def _calls(tree):
+    """(enclosing top-level function or None, call node) for each call in `tree`."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                yield owner, node
 
 
 def test_congruence_engine_holds_no_gaussian_rationals():
