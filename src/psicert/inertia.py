@@ -1,11 +1,13 @@
 """Exact inertia of Hermitian coefficient tables by fraction-free congruence.
 
-The one entry, `congruence_factorization`, takes a Gaussian-integer table
-(L, {(alpha, beta): (re, im)}) standing for table / L, as a
-`polycore.HermitianPoly` holds it or as the power and multiplier shift
-passes build it.  It lays the table out as dense integer rows over the sorted index
-set and runs symmetric Bareiss elimination (Bareiss 1968) over Gaussian
-integers held as pairs of Python ints.  Sylvester's identity makes every
+The one entry, `congruence_factorization`, takes a `polycore.HermitianPoly`
+r, as the readers and the power and multiplier shift passes build it: its
+Gaussian-integer table {(alpha, beta): (re, im)} over both triangles,
+Hermitian and over the minimal scale L, stands for table / L, and the type
+holds both conditions, so nothing here checks them again.  It lays the
+table out as dense integer rows over the sorted index set and runs
+symmetric Bareiss elimination (Bareiss 1968) over Gaussian integers held
+as pairs of Python ints.  Sylvester's identity makes every
 division exact, and the pivot signs come from ratios of successive pivot
 minors.  Pivots are 1x1 only.  When the active diagonal vanishes but the
 block does not, a congruence that adds one row/column into another (with a
@@ -24,7 +26,7 @@ replays one column of the congruence transform on demand, and the
 transform's inverse as Gaussian-integer rows over their pivots.  The
 inertia is read off the signs of the pairs; `diag`, the same entries as
 reduced Fractions, is built on first access.  Vectors are tuples of
-(re, im) int pairs; `table_quadratic_form` evaluates a witness on the table
+(re, im) int pairs; `table_quadratic_form` evaluates a witness on r's table
 itself.
 """
 
@@ -37,7 +39,7 @@ from functools import cached_property
 from itertools import chain
 from math import gcd
 
-from .errors import CertificateFailure, ExplicitLimit, NotHermitian, PsicertError
+from .errors import CertificateFailure, ExplicitLimit, PsicertError
 from .polycore import HermitianPoly
 
 _HARD_DIM_CAP = 2048
@@ -160,22 +162,20 @@ class CongruenceFactorization:
         return tuple(column)
 
 
-def congruence_factorization(scaled: tuple) -> CongruenceFactorization:
-    """Exact congruence factorization of the coefficient matrix of table / L.
+def congruence_factorization(r: HermitianPoly) -> CongruenceFactorization:
+    """Exact congruence factorization of the coefficient matrix of r.
 
-    `scaled` is (L, table) with table mapping (alpha, beta) to (re, im)
-    ints, as a `HermitianPoly` holds it (`(r.scale, r.table)`); the matrix is indexed
-    by the sorted index set, which the factorization carries as `basis`.
-    Pivots are deterministic.  A table that is not Hermitian raises
-    NotHermitian, and one over more than `PSI_MAX_DIM` indices ExplicitLimit:
-    the cap counts the whole matrix, not its largest block.
+    The matrix is r.table / r.scale, indexed by the sorted index set, which
+    the factorization carries as `basis`.  Pivots are deterministic.  A
+    table over more than `PSI_MAX_DIM` indices raises ExplicitLimit: the cap
+    counts the whole matrix, not its largest block.
 
     Every matrix takes the same path: its rows, the connected blocks of
     their nonzero pattern, and one elimination that keeps a pivot minor per
     block.
     """
-    basis, L, re, im = _integer_rows(scaled)
-    return _bareiss(basis, L, re, im, _blocks(re, im))
+    basis, re, im = _integer_rows(r)
+    return _bareiss(basis, r.scale, re, im, _blocks(re, im))
 
 
 def _blocks(re, im) -> list:
@@ -205,37 +205,25 @@ def _blocks(re, im) -> list:
     return labels
 
 
-def _integer_rows(scaled: tuple) -> tuple:
-    """(basis, L', re, im): dense rows of the coefficient matrix of table / L.
+def _integer_rows(r: HermitianPoly) -> tuple:
+    """(basis, re, im): dense rows of r.scale times the coefficient matrix of r.
 
-    `scaled` is (L, table) as for `congruence_factorization`; the
-    basis is the sorted index set.  Entries and L are divided by
-    g = gcd(L, every entry), so L' is the lcm of the denominators of
-    table / L and the rows are L' times the rational matrix.  The dimension
-    cap is checked before any row is allocated, and a table that is not
-    Hermitian raises NotHermitian.
+    The basis is the sorted index set.  The dimension cap is checked before
+    any row is allocated.
     """
-    L, table = scaled
-    basis = sorted({a for key in table for a in key})
+    basis = sorted({a for key in r.table for a in key})
     dim = len(basis)
     cap = _dim_cap()
     if dim > cap:
         raise ExplicitLimit(f"dimension {dim} exceeds cap {cap}")
-    for (alpha, beta), (x, y) in table.items():
-        if alpha == beta:
-            if y:
-                raise NotHermitian(f"diagonal entry at {alpha} is not real")
-        elif table.get((beta, alpha)) != (x, -y):
-            raise NotHermitian(f"entries at {(alpha, beta)} and {(beta, alpha)} are not conjugate")
-    g = gcd(L, *chain.from_iterable(table.values()))
     pos = {b: i for i, b in enumerate(basis)}
     re = [[0] * dim for _ in range(dim)]
     im = [[0] * dim for _ in range(dim)]
-    for (alpha, beta), (x, y) in table.items():
+    for (alpha, beta), (x, y) in r.table.items():
         i, j = pos[alpha], pos[beta]
-        re[i][j] = x // g
-        im[i][j] = y // g
-    return tuple(basis), L // g, re, im
+        re[i][j] = x
+        im[i][j] = y
+    return tuple(basis), re, im
 
 
 def _bareiss(basis, L: int, re, im, labels) -> CongruenceFactorization:
@@ -389,30 +377,28 @@ def _bareiss(basis, L: int, re, im, labels) -> CongruenceFactorization:
     )
 
 
-def table_quadratic_form(scaled: tuple, basis, v) -> Fraction:
-    """v* (table / L) v for v a tuple of (re, im) int pairs over `basis`, in ints.
+def table_quadratic_form(r: HermitianPoly, basis, v) -> Fraction:
+    """v* M v for M the coefficient matrix of r and v a tuple of (re, im) int pairs over `basis`, in ints.
 
-    `scaled` is (L, table) with table mapping (alpha, beta) to (re, im)
-    ints, as for `congruence_factorization`.
+    A nonzero imaginary part raises CertificateFailure.
     """
-    L, table = scaled
     comps = {b: z for b, z in zip(basis, v) if z[0] or z[1]}
     acc_re = acc_im = 0
-    for (alpha, beta), (x, y) in table.items():
+    for (alpha, beta), (x, y) in r.table.items():
         va = comps.get(alpha)
         vb = comps.get(beta)
         if va is None or vb is None:
             continue
         # conj(va) * (x + iy) * vb
-        (p, q), (r, s) = va, vb
-        t_re, t_im = x * r - y * s, x * s + y * r
+        (p, q), (u, w) = va, vb
+        t_re, t_im = x * u - y * w, x * w + y * u
         acc_re += p * t_re + q * t_im
         acc_im += p * t_im - q * t_re
     if acc_im:
-        raise CertificateFailure(f"v* M v has imaginary part {Fraction(acc_im, L)}")
-    return Fraction(acc_re, L)
+        raise CertificateFailure(f"v* M v has imaginary part {Fraction(acc_im, r.scale)}")
+    return Fraction(acc_re, r.scale)
 
 
 def inertia(r: HermitianPoly) -> tuple:
     """(n_plus, n_minus, n_zero) of r's coefficient matrix over its index set, exactly."""
-    return congruence_factorization((r.scale, r.table)).inertia
+    return congruence_factorization(r).inertia

@@ -740,43 +740,42 @@ def diagonal_real_bridge(r: HermitianPoly) -> RealSparsePoly:
     return RealSparsePoly._from_table(r.n, r.scale, {a: x for (a, _), (x, _) in r.table.items()})
 
 
-def _shift_table(scaled: tuple, exps) -> tuple:
-    """(L, T') with T'(alpha + delta, beta + delta) = sum over delta in exps of T(alpha, beta).
+def _shift_table(r: HermitianPoly, exps) -> HermitianPoly:
+    """r * sum over delta in exps of |z^delta|^2.
 
-    For (L, T) the table of r this is the table of r * sum_delta |z^delta|^2;
-    zero entries are dropped.
+    Its table is T'(alpha + delta, beta + delta) = sum over delta of
+    T(alpha, beta), T r's table; zero entries are dropped and the scale
+    made minimal.
     """
-    L, table = scaled
     moved: dict = {}
-    for key in table:
+    for key in r.table:
         for a in key:
             if a not in moved:
                 moved[a] = [tuple(map(add, a, delta)) for delta in exps]
     out: dict = {}
     get = out.get
-    for (alpha, beta), (x, y) in table.items():
+    for (alpha, beta), (x, y) in r.table.items():
         for key in zip(moved[alpha], moved[beta]):
             cur = get(key)
             out[key] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
-    return L, {key: v for key, v in out.items() if v[0] or v[1]}
+    return HermitianPoly._from_table(r.n, r.scale, {key: v for key, v in out.items() if v[0] or v[1]})
 
 
 def hermitian_powers(r: HermitianPoly):
-    """Yield (L, table) for d = 0, 1, 2, ...: table / L = r * |z|^(2d).
+    """Yield r * |z|^(2d) for d = 0, 1, 2, ..., r itself first.
 
-    The d = 0 table is r's own; since |z|^2 = |z_1|^2 + ... + |z_n|^2, each
-    step is one shift pass over the unit vectors, in Python ints.
+    Since |z|^2 = |z_1|^2 + ... + |z_n|^2, each step is one shift pass over
+    the unit vectors, in Python ints.
     """
     units = [tuple(int(i == k) for i in range(r.n)) for k in range(r.n)]
-    scaled = r.scale, r.table
     while True:
-        yield scaled
-        scaled = _shift_table(scaled, units)
+        yield r
+        r = _shift_table(r, units)
 
 
-def hermitian_multiplier_table(r: HermitianPoly, s) -> tuple:
-    """(L, table) with table / L = r * sum_j |z^{alpha_j}|^2, alpha_j distinct."""
-    return _shift_table((r.scale, r.table), multiplier_exponents(s, r.n))
+def hermitian_multiplier_table(r: HermitianPoly, s) -> HermitianPoly:
+    """r * sum_j |z^{alpha_j}|^2, the alpha_j checked by `multiplier_exponents`."""
+    return _shift_table(r, multiplier_exponents(s, r.n))
 
 
 # ---------------------------------------------------------------------------

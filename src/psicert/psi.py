@@ -109,21 +109,21 @@ def in_psi_diagonal(p: RealSparsePoly, d: int) -> PsiReport:
     return _nonnegative_verdict(p if d == 0 else simplex_power_lines(p, d), d)
 
 
-def _psd_verdict(scaled: tuple) -> tuple:
-    """Factor the product table (L, table) once.
+def _psd_verdict(product: HermitianPoly) -> tuple:
+    """Factor the product's coefficient matrix once.
 
     (True, CongruenceFactorization) or (False, NegativeDirectionWitness).  The
     witness is the transform column of the first negative pivot; its value
-    v* M v is evaluated again on the table rather than read off the
-    factorization, and a value that is not negative raises
+    v* M v is evaluated again on the product's table rather than read off
+    the factorization, and a value that is not negative raises
     CertificateFailure.
     """
-    fact = congruence_factorization(scaled)
+    fact = congruence_factorization(product)
     k = next((k for k, (num, den) in enumerate(fact.pivots) if num and (num > 0) != (den > 0)), None)
     if k is None:
         return True, fact
     v = fact.integer_column(k)
-    value = table_quadratic_form(scaled, fact.basis, v)
+    value = table_quadratic_form(product, fact.basis, v)
     if value >= 0:
         raise CertificateFailure(f"negative pivot {k} gives v* M v = {value} >= 0")
     return False, NegativeDirectionWitness(v, fact.basis, value)
@@ -155,7 +155,7 @@ def signature(obj) -> SignaturePair:
     obj = _routed(obj)
     if isinstance(obj, RealSparsePoly):
         return sign_counts(obj)
-    pos, neg, _zero = congruence_factorization((obj.scale, obj.table)).inertia
+    pos, neg, _zero = congruence_factorization(obj).inertia
     return SignaturePair(pos, neg)
 
 
@@ -195,8 +195,8 @@ def min_psi_index(obj, d_max: int = DEFAULT_POWER_CAP) -> int | None:
             if lines.is_nonnegative():
                 return d
         return None
-    for d, scaled in zip(range(d_max + 1), hermitian_powers(obj)):
-        if congruence_factorization(scaled).inertia[1] == 0:
+    for d, product in zip(range(d_max + 1), hermitian_powers(obj)):
+        if congruence_factorization(product).inertia[1] == 0:
             return d
     return None
 

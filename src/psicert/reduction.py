@@ -114,12 +114,13 @@ def _apply(rotation, a, b) -> tuple:
     )
 
 
-def _table(basis, terms) -> tuple:
-    """(den, table): the upper triangle (alpha <= beta) of sum weight |row . Z|^2 times den.
+def _squares(n: int, basis, terms) -> HermitianPoly:
+    """sum weight |row . Z|^2 over the (row, weight) terms, in n variables.
 
     `terms` are (row, weight) pairs with Gaussian-integer rows over the
-    sorted `basis` and Fraction weights; the table maps (alpha, beta) to
-    (re, im) ints and holds no zero entries.
+    sorted `basis` and Fraction weights; the upper triangle (alpha <= beta)
+    is summed in ints over the lcm of the weights' denominators and closed
+    by conjugation.
     """
     den = lcm(*(w.denominator for _, w in terms))
     out: dict = {}
@@ -135,21 +136,8 @@ def _table(basis, terms) -> tuple:
                 re, im = sx * u + sy * t, sx * t - sy * u
                 cur = get(key)
                 out[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-    return den, {key: z for key, z in out.items() if z[0] or z[1]}
-
-
-def _add_squares(target: HermitianPoly, basis, terms) -> HermitianPoly:
-    """target + sum weight |row . Z|^2 over the (row, weight) terms, on integer tables."""
-    den, table = _table(basis, terms)
-    L = target.scale
-    m = lcm(den, L)
-    f, g = m // L, m // den
-    sums = {key: (x * f, y * f) for key, (x, y) in target.table.items() if key[0] <= key[1]}
-    for key, (x, y) in table.items():
-        u, t = sums.get(key, (0, 0))
-        sums[key] = (u + x * g, t + y * g)
-    upper = {key: v for key, v in sums.items() if v[0] or v[1]}
-    return HermitianPoly._from_table(target.n, m, _hermitian_closure(upper))
+    upper = {key: z for key, z in out.items() if z[0] or z[1]}
+    return HermitianPoly._from_table(n, den, _hermitian_closure(upper))
 
 
 def decompose(r: HermitianPoly) -> DecomposedForm:
@@ -176,7 +164,7 @@ def decompose(r: HermitianPoly) -> DecomposedForm:
             row[j] = (1, 0)
             (plus if c > 0 else minus).append((tuple(row), Fraction(abs(c), routed.scale)))
     else:
-        fact = congruence_factorization((r.scale, r.table))
+        fact = congruence_factorization(r)
         basis = fact.basis
         for d, (den, entries) in zip(fact.diag, fact.inverse_rows):
             if not d:
@@ -331,7 +319,7 @@ def partial_row_echelon(form: DecomposedForm) -> tuple:
         minus_rows=tuple(row for _, row, _ in minus),
         minus_weights=tuple(v for _, _, v in minus),
         basis=form.basis,
-        target=_add_squares(form.target, form.basis, moved) if moved else form.target,
+        target=form.target + _squares(form.target.n, form.basis, moved) if moved else form.target,
     )
     if not is_partial_row_echelon(reduced):
         raise CertificateFailure("reduction finished without distinct leading columns")
@@ -351,10 +339,5 @@ def reconstruction_error(form: DecomposedForm) -> Fraction:
         return Fraction(0)
     terms = list(zip(form.plus_rows, form.plus_weights))
     terms += [(row, -v) for row, v in zip(form.minus_rows, form.minus_weights)]
-    den, got = _table(form.basis, terms)
-    L, want = form.target.scale, form.target.table
-    gap = 0
-    for key in got.keys() | {key for key in want if key[0] <= key[1]}:
-        (x, y), (u, t) = got.get(key, (0, 0)), want.get(key, (0, 0))
-        gap = max(gap, abs(x * L - u * den), abs(y * L - t * den))
-    return Fraction(gap, den * L)
+    gap = _squares(form.target.n, form.basis, terms) + form.target.times(-1)
+    return Fraction(max((abs(x) for z in gap.table.values() for x in z), default=0), gap.scale)

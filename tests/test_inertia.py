@@ -40,6 +40,7 @@ from psicert.polycore import (
     GaussianRational,
     HermitianPoly,
     RealSparsePoly,
+    _hermitian_closure,
     hermitian_powers,
     real_to_diagonal,
     sign_counts,
@@ -52,18 +53,19 @@ def G(re, im=0):
 
 
 def _table(rows):
-    """(L, table) of a square matrix of exact entries, zeros kept, row i indexed by (i,).
+    """The HermitianPoly of a square matrix of exact entries, zeros kept, row i indexed by (i,).
 
-    L is the lcm of the entry denominators, so the engine receives L times
-    the matrix.  Nothing is checked here: symmetry and size are the engine's.
+    Built over L, the lcm of the entry denominators; the constructor checks
+    symmetry and makes the scale minimal, and the engine checks the size.
     """
     rows = [[x if isinstance(x, GaussianRational) else G(x) for x in row] for row in rows]
     L = lcm(1, *(q.denominator for row in rows for x in row for q in (x.re, x.im)))
-    return L, {
+    table = {
         ((i,), (j,)): (int(x.re * L), int(x.im * L))
         for i, row in enumerate(rows)
         for j, x in enumerate(row)
     }
+    return HermitianPoly._from_table(1, L, _hermitian_closure(table))
 
 
 def _factor(rows):
@@ -105,10 +107,11 @@ def test_inertia_purely_imaginary_offdiag_zero_diagonal():
 
 
 def test_not_hermitian_rejected():
+    # the constructor rejects them, so no such table reaches the engine
     with pytest.raises(NotHermitian):
-        _factor([[1, 1], [2, 1]])
+        _table([[1, 1], [2, 1]])
     with pytest.raises(NotHermitian):
-        _factor([[G(0, 1), 0], [0, 1]])
+        _table([[G(0, 1), 0], [0, 1]])
 
 
 def test_dimension_cap(monkeypatch):
@@ -124,30 +127,36 @@ def test_dimension_cap(monkeypatch):
             _factor(rows)
 
 
-def test_integer_rows_checks_cap_and_symmetry(monkeypatch):
+def test_integer_rows_check_the_cap_and_the_constructor_checks_symmetry(monkeypatch):
     a, b = (1, 0), (0, 1)
     table = {(a, a): (6, 0), (a, b): (2, 4), (b, a): (2, -4), (b, b): (-8, 0)}
-    # gcd(12, entries) = 2 is divided out: the rows of 6M with M = table / 12
-    assert _integer_rows((12, table)) == ((b, a), 6, [[-4, 1], [1, 3]], [[0, -2], [2, 0]])
+    # gcd(12, entries) = 2 is divided out by the constructor: the rows of 6M with M = table / 12
+    r = HermitianPoly._from_table(2, 12, _hermitian_closure(table))
+    assert r.scale == 6
+    assert _integer_rows(r) == ((b, a), [[-4, 1], [1, 3]], [[0, -2], [2, 0]])
     monkeypatch.setenv("PSI_MAX_DIM", "1")
     with pytest.raises(ExplicitLimit):
-        _integer_rows((12, table))
+        _integer_rows(r)
     monkeypatch.delenv("PSI_MAX_DIM")
     with pytest.raises(NotHermitian):
-        _integer_rows((1, {**table, (b, a): (2, 4)}))
+        _hermitian_closure({**table, (b, a): (2, 4)})
     with pytest.raises(NotHermitian):
-        _integer_rows((1, {**table, (a, a): (6, 1)}))
-    with pytest.raises(NotHermitian):
-        _integer_rows((1, {(a, b): (1, 0)}))
+        _hermitian_closure({**table, (a, a): (6, 1)})
+    # an entry given on one side only is closed by conjugation, not rejected
+    assert _hermitian_closure({(a, b): (1, 2)}) == {(a, b): (1, 2), (b, a): (1, -2)}
 
 
 def test_factorization_carries_the_sorted_basis_and_ignores_a_common_factor():
     a, b = (1, 0), (0, 1)
     table = {(a, a): (6, 0), (a, b): (2, 4), (b, a): (2, -4), (b, b): (-8, 0)}
-    fact = congruence_factorization((12, table))
+    r = HermitianPoly._from_table(2, 12, table)
+    fact = congruence_factorization(r)
     assert fact.basis == (b, a)
-    # the same matrix with every entry and L tripled factors identically
-    tripled = congruence_factorization((36, {k: (3 * x, 3 * y) for k, (x, y) in table.items()}))
+    # the same matrix with every entry and L tripled is reduced to an equal polynomial, which factors identically
+    tripled_poly = HermitianPoly._from_table(2, 36, {k: (3 * x, 3 * y) for k, (x, y) in table.items()})
+    assert tripled_poly == r
+    tripled = congruence_factorization(tripled_poly)
+    assert tripled == fact
     assert (tripled.basis, tripled.diag, tripled.pivot_log) == (fact.basis, fact.diag, fact.pivot_log)
     assert rational_transform(tripled) == rational_transform(fact)
     assert rational_inverse(tripled) == rational_inverse(fact)
@@ -186,15 +195,15 @@ def test_factorization_round_trip_exact():
 
 
 def test_quadratic_form_imaginary_value_is_failure():
-    # a table holding only one triangle of [[0, 1], [0, 0]] gives v* M v = i at v = (1, i)
+    # a corrupted product holding only one triangle of [[0, 1], [0, 0]] gives v* M v = i at v = (1, i)
     basis = ((0,), (1,))
     with pytest.raises(CertificateFailure):
-        table_quadratic_form((1, {basis: (1, 0)}), basis, [(1, 0), (0, 1)])
+        table_quadratic_form(HermitianPoly._from_table(1, 1, {basis: (1, 0)}), basis, [(1, 0), (0, 1)])
 
 
 def test_psd_witness_that_does_not_reevaluate_is_failure(monkeypatch):
     # a value read as 0 instead of re-evaluated as -1 is not a witness
-    monkeypatch.setattr(psi, "table_quadratic_form", lambda scaled, basis, v: Fraction(0))
+    monkeypatch.setattr(psi, "table_quadratic_form", lambda product, basis, v: Fraction(0))
     with pytest.raises(CertificateFailure):
         psi._psd_verdict(_table([[1, 0], [0, -1]]))
 
@@ -363,7 +372,8 @@ WITNESS_REFERENCE = json.loads(
 
 @pytest.mark.parametrize("case", WITNESS_REFERENCE, ids=[c["name"] for c in WITNESS_REFERENCE])
 def test_columns_and_witness_match_reference(case):
-    scaled = case["L"], {(tuple(a), tuple(b)): tuple(z) for (a, b), z in case["entries"]}
+    table = {(tuple(a), tuple(b)): tuple(z) for (a, b), z in case["entries"]}
+    scaled = HermitianPoly._from_table(len(case["entries"][0][0][0]), case["L"], _hermitian_closure(table))
     fact = congruence_factorization(scaled)
     assert [list(e) for e in fact.pivot_log] == case["pivot_log"]
     assert [str(d) for d in fact.diag] == case["diag"]
@@ -454,7 +464,7 @@ def test_integer_pivot_verdicts_match_the_oracle(rows, L):
     # inertia, the first negative pivot's vector and value, and diag, read off the integer pivots,
     # are the rational eliminator's on (rows) / L
     M = [[G(Fraction(x, L), Fraction(y, L)) for x, y in row] for row in rows]
-    scaled = L, {((i,), (j,)): z for i, row in enumerate(rows) for j, z in enumerate(row)}
+    scaled = _int_table(rows, L)
     fact = congruence_factorization(scaled)
     ref = rational_congruence_factorization(M)
     assert fact.diag == ref.diag
@@ -476,14 +486,15 @@ def test_integer_pivot_verdicts_match_the_oracle(rows, L):
 
 
 def _int_table(rows, L=1):
-    """(L, table) of a matrix of (re, im) int pairs, zeros kept, row i indexed by (i,)."""
-    return L, {((i,), (j,)): z for i, row in enumerate(rows) for j, z in enumerate(row)}
+    """The HermitianPoly (rows) / L of a matrix of (re, im) int pairs, zeros kept, row i indexed by (i,)."""
+    table = {((i,), (j,)): z for i, row in enumerate(rows) for j, z in enumerate(row)}
+    return HermitianPoly._from_table(1, L, _hermitian_closure(table))
 
 
-def _one_block(scaled):
-    """The factorization of (L, table) with every index in one block: one pivot minor for the whole matrix."""
-    basis, L, re, im = _integer_rows(scaled)
-    return _bareiss(basis, L, re, im, [0] * len(basis))
+def _one_block(r):
+    """The factorization of r with every index in one block: one pivot minor for the whole matrix."""
+    basis, re, im = _integer_rows(r)
+    return _bareiss(basis, r.scale, re, im, [0] * len(basis))
 
 
 @contextmanager
@@ -591,7 +602,7 @@ def test_rotated_dense_family_factors_block_by_block(monkeypatch):
     r = plane_rotated(generate_pD(3, 4))
     assert any(im for _, im in r.table.values())
     scaled = next(islice(hermitian_powers(r), 1, None))
-    basis, _, re, im = _integer_rows(scaled)
+    basis, re, im = _integer_rows(scaled)
     assert sorted(Counter(_blocks(re, im)).values(), reverse=True) == [6, 5, 4, 3, 1, 1, 1]
     calls = _counting_bareiss(monkeypatch)
     fact = congruence_factorization(scaled)

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import islice
-from math import lcm
+from itertools import chain, islice
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from members import plane_rotated, random_psi1_member
 from oracles import (
     multiplier_product_matrix,
     multiply_by_simplex_power_direct,
@@ -19,7 +20,7 @@ from oracles import (
     rotate_plane,
 )
 from psicert.errors import CapExceeded, DuplicateMultiplierTerm
-from psicert.generators import example_fig2, generate_lambda_example
+from psicert.generators import example_fig2, generate_lambda_example, generate_pD
 from psicert.inertia import _integer_rows
 from psicert.polycore import (
     GR_ZERO,
@@ -27,6 +28,7 @@ from psicert.polycore import (
     HermitianPoly,
     RealSparsePoly,
     diagonal_real_bridge,
+    hermitian_multiplier_table,
     hermitian_powers,
     real_to_diagonal,
     simplex_power_lines,
@@ -467,8 +469,10 @@ def _assert_same_verdict(member, cert, M):
 @given(_hermitian_inputs(), st.integers(0, 3))
 def test_hermitian_route_matches_rational_assembly(r, d):
     M = product_matrix(r, d)
-    basis, L, re, im = _integer_rows(next(islice(hermitian_powers(r), d, None)))
-    # the engine receives exactly L * M, L the lcm of M's denominators
+    product = next(islice(hermitian_powers(r), d, None))
+    basis, re, im = _integer_rows(product)
+    # the engine receives exactly L * M, L = product.scale the lcm of M's denominators
+    L = product.scale
     assert basis == M.basis
     assert L == lcm(*(q.denominator for row in M.rows for x in row for q in (x.re, x.im)))
     assert re == [[x.re * L for x in row] for row in M.rows]
@@ -479,6 +483,31 @@ def test_hermitian_route_matches_rational_assembly(r, d):
         assert report.member and not M.basis
         return
     _assert_same_verdict(report.member, report.certificate, M)
+
+
+def _oracle_product(r: HermitianPoly, d: int) -> HermitianPoly:
+    """r * |z|^(2d) as a HermitianPoly, read off the oracle's Gaussian-rational product matrix."""
+    M = product_matrix(r, d)
+    return HermitianPoly(r.n, {(a, b): x for a, row in zip(M.basis, M.rows) for b, x in zip(M.basis, row)})
+
+
+@pytest.mark.parametrize(
+    "r",
+    [*(random_psi1_member(seed) for seed in (0, 3, 4, 5)), plane_rotated(generate_pD(3, 4))],
+    ids=["member-0", "member-3", "member-4", "member-5", "rotated-pD(3,4)"],
+)
+def test_hermitian_products_are_minimal_and_match_the_oracle(r):
+    # every power is a HermitianPoly over its minimal scale, r itself first; the multiplier pass over the
+    # unit vectors is the power-1 pass
+    assert any(im for _, im in r.table.values())
+    powers = hermitian_powers(r)
+    products = [next(powers) for _ in range(4)]
+    assert products[0] is r
+    for d, product in enumerate(products):
+        assert product == _oracle_product(r, d)
+        assert gcd(product.scale, *chain.from_iterable(product.table.values())) == 1
+    units = [tuple(int(i == k) for i in range(r.n)) for k in range(r.n)]
+    assert hermitian_multiplier_table(r, units) == products[1]
 
 
 @settings(max_examples=100, deadline=None)

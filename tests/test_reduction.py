@@ -120,7 +120,7 @@ def test_lambda_scale_preserves_membership_and_signature(seed):
     scaled = replace(
         form,
         minus_weights=tuple(v for _, v in half),
-        target=reduction._add_squares(r, form.basis, half),
+        target=r + reduction._squares(r.n, form.basis, half),
     )
     assert form_polynomial(scaled) == scaled.target
     assert in_psi_hermitian(scaled.target, 1).member
@@ -197,12 +197,34 @@ def test_rows_missing_the_target_break_loudly(monkeypatch):
     r = random_psi1_member(1)
     doubled = decompose(r)
     doubled = replace(doubled, target=r + r)  # still a member, no longer what the rows represent
-    assert reconstruction_error(doubled) > 0
+    assert reconstruction_error(doubled) == _largest_gap(doubled) > 0
     with pytest.raises(CertificateFailure, match="miss the target"):
         partial_row_echelon(doubled)
     monkeypatch.setattr(reduction, "is_partial_row_echelon", lambda form: False)
     with pytest.raises(CertificateFailure, match="leading columns"):
         partial_row_echelon(decompose(r))
+
+
+def _largest_gap(form) -> Fraction:
+    """The largest |re| or |im| of a coefficient of the form's polynomial minus its target, over Gaussian rationals."""
+    got, want = form_polynomial(form), form.target
+    gaps = (got.entry(a, b) - want.entry(a, b) for a, b in got.table.keys() | want.table.keys())
+    return max((abs(x) for z in gaps for x in (z.re, z.im)), default=Fraction(0))
+
+
+@pytest.mark.parametrize("seed", (0, 3, 4, 5, 7, 11))
+def test_reconstruction_error_is_the_largest_coefficient_gap(seed):
+    # rows with doubled weights represent 2r against the target r: the error is the oracle's largest gap, exactly
+    r = random_psi1_member(seed)
+    assert any(im for _, im in r.table.values())
+    form = decompose(r)
+    doubled = replace(
+        form,
+        plus_weights=tuple(2 * w for w in form.plus_weights),
+        minus_weights=tuple(2 * v for v in form.minus_weights),
+    )
+    assert reconstruction_error(doubled) == _largest_gap(doubled) > 0
+    assert reconstruction_error(form) == _largest_gap(form) == 0
 
 
 @pytest.mark.parametrize("seed", range(12))

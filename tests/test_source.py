@@ -73,6 +73,21 @@ def test_congruence_engine_has_one_door():
     assert uses == [(door, "_bareiss"), (door, "_blocks"), (door, "_integer_rows")], f"other uses of the engine: {uses}"
 
 
+def test_hermitian_products_reach_the_engine_as_hermitian_polys():
+    # HermitianPoly holds symmetry and the minimal scale, so inertia checks neither and no caller
+    # unpacks a product into an (L, table) tuple for the engine, the witness check or the verdict
+    assert "NotHermitian" not in (PACKAGE / "inertia.py").read_text(encoding="utf-8")
+    takers = {"congruence_factorization", "table_quadratic_form", "_psd_verdict", "_shift_table"}
+    tuples = [
+        f"{path.relative_to(PACKAGE)}:{owner}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for owner, node in _calls(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) in takers
+        and any(isinstance(arg, ast.Tuple) for arg in node.args)
+    ]
+    assert not tuples, f"tuples passed for a Hermitian product: {tuples}"
+
+
 def test_factorizations_are_built_at_one_site():
     # one elimination body builds every CongruenceFactorization; nothing assembles one from pieces
     sites = [
