@@ -146,7 +146,7 @@ def build_parsers() -> tuple:
 
     chk = sub.add_parser("check-psi", **sub_kwargs, help="membership at a fixed power")
     _input_flags(chk, "--poly", "--herm")
-    chk.add_argument("--d", type=_int_at_least(0), required=True)
+    chk.add_argument("--d", type=_int_at_least(0), help="the power; a multiplier file takes its own")
     chk.add_argument("--multiplier", help="JSON file {n, exps: [[...]]}")
 
     mind = sub.add_parser("min-d", **sub_kwargs, help="smallest power admitting membership")
@@ -250,6 +250,10 @@ def _witness_doc(report) -> dict | None:
 
 
 def _cmd_check_psi(args) -> int:
+    if args.multiplier is None and args.d is None:
+        raise SystemExit2("check-psi needs --d, or a --multiplier file that gives the powers")
+    if args.multiplier is not None and args.d:  # --d 0 stays, as older command lines pass it
+        raise SystemExit2(f"--d {args.d} with --multiplier: the multiplier file gives the powers")
     obj = _load_input(args)
     if args.multiplier:
 

@@ -20,14 +20,11 @@ with a pivot minor per block: each pivot updates its own block only, and
 the whole matrix's minor is the product of the block minors, so every
 pivot, column and witness is the one a single minor would give.
 
-The factorization holds integer data only: each diagonal entry as a pair
-of ints, the record of the elimination steps, from which `integer_column`
-replays one column of the congruence transform on demand, and the
-transform's inverse as Gaussian-integer rows over their pivots.  The
-inertia is read off the signs of the pairs; `diag`, the same entries as
-reduced Fractions, is built on first access.  Vectors are tuples of
-(re, im) int pairs; `table_quadratic_form` evaluates a witness on r's table
-itself.
+The factorization stores the elimination record only, in ints: (basis,
+scale, pivots, steps); the inertia, `pivot_log`, `column_scales`, `diag`,
+`inverse_rows` (T^-1) and `integer_column` (one column of T) are views of
+it.  Vectors are tuples of (re, im) int pairs; `table_quadratic_form`
+evaluates a witness on r's table itself.
 """
 
 from __future__ import annotations
@@ -63,33 +60,69 @@ def _dim_cap() -> int:
 class CongruenceFactorization:
     """diag == T* . M . T, exactly, M the matrix over `basis`.
 
-    The elimination leaves integer data only.  `pivots[k]` is diagonal
-    entry k as the ints (num, den), not reduced: den is the scale L times
-    the pivot minor in force at k, nonzero but possibly negative; `diag`
-    reads them as Fractions.  T is the product E_1 ... E_m of the
-    congruence steps in `steps`, in order: a pivot on q is
-    (q, p, ((c, re, im), ...)), p = a_qq and the entries a_qc of row q over
-    the indices c then active in q's block, at that block's scale; only the
-    ratios a_qc / p enter T.  A bump is (i, j, fr, fi), column i += f *
-    column j with f = fr + i*fi.  `column_scales[k]` is the pivot minor of
-    the whole matrix in force when k was pivoted, or the last minor for
-    indices left in a zero block, and makes column k of T integral.
-    `inverse_rows[k]` is row k of T^-1 as (den, ((col, re, im), ...)):
-    Gaussian integers over den, the pivot of k in its block, which may be
-    negative.  Before any bump in its block, a pivot step's entries are the
-    entries of its inverse row.
+    The factorization stores its elimination record and nothing else:
+    `basis`, the scale L of the table, `pivots` and `steps`.  `pivots[k]`
+    is diagonal entry k as the ints (num, den), not reduced: den is L times
+    the pivot minor of the whole matrix in force at k (the last minor for
+    indices left in a zero block), nonzero but possibly negative.  T is
+    the product E_1 ... E_m of the congruence steps in `steps`, in order: a
+    pivot on q is (q, p, ((c, re, im), ...)), p = a_qq and the entries
+    a_qc of row q over the indices c then active in q's block, at that
+    block's scale; only the ratios a_qc / p enter T.  A bump is (i, j, fr,
+    fi), column i += f * column j with f = fr + i*fi.
+
+    Everything else is a view: `inertia`, `pivot_log` and `column_scales`
+    are read on each access, `diag` (the pivots as Fractions) and
+    `inverse_rows` (the rows of T^-1) on first access, and `integer_column`
+    replays one column of T.
     """
 
     basis: tuple  # index of each row and column
+    scale: int  # L: the matrix is the table over L
     pivots: tuple  # of (num, den) int pairs, original index order
     steps: tuple
-    column_scales: tuple
-    inverse_rows: tuple
 
     @cached_property
     def diag(self) -> tuple:
         """The diagonal entries as reduced Fractions, original index order."""
         return tuple(Fraction(num, den) for num, den in self.pivots)
+
+    @property
+    def column_scales(self) -> tuple:
+        """The pivot minor of the whole matrix at each index: it makes column k of T integral."""
+        return tuple(den // self.scale for _, den in self.pivots)
+
+    @cached_property
+    def inverse_rows(self) -> tuple:
+        """Row k of T^-1 as (den, ((col, re, im), ...)): Gaussian integers over den, which may be negative.
+
+        T^-1 = E_m^-1 ... E_1^-1, so row k is e_k times the inverse steps
+        from the last.  A step after k's pivot leaves e_k as it is, k's
+        pivot gives its entries over p (the very tuple when no bump came
+        before), and an earlier pivot's index is zero in what is left.  So
+        only the earlier bumps (i, j, f) act, latest first, each subtracting
+        f * entry j from entry i; a bump in another block finds no entry j.
+        An index never pivoted starts from e_k over 1 and takes every bump.
+        One forward pass over the steps collects the bumps before each pivot.
+        """
+        starts, bumps = {}, []
+        for step in self.steps:
+            if len(step) == 4:
+                bumps.append(step)
+            else:
+                starts[step[0]] = (step[1], step[2], len(bumps))
+        rows = []
+        for k in range(len(self.pivots)):
+            den, entries, before = starts.get(k, (1, ((k, 1, 0),), len(bumps)))
+            if before:
+                row = {c: (a, b) for c, a, b in entries}
+                for i, j, fr, fi in reversed(bumps[:before]):
+                    if j in row:
+                        (a, b), (x, y) = row[j], row.get(i, (0, 0))
+                        row[i] = (x - fr * a + fi * b, y - fr * b - fi * a)
+                entries = tuple((c, a, b) for c, (a, b) in sorted(row.items()))
+            rows.append((den, entries))
+        return tuple(rows)
 
     @property
     def inertia(self) -> tuple:
@@ -151,7 +184,7 @@ class CongruenceFactorization:
                 xr = [u // g for u in xr]
                 xi = [v // g for v in xi]
                 den //= g
-        scale = self.column_scales[k]
+        scale = self.pivots[k][1] // self.scale
         column = []
         for u, v in zip(xr, xi):
             a, ra = divmod(u * scale, den)
@@ -239,9 +272,9 @@ def _bareiss(basis, L: int, re, im, labels) -> CongruenceFactorization:
     (p * a_ij - a_ik * a_kj) / m_s; Sylvester's identity makes the division
     exact, and a remainder raises CertificateFailure.  The pivot minor g of
     the whole matrix is the product of the block minors, so the pivot gets
-    pivots[k] = (p * g / m_s, L * g) and column scale g, as the whole-matrix
-    elimination gives them.  The transform is not formed: each pivot and
-    bump is recorded as a step, and `integer_column` replays them.
+    pivots[k] = (p * g / m_s, L * g), as the whole-matrix elimination gives
+    it.  Neither T nor its inverse is formed: each pivot and bump is
+    recorded as a step, and the factorization's views read the steps.
 
     Pivot rule: among the active diagonal, take the entry of largest
     |a_kk| / |m_s|, its block's minor, which orders the entries of the
@@ -256,8 +289,7 @@ def _bareiss(basis, L: int, re, im, labels) -> CongruenceFactorization:
     blocks = {}  # label -> [pivot minor, active indices ascending]
     for k, label in enumerate(labels):
         blocks.setdefault(label, [1, []])[1].append(k)
-    pivots, scales, inverse_rows = [None] * dim, [None] * dim, [None] * dim
-    unit = {}  # integer rows of T^-1 for the active indices of each block a bump has moved
+    pivots = [None] * dim
     g = 1
     steps = []
     left = dim  # indices not yet pivoted
@@ -305,40 +337,17 @@ def _bareiss(basis, L: int, re, im, labels) -> CongruenceFactorization:
                 re[i][c] += fr * a + fi * b
                 im[i][c] += fr * b - fi * a
             steps.append((i, j, fr, fi))
-            if i not in unit:
-                unit.update((a, ([int(a == c) for c in range(dim)], [0] * dim)) for a in active)
-            (ur, ui), (vr, vi) = unit[j], unit[i]
-            for c in range(dim):
-                a, b = vr[c], vi[c]
-                ur[c] -= fr * a - fi * b
-                ui[c] -= fr * b + fi * a
             continue
 
         prev, active = block
         k = top
         p = re[k][k]
         rk, ik = re[k], im[k]
-        entries = tuple((c, rk[c], ik[c]) for c in active)
-        steps.append((k, p, entries))
-        # row k of T^-1 is sum_c a_kc * (row c of T^-1) over the active c of its block, divided by p
-        if k not in unit:
-            inverse_rows[k] = (p, entries)
-        else:
-            sr, si = [0] * dim, [0] * dim
-            for c in active:
-                a, b = rk[c], ik[c]
-                if a or b:
-                    ur, ui = unit[c]
-                    for t in range(dim):
-                        sr[t] += a * ur[t] - b * ui[t]
-                        si[t] += a * ui[t] + b * ur[t]
-            inverse_rows[k] = (p, tuple((t, sr[t], si[t]) for t in range(dim)))
-            del unit[k]
+        steps.append((k, p, tuple((c, rk[c], ik[c]) for c in active)))
         active.remove(k)
         left -= 1
         num = p if g == prev else p * (g // prev)  # times the other blocks' minors
         pivots[k] = (num, L * g)
-        scales[k] = g
         g = num
         block[0] = p
         col = [(i, re[i][k], im[i][k]) for i in active]
@@ -359,22 +368,8 @@ def _bareiss(basis, L: int, re, im, labels) -> CongruenceFactorization:
                 re[j][i] = nr
                 im[j][i] = -ni
 
-    for _, active in blocks.values():
-        for i in active:
-            pivots[i] = (0, L * g)
-            scales[i] = g
-            if i in unit:
-                ur, ui = unit[i]
-                inverse_rows[i] = (1, tuple((t, ur[t], ui[t]) for t in range(dim)))
-            else:
-                inverse_rows[i] = (1, ((i, 1, 0),))
-    return CongruenceFactorization(
-        basis=basis,
-        pivots=tuple(pivots),
-        steps=tuple(steps),
-        column_scales=tuple(scales),
-        inverse_rows=tuple(inverse_rows),
-    )
+    pivots = tuple(pair or (0, L * g) for pair in pivots)  # indices left in all-zero blocks
+    return CongruenceFactorization(basis=basis, scale=L, pivots=pivots, steps=tuple(steps))
 
 
 def table_quadratic_form(r: HermitianPoly, basis, v) -> Fraction:

@@ -717,6 +717,27 @@ def test_hermitian_multiplier_verdicts(tmp_path, capsys):
             assert out["witness"]["kind"] == "negative-direction"
 
 
+def test_check_psi_reads_no_power_with_a_multiplier(tmp_path, capsys):
+    # the multiplier file gives the powers: --d may be left out, 0 still parses, any other power is a usage error
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(_HERM_SQUARE))
+    mult = tmp_path / "m.json"
+    mult.write_text(json.dumps({"n": 2, "exps": [[1, 0], [0, 2]]}))
+    base = ["check-psi", "--herm", str(inp), "--multiplier", str(mult)]
+    outs = []
+    for extra in ([], ["--d", "0"]):
+        assert run([*base, *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["member"] is True
+    assert run([*base, "--d", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage error: ") and out.err.count("\n") == 1
+    assert run(["check-psi", "--herm", str(inp)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "usage error: check-psi needs --d, or a --multiplier file that gives the powers\n"
+
+
 def test_dimension_cap_on_hermitian_membership(tmp_path, monkeypatch, capsys):
     # the product matrix of a two-variable input has dimension d + 2 at power d
     herm = tmp_path / "neg.json"
@@ -1023,7 +1044,7 @@ _DIRECTORY_PATHS = [
     ["check-psi", "--poly", "{dir}", "--d", "1"],
     ["certificate", "--poly", "{dir}"],
     ["signature", "--herm", "{dir}"],
-    ["check-psi", "--poly", "{fig2}", "--d", "1", "--multiplier", "{dir}"],
+    ["check-psi", "--poly", "{fig2}", "--d", "0", "--multiplier", "{dir}"],
     ["search", "--n", "3", "--D", "2", "--d", "1", "--support", "{dir}"],
     ["diagram", "--pattern", "{dir}"],
     ["generate", "pd", "--n", "3", "--D", "4", "--out", "{dir}"],

@@ -551,9 +551,29 @@ def test_block_split_matches_the_whole_matrix_elimination(case, L):
         assert cert == whole_verdict[1]
 
 
+def _hermitian_rows(dim, upper):
+    """Rows of the Hermitian matrix with the entries {(i, j): (re, im)}, i <= j, mirrored; zeros elsewhere."""
+    rows = [[(0, 0)] * dim for _ in range(dim)]
+    for (i, j), (x, y) in upper.items():
+        rows[i][j], rows[j][i] = (x, y), (x, -y)
+    return rows
+
+
+# Blocks (0, 4, 7), (1, 8, 9, 10) and (3, 6), and the zero block (2, 5).  Pivoting 0 leaves (4, 7) a zero-diagonal
+# pair, and the zero-diagonal path 9-1-8-10 needs a second bump after two pivots, so the steps run: pivot 0,
+# bump (1, 8), pivots 1, 9, bump (3, 6) by i, pivots 3, 6, bump (4, 7), pivots 4, 7, bump (8, 10), pivots 8, 10.
+# Rows 8 and 10 of T^-1 take bump (8, 10) before bump (1, 8), and skip the two bumps between.
+_INTERLEAVED_BUMPS = _hermitian_rows(11, {
+    (0, 0): (1, 0), (4, 4): (1, 0), (7, 7): (1, 0), (0, 4): (1, 0), (0, 7): (1, 0), (4, 7): (2, 0),
+    (1, 8): (1, 0), (1, 9): (2, 0), (8, 10): (1, 0), (3, 6): (0, 3),
+})
+
+
 @given(hermitian_direct_sums(), st.integers(1, 4))
+@example((_INTERLEAVED_BUMPS, [[0, 4, 7], [1, 8, 9, 10], [3, 6]]), 2)
 @settings(max_examples=60, deadline=None)
 def test_block_split_matches_the_rational_oracle(case, L):
+    # every row of T^-1 derived from the steps, a block's rows skipping the other blocks' bumps, is the oracle's
     rows, _ = case
     M = [[G(Fraction(x, L), Fraction(y, L)) for x, y in row] for row in rows]
     fact = congruence_factorization(_int_table(rows, L))

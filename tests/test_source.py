@@ -1,8 +1,10 @@
 import ast
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import psicert
+from psicert.inertia import CongruenceFactorization
 
 PACKAGE = Path(psicert.__file__).resolve().parent
 
@@ -98,6 +100,20 @@ def test_factorizations_are_built_at_one_site():
         == "CongruenceFactorization"
     ]
     assert sites == ["inertia.py:_bareiss"], f"CongruenceFactorization built at: {sites}"
+
+
+def test_factorization_stores_its_elimination_record_only():
+    # column scales and rows of T^-1 are views of (basis, scale, pivots, steps): the Bareiss body keeps no copy
+    assert [field.name for field in fields(CongruenceFactorization)] == ["basis", "scale", "pivots", "steps"]
+    path = PACKAGE / "inertia.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_bareiss")
+    copies = {"unit", "inverse_rows", "scales"} & {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "arg", None)
+        for node in ast.walk(body)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.keyword))
+    }
+    assert not copies, f"_bareiss keeps {copies}"
 
 
 def _calls(tree):
