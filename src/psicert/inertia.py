@@ -1,24 +1,22 @@
 """Exact inertia of Hermitian coefficient tables by fraction-free congruence.
 
-The one entry, `congruence_factorization`, takes a `polycore.HermitianPoly`
-r, as the readers and the power and multiplier shift passes build it: its
+`congruence_factorization` takes a `polycore.HermitianPoly` r, as the
+readers and the power and multiplier shift passes build it: its
 Gaussian-integer table {(alpha, beta): (re, im)} over both triangles,
 Hermitian and over the minimal scale L, stands for table / L, and the type
 holds both conditions, so nothing here checks them again.  It lays the
-table out as dense integer rows over the sorted index set and runs
-symmetric Bareiss elimination (Bareiss 1968) over Gaussian integers held
-as pairs of Python ints.  Sylvester's identity makes every
-division exact, and the pivot signs come from ratios of successive pivot
-minors.  Pivots are 1x1 only.  When the active diagonal vanishes but the
-block does not, a congruence that adds one row/column into another (with a
-factor of 1 or i) manufactures a nonzero diagonal entry, so square roots
-never appear.  Sylvester's law of inertia makes the sign counts of the
-resulting diagonal the inertia of the input.  A matrix whose nonzero
-pattern is a direct sum of blocks, as the product matrices of members
-rotated in one coordinate plane are, is eliminated in the same one body
-with a pivot minor per block: each pivot updates its own block only, and
-the whole matrix's minor is the product of the block minors, so every
-pivot, column and witness is the one a single minor would give.
+table out as dense integer rows over the sorted index set, labelling the
+connected blocks of the nonzero pattern as it goes, and runs symmetric
+Bareiss elimination (Bareiss 1968) over Gaussian integers held as pairs of
+Python ints, in the sorted index order with a pivot minor per block.
+Sylvester's identity makes every division exact, and the pivot signs come
+from ratios of successive pivot minors.  Pivots are 1x1 only.  When a
+diagonal entry vanishes but its row does not, a congruence that adds
+another row/column into it (with a factor of 1, -1 or i) manufactures a
+nonzero entry, so square roots never appear.  Sylvester's law of inertia
+makes the sign counts of the resulting diagonal the inertia of the input.
+`psd_factorization` runs the same elimination but stops at the first
+negative pivot, which decides positive semidefiniteness.
 
 The factorization stores the elimination record only, in ints: (basis,
 scale, pivots, steps); the inertia, `pivot_log`, `column_scales`, `diag`,
@@ -33,7 +31,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd
 
 from .errors import CertificateFailure, ExplicitLimit, PsicertError
@@ -63,13 +60,14 @@ class CongruenceFactorization:
     The factorization stores its elimination record and nothing else:
     `basis`, the scale L of the table, `pivots` and `steps`.  `pivots[k]`
     is diagonal entry k as the ints (num, den), not reduced: den is L times
-    the pivot minor of the whole matrix in force at k (the last minor for
-    indices left in a zero block), nonzero but possibly negative.  T is
-    the product E_1 ... E_m of the congruence steps in `steps`, in order: a
-    pivot on q is (q, p, ((c, re, im), ...)), p = a_qq and the entries
-    a_qc of row q over the indices c then active in q's block, at that
-    block's scale; only the ratios a_qc / p enter T.  A bump is (i, j, fr,
-    fi), column i += f * column j with f = fr + i*fi.
+    the pivot minor of the whole matrix in force at k, nonzero but possibly
+    negative.  T is the product E_1 ... E_m of the congruence steps in
+    `steps`, in order: a pivot on q is (q, p, ((c, re, im), ...)), p = a_qq
+    and the nonzero entries a_qc of row q over q and the indices c then
+    active in q's block, at that block's scale; only the ratios a_qc / p
+    enter T.  A bump is (i, j, fr, fi), column i += f * column j with
+    f = fr + i*fi.  A record that `psd_factorization` stopped holds the
+    pivots of the indices up to its negative one only.
 
     Everything else is a view: `inertia`, `pivot_log` and `column_scales`
     are read on each access, `diag` (the pivots as Fractions) and
@@ -137,9 +135,9 @@ class CongruenceFactorization:
 
     @property
     def pivot_log(self) -> tuple:
-        """The steps in order, read as ("pivot", k) and ("bump", i, j, "1" or "i")."""
+        """The steps in order, read as ("pivot", k) and ("bump", i, j, "1", "-1" or "i")."""
         return tuple(
-            ("bump", step[0], step[1], "1" if step[2] else "i") if len(step) == 4 else ("pivot", step[0])
+            ("bump", step[0], step[1], "i" if step[3] else str(step[2])) if len(step) == 4 else ("pivot", step[0])
             for step in self.steps
         )
 
@@ -154,7 +152,7 @@ class CongruenceFactorization:
         denominator, kept primitive.  A column that the scale does not make
         integral raises CertificateFailure.
         """
-        dim = len(self.pivots)
+        dim = len(self.basis)
         xr, xi = [0] * dim, [0] * dim
         xr[k] = den = 1
         steps = self.steps
@@ -199,50 +197,33 @@ def congruence_factorization(r: HermitianPoly) -> CongruenceFactorization:
     """Exact congruence factorization of the coefficient matrix of r.
 
     The matrix is r.table / r.scale, indexed by the sorted index set, which
-    the factorization carries as `basis`.  Pivots are deterministic.  A
-    table over more than `PSI_MAX_DIM` indices raises ExplicitLimit: the cap
-    counts the whole matrix, not its largest block.
-
-    Every matrix takes the same path: its rows, the connected blocks of
-    their nonzero pattern, and one elimination that keeps a pivot minor per
-    block.
+    the factorization carries as `basis`.  A table over more than
+    `PSI_MAX_DIM` indices raises ExplicitLimit: the cap counts the whole
+    matrix, not its largest block.
     """
-    basis, re, im = _integer_rows(r)
-    return _bareiss(basis, r.scale, re, im, _blocks(re, im))
+    basis, re, im, labels = _integer_rows(r)
+    return _bareiss(basis, r.scale, re, im, labels)
 
 
-def _blocks(re, im) -> list:
-    """The connected component of the nonzero pattern of re + i*im that holds each index.
+def psd_factorization(r: HermitianPoly) -> CongruenceFactorization:
+    """The elimination of `congruence_factorization`, stopped at its first negative pivot.
 
-    Components are numbered 0, 1, ... in order of their least index and
-    grown from index 0; the scan stops as soon as the first covers every
-    index, which is then all one block.
+    The whole factorization when r's coefficient matrix is positive
+    semidefinite; otherwise the record up to and including the negative
+    pivot, which is its last pivot and the only one its `inertia` counts
+    negative, and whose `integer_column` is a negative direction.
     """
-    labels, rest, label = [0] * len(re), list(range(len(re))), 0
-    while rest:
-        block = [rest.pop(0)]
-        for i in block:  # grows while it is walked
-            if not rest:
-                break
-            ri, ii = re[i], im[i]
-            unlinked = []
-            for j in rest:
-                if ri[j] or ii[j]:
-                    block.append(j)
-                else:
-                    unlinked.append(j)
-            rest = unlinked
-        for i in block:
-            labels[i] = label
-        label += 1
-    return labels
+    basis, re, im, labels = _integer_rows(r)
+    return _bareiss(basis, r.scale, re, im, labels, stop=True)
 
 
 def _integer_rows(r: HermitianPoly) -> tuple:
-    """(basis, re, im): dense rows of r.scale times the coefficient matrix of r.
+    """(basis, re, im, labels): dense rows of r.scale times the coefficient matrix of r, and its blocks.
 
     The basis is the sorted index set.  The dimension cap is checked before
-    any row is allocated.
+    any row is allocated.  `labels[k]` is the least index of the connected
+    component of the nonzero pattern that holds k, found by a union-find
+    over the table's nonzero entries while the rows are laid out.
     """
     basis = sorted({a for key in r.table for a in key})
     dim = len(basis)
@@ -252,15 +233,27 @@ def _integer_rows(r: HermitianPoly) -> tuple:
     pos = {b: i for i, b in enumerate(basis)}
     re = [[0] * dim for _ in range(dim)]
     im = [[0] * dim for _ in range(dim)]
+    labels = list(range(dim))  # parent links, each to a smaller index, until the last pass
     for (alpha, beta), (x, y) in r.table.items():
         i, j = pos[alpha], pos[beta]
         re[i][j] = x
         im[i][j] = y
-    return tuple(basis), re, im
+        if i < j and (x or y):  # join the roots, halving the paths to them
+            while labels[i] != i:
+                labels[i] = i = labels[labels[i]]
+            while labels[j] != j:
+                labels[j] = j = labels[labels[j]]
+            if i < j:
+                labels[j] = i
+            elif j < i:
+                labels[i] = j
+    for k in range(dim):
+        labels[k] = labels[labels[k]]
+    return tuple(basis), re, im, labels
 
 
-def _bareiss(basis, L: int, re, im, labels) -> CongruenceFactorization:
-    """Symmetric Bareiss elimination of (re + i*im) / L over Gaussian integers, a pivot minor per block.
+def _bareiss(basis, L: int, re, im, labels, stop: bool = False) -> CongruenceFactorization:
+    """Symmetric Bareiss elimination of (re + i*im) / L over Gaussian integers, in index order, a pivot minor per block.
 
     `re` and `im` are the rows of a Hermitian matrix of ints over `basis`
     and L > 0; the rows are overwritten.  `labels[k]` names the block of
@@ -276,86 +269,60 @@ def _bareiss(basis, L: int, re, im, labels) -> CongruenceFactorization:
     it.  Neither T nor its inverse is formed: each pivot and bump is
     recorded as a step, and the factorization's views read the steps.
 
-    Pivot rule: among the active diagonal, take the entry of largest
-    |a_kk| / |m_s|, its block's minor, which orders the entries of the
-    rational complement; blocks are compared by cross-multiplied ints, the
-    smallest index on ties.  If the active diagonal is all zero but an
-    active off-diagonal entry remains, add row/column j into row/column i
-    (factor 1, or i when the entry is purely imaginary) to create a pivot,
-    i the least such row.  With every index in one block this is the plain
-    symmetric Bareiss elimination.
+    Pivot rule: the indices are taken in order, k the least active index,
+    so without a bump row k of T^-1 is k's pivot row, leading in column k.
+    If a_kk = 0 and row k is zero, k is a zero of the diagonal, (0, L * g).
+    Otherwise column k += f * column j and row k += conj(f) * row j, for j
+    the least index with a_kj != 0, make a_kk = 2 Re(f a_kj) + a_jj; f is
+    the first of 1, -1, i that makes it nonzero (when 1 and -1 both fail,
+    Re(a_kj) = a_jj = 0 and i gives -2 Im(a_kj) != 0).  With `stop`, the
+    elimination returns at its first negative pivot, its record then ending
+    there.
     """
-    dim = len(re)
     blocks = {}  # label -> [pivot minor, active indices ascending]
     for k, label in enumerate(labels):
         blocks.setdefault(label, [1, []])[1].append(k)
-    pivots = [None] * dim
+    pivots, steps = [], []
     g = 1
-    steps = []
-    left = dim  # indices not yet pivoted
 
-    while left:
-        block = None
-        for state in blocks.values():
-            minor, active = state
-            best, best_mag = None, 0
-            for k in active:
-                mag = abs(re[k][k])
-                if mag > best_mag:
-                    best, best_mag = k, mag
-            if best is None:
-                continue
-            if block is not None:  # |a_kk| / |minor| against the best block's so far
-                lhs, rhs = best_mag * abs(block[0]), top_mag * abs(minor)
-                if lhs < rhs or (lhs == rhs and best > top):
-                    continue
-            block, top, top_mag = state, best, best_mag
-        if block is None:
-            rows = sorted(chain.from_iterable(active for _, active in blocks.values()))
-            bump = next(
-                (
-                    (i, j)
-                    for i in rows
-                    for j in blocks[labels[i]][1]
-                    if i != j and (re[i][j] or im[i][j])
-                ),
-                None,
-            )
-            if bump is None:
-                break  # all-zero active blocks: zeros of the diagonal
-            i, j = bump
-            active = blocks[labels[i]][1]
-            # a factor of 1 creates 2*Re(entry); fall back to i when that is zero
-            fr, fi = (1, 0) if re[i][j] else (0, 1)
-            # congruence: column i += f * column j, then row i += conj(f) * row j
-            for r in active:
-                a, b = re[r][j], im[r][j]
-                re[r][i] += fr * a - fi * b
-                im[r][i] += fr * b + fi * a
-            for c in active:
-                a, b = re[j][c], im[j][c]
-                re[i][c] += fr * a + fi * b
-                im[i][c] += fr * b - fi * a
-            steps.append((i, j, fr, fi))
-            continue
-
-        prev, active = block
-        k = top
-        p = re[k][k]
+    for k, label in enumerate(labels):
+        block = blocks[label]
+        prev, active = block  # k == active[0]
         rk, ik = re[k], im[k]
-        steps.append((k, p, tuple((c, rk[c], ik[c]) for c in active)))
-        active.remove(k)
-        left -= 1
+        p = rk[k]
+        if not p:
+            j = next((j for j in active if rk[j] or ik[j]), None)
+            if j is None:
+                del active[0]
+                pivots.append((0, L * g))  # a zero row: a zero of the diagonal
+                continue
+            x, y, a = rk[j], ik[j], re[j][j]
+            fr, fi = next((fr, fi) for fr, fi in ((1, 0), (-1, 0), (0, 1)) if 2 * (fr * x - fi * y) + a)
+            # congruence: column k += f * column j, then row k += conj(f) * row j
+            for r in active:
+                u, v = re[r][j], im[r][j]
+                re[r][k] += fr * u - fi * v
+                im[r][k] += fr * v + fi * u
+            for c in active:
+                u, v = re[j][c], im[j][c]
+                rk[c] += fr * u + fi * v
+                ik[c] += fr * v - fi * u
+            steps.append((k, j, fr, fi))
+            p = rk[k]
+        del active[0]
+        steps.append((k, p, ((k, p, 0), *((c, rk[c], ik[c]) for c in active if rk[c] or ik[c]))))
         num = p if g == prev else p * (g // prev)  # times the other blocks' minors
-        pivots[k] = (num, L * g)
+        pivots.append((num, L * g))
+        if stop and (num > 0) != (g > 0):  # a negative pivot, over den = L * g
+            break
         g = num
         block[0] = p
         col = [(i, re[i][k], im[i][k]) for i in active]
 
-        # active block: upper triangle, mirrored into the lower
+        # active block: upper triangle, mirrored into the lower; a row with a_ik = 0 only rescales its nonzeros
         for idx, (i, xr, xi) in enumerate(col):
             ri, ii = re[i], im[i]
-            for j, yr, yi in col[idx:]:
+            for j, yr, yi in col[idx:] if xr or xi else [(j, 0, 0) for j, _, _ in col[idx:] if ri[j] or ii[j]]:
                 nr = p * ri[j] - xr * yr - xi * yi
                 ni = p * ii[j] - xi * yr + xr * yi
                 if prev != 1:
@@ -368,8 +335,7 @@ def _bareiss(basis, L: int, re, im, labels) -> CongruenceFactorization:
                 re[j][i] = nr
                 im[j][i] = -ni
 
-    pivots = tuple(pair or (0, L * g) for pair in pivots)  # indices left in all-zero blocks
-    return CongruenceFactorization(basis=basis, scale=L, pivots=pivots, steps=tuple(steps))
+    return CongruenceFactorization(basis=basis, scale=L, pivots=tuple(pivots), steps=tuple(steps))
 
 
 def table_quadratic_form(r: HermitianPoly, basis, v) -> Fraction:

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
+from math import gcd
 
 from .errors import CapExceeded, CertificateFailure
-from .inertia import congruence_factorization, table_quadratic_form
+from .inertia import congruence_factorization, psd_factorization, table_quadratic_form
 from .polycore import (
     HermitianPoly,
     MultiIndex,
@@ -110,22 +111,24 @@ def in_psi_diagonal(p: RealSparsePoly, d: int) -> PsiReport:
 
 
 def _psd_verdict(product: HermitianPoly) -> tuple:
-    """Factor the product's coefficient matrix once.
+    """Factor the product's coefficient matrix up to its first negative pivot.
 
     (True, CongruenceFactorization) or (False, NegativeDirectionWitness).  The
-    witness is the transform column of the first negative pivot; its value
-    v* M v is evaluated again on the product's table rather than read off
-    the factorization, and a value that is not negative raises
+    witness is the transform column of the negative pivot divided by its
+    content, the gcd of its real and imaginary parts; its value v* M v is
+    evaluated again on the product's table rather than read off the
+    factorization, and a value that is not negative raises
     CertificateFailure.
     """
-    fact = congruence_factorization(product)
-    k = next((k for k, (num, den) in enumerate(fact.pivots) if num and (num > 0) != (den > 0)), None)
-    if k is None:
+    fact = psd_factorization(product)
+    if not fact.inertia[1]:
         return True, fact
-    v = fact.integer_column(k)
+    v = fact.integer_column(len(fact.pivots) - 1)
+    g = gcd(*chain.from_iterable(v))
+    v = tuple((a // g, b // g) for a, b in v)
     value = table_quadratic_form(product, fact.basis, v)
     if value >= 0:
-        raise CertificateFailure(f"negative pivot {k} gives v* M v = {value} >= 0")
+        raise CertificateFailure(f"negative pivot {len(fact.pivots) - 1} gives v* M v = {value} >= 0")
     return False, NegativeDirectionWitness(v, fact.basis, value)
 
 
@@ -176,7 +179,7 @@ def min_psi_index(obj, d_max: int = DEFAULT_POWER_CAP) -> int | None:
     past it, p's lines are built once, wide enough for d_max, and each power
     is one `times_simplex` (a shift and add per line) and a mask test.
     Other Hermitian input walks the squared-norm powers once, one shift pass
-    per power, factoring each product matrix and reading only its inertia.
+    per power, factoring each product matrix up to its first negative pivot.
     The answer is a power, so no witness is built.
     """
     if d_max > HARD_POWER_CAP:
@@ -196,7 +199,7 @@ def min_psi_index(obj, d_max: int = DEFAULT_POWER_CAP) -> int | None:
                 return d
         return None
     for d, product in zip(range(d_max + 1), hermitian_powers(obj)):
-        if congruence_factorization(product).inertia[1] == 0:
+        if not psd_factorization(product).inertia[1]:
             return d
     return None
 

@@ -98,6 +98,13 @@ def random_psi1_member(seed: int) -> HermitianPoly:
     return r
 
 
+# A member at power 1 with signature (2, 1) whose zero diagonal entry at (1, 1), between (0, 2) and (2, 0) in index
+# order, is bumped, so its signed squares are not yet in row-echelon form
+BUMPING_MEMBER = HermitianPoly(
+    2, {((2, 0), (2, 0)): 1, ((0, 2), (0, 2)): 1, ((2, 0), (1, 1)): Fraction(1, 4), ((1, 1), (2, 0)): Fraction(1, 4)}
+)
+
+
 def clashing_form() -> DecomposedForm:
     """A member whose stacked rows have a guaranteed pivot clash.
 

@@ -267,21 +267,21 @@ def quadratic_form(rows, v) -> GaussianRational:
 
 
 def rational_congruence_factorization(rows) -> RationalFactorization:
-    """Symmetric elimination with exact arithmetic and a deterministic pivot rule.
+    """Symmetric elimination with exact arithmetic, in index order.
 
     `rows` are the rows of a Hermitian matrix of Gaussian rationals.
 
-    Pivot rule: among the active diagonal, take the entry of largest absolute
-    value (smallest index on ties).  If the active diagonal is all zero but an
-    active off-diagonal entry remains, add row/column j into row/column i
-    (factor 1, or i when the entry is purely imaginary) to create a pivot.
+    Pivot rule: take the indices in order.  If the diagonal entry k is zero
+    and so is the rest of row k, k is a zero of the diagonal; if the row is
+    not zero, add row/column j into row/column k, j the least index with a
+    nonzero entry (k, j), by the first factor of 1, -1 and i that makes the
+    new diagonal entry nonzero, and pivot on k.
     """
     dim = len(rows)
     W = [list(row) for row in rows]
     T = _identity(dim)
     Tinv = _identity(dim)
     log = []
-    active = list(range(dim))
 
     def apply_add(i: int, j: int, factor: GaussianRational):
         # congruence: column i += factor * column j, row i += conj(factor) * row j
@@ -300,43 +300,21 @@ def rational_congruence_factorization(rows) -> RationalFactorization:
             if not Tinv[i][c].is_zero():
                 Tinv[j][c] = Tinv[j][c] - factor * Tinv[i][c]
 
-    while active:
-        # best available diagonal pivot
-        best, best_mag = None, None
-        for k in active:
-            mag = abs(W[k][k].re)
-            if mag != 0 and (best_mag is None or mag > best_mag):
-                best, best_mag = k, mag
-        if best is None:
-            bump = next(
-                (
-                    (i, j)
-                    for i in active
-                    for j in active
-                    if i != j and not W[i][j].is_zero()
-                ),
-                None,
-            )
-            if bump is None:
-                break  # all-zero active block: zeros of the diagonal
-            i, j = bump
-            # a factor of 1 creates 2*Re(entry); fall back to i when that is zero
-            if W[i][j].re != 0:
-                apply_add(i, j, GR_ONE)
-                log.append(("bump", i, j, "1"))
-            else:
-                apply_add(i, j, GR_I)
-                log.append(("bump", i, j, "i"))
-            continue
-        k = best
+    for k in range(dim):
+        if W[k][k].is_zero():
+            j = next((j for j in range(k + 1, dim) if not W[k][j].is_zero()), None)
+            if j is None:
+                continue  # a zero row: a zero of the diagonal
+            for factor, name in ((GR_ONE, "1"), (-GR_ONE, "-1"), (GR_I, "i")):
+                if 2 * (factor * W[k][j]).re + W[j][j].re != 0:
+                    break
+            apply_add(k, j, factor)
+            log.append(("bump", k, j, name))
         log.append(("pivot", k))
         pivot = W[k][k].re
-        for i in active:
-            if i == k or W[i][k].is_zero():
-                continue
-            factor = -(W[i][k].conjugate()) / GaussianRational.of(pivot)
-            apply_add(i, k, factor)
-        active.remove(k)
+        for i in range(k + 1, dim):
+            if not W[i][k].is_zero():
+                apply_add(i, k, -(W[i][k].conjugate()) / GaussianRational.of(pivot))
 
     diag = tuple(W[k][k].re for k in range(dim))
     return RationalFactorization(

@@ -351,21 +351,23 @@ def test_search_cli_restricted(tmp_path, fig2_file):
 def test_reduce_cli(tmp_path):
     from fractions import Fraction
 
-    from members import random_psi1_member
+    from members import BUMPING_MEMBER
     from psicert.polycore import GaussianRational, hermitian_to_json
 
+    # the zero diagonal entry of the member is bumped, so its squares need a cross-block step
     herm = tmp_path / "member.json"
-    herm.write_text(json.dumps(hermitian_to_json(random_psi1_member(3))))
+    herm.write_text(json.dumps(hermitian_to_json(BUMPING_MEMBER)))
     steps = tmp_path / "steps.json"
     r = _run_cli(["reduce", "--herm", str(herm), "--out", str(steps)])
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
     assert doc["echelon"] is True
     assert doc["reconstruction_error"] == 0
-    # 3 steps, two of them after rescales by 1/2 and 1/32; the bytes are pinned
+    assert (doc["n_plus"], doc["n_minus"]) == (2, 1)
+    # 1 step, after a rescale by 1/2; the bytes are pinned
     assert steps.read_bytes() == (GOLDEN / "reduce_steps.json").read_bytes()
     recorded = json.loads(steps.read_text())["steps"]
-    assert len(recorded) == doc["steps"] == 3
+    assert len(recorded) == doc["steps"] == 1
     G = GaussianRational.of
     for step in recorded:
         # every step is re-verified from its exact strings: t* diag(w', -v') t == diag(w, -v)

@@ -4,8 +4,8 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
-from math import lcm
+from itertools import chain, islice
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -29,10 +29,10 @@ from psicert.errors import CertificateFailure, ExplicitLimit, NotHermitian, Psic
 from psicert.generators import generate_pD
 from psicert.inertia import (
     _bareiss,
-    _blocks,
     _integer_rows,
     congruence_factorization,
     inertia,
+    psd_factorization,
     table_quadratic_form,
 )
 from psicert.polycore import (
@@ -133,7 +133,7 @@ def test_integer_rows_check_the_cap_and_the_constructor_checks_symmetry(monkeypa
     # gcd(12, entries) = 2 is divided out by the constructor: the rows of 6M with M = table / 12
     r = HermitianPoly._from_table(2, 12, _hermitian_closure(table))
     assert r.scale == 6
-    assert _integer_rows(r) == ((b, a), [[-4, 1], [1, 3]], [[0, -2], [2, 0]])
+    assert _integer_rows(r) == ((b, a), [[-4, 1], [1, 3]], [[0, -2], [2, 0]], [0, 0])
     monkeypatch.setenv("PSI_MAX_DIM", "1")
     with pytest.raises(ExplicitLimit):
         _integer_rows(r)
@@ -359,12 +359,13 @@ def test_oracle_parity_covers_both_bump_factors():
         assert (rational_transform(fact), rational_inverse(fact)) == (ref.transform, ref.inverse)
 
 
-# Columns and witnesses recorded from the engine that carried the whole
-# transform through the elimination: dense, bump-after-pivot, two-bump and
-# zero-block inputs, and squared-norm product tables.  `rotated-split-d0`,
-# rotated pD(3, 4) at d = 0 (dimension 15 in blocks of 5, 4, 3, 1, 1, 1), was
-# recorded from the engine that eliminated each block in its own call and
-# merged their steps.
+# Pivots, columns and primitive witnesses recorded from the index-order
+# elimination; when they were recorded, each column was checked against the
+# rational oracle's transform and each witness evaluated again on the
+# oracle's rows.  The names tell the paths the inputs took under the earlier
+# max-|diagonal| rule: dense, bump-after-pivot, two-bump and zero-block
+# inputs, squared-norm product tables, and `rotated-split-d0`, rotated
+# pD(3, 4) at d = 0 (dimension 15 in blocks of 5, 4, 3, 1, 1, 1).
 WITNESS_REFERENCE = json.loads(
     (Path(__file__).parent / "data" / "witness_reference.json").read_text()
 )
@@ -382,6 +383,26 @@ def test_columns_and_witness_match_reference(case):
     expect = case["witness"]
     assert not ok and expect is not None
     assert ([list(z) for z in witness.vector], str(witness.value)) == (expect["vector"], expect["value"])
+    assert gcd(*chain.from_iterable(witness.vector)) == 1
+
+
+# A zero diagonal entry 0 with row (0, a_01) is bumped by the first f of 1, -1, i making 2 Re(f a_01) + a_11
+# nonzero: 1 for a_01 = 1, a_11 = 3; -1 when a_11 = -2 cancels 1; i when a_01 = 2i and a_11 = 0 cancel both.
+# -i is never needed: 1 and -1 both fail only when Re(a_01) = a_11 = 0, and then i gives -2 Im(a_01) != 0.
+_BUMP_BY = [
+    ([[(0, 0), (1, 0)], [(1, 0), (3, 0)]], "1"),
+    ([[(0, 0), (1, 0)], [(1, 0), (-2, 0)]], "-1"),
+    ([[(0, 0), (0, 2)], [(0, -2), (0, 0)]], "i"),
+]
+
+
+@pytest.mark.parametrize("rows, factor", _BUMP_BY, ids=[name for _, name in _BUMP_BY])
+def test_bump_factor_is_the_first_that_makes_a_pivot(rows, factor):
+    M = [[G(*z) for z in row] for row in rows]
+    fact = _factor(M)
+    ref = rational_congruence_factorization(M)
+    assert fact.pivot_log == ref.pivot_log == (("bump", 0, 1, factor), ("pivot", 0), ("pivot", 1))
+    assert fact.diag == ref.diag and fact.diag[0] != 0
 
 
 @st.composite
@@ -411,6 +432,9 @@ def hermitian_int_matrices(draw):
 @example([[(0, 0), (2, 0), (0, 0), (0, 0)], [(2, 0), (0, 0), (0, 0), (0, 0)],
           [(0, 0), (0, 0), (0, 0), (0, 3)], [(0, 0), (0, 0), (0, -3), (0, 0)]])
 @example([[(0, 0), (1, 1), (0, 2)], [(1, -1), (0, 0), (3, 0)], [(0, -2), (3, 0), (0, 0)]])
+@example(_BUMP_BY[0][0])
+@example(_BUMP_BY[1][0])
+@example(_BUMP_BY[2][0])
 @settings(max_examples=200, deadline=None)
 def test_replayed_columns_match_the_oracle_transform(rows):
     M = [[G(*z) for z in row] for row in rows]
@@ -429,18 +453,19 @@ def test_replayed_columns_match_the_oracle_transform(rows):
 
 
 def test_replay_of_a_corrupted_step_is_failure():
-    # pivots on 2 (p = 5), 1 (p = -16), 0; column 0 is replayed through both
+    # pivots on 0 (p = 2), 1 (p = -8), 2; column 2 is replayed through both earlier pivots
     fact = _factor([[2, G(1, 1), 0], [G(1, -1), -3, 1], [0, 1, 5]])
-    assert [step[:2] for step in fact.steps] == [(2, 5), (1, -16), (0, -42)]
-    for s, c in ((0, 0), (1, 0)):
-        q, p, entries = fact.steps[s]
-        bad = tuple((i, a + 1, b) if i == c else (i, a, b) for i, a, b in entries)
-        corrupted = replace(fact, steps=(*fact.steps[:s], (q, p, bad), *fact.steps[s + 1 :]))
+    assert [step[:2] for step in fact.steps] == [(0, 2), (1, -8), (2, -42)]
+    (q0, p0, row0), (q1, p1, row1) = fact.steps[:2]
+    # the first pivot, or the second pivot row's entry at 2, off by one
+    bad_row1 = tuple((c, a + 1, b) if c == 2 else (c, a, b) for c, a, b in row1)
+    for s, step in ((0, (q0, p0 + 1, row0)), (1, (q1, p1, bad_row1))):
+        corrupted = replace(fact, steps=(*fact.steps[:s], step, *fact.steps[s + 1 :]))
         with pytest.raises(CertificateFailure):
-            corrupted.integer_column(0)
+            corrupted.integer_column(2)
 
 
-# A negative pivot minor: pivoting 2 (p = -2) leaves the imaginary block [[0, 6i], [-6i, 0]], bumped by i
+# A negative pivot minor: the imaginary block [[0, 3i], [-3i, 0]] is bumped by i into the pivot -6
 _NEGATIVE_MINOR_I_BUMP = [[(0, 0), (0, 3), (0, 0)], [(0, -3), (0, 0), (0, 0)], [(0, 0), (0, 0), (-2, 0)]]
 _NEGATIVE_MINORS_COMPLEX = [[(2, 0), (1, 1), (0, 0)], [(1, -1), (-3, 0), (1, 0)], [(0, 0), (1, 0), (5, 0)]]
 
@@ -476,8 +501,10 @@ def test_integer_pivot_verdicts_match_the_oracle(rows, L):
         assert ok
         return
     assert not ok
+    # the witness is the column at its scale over its content, a primitive vector
     vector, value = cert.vector, cert.value
-    scale = fact.column_scales[k]
+    assert gcd(*chain.from_iterable(vector)) == 1
+    scale = Fraction(fact.column_scales[k], gcd(*chain.from_iterable(fact.integer_column(k))))
     assert [G(*z) for z in vector] == [row[k] * G(scale) for row in ref.transform]
     assert value == quadratic_form(M, [G(*z) for z in vector]).re == scale**2 * ref.diag[k]
 
@@ -493,15 +520,16 @@ def _int_table(rows, L=1):
 
 def _one_block(r):
     """The factorization of r with every index in one block: one pivot minor for the whole matrix."""
-    basis, re, im = _integer_rows(r)
+    basis, re, im, _ = _integer_rows(r)
     return _bareiss(basis, r.scale, re, im, [0] * len(basis))
 
 
 @contextmanager
 def _all_one_block():
     """Factor every matrix with every index in one block, in place of its connected components."""
+    rows = inertia_module._integer_rows
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inertia_module, "_blocks", lambda re, im: [0] * len(re))
+        mp.setattr(inertia_module, "_integer_rows", lambda r: (*rows(r)[:3], [0] * len(rows(r)[0])))
         yield
 
 
@@ -520,17 +548,15 @@ def _same_factorization(fact, whole):
 @given(hermitian_direct_sums())
 @settings(max_examples=150, deadline=None)
 def test_blocks_are_the_connected_components(case):
-    # each index is labelled with its component, components numbered in order of their least index
+    # the row layout labels each index with the least index of its component, zero entries linking nothing
     rows, blocks = case
-    re = [[x for x, _ in row] for row in rows]
-    im = [[y for _, y in row] for row in rows]
     covered = {i for block in blocks for i in block}
-    components = sorted(blocks + [[i] for i in range(len(rows)) if i not in covered])
-    expected = [None] * len(rows)
-    for label, component in enumerate(components):
-        for i in component:
-            expected[i] = label
-    assert _blocks(re, im) == expected
+    expected = list(range(len(rows)))
+    for block in blocks:
+        for i in block:
+            expected[i] = block[0]
+    assert all(i in covered or not any(x or y for x, y in row) for i, row in enumerate(rows))
+    assert _integer_rows(_int_table(rows))[3] == expected
 
 
 @given(hermitian_direct_sums(), st.integers(1, 6))
@@ -559,10 +585,11 @@ def _hermitian_rows(dim, upper):
     return rows
 
 
-# Blocks (0, 4, 7), (1, 8, 9, 10) and (3, 6), and the zero block (2, 5).  Pivoting 0 leaves (4, 7) a zero-diagonal
-# pair, and the zero-diagonal path 9-1-8-10 needs a second bump after two pivots, so the steps run: pivot 0,
-# bump (1, 8), pivots 1, 9, bump (3, 6) by i, pivots 3, 6, bump (4, 7), pivots 4, 7, bump (8, 10), pivots 8, 10.
-# Rows 8 and 10 of T^-1 take bump (8, 10) before bump (1, 8), and skip the two bumps between.
+# Blocks (0, 4, 7), (1, 8, 9, 10) and (3, 6), and the zero block (2, 5).  Pivoting 0 leaves 4 a zero diagonal
+# entry, and pivoting 1 leaves 9 one, so in index order the steps run: pivot 0, bump (1, 8), pivot 1, bump (3, 6)
+# by i, pivot 3, bump (4, 7), pivots 4, 6, 7, 8, bump (9, 10), pivots 9, 10; 2 and 5 are zeros of the diagonal.
+# Rows 6, 7, 8 and 10 of T^-1 each take one earlier bump, (3, 6), (4, 7), (1, 8) and (9, 10), and find no
+# entry for the others, which sit in other blocks or act on indices already pivoted.
 _INTERLEAVED_BUMPS = _hermitian_rows(11, {
     (0, 0): (1, 0), (4, 4): (1, 0), (7, 7): (1, 0), (0, 4): (1, 0), (0, 7): (1, 0), (4, 7): (2, 0),
     (1, 8): (1, 0), (1, 9): (2, 0), (8, 10): (1, 0), (3, 6): (0, 3),
@@ -583,12 +610,35 @@ def test_block_split_matches_the_rational_oracle(case, L):
     assert rational_inverse(fact) == ref.inverse
 
 
+@given(hermitian_direct_sums(), st.integers(1, 4))
+@example((_NEGATIVE_MINOR_I_BUMP, [[0, 1], [2]]), 1)
+@example((_INTERLEAVED_BUMPS, [[0, 4, 7], [1, 8, 9, 10], [3, 6]]), 2)
+@settings(max_examples=200, deadline=None)
+def test_stopping_verdict_matches_the_full_inertia(case, L):
+    # psd_factorization is congruence_factorization up to its first negative pivot, bumps and negative
+    # minors included, and its witness is that pivot's column over its content
+    rows, _ = case
+    scaled = _int_table(rows, L)
+    full, stopped = congruence_factorization(scaled), psd_factorization(scaled)
+    k = next((k for k, (num, den) in enumerate(full.pivots) if num and (num > 0) != (den > 0)), None)
+    ok, witness = psi._psd_verdict(scaled)
+    if k is None:
+        assert stopped == full and ok and witness == full
+        return
+    end = next(s for s, step in enumerate(full.steps) if len(step) == 3 and step[0] == k) + 1
+    assert stopped == replace(full, pivots=full.pivots[: k + 1], steps=full.steps[:end])
+    assert stopped.inertia[1] == 1 and stopped.integer_column(k) == full.integer_column(k)
+    content = gcd(*chain.from_iterable(full.integer_column(k)))
+    assert not ok and witness.vector == tuple((a // content, b // content) for a, b in full.integer_column(k))
+    assert witness.value == table_quadratic_form(scaled, full.basis, witness.vector) < 0
+
+
 def _counting_bareiss(monkeypatch):
     calls = []
 
-    def counted(basis, L, re, im, labels):
+    def counted(basis, L, re, im, labels, stop=False):
         calls.append((len(basis), sorted(Counter(labels).values(), reverse=True)))
-        return _bareiss(basis, L, re, im, labels)
+        return _bareiss(basis, L, re, im, labels, stop)
 
     monkeypatch.setattr(inertia_module, "_bareiss", counted)
     return calls
@@ -622,8 +672,8 @@ def test_rotated_dense_family_factors_block_by_block(monkeypatch):
     r = plane_rotated(generate_pD(3, 4))
     assert any(im for _, im in r.table.values())
     scaled = next(islice(hermitian_powers(r), 1, None))
-    basis, re, im = _integer_rows(scaled)
-    assert sorted(Counter(_blocks(re, im)).values(), reverse=True) == [6, 5, 4, 3, 1, 1, 1]
+    basis, _, _, labels = _integer_rows(scaled)
+    assert sorted(Counter(labels).values(), reverse=True) == [6, 5, 4, 3, 1, 1, 1]
     calls = _counting_bareiss(monkeypatch)
     fact = congruence_factorization(scaled)
     assert calls == [(21, [6, 5, 4, 3, 1, 1, 1])]

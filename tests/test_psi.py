@@ -470,7 +470,7 @@ def _assert_same_verdict(member, cert, M):
 def test_hermitian_route_matches_rational_assembly(r, d):
     M = product_matrix(r, d)
     product = next(islice(hermitian_powers(r), d, None))
-    basis, re, im = _integer_rows(product)
+    basis, re, im, _ = _integer_rows(product)
     # the engine receives exactly L * M, L = product.scale the lcm of M's denominators
     L = product.scale
     assert basis == M.basis

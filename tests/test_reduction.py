@@ -2,9 +2,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
-from members import clashing_form, hermitian_matrices, random_psi1_member
+from members import BUMPING_MEMBER, clashing_form, hermitian_matrices, random_psi1_member
 from oracles import (
     coefficient_matrix,
     form_polynomial,
@@ -15,7 +15,7 @@ from oracles import (
 from psicert import reduction
 from psicert.errors import CertificateFailure, NotInPsiD
 from psicert.generators import example_fig1, example_fig2, generate_two_var
-from psicert.inertia import inertia
+from psicert.inertia import congruence_factorization, inertia
 from psicert.polycore import GaussianRational, HermitianPoly, RealSparsePoly, real_to_diagonal
 from psicert.psi import in_psi_hermitian
 from psicert.reduction import (
@@ -244,6 +244,40 @@ def test_random_suite_pipeline(seed):
         assert weighted_j_identity(step)
         if step.lambda_used is not None:
             assert 0 < step.lambda_used < 1
+
+
+def _bumps(r) -> int:
+    return sum(1 for entry in congruence_factorization(r).pivot_log if entry[0] == "bump")
+
+
+@given(hermitian_matrices())
+@example([[G(-3), G(1), ZERO], [G(1), G(1), G(0, 2)], [ZERO, G(0, -2), G(2)]])  # negative pivot minor
+@settings(max_examples=150, deadline=None)
+def test_bump_free_squares_are_in_row_echelon_form(rows):
+    # without a bump, row k of T^-1 is k's pivot row, which leads in column k
+    r = HermitianPoly(1, {((i,), (j,)): x for i, row in enumerate(rows) for j, x in enumerate(row)})
+    assume(not _bumps(r))
+    assert is_partial_row_echelon(decompose(r))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bump_free_members_take_no_step(seed):
+    # the decomposition of a member that takes no bump is already in partial row-echelon form
+    r = random_psi1_member(seed)
+    assert not _bumps(r)
+    form = decompose(r)
+    assert is_partial_row_echelon(form)
+    reduced, steps = partial_row_echelon(form)
+    assert steps == []
+    assert (reduced.plus_rows, reduced.minus_rows) == (form.plus_rows, form.minus_rows)
+
+
+def test_bumping_member_takes_a_cross_block_step():
+    form = decompose(BUMPING_MEMBER)
+    assert _bumps(BUMPING_MEMBER) == 1 and not is_partial_row_echelon(form)
+    reduced, steps = partial_row_echelon(form)
+    assert (reduced.n_plus, reduced.n_minus) == (2, 1) and len(steps) == 1
+    assert weighted_j_identity(steps[0]) and reconstruction_error(reduced) == 0
 
 
 @given(hermitian_matrices())

@@ -63,16 +63,19 @@ def _references(tree, names):
     return found
 
 
-def test_congruence_engine_has_one_door():
-    # the row layout, the block labels and the Bareiss body are reached only through inertia.congruence_factorization
+def test_congruence_engine_has_two_doors():
+    # the row layout with its block labels and the Bareiss body are reached only through
+    # inertia.congruence_factorization and the stopping verdict inertia.psd_factorization;
+    # the block scan is gone, its labels coming from the row layout
     private = {"_integer_rows", "_blocks", "_bareiss"}
     uses = sorted(
         (f"{path.relative_to(PACKAGE)}:{owner}", name)
         for path in sorted(PACKAGE.rglob("*.py"))
         for owner, name in _references(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), private)
     )
-    door = "inertia.py:congruence_factorization"
-    assert uses == [(door, "_bareiss"), (door, "_blocks"), (door, "_integer_rows")], f"other uses of the engine: {uses}"
+    doors = ("inertia.py:congruence_factorization", "inertia.py:psd_factorization")
+    expected = [(door, name) for door in doors for name in ("_bareiss", "_integer_rows")]
+    assert uses == expected, f"other uses of the engine: {uses}"
 
 
 def test_hermitian_products_reach_the_engine_as_hermitian_polys():
