@@ -309,8 +309,8 @@ def _bareiss(basis, L: int, re, im, labels, stop: bool = False) -> CongruenceFac
                 ik[c] += fr * v - fi * u
             steps.append((k, j, fr, fi))
             p = rk[k]
+        steps.append((k, p, tuple((c, rk[c], ik[c]) for c in active if rk[c] or ik[c])))
         del active[0]
-        steps.append((k, p, ((k, p, 0), *((c, rk[c], ik[c]) for c in active if rk[c] or ik[c]))))
         num = p if g == prev else p * (g // prev)  # times the other blocks' minors
         pivots.append((num, L * g))
         if stop and (num > 0) != (g > 0):  # a negative pivot, over den = L * g

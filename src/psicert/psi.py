@@ -123,12 +123,13 @@ def _psd_verdict(product: HermitianPoly) -> tuple:
     fact = psd_factorization(product)
     if not fact.inertia[1]:
         return True, fact
-    v = fact.integer_column(len(fact.pivots) - 1)
+    k = len(fact.pivots) - 1
+    v = fact.integer_column(k)
     g = gcd(*chain.from_iterable(v))
     v = tuple((a // g, b // g) for a, b in v)
     value = table_quadratic_form(product, fact.basis, v)
     if value >= 0:
-        raise CertificateFailure(f"negative pivot {len(fact.pivots) - 1} gives v* M v = {value} >= 0")
+        raise CertificateFailure(f"negative pivot {k} gives v* M v = {value} >= 0")
     return False, NegativeDirectionWitness(v, fact.basis, value)
 
 

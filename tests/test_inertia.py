@@ -528,8 +528,13 @@ def _one_block(r):
 def _all_one_block():
     """Factor every matrix with every index in one block, in place of its connected components."""
     rows = inertia_module._integer_rows
+
+    def one_label(r):
+        basis, re, im, _ = rows(r)
+        return basis, re, im, [0] * len(basis)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inertia_module, "_integer_rows", lambda r: (*rows(r)[:3], [0] * len(rows(r)[0])))
+        mp.setattr(inertia_module, "_integer_rows", one_label)
         yield
 
 
