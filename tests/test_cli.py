@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 
 from members import certificate_inputs
 from oracles import certificate_document, certificate_json
+from psicert import diagram
 from psicert.bounds import pigeonhole_certificate
 from psicert.cli import run
 from psicert.errors import NotInPsiD
@@ -26,7 +27,8 @@ from psicert.generators import (
     generate_qk,
     generate_two_var,
 )
-from psicert.polycore import RealSparsePoly, poly_from_json, poly_to_json
+from psicert.patterns import SignPattern, pattern_from_poly
+from psicert.polycore import RealSparsePoly, monomials_of_degree, poly_from_json, poly_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -382,12 +384,61 @@ def test_reduce_cli(tmp_path):
         assert step["lambda"] is None or 0 < Fraction(step["lambda"]) < 1
 
 
-def test_diagram_golden_files(fig2_file, tmp_path):
-    r = _run_cli(["--format", "text", "diagram", "--poly", fig2_file, "--style", "svg"])
-    assert r.returncode == 0
-    assert r.stdout == (GOLDEN / "fig2.svg").read_text()
-    r2 = _run_cli(["--format", "text", "diagram", "--poly", fig2_file, "--style", "ascii"])
-    assert r2.stdout == (GOLDEN / "fig2.txt").read_text()
+_DIAGRAM_INPUTS = {
+    "fig1": lambda: ("--poly", poly_to_json(example_fig1())),
+    "fig2": lambda: ("--poly", poly_to_json(example_fig2())),
+    # asymmetric, so a mirrored row shows; positive, negative and zero points
+    "two_var": lambda: ("--pattern", {"n": 2, "D": 5, "pos": [[5, 0], [1, 4]], "neg": [[4, 1], [0, 5]]}),
+    "d0": lambda: ("--pattern", {"n": 3, "D": 0, "pos": [[0, 0, 0]], "neg": []}),
+}
+
+
+# golden file: its input and the diagram flags
+_DIAGRAM_GOLDENS = {
+    "fig2.svg": ("fig2", ["--style", "svg"]),
+    "fig2.txt": ("fig2", ["--style", "ascii"]),
+    "fig1_simplices.svg": ("fig1", ["--style", "svg", "--show-simplices"]),
+    "two_var.svg": ("two_var", ["--style", "svg"]),
+    "two_var.txt": ("two_var", ["--style", "ascii"]),
+    "d0.svg": ("d0", ["--style", "svg"]),
+    "d0.txt": ("d0", ["--style", "ascii"]),
+}
+
+
+@pytest.mark.parametrize("golden", list(_DIAGRAM_GOLDENS))
+def test_diagram_golden_files(golden, tmp_path):
+    source, flags = _DIAGRAM_GOLDENS[golden]
+    kind, doc = _DIAGRAM_INPUTS[source]()
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    r = _run_cli(["--format", "text", "diagram", kind, str(path), *flags])
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "pattern, show_simplices",
+    [
+        (pattern_from_poly(generate_pD(3, 12)), False),
+        (pattern_from_poly(generate_pD(3, 12)), True),
+        (SignPattern(2, 20, [(20 - b, b) for b in range(0, 21, 3)], [(20 - b, b) for b in range(1, 21, 3)]), False),
+    ],
+    ids=["pD(3,12)", "pD(3,12)-simplices", "two-var-D20"],
+)
+def test_diagram_quantizes_each_coordinate_once(monkeypatch, pattern, show_simplices):
+    # x texts by column, y and label texts by row, the size and the radius: at most
+    # 4D + 12 quantizations, however many points and contributor corners are drawn
+    calls = []
+    q = diagram._q
+
+    def counted(x):
+        calls.append(x)
+        return q(x)
+
+    monkeypatch.setattr(diagram, "_q", counted)
+    doc = diagram.render_diagram(pattern, "svg", show_simplices)
+    assert doc.count("<circle") == len(monomials_of_degree(pattern.n, pattern.D))
+    assert len(calls) <= 4 * pattern.D + 12
 
 
 def test_diagram_deterministic(fig2_file):
