@@ -226,7 +226,7 @@ def _cmd_generate(args) -> int:
     if meta and args.format == "text":
         doc = dict(doc, **meta)
     text = json.dumps(doc, sort_keys=True, check_circular=False)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -255,7 +255,7 @@ def _cmd_check_psi(args) -> int:
     if args.multiplier is not None and args.d:  # --d 0 stays, as older command lines pass it
         raise SystemExit2(f"--d {args.d} with --multiplier: the multiplier file gives the powers")
     obj = _load_input(args)
-    if args.multiplier:
+    if args.multiplier is not None:
 
         def parse(doc):
             if _json_int(doc["n"]) != obj.n:
@@ -288,7 +288,7 @@ def _cmd_signature(args) -> int:
 
 def _cmd_search(args) -> int:
     support = None
-    if args.support:
+    if args.support is not None:
 
         def parse(doc):
             points = sorted(_patterns.pattern_from_json(doc).support)
@@ -343,7 +343,7 @@ def _cmd_reduce(args) -> int:
         }
         for s in steps
     ]
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"steps": steps_doc}, fh, sort_keys=True, check_circular=False)
             fh.write("\n")
@@ -412,7 +412,7 @@ def _cmd_diagram(args) -> int:
     else:
         pat = _load(args.poly, lambda doc: _patterns.pattern_from_poly(poly_from_json(doc)))
     doc = render_diagram(pat, args.style, args.show_simplices)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(doc)
         _emit({"out": args.out, "style": args.style}, args)

@@ -18,11 +18,12 @@ makes the sign counts of the resulting diagonal the inertia of the input.
 `psd_factorization` runs the same elimination but stops at the first
 negative pivot, which decides positive semidefiniteness.
 
-The factorization stores the elimination record only, in ints: (basis,
-scale, pivots, steps); the inertia, `pivot_log`, `column_scales`, `diag`,
-`inverse_rows` (T^-1) and `integer_column` (one column of T) are views of
-it.  Vectors are tuples of (re, im) int pairs; `table_quadratic_form`
-evaluates a witness on r's table itself.
+The factorization stores the elimination record only, in ints, each at
+its own block's scale: (basis, scale, pivots, steps); the inertia,
+`pivot_log`, `column_scales`, `diag`, `inverse_rows` (T^-1) and
+`integer_column` (one column of T) are views of it, and nothing printed
+depends on the blocks.  Vectors are tuples of (re, im) int pairs;
+`table_quadratic_form` evaluates a witness on r's table itself.
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ class CongruenceFactorization:
     The factorization stores its elimination record and nothing else:
     `basis`, the scale L of the table, `pivots` and `steps`.  `pivots[k]`
     is diagonal entry k as the ints (num, den), not reduced: den is L times
-    the pivot minor of the whole matrix in force at k, nonzero but possibly
-    negative.  T is the product E_1 ... E_m of the congruence steps in
-    `steps`, in order: a pivot on q is (q, p, ((c, re, im), ...)), p = a_qq
+    the pivot minor of k's block before k (1 for its first pivot), nonzero
+    but possibly negative, and num is that block's minor through k, or 0.
+    T is the product E_1 ... E_m of the congruence steps in `steps`, in
+    order: a pivot on q is (q, p, ((c, re, im), ...)), p = a_qq
     and the nonzero entries a_qc of row q over q and the indices c then
     active in q's block, at that block's scale; only the ratios a_qc / p
     enter T.  A bump is (i, j, fr, fi), column i += f * column j with
@@ -87,7 +89,7 @@ class CongruenceFactorization:
 
     @property
     def column_scales(self) -> tuple:
-        """The pivot minor of the whole matrix at each index: it makes column k of T integral."""
+        """The pivot minor of k's block before k, at each index k: it makes column k of T integral."""
         return tuple(den // self.scale for _, den in self.pivots)
 
     @cached_property
@@ -263,15 +265,15 @@ def _bareiss(basis, L: int, re, im, labels, stop: bool = False) -> CongruenceFac
     the matching entry of the rational Schur complement.  Pivoting on k,
     with p = a_kk = m_{s+1}, maps a_ij over k's block to
     (p * a_ij - a_ik * a_kj) / m_s; Sylvester's identity makes the division
-    exact, and a remainder raises CertificateFailure.  The pivot minor g of
-    the whole matrix is the product of the block minors, so the pivot gets
-    pivots[k] = (p * g / m_s, L * g), as the whole-matrix elimination gives
-    it.  Neither T nor its inverse is formed: each pivot and bump is
-    recorded as a step, and the factorization's views read the steps.
+    exact, and a remainder raises CertificateFailure.  The pivot is recorded
+    as pivots[k] = (p, L * m_s), at its own block's scale, so a block's
+    record is the one it gets factored alone.  Neither T nor its inverse is
+    formed: each pivot and bump is recorded as a step, and the
+    factorization's views read the steps.
 
     Pivot rule: the indices are taken in order, k the least active index,
     so without a bump row k of T^-1 is k's pivot row, leading in column k.
-    If a_kk = 0 and row k is zero, k is a zero of the diagonal, (0, L * g).
+    If a_kk = 0 and row k is zero, k is a zero of the diagonal, (0, L * m_s).
     Otherwise column k += f * column j and row k += conj(f) * row j, for j
     the least index with a_kj != 0, make a_kk = 2 Re(f a_kj) + a_jj; f is
     the first of 1, -1, i that makes it nonzero (when 1 and -1 both fail,
@@ -283,7 +285,6 @@ def _bareiss(basis, L: int, re, im, labels, stop: bool = False) -> CongruenceFac
     for k, label in enumerate(labels):
         blocks.setdefault(label, [1, []])[1].append(k)
     pivots, steps = [], []
-    g = 1
 
     for k, label in enumerate(labels):
         block = blocks[label]
@@ -294,7 +295,7 @@ def _bareiss(basis, L: int, re, im, labels, stop: bool = False) -> CongruenceFac
             j = next((j for j in active if rk[j] or ik[j]), None)
             if j is None:
                 del active[0]
-                pivots.append((0, L * g))  # a zero row: a zero of the diagonal
+                pivots.append((0, L * prev))  # a zero row: a zero of the diagonal
                 continue
             x, y, a = rk[j], ik[j], re[j][j]
             fr, fi = next((fr, fi) for fr, fi in ((1, 0), (-1, 0), (0, 1)) if 2 * (fr * x - fi * y) + a)
@@ -311,11 +312,9 @@ def _bareiss(basis, L: int, re, im, labels, stop: bool = False) -> CongruenceFac
             p = rk[k]
         steps.append((k, p, tuple((c, rk[c], ik[c]) for c in active if rk[c] or ik[c])))
         del active[0]
-        num = p if g == prev else p * (g // prev)  # times the other blocks' minors
-        pivots.append((num, L * g))
-        if stop and (num > 0) != (g > 0):  # a negative pivot, over den = L * g
+        pivots.append((p, L * prev))
+        if stop and (p > 0) != (prev > 0):  # a negative pivot, over den = L * m_s
             break
-        g = num
         block[0] = p
         col = [(i, re[i][k], im[i][k]) for i in active]
 

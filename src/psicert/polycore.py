@@ -64,15 +64,9 @@ def compositions(total: int, parts: int):
 GEOMETRY_CACHE_SIZE = 32
 
 
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def monomials_of_degree(n: int, degree: int) -> tuple[MultiIndex, ...]:
     """All degree-`degree` exponent vectors in `n` variables, sorted; one shared tuple per (n, degree)."""
-    # a plain function over the memo, so that wrappers which take only plain
-    # functions (perfbench's tracer) still see this name
-    return _lattice(n, degree)
-
-
-@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
-def _lattice(n: int, degree: int) -> tuple[MultiIndex, ...]:
     return tuple(sorted(compositions(degree, n)))
 
 

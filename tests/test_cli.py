@@ -1092,7 +1092,8 @@ def test_closed_stdout_exits_quietly(argv):
     assert r.stderr == b""
 
 
-# each reading flag and --out, given a directory: "usage error", never "internal error"
+# each reading flag and --out, given a directory or an empty path: "usage error", never "internal error",
+# and an empty path is never taken for a flag left out
 _DIRECTORY_PATHS = [
     ["check-psi", "--poly", "{dir}", "--d", "1"],
     ["certificate", "--poly", "{dir}"],
@@ -1104,10 +1105,17 @@ _DIRECTORY_PATHS = [
     ["reduce", "--herm", "{herm}", "--out", "{dir}"],
     ["diagram", "--poly", "{fig2}", "--out", "{dir}"],
     ["generate", "pd", "--n", "3", "--D", "4", "--out", "{dir}/missing/x.json"],
+    ["check-psi", "--poly", "{fig2}", "--d", "0", "--multiplier", ""],
+    ["search", "--n", "3", "--D", "2", "--d", "1", "--support", ""],
+    ["generate", "pd", "--n", "3", "--D", "4", "--out", ""],
+    ["reduce", "--herm", "{herm}", "--out", ""],
+    ["diagram", "--poly", "{fig2}", "--out", ""],
 ]
 
 
-@pytest.mark.parametrize("argv", _DIRECTORY_PATHS, ids=[" ".join(a[:1] + a[-2:-1]) for a in _DIRECTORY_PATHS])
+@pytest.mark.parametrize(
+    "argv", _DIRECTORY_PATHS, ids=[" ".join(a[:1] + a[-2:-1] + ['""'] * (a[-1] == "")) for a in _DIRECTORY_PATHS]
+)
 def test_path_that_cannot_be_opened_is_usage_error(tmp_path, fig2_file, capsys, argv):
     from members import random_psi1_member
     from psicert.polycore import hermitian_to_json

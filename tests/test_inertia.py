@@ -539,15 +539,58 @@ def _all_one_block():
 
 
 def _same_factorization(fact, whole):
-    # every integer datum the one-minor elimination leaves, but the block-scaled steps and inverse rows
+    # the one-block elimination gives fact's diag, inertia and pivot_log, and its integer columns are fact's
+    # rescaled by the ratio of the column scales: only the integer scales of the record depend on the blocks
     assert fact.basis == whole.basis
-    assert fact.pivots == whole.pivots
-    assert fact.column_scales == whole.column_scales
-    assert fact.pivot_log == whole.pivot_log
-    assert fact.diag == whole.diag
-    assert [fact.integer_column(k) for k in range(len(fact.pivots))] == [
-        whole.integer_column(k) for k in range(len(whole.pivots))
-    ]
+    assert (fact.diag, fact.inertia, fact.pivot_log) == (whole.diag, whole.inertia, whole.pivot_log)
+    for k, (s, t) in enumerate(zip(fact.column_scales, whole.column_scales)):
+        column, whole_column = fact.integer_column(k), whole.integer_column(k)
+        assert [(a * t, b * t) for a, b in column] == [(a * s, b * s) for a, b in whole_column]
+
+
+def _factored_alone(r, block):
+    """The factorization of r's coefficient matrix on the indices `block`, ascending, at r's scale, as one block."""
+    basis, re, im, _ = _integer_rows(r)
+    sub_re = [[re[i][j] for j in block] for i in block]
+    sub_im = [[im[i][j] for j in block] for i in block]
+    return _bareiss([basis[i] for i in block], r.scale, sub_re, sub_im, [0] * len(block))
+
+
+@given(hermitian_direct_sums(), st.integers(1, 6))
+@example((_NEGATIVE_MINOR_I_BUMP, [[0, 1], [2]]), 1)
+@settings(max_examples=200, deadline=None)
+def test_each_block_keeps_its_own_pivot_minor(case, L):
+    # every pivot is (p, L * m), m the last nonzero pivot of its block before it (1 for the first), and a
+    # block's pivots, column scales and columns of T are the ones it gets factored alone at the same L
+    scaled = _int_table(case[0], L)
+    fact = congruence_factorization(scaled)
+    labels = _integer_rows(scaled)[3]
+    minors = {}
+    pivot_of = {step[0]: step[1] for step in fact.steps if len(step) == 3}
+    for k, (num, den) in enumerate(fact.pivots):
+        assert num == pivot_of.get(k, 0) and den == scaled.scale * minors.get(labels[k], 1)
+        if num:
+            minors[labels[k]] = num
+    for label in set(labels):
+        block = [k for k, other in enumerate(labels) if other == label]
+        alone = _factored_alone(scaled, block)
+        assert alone.pivots == tuple(fact.pivots[k] for k in block)
+        assert alone.column_scales == tuple(fact.column_scales[k] for k in block)
+        for a, k in enumerate(block):
+            column = fact.integer_column(k)
+            assert [column[i] for i in block] == list(alone.integer_column(a))
+            assert not any(x or y for i, (x, y) in enumerate(column) if labels[i] != label)
+
+
+def test_diagonal_matrix_has_unit_columns():
+    # a diagonal matrix is a direct sum of 1x1 blocks: every column scale is 1 and every column of T a unit vector
+    rows = [[(d, 0) if i == j else (0, 0) for j in range(5)] for i, d in enumerate((3, -2, 0, 5, -7))]
+    fact = congruence_factorization(_int_table(rows, 2))
+    dim = len(rows)
+    assert fact.column_scales == (1,) * dim
+    assert fact.pivots == ((3, 2), (-2, 2), (0, 2), (5, 2), (-7, 2))
+    for k in range(dim):
+        assert fact.integer_column(k) == tuple((int(i == k), 0) for i in range(dim))
 
 
 @given(hermitian_direct_sums())
@@ -568,7 +611,7 @@ def test_blocks_are_the_connected_components(case):
 @example(([[(0, 0), (0, 3), (0, 0)], [(0, -3), (0, 0), (0, 0)], [(0, 0), (0, 0), (-2, 0)]], [[0, 1], [2]]), 1)
 @settings(max_examples=200, deadline=None)
 def test_block_split_matches_the_whole_matrix_elimination(case, L):
-    # at every size, a minor per block gives what one minor for the whole matrix gives, witness included
+    # at every size, a minor per block prints what one minor for the whole matrix prints, witness included
     rows, _ = case
     scaled = _int_table(rows, L)
     fact = congruence_factorization(scaled)
@@ -673,7 +716,7 @@ def test_connected_input_takes_one_whole_elimination(monkeypatch):
 
 def test_rotated_dense_family_factors_block_by_block(monkeypatch):
     # pD(3, 4) rotated in the plane of z_1, z_2: its product matrix at d = 1 has dimension 21 in blocks
-    # 6, 5, 4, 3, 1, 1, 1, each with its own minor in the one elimination, and the result is the one-minor one's
+    # 6, 5, 4, 3, 1, 1, 1, each with its own minor in the one elimination, and it reads as the one-minor one
     r = plane_rotated(generate_pD(3, 4))
     assert any(im for _, im in r.table.values())
     scaled = next(islice(hermitian_powers(r), 1, None))

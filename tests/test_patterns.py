@@ -266,7 +266,7 @@ def test_geometry_caches_are_the_known_ones():
     assert names == [
         "psicert.patterns._local_geometry",
         "psicert.patterns._shared_cover",
-        "psicert.polycore._lattice",
+        "psicert.polycore.monomials_of_degree",
     ]
 
 
