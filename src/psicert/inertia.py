@@ -2,13 +2,14 @@
 
 `congruence_factorization` takes a `polycore.HermitianPoly` r, as the
 readers and the power and multiplier shift passes build it: its
-Gaussian-integer table {(alpha, beta): (re, im)} over both triangles,
+Gaussian-integer table {(alpha, beta): (re, im)} over one triangle,
 Hermitian and over the minimal scale L, stands for table / L, and the type
 holds both conditions, so nothing here checks them again.  It lays the
-table out as dense integer rows over the sorted index set, labelling the
-connected blocks of the nonzero pattern as it goes, and runs symmetric
-Bareiss elimination (Bareiss 1968) over Gaussian integers held as pairs of
-Python ints, in the sorted index order with a pivot minor per block.
+table out as the upper triangle of dense integer rows over the sorted index
+set, labelling the connected blocks of the nonzero pattern as it goes, and
+runs symmetric Bareiss elimination (Bareiss 1968) on that triangle over
+Gaussian integers held as pairs of Python ints, in the sorted index order
+with a pivot minor per block.
 Sylvester's identity makes every division exact, and the pivot signs come
 from ratios of successive pivot minors.  Pivots are 1x1 only.  When a
 diagonal entry vanishes but its row does not, a congruence that adds
@@ -220,9 +221,10 @@ def psd_factorization(r: HermitianPoly) -> CongruenceFactorization:
 
 
 def _integer_rows(r: HermitianPoly) -> tuple:
-    """(basis, re, im, labels): dense rows of r.scale times the coefficient matrix of r, and its blocks.
+    """(basis, re, im, labels): the upper triangle of r.scale times the coefficient matrix of r, and its blocks.
 
-    The basis is the sorted index set.  The dimension cap is checked before
+    The basis is the sorted index set; the entries below the diagonal stay
+    0, as r's table holds alpha <= beta.  The dimension cap is checked before
     any row is allocated.  `labels[k]` is the least index of the connected
     component of the nonzero pattern that holds k, found by a union-find
     over the table's nonzero entries while the rows are laid out.
@@ -257,13 +259,14 @@ def _integer_rows(r: HermitianPoly) -> tuple:
 def _bareiss(basis, L: int, re, im, labels, stop: bool = False) -> CongruenceFactorization:
     """Symmetric Bareiss elimination of (re + i*im) / L over Gaussian integers, in index order, a pivot minor per block.
 
-    `re` and `im` are the rows of a Hermitian matrix of ints over `basis`
-    and L > 0; the rows are overwritten.  `labels[k]` names the block of
-    index k, and no nonzero entry links two blocks.  Let m_s be the
-    principal minor of a block on its first s pivots, after any bumps
-    (m_0 = 1).  An active entry a_ij of that block then holds m_s * L times
-    the matching entry of the rational Schur complement.  Pivoting on k,
-    with p = a_kk = m_{s+1}, maps a_ij over k's block to
+    `re` and `im` hold the upper triangle of a Hermitian matrix of ints over
+    `basis`, and L > 0; it is overwritten, and a_ij below it is read as
+    conj(a_ji).  `labels[k]` names the block of index k, and no nonzero
+    entry links two blocks.  Let m_s be the principal minor of a block on
+    its first s pivots, after any bumps (m_0 = 1).  An active entry a_ij of
+    that block then holds m_s * L times the matching entry of the rational
+    Schur complement.  Pivoting on k, with p = a_kk = m_{s+1}, maps a_ij
+    over k's block to
     (p * a_ij - a_ik * a_kj) / m_s; Sylvester's identity makes the division
     exact, and a remainder raises CertificateFailure.  The pivot is recorded
     as pivots[k] = (p, L * m_s), at its own block's scale, so a block's
@@ -277,7 +280,8 @@ def _bareiss(basis, L: int, re, im, labels, stop: bool = False) -> CongruenceFac
     Otherwise column k += f * column j and row k += conj(f) * row j, for j
     the least index with a_kj != 0, make a_kk = 2 Re(f a_kj) + a_jj; f is
     the first of 1, -1, i that makes it nonzero (when 1 and -1 both fail,
-    Re(a_kj) = a_jj = 0 and i gives -2 Im(a_kj) != 0).  With `stop`, the
+    Re(a_kj) = a_jj = 0 and i gives -2 Im(a_kj) != 0); on the triangle
+    that is a_kc += conj(f) * a_jc for the active c > k.  With `stop`, the
     elimination returns at its first negative pivot, its record then ending
     there.
     """
@@ -297,28 +301,24 @@ def _bareiss(basis, L: int, re, im, labels, stop: bool = False) -> CongruenceFac
                 del active[0]
                 pivots.append((0, L * prev))  # a zero row: a zero of the diagonal
                 continue
-            x, y, a = rk[j], ik[j], re[j][j]
-            fr, fi = next((fr, fi) for fr, fi in ((1, 0), (-1, 0), (0, 1)) if 2 * (fr * x - fi * y) + a)
-            # congruence: column k += f * column j, then row k += conj(f) * row j
-            for r in active:
-                u, v = re[r][j], im[r][j]
-                re[r][k] += fr * u - fi * v
-                im[r][k] += fr * v + fi * u
-            for c in active:
-                u, v = re[j][c], im[j][c]
+            x, y, rj, ij = rk[j], ik[j], re[j], im[j]
+            fr, fi = next((fr, fi) for fr, fi in ((1, 0), (-1, 0), (0, 1)) if 2 * (fr * x - fi * y) + rj[j])
+            # on the triangle the congruence changes row k only: a_kc += conj(f) * a_jc, a_jc = conj(a_cj) for c < j
+            for c in active[1:]:
+                u, v = (rj[c], ij[c]) if c >= j else (re[c][j], -im[c][j])
                 rk[c] += fr * u + fi * v
                 ik[c] += fr * v - fi * u
             steps.append((k, j, fr, fi))
-            p = rk[k]
+            p = rk[k] = 2 * (fr * x - fi * y) + rj[j]
         steps.append((k, p, tuple((c, rk[c], ik[c]) for c in active if rk[c] or ik[c])))
         del active[0]
         pivots.append((p, L * prev))
         if stop and (p > 0) != (prev > 0):  # a negative pivot, over den = L * m_s
             break
         block[0] = p
-        col = [(i, re[i][k], im[i][k]) for i in active]
+        col = [(i, rk[i], -ik[i]) for i in active]  # a_ik = conj(a_ki)
 
-        # active block: upper triangle, mirrored into the lower; a row with a_ik = 0 only rescales its nonzeros
+        # active block, upper triangle; a row with a_ik = 0 only rescales its nonzeros
         for idx, (i, xr, xi) in enumerate(col):
             ri, ii = re[i], im[i]
             for j, yr, yi in col[idx:] if xr or xi else [(j, 0, 0) for j, _, _ in col[idx:] if ri[j] or ii[j]]:
@@ -331,8 +331,6 @@ def _bareiss(basis, L: int, re, im, labels, stop: bool = False) -> CongruenceFac
                         raise CertificateFailure("inexact Bareiss division")
                 ri[j] = nr
                 ii[j] = ni
-                re[j][i] = nr
-                im[j][i] = -ni
 
     return CongruenceFactorization(basis=basis, scale=L, pivots=tuple(pivots), steps=tuple(steps))
 
@@ -340,7 +338,8 @@ def _bareiss(basis, L: int, re, im, labels, stop: bool = False) -> CongruenceFac
 def table_quadratic_form(r: HermitianPoly, basis, v) -> Fraction:
     """v* M v for M the coefficient matrix of r and v a tuple of (re, im) int pairs over `basis`, in ints.
 
-    A nonzero imaginary part raises CertificateFailure.
+    An off-diagonal entry and its mirror are two terms.  A nonzero imaginary
+    part raises CertificateFailure.
     """
     comps = {b: z for b, z in zip(basis, v) if z[0] or z[1]}
     acc_re = acc_im = 0
@@ -349,11 +348,11 @@ def table_quadratic_form(r: HermitianPoly, basis, v) -> Fraction:
         vb = comps.get(beta)
         if va is None or vb is None:
             continue
-        # conj(va) * (x + iy) * vb
-        (p, q), (u, w) = va, vb
-        t_re, t_im = x * u - y * w, x * w + y * u
-        acc_re += p * t_re + q * t_im
-        acc_im += p * t_im - q * t_re
+        # conj(va) * (x + iy) * vb, and conj(vb) * (x - iy) * va off the diagonal
+        for (p, q), (u, w), y in ((va, vb, y), (vb, va, -y)) if alpha != beta else ((va, vb, y),):
+            t_re, t_im = x * u - y * w, x * w + y * u
+            acc_re += p * t_re + q * t_im
+            acc_im += p * t_im - q * t_re
     if acc_im:
         raise CertificateFailure(f"v* M v has imaginary part {Fraction(acc_im, r.scale)}")
     return Fraction(acc_re, r.scale)

@@ -4,7 +4,7 @@ A real polynomial on the nonnegative orthant is (scale, table): a positive
 int L and a map from exponent vectors to nonzero ints, standing for
 table / L.  A Hermitian polynomial is the same with pairs (alpha, beta) of
 exponent vectors as keys and Gaussian integers (re, im) as entries, over
-both triangles.  L is minimal, so equal polynomials have equal tables.  The
+one triangle.  L is minimal, so equal polynomials have equal tables.  The
 readers, the Hermitian shift passes, the congruence factorization and the
 reduction all work on these tables; Fractions and Gaussian rationals appear
 only at the edges (constructor input, `items()`, `coeff()`, `entry()`).
@@ -634,7 +634,7 @@ def sign_counts(p: RealSparsePoly) -> SignaturePair:
 
 
 def _hermitian_closure(staged: dict) -> dict:
-    """Both triangles of a table of nonzero Gaussian integers, its symmetry checked in ints.
+    """The upper triangle (alpha <= beta) of a table of nonzero Gaussian integers, folded and checked in ints.
 
     A diagonal entry must be real, and an entry given on both sides must be
     the conjugate of its mirror; otherwise NotHermitian.
@@ -644,10 +644,10 @@ def _hermitian_closure(staged: dict) -> dict:
         if alpha == beta:
             if y:
                 raise NotHermitian(f"diagonal entry at {alpha} is not real")
-        else:
-            if staged.get((beta, alpha), (x, -y)) != (x, -y):
-                raise NotHermitian(f"entries at {(alpha, beta)} and {(beta, alpha)} are not conjugate")
-            table[(beta, alpha)] = (x, -y)
+        elif staged.get((beta, alpha), (x, -y)) != (x, -y):
+            raise NotHermitian(f"entries at {(alpha, beta)} and {(beta, alpha)} are not conjugate")
+        elif beta < alpha:
+            alpha, beta, y = beta, alpha, -y
         table[(alpha, beta)] = (x, y)
     return table
 
@@ -656,11 +656,11 @@ class HermitianPoly(_ScaledTable):
     """Coefficient table of a real-valued polynomial in z and conj(z), as table / scale.
 
     `table` maps pairs (alpha, beta) of exponent vectors to Gaussian
-    integers (re, im), a pair of ints, over both triangles: it is closed
-    under (alpha, beta) -> (beta, alpha) with conjugation, so the
+    integers (re, im), a pair of ints, with alpha <= beta: the entry at
+    (beta, alpha) is the conjugate one, and a diagonal entry is real, so the
     represented polynomial is real-valued.  The constructor takes Gaussian
-    rationals (or rationals) per pair; `entry()` and `items()` build them on
-    demand.
+    rationals (or rationals) per pair on either side; `entry()` and
+    `items()` (both triangles) build them on demand.
     """
 
     __slots__ = ()
@@ -681,7 +681,7 @@ class HermitianPoly(_ScaledTable):
 
     @classmethod
     def _from_table(cls, n: int, scale: int, table: dict) -> "HermitianPoly":
-        """table / scale, for a positive int scale and a table closed under conjugation; scale made minimal."""
+        """table / scale, for a positive int scale and a table as the class holds it; scale made minimal."""
         g = gcd(scale, *chain.from_iterable(table.values()))
         if g > 1:
             scale //= g
@@ -689,12 +689,13 @@ class HermitianPoly(_ScaledTable):
         return cls._frozen(n, scale, table)
 
     def items(self) -> list:
-        L = self.scale
-        return [(key, GaussianRational(Fraction(x, L), Fraction(y, L))) for key, (x, y) in self.table.items()]
+        keys = chain.from_iterable(((a, b), (b, a)) if a != b else ((a, b),) for a, b in self.table)
+        return [(key, self.entry(*key)) for key in keys]
 
     def entry(self, alpha: MultiIndex, beta: MultiIndex) -> GaussianRational:
-        x, y = self.table.get((tuple(alpha), tuple(beta)), (0, 0))
-        return GaussianRational(Fraction(x, self.scale), Fraction(y, self.scale))
+        alpha, beta = tuple(alpha), tuple(beta)
+        x, y = self.table.get((min(alpha, beta), max(alpha, beta)), (0, 0))
+        return GaussianRational(Fraction(x, self.scale), Fraction(y if alpha <= beta else -y, self.scale))
 
     def is_diagonal(self) -> bool:
         return all(a == b for (a, b) in self.table)
@@ -739,7 +740,7 @@ def _shift_table(r: HermitianPoly, exps) -> HermitianPoly:
 
     Its table is T'(alpha + delta, beta + delta) = sum over delta of
     T(alpha, beta), T r's table; zero entries are dropped and the scale
-    made minimal.
+    made minimal.  alpha + delta <= beta + delta when alpha <= beta.
     """
     moved: dict = {}
     for key in r.table:
@@ -857,12 +858,11 @@ def poly_from_json(doc) -> RealSparsePoly:
 
 
 def hermitian_to_json(r: HermitianPoly) -> dict:
-    """One triangle only: the entries at (alpha, beta) with alpha <= beta."""
+    """The stored triangle: the entries at (alpha, beta) with alpha <= beta."""
     L = r.scale
     entries = [
         {"alpha": list(alpha), "beta": list(beta), "re": _rational_str(x, L), "im": _rational_str(y, L)}
         for (alpha, beta), (x, y) in sorted(r.table.items())
-        if alpha <= beta
     ]
     return {"n": r.n, "entries": entries}
 
@@ -884,6 +884,7 @@ def _first_faulty_entry(entries, n: int) -> None:
 def hermitian_from_json(doc) -> HermitianPoly:
     """Parse and validate in whole passes; a repeated entry must equal the first, the table must be Hermitian.
 
+    An entry may be given at (alpha, beta), its mirror (beta, alpha) or both.
     A document with a faulty entry is read again entry by entry, so the
     first faulty entry raises, as it would in a reading one entry at a time.
     """

@@ -33,7 +33,7 @@ from math import gcd, lcm
 
 from .errors import CertificateFailure, NotInPsiD
 from .inertia import congruence_factorization
-from .polycore import HermitianPoly, RealSparsePoly, _hermitian_closure
+from .polycore import HermitianPoly, RealSparsePoly
 from .psi import _routed, in_psi
 
 
@@ -118,9 +118,9 @@ def _squares(n: int, basis, terms) -> HermitianPoly:
     """sum weight |row . Z|^2 over the (row, weight) terms, in n variables.
 
     `terms` are (row, weight) pairs with Gaussian-integer rows over the
-    sorted `basis` and Fraction weights; the upper triangle (alpha <= beta)
-    is summed in ints over the lcm of the weights' denominators and closed
-    by conjugation.
+    sorted `basis` and Fraction weights; the upper triangle (alpha <= beta),
+    which is the table, is summed in ints over the lcm of the weights'
+    denominators.
     """
     den = lcm(*(w.denominator for _, w in terms))
     out: dict = {}
@@ -136,8 +136,7 @@ def _squares(n: int, basis, terms) -> HermitianPoly:
                 re, im = sx * u + sy * t, sx * t - sy * u
                 cur = get(key)
                 out[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-    upper = {key: z for key, z in out.items() if z[0] or z[1]}
-    return HermitianPoly._from_table(n, den, _hermitian_closure(upper))
+    return HermitianPoly._from_table(n, den, {key: z for key, z in out.items() if z[0] or z[1]})
 
 
 def decompose(r: HermitianPoly) -> DecomposedForm:

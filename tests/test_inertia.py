@@ -130,10 +130,10 @@ def test_dimension_cap(monkeypatch):
 def test_integer_rows_check_the_cap_and_the_constructor_checks_symmetry(monkeypatch):
     a, b = (1, 0), (0, 1)
     table = {(a, a): (6, 0), (a, b): (2, 4), (b, a): (2, -4), (b, b): (-8, 0)}
-    # gcd(12, entries) = 2 is divided out by the constructor: the rows of 6M with M = table / 12
+    # gcd(12, entries) = 2 is divided out by the constructor: the upper triangle of 6M with M = table / 12
     r = HermitianPoly._from_table(2, 12, _hermitian_closure(table))
     assert r.scale == 6
-    assert _integer_rows(r) == ((b, a), [[-4, 1], [1, 3]], [[0, -2], [2, 0]], [0, 0])
+    assert _integer_rows(r) == ((b, a), [[-4, 1], [0, 3]], [[0, -2], [0, 0]], [0, 0])
     monkeypatch.setenv("PSI_MAX_DIM", "1")
     with pytest.raises(ExplicitLimit):
         _integer_rows(r)
@@ -142,13 +142,14 @@ def test_integer_rows_check_the_cap_and_the_constructor_checks_symmetry(monkeypa
         _hermitian_closure({**table, (b, a): (2, 4)})
     with pytest.raises(NotHermitian):
         _hermitian_closure({**table, (a, a): (6, 1)})
-    # an entry given on one side only is closed by conjugation, not rejected
-    assert _hermitian_closure({(a, b): (1, 2)}) == {(a, b): (1, 2), (b, a): (1, -2)}
+    # an entry given below the diagonal only is folded onto the upper triangle as its conjugate, not rejected
+    assert _hermitian_closure({(a, b): (1, 2)}) == {(b, a): (1, -2)}
+    assert _hermitian_closure({(a, b): (1, 2), (b, a): (1, -2)}) == {(b, a): (1, -2)}
 
 
 def test_factorization_carries_the_sorted_basis_and_ignores_a_common_factor():
     a, b = (1, 0), (0, 1)
-    table = {(a, a): (6, 0), (a, b): (2, 4), (b, a): (2, -4), (b, b): (-8, 0)}
+    table = _hermitian_closure({(a, a): (6, 0), (a, b): (2, 4), (b, a): (2, -4), (b, b): (-8, 0)})
     r = HermitianPoly._from_table(2, 12, table)
     fact = congruence_factorization(r)
     assert fact.basis == (b, a)
@@ -194,11 +195,15 @@ def test_factorization_round_trip_exact():
             assert prod[i][j] == (G(1) if i == j else GR_ZERO)
 
 
-def test_quadratic_form_imaginary_value_is_failure():
-    # a corrupted product holding only one triangle of [[0, 1], [0, 0]] gives v* M v = i at v = (1, i)
-    basis = ((0,), (1,))
-    with pytest.raises(CertificateFailure):
-        table_quadratic_form(HermitianPoly._from_table(1, 1, {basis: (1, 0)}), basis, [(1, 0), (0, 1)])
+def test_quadratic_form_on_a_forged_non_real_diagonal_is_failure():
+    # a table forged past the constructor with the diagonal entry 1 + i gives v* M v = -5 + i at v = (1, i):
+    # the off-diagonal entry 2 + 3i and its mirror enter as two terms whose imaginary parts cancel
+    a, b = (0,), (1,)
+    forged = HermitianPoly._frozen(1, 1, {(a, a): (1, 1), (a, b): (2, 3)})
+    with pytest.raises(CertificateFailure, match="imaginary part 1"):
+        table_quadratic_form(forged, (a, b), [(1, 0), (0, 1)])
+    sound = HermitianPoly._frozen(1, 1, {(a, a): (1, 0), (a, b): (2, 3)})
+    assert table_quadratic_form(sound, (a, b), [(1, 0), (0, 1)]) == -5
 
 
 def test_psd_witness_that_does_not_reevaluate_is_failure(monkeypatch):
@@ -405,6 +410,16 @@ def test_bump_factor_is_the_first_that_makes_a_pivot(rows, factor):
     assert fact.diag == ref.diag and fact.diag[0] != 0
 
 
+# An i bump on 0 whose partner j = 3 reaches the active c = 2 below the diagonal, so a_32 is read as conj(a_23);
+# index 1, between them, lies in another block.  The pivot minors are 4, 1 (index 1's own), 2 and -4.
+_I_BUMP_PARTNER_BELOW = [
+    [(0, 0), (0, 0), (0, 0), (0, -2)],
+    [(0, 0), (1, 0), (0, 0), (0, 0)],
+    [(0, 0), (0, 0), (1, 0), (1, 1)],
+    [(0, 2), (0, 0), (1, -1), (0, 0)],
+]
+
+
 @st.composite
 def hermitian_int_matrices(draw):
     """Rows of a Hermitian Gaussian-integer matrix, as (re, im) pairs, dimension 1..8.
@@ -435,6 +450,7 @@ def hermitian_int_matrices(draw):
 @example(_BUMP_BY[0][0])
 @example(_BUMP_BY[1][0])
 @example(_BUMP_BY[2][0])
+@example(_I_BUMP_PARTNER_BELOW)
 @settings(max_examples=200, deadline=None)
 def test_replayed_columns_match_the_oracle_transform(rows):
     M = [[G(*z) for z in row] for row in rows]
@@ -646,6 +662,7 @@ _INTERLEAVED_BUMPS = _hermitian_rows(11, {
 
 @given(hermitian_direct_sums(), st.integers(1, 4))
 @example((_INTERLEAVED_BUMPS, [[0, 4, 7], [1, 8, 9, 10], [3, 6]]), 2)
+@example((_I_BUMP_PARTNER_BELOW, [[0, 2, 3], [1]]), 1)
 @settings(max_examples=60, deadline=None)
 def test_block_split_matches_the_rational_oracle(case, L):
     # every row of T^-1 derived from the steps, a block's rows skipping the other blocks' bumps, is the oracle's
@@ -661,6 +678,7 @@ def test_block_split_matches_the_rational_oracle(case, L):
 @given(hermitian_direct_sums(), st.integers(1, 4))
 @example((_NEGATIVE_MINOR_I_BUMP, [[0, 1], [2]]), 1)
 @example((_INTERLEAVED_BUMPS, [[0, 4, 7], [1, 8, 9, 10], [3, 6]]), 2)
+@example((_I_BUMP_PARTNER_BELOW, [[0, 2, 3], [1]]), 3)
 @settings(max_examples=200, deadline=None)
 def test_stopping_verdict_matches_the_full_inertia(case, L):
     # psd_factorization is congruence_factorization up to its first negative pivot, bumps and negative

@@ -1,18 +1,22 @@
 import json
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from members import hermitian_direct_sums, hermitian_matrices
 from oracles import (
+    multiplier_product_matrix,
     multiply_by_simplex_power_direct,
     naive_mul,
     naive_simplex_power,
     plain_hermitian_parse,
     plain_poly_parse,
     poly_dict,
+    product_matrix,
     term_by_term_hermitian_from_json,
     term_by_term_poly_from_json,
 )
@@ -28,6 +32,8 @@ from psicert.polycore import (
     diagonal_lines,
     diagonal_real_bridge,
     hermitian_from_json,
+    hermitian_multiplier_table,
+    hermitian_powers,
     hermitian_to_json,
     monomials_of_degree,
     multiplier_lines,
@@ -39,6 +45,7 @@ from psicert.polycore import (
     sign_counts,
     simplex_power_lines,
 )
+from psicert.reduction import _squares, decompose
 
 
 def P(n, terms):
@@ -636,6 +643,82 @@ def test_hermitian_from_json_repeated_strings_match_plain_parse(doc):
         return
     assert dict(hermitian_from_json(json.dumps(doc)).items()) == want
     assert dict(hermitian_from_json(doc).items()) == want
+
+
+# -- one stored triangle ------------------------------------------------------
+
+
+def _both_triangles(r: HermitianPoly) -> dict:
+    """r's entries over both triangles, once r is seen to store keys alpha <= beta only and to read both ways."""
+    assert all(alpha <= beta for alpha, beta in r.table)
+    pairs = r.items()
+    both = dict(pairs)
+    assert len(both) == len(pairs) and {key for key in both if key[0] <= key[1]} == set(r.table)
+    for (alpha, beta), v in pairs:
+        assert not v.is_zero() and r.entry(alpha, beta) == v
+        assert r.entry(beta, alpha) == r.entry(alpha, beta).conjugate() == both[(beta, alpha)]
+    return both
+
+
+def _matrix_entries(M) -> dict:
+    return {(a, b): x for a, row in zip(M.basis, M.rows) for b, x in zip(M.basis, row) if not x.is_zero()}
+
+
+_GAUSSIAN_INT_SUMS = hermitian_direct_sums().map(lambda case: [[GaussianRational.of(*z) for z in r] for r in case[0]])
+
+
+@st.composite
+def _hermitian_cases(draw):
+    """(both, upper, lower, mixed): the nonzero entries of one Hermitian matrix, in two variables.
+
+    Index i is (i // 3, i % 3).  `mixed` gives each off-diagonal entry on a
+    drawn side, as itself or as its conjugate at the mirror key.
+    """
+    rows = draw(st.one_of(hermitian_matrices(), _GAUSSIAN_INT_SUMS))
+    idx = [(i // 3, i % 3) for i in range(len(rows))]
+    both = {(idx[i], idx[j]): x for i, row in enumerate(rows) for j, x in enumerate(row) if not x.is_zero()}
+    upper = {key: x for key, x in both.items() if key[0] <= key[1]}
+    lower = {key: x for key, x in both.items() if key[0] >= key[1]}
+    mixed = {}
+    for (a, b), x in upper.items():
+        if a == b or draw(st.booleans()):
+            mixed[(a, b)] = x
+        else:
+            mixed[(b, a)] = x.conjugate()
+    return both, upper, lower, mixed
+
+
+@settings(max_examples=80, deadline=None)
+@given(_hermitian_cases(), _hermitian_cases(), st.integers(0, 2), st.fractions(-3, 3, max_denominator=4),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=3, unique=True))
+def test_every_hermitian_table_holds_one_triangle(case, other, d, c, exps):
+    both, upper, lower, mixed = case
+    r = HermitianPoly(2, both)
+    assert HermitianPoly(2, upper) == HermitianPoly(2, lower) == HermitianPoly(2, mixed) == r
+    assert _both_triangles(r) == both
+    s = HermitianPoly(2, other[0])
+    total = {key: r.entry(*key) + s.entry(*key) for key in {*both, *other[0]}}
+    assert _both_triangles(r + s) == {key: v for key, v in total.items() if not v.is_zero()}
+    assert _both_triangles(r.times(c)) == ({key: v * GaussianRational.of(c) for key, v in both.items()} if c else {})
+    for k, product in enumerate(islice(hermitian_powers(r), d + 1)):
+        assert _both_triangles(product) == _matrix_entries(product_matrix(r, k))
+    assert _both_triangles(hermitian_multiplier_table(r, exps)) == _matrix_entries(multiplier_product_matrix(r, exps))
+    form = decompose(r)
+    terms = [*zip(form.plus_rows, form.plus_weights), *((row, -w) for row, w in zip(form.minus_rows, form.minus_weights))]
+    if terms:
+        assert _both_triangles(_squares(2, form.basis, terms)) == both
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hermitian_reader_documents())
+def test_read_hermitian_tables_hold_one_triangle(doc):
+    # a readable document is stored as one triangle that reads back as the plain parse, and writes back as itself
+    try:
+        r = hermitian_from_json(doc)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, NotHermitian):
+        return
+    assert _both_triangles(r) == plain_hermitian_parse(doc)
+    assert hermitian_from_json(hermitian_to_json(r)) == r
 
 
 # -- reader behaviour: the Fraction grammar, duplicates, canonical form ----------

@@ -471,12 +471,12 @@ def test_hermitian_route_matches_rational_assembly(r, d):
     M = product_matrix(r, d)
     product = next(islice(hermitian_powers(r), d, None))
     basis, re, im, _ = _integer_rows(product)
-    # the engine receives exactly L * M, L = product.scale the lcm of M's denominators
+    # the engine receives exactly the upper triangle of L * M, L = product.scale the lcm of M's denominators
     L = product.scale
     assert basis == M.basis
     assert L == lcm(*(q.denominator for row in M.rows for x in row for q in (x.re, x.im)))
-    assert re == [[x.re * L for x in row] for row in M.rows]
-    assert im == [[x.im * L for x in row] for row in M.rows]
+    assert re == [[x.re * L if i <= j else 0 for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
+    assert im == [[x.im * L if i <= j else 0 for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
     report = in_psi_hermitian(r, d)
     assert report.d == d
     if r.is_zero():
