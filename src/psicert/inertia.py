@@ -95,7 +95,7 @@ class CongruenceFactorization:
 
     @cached_property
     def inverse_rows(self) -> tuple:
-        """Row k of T^-1 as (den, ((col, re, im), ...)): Gaussian integers over den, which may be negative.
+        """Row k of T^-1 as (den, ((col, re, im), ...)): its nonzero entries, col ascending, over den (maybe < 0).
 
         T^-1 = E_m^-1 ... E_1^-1, so row k is e_k times the inverse steps
         from the last.  A step after k's pivot leaves e_k as it is, k's
@@ -103,6 +103,8 @@ class CongruenceFactorization:
         before), and an earlier pivot's index is zero in what is left.  So
         only the earlier bumps (i, j, f) act, latest first, each subtracting
         f * entry j from entry i; a bump in another block finds no entry j.
+        Entry i is absent until then, or k's own p, which k's bump leaves at
+        conj(f a_kj) != 0, so no entry is zero.
         An index never pivoted starts from e_k over 1 and takes every bump.
         One forward pass over the steps collects the bumps before each pivot.
         """

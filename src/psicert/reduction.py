@@ -3,9 +3,11 @@
 A decomposed form represents a Hermitian polynomial as
 sum_i w_i |a_i . Z|^2 - sum_j v_j |b_j . Z|^2 over an ordered monomial basis
 Z: plus rows a_i and minus rows b_j, each with a positive rational weight.
-Rows are primitive Gaussian-integer vectors (no common integer factor);
-dividing a row by a positive rational s and multiplying its weight by s^2
-leaves the form unchanged, and every step ends that way.
+A row is held sparse, as `inverse_rows` gives it: the tuple of its nonzero
+entries (col, re, im), col ascending, for the Gaussian integer re + i im at
+basis[col].  Rows are primitive (no common integer factor); dividing a row
+by a positive rational s and multiplying its weight by s^2 leaves the form
+unchanged, and every step ends that way.
 
 The steps are Gentleman's square-root-free Givens rotations (W. M. Gentleman,
 1973, "Least squares computations by Givens transformations without square
@@ -27,6 +29,7 @@ reduction ends with exact checks instead of tolerances.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -41,9 +44,9 @@ from .psi import _routed, in_psi
 class DecomposedForm:
     """sum_i w_i |a_i . Z|^2 - sum_j v_j |b_j . Z|^2 over the sorted monomial basis Z.
 
-    Rows are tuples of Gaussian integers (re, im) over `basis`, primitive;
-    weights are positive Fractions.  `target` is the exact polynomial the
-    rows must represent, or None for bare rows.
+    A row is the tuple of its nonzero entries (col, re, im), col ascending,
+    primitive; weights are positive Fractions.  `target` is the exact
+    polynomial the rows must represent, or None for bare rows.
     """
 
     plus_rows: tuple
@@ -63,16 +66,16 @@ class DecomposedForm:
 
 
 def _lead(row):
-    """Index of the first nonzero entry of a row; None for a zero row."""
-    return next((j for j, (x, y) in enumerate(row) if x or y), None)
+    """Column of the first entry of a row; None for a zero row."""
+    return row[0][0] if row else None
 
 
 def _primitive(row, weight) -> tuple:
     """(row / g, weight * g^2) for g the integer content of the row (a zero row is kept)."""
-    g = gcd(*(x for z in row for x in z))
+    g = gcd(*(x for _, re, im in row for x in (re, im)))
     if g <= 1:
-        return tuple(row), weight
-    return tuple((x // g, y // g) for x, y in row), weight * (g * g)
+        return row, weight
+    return tuple((c, x // g, y // g) for c, x, y in row), weight * (g * g)
 
 
 def _rotation(p, q, w, v, sign) -> tuple:
@@ -96,13 +99,14 @@ def _rotation(p, q, w, v, sign) -> tuple:
     )
 
 
-def _combine(x, a, y, b) -> list:
-    """x a + y b for Gaussian integers x, y and rows a, b."""
+def _combine(x, a, y, b) -> tuple:
+    """x a + y b for Gaussian integers x, y and rows a, b, without the entries that cancel."""
     (xr, xi), (yr, yi) = x, y
-    return [
-        (xr * ar - xi * ai + yr * br - yi * bi, xr * ai + xi * ar + yr * bi + yi * br)
-        for (ar, ai), (br, bi) in zip(a, b)
-    ]
+    out = {c: (xr * ar - xi * ai, xr * ai + xi * ar) for c, ar, ai in a}
+    for c, br, bi in b:
+        ur, ui = out.get(c, (0, 0))
+        out[c] = (ur + yr * br - yi * bi, ui + yr * bi + yi * br)
+    return tuple((c, ur, ui) for c, (ur, ui) in sorted(out.items()) if ur or ui)
 
 
 def _apply(rotation, a, b) -> tuple:
@@ -117,8 +121,8 @@ def _apply(rotation, a, b) -> tuple:
 def _squares(n: int, basis, terms) -> HermitianPoly:
     """sum weight |row . Z|^2 over the (row, weight) terms, in n variables.
 
-    `terms` are (row, weight) pairs with Gaussian-integer rows over the
-    sorted `basis` and Fraction weights; the upper triangle (alpha <= beta),
+    `terms` are (row, weight) pairs with sparse rows over the sorted
+    `basis` and Fraction weights; the upper triangle (alpha <= beta),
     which is the table, is summed in ints over the lcm of the weights'
     denominators.
     """
@@ -127,7 +131,7 @@ def _squares(n: int, basis, terms) -> HermitianPoly:
     get = out.get
     for row, w in terms:
         s = w.numerator * (den // w.denominator)
-        nz = [(basis[j], x, y) for j, (x, y) in enumerate(row) if x or y]
+        nz = [(basis[j], x, y) for j, x, y in row]
         for i, (alpha, x, y) in enumerate(nz):
             sx, sy = s * x, s * y
             for beta, u, t in nz[i:]:
@@ -143,12 +147,12 @@ def decompose(r: HermitianPoly) -> DecomposedForm:
     """The exact signed-squares decomposition of r, as a form whose target is r.
 
     On the diagonal route (`psi._routed`) r is sum_a (c_a / L) |z^a|^2
-    already: each monomial a of its table is the one-row square e_a of
-    weight |c_a| / L, in the plus block when c_a > 0, and nothing is
-    factored.  Otherwise r's coefficient matrix M is factored as
+    already: monomial j of its sorted table is the one-entry square
+    ((j, 1, 0),) of weight |c_a| / L, in the plus block when c_a > 0, and
+    nothing is factored.  Otherwise r's coefficient matrix M is factored as
     diag == T* M T, so
     M == sum_k diag[k] (row k of T^-1)* (row k of T^-1).  Row k of T^-1 is
-    Gaussian integers over its pivot minor den, which may be negative; it
+    its nonzero entries over its pivot minor den, which may be negative; it
     becomes the row sign(den) * entries of weight |diag[k]| / den^2, made
     primitive, in the plus block when diag[k] > 0 and the minus block when
     diag[k] < 0.
@@ -159,20 +163,14 @@ def decompose(r: HermitianPoly) -> DecomposedForm:
         basis = tuple(sorted(routed.table))
         for j, a in enumerate(basis):
             c = routed.table[a]
-            row = [(0, 0)] * len(basis)
-            row[j] = (1, 0)
-            (plus if c > 0 else minus).append((tuple(row), Fraction(abs(c), routed.scale)))
+            (plus if c > 0 else minus).append((((j, 1, 0),), Fraction(abs(c), routed.scale)))
     else:
         fact = congruence_factorization(r)
         basis = fact.basis
         for d, (den, entries) in zip(fact.diag, fact.inverse_rows):
-            if not d:
-                continue
-            row = [(0, 0)] * len(basis)
-            s = 1 if den > 0 else -1
-            for c, x, y in entries:
-                row[c] = (s * x, s * y)
-            (plus if d > 0 else minus).append(_primitive(row, abs(d) / (den * den)))
+            if d:
+                row = entries if den > 0 else tuple((c, -x, -y) for c, x, y in entries)
+                (plus if d > 0 else minus).append(_primitive(row, abs(d) / (den * den)))
     return DecomposedForm(
         plus_rows=tuple(row for row, _ in plus),
         plus_weights=tuple(w for _, w in plus),
@@ -247,12 +245,12 @@ def _insert(block: list, row, weight) -> None:
         c = _lead(row)
         if c is None:
             raise CertificateFailure("a block lost rank: a row reduced to zero")
-        i = next((i for i, (lead, _, _) in enumerate(block) if lead >= c), len(block))
+        i = bisect_left(block, (c,))
         if i == len(block) or block[i][0] != c:
             block.insert(i, (c, row, weight))
             return
         _, a, w = block[i]
-        (a, w), (row, weight) = _apply(_rotation(a[c], row[c], w, weight, +1), a, row)
+        (a, w), (row, weight) = _apply(_rotation(a[0][1:], row[0][1:], w, weight, +1), a, row)
         block[i] = (c, a, w)
 
 
@@ -298,14 +296,14 @@ def partial_row_echelon(form: DecomposedForm) -> tuple:
         ra = plus_at[c]
         _, a, w = plus[ra]
         lam = None
-        excess = v * (b[c][0] ** 2 + b[c][1] ** 2) / (w * (a[c][0] ** 2 + a[c][1] ** 2))
+        excess = v * (b[0][1] ** 2 + b[0][2] ** 2) / (w * (a[0][1] ** 2 + a[0][2] ** 2))
         if excess >= 1:
             # the largest 2^-k with 2^-k * excess < 1
             lam = Fraction(1, 1 << (excess.numerator // excess.denominator).bit_length())
             moved += [(row, (1 - lam) * u) for _, row, u in minus]
             minus = [(lead, row, u * lam) for lead, row, u in minus]
             v *= lam
-        step, rotation = _cross_step(a[c], b[c], w, v, c, (ra, rb), lam)
+        step, rotation = _cross_step(a[0][1:], b[0][1:], w, v, c, (ra, rb), lam)
         (a, w), (b, v) = _apply(rotation, a, b)
         plus[ra] = (c, a, w)
         del minus[rb]

@@ -113,19 +113,19 @@ def clashing_form() -> DecomposedForm:
     negative row of equal weight with it leaves the represented polynomial
     untouched while making both rows lead in the same column with the
     negative pivot larger.  The mixed rows are kept as 4 times themselves,
-    with weight 1/16.
+    with weight 1/16; rows are sparse, nonzero (col, re, im) entries.
     """
     base = generate_two_var(1, 1)  # x^2 - xy + y^2
     form = decompose(real_to_diagonal(base))  # basis ((0,2), (1,1), (2,0)), unit rows
     if set(form.plus_weights + form.minus_weights) != {1}:
         raise AssertionError("the two-variable base no longer decomposes into unit-weight rows")
     plus = list(form.plus_rows)
-    (b,) = form.minus_rows
-    # mix the plus row leading where the minus row leads after mixing
-    mix_idx = max(range(len(plus)), key=lambda i: abs(plus[i][2][0]))
-    a = plus[mix_idx]
-    plus[mix_idx] = tuple((5 * x + 3 * u, 5 * y + 3 * t) for (x, y), (u, t) in zip(a, b))
-    minus = tuple((3 * x + 5 * u, 3 * y + 5 * t) for (x, y), (u, t) in zip(a, b))
+    (((b, _, _),),) = form.minus_rows  # the unit row e_b, b == 1
+    # mix the plus row e_a right of e_b, so both mixed rows lead in column b
+    mix_idx = next(i for i, ((a, _, _),) in enumerate(plus) if a > b)
+    a = plus[mix_idx][0][0]
+    plus[mix_idx] = ((b, 3, 0), (a, 5, 0))
+    minus = ((b, 5, 0), (a, 3, 0))
     weights = list(form.plus_weights)
     weights[mix_idx] = Fraction(1, 16)
     return DecomposedForm(

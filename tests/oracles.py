@@ -402,10 +402,20 @@ def signed_squares(basis, terms) -> HermitianPoly:
     return HermitianPoly(len(basis[0]) if basis else 1, entries)
 
 
+def dense_row(row, dim: int) -> tuple:
+    """A reduction row, its nonzero entries (col, re, im), laid out as (re, im) pairs over dim columns."""
+    out = [(0, 0)] * dim
+    for c, re, im in row:
+        out[c] = (re, im)
+    return tuple(out)
+
+
 def form_polynomial(form) -> HermitianPoly:
     """The polynomial the rows of a reduction DecomposedForm represent."""
-    minus = [(row, -w) for row, w in zip(form.minus_rows, form.minus_weights)]
-    return signed_squares(form.basis, [*zip(form.plus_rows, form.plus_weights), *minus])
+    dim = len(form.basis)
+    plus = [(dense_row(row, dim), w) for row, w in zip(form.plus_rows, form.plus_weights)]
+    minus = [(dense_row(row, dim), -w) for row, w in zip(form.minus_rows, form.minus_weights)]
+    return signed_squares(form.basis, [*plus, *minus])
 
 
 def step_matrix(step) -> tuple:

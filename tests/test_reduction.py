@@ -1,12 +1,21 @@
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
 
-from members import BUMPING_MEMBER, clashing_form, hermitian_matrices, random_psi1_member
+from members import (
+    BUMPING_MEMBER,
+    clashing_form,
+    hermitian_direct_sums,
+    hermitian_matrices,
+    plane_rotated,
+    random_psi1_member,
+)
 from oracles import (
     coefficient_matrix,
+    dense_row,
     form_polynomial,
     primitive_form,
     rational_congruence_factorization,
@@ -14,9 +23,9 @@ from oracles import (
 )
 from psicert import reduction
 from psicert.errors import CertificateFailure, NotInPsiD
-from psicert.generators import example_fig1, example_fig2, generate_two_var
+from psicert.generators import example_fig1, example_fig2, generate_pD, generate_two_var
 from psicert.inertia import congruence_factorization, inertia
-from psicert.polycore import GaussianRational, HermitianPoly, RealSparsePoly, real_to_diagonal
+from psicert.polycore import GaussianRational, HermitianPoly, RealSparsePoly, real_to_diagonal, sign_counts
 from psicert.psi import in_psi_hermitian
 from psicert.reduction import (
     DecomposedForm,
@@ -50,6 +59,15 @@ def apply_to_pivots(step, a1, b1):
 def cross_step(p, q, w=1, v=1) -> HyperbolicStep:
     """The checked cross-block step on Gaussian-integer pivots p, q (pairs (re, im))."""
     return reduction._cross_step(p, q, Fraction(w), Fraction(v), 0, (0, 0), None)[0]
+
+
+def _assert_sparse_rows(form):
+    """Every row holds strictly ascending columns of the basis, no (0, 0) entry, and integer content 1."""
+    for row in form.plus_rows + form.minus_rows:
+        cols = [c for c, _, _ in row]
+        assert cols and all(a < b for a, b in zip(cols, cols[1:])) and 0 <= cols[0] and cols[-1] < len(form.basis)
+        assert all(re or im for _, re, im in row)
+        assert gcd(*(x for _, re, im in row for x in (re, im))) == 1
 
 
 def test_hyperbolic_eliminate_reference_values():
@@ -132,11 +150,10 @@ def test_lambda_scale_preserves_membership_and_signature(seed):
 
 def test_is_partial_row_echelon_basic():
     basis = ((0, 2), (1, 1), (2, 0))
-    one, two, zero = (1, 0), (2, 0), (0, 0)
-    form = DecomposedForm(((one, zero, zero), (zero, one, zero)), (Fraction(1),) * 2, (), (), basis)
+    form = DecomposedForm((((0, 1, 0),), ((1, 1, 0),)), (Fraction(1),) * 2, (), (), basis)
     assert is_partial_row_echelon(form)
     form2 = DecomposedForm(
-        ((one, two, zero),), (Fraction(1),), ((one, zero, one),), (Fraction(1),), basis
+        (((0, 1, 0), (1, 2, 0)),), (Fraction(1),), (((0, 1, 0), (2, 1, 0)),), (Fraction(1),), basis
     )
     assert not is_partial_row_echelon(form2)  # both rows lead in column 0
 
@@ -157,7 +174,7 @@ def test_requires_origin_membership():
     form = decompose(bad)
     with pytest.raises(NotInPsiD):
         partial_row_echelon(form)
-    orphan = DecomposedForm((((1, 0), (0, 0)),), (Fraction(1),), (), (), ((1, 0), (0, 1)))
+    orphan = DecomposedForm((((0, 1, 0),),), (Fraction(1),), (), (), ((1, 0), (0, 1)))
     with pytest.raises(NotInPsiD):
         partial_row_echelon(orphan)
 
@@ -175,6 +192,7 @@ def test_clashing_pivots_resolved_with_rescale_and_rotation():
     assert weighted_j_identity(step) and step.j_identity_holds()
     assert is_partial_row_echelon(reduced)
     assert reduced.n_plus == 2 and reduced.n_minus == 1
+    _assert_sparse_rows(reduced)
     assert reconstruction_error(reduced) == 0
     assert form_polynomial(reduced) == reduced.target
     # the target gained 3/4 of the minus part; its signature is kept
@@ -293,10 +311,10 @@ def test_decompose_matches_primitive_oracle_inverse_rows(rows):
     minus = [primitive_form(row, -d) for row, d in zip(ref.inverse, ref.diag) if d < 0]
     form = decompose(r)
     assert form.basis == M.basis and form.target == r
-    assert form.plus_rows == tuple(row for row, _ in plus)
-    assert form.plus_weights == tuple(w for _, w in plus)
-    assert form.minus_rows == tuple(row for row, _ in minus)
-    assert form.minus_weights == tuple(w for _, w in minus)
+    dense = lambda rows: tuple(dense_row(row, len(form.basis)) for row in rows)
+    assert (dense(form.plus_rows), form.plus_weights) == (tuple(x for x, _ in plus), tuple(w for _, w in plus))
+    assert (dense(form.minus_rows), form.minus_weights) == (tuple(x for x, _ in minus), tuple(w for _, w in minus))
+    _assert_sparse_rows(form)
 
 
 def _no_factoring(scaled):
@@ -317,8 +335,9 @@ def test_decompose_reads_a_diagonal_table_off_without_factoring(p, monkeypatch):
     monkeypatch.setattr(reduction, "congruence_factorization", _no_factoring)
     form = decompose(r)
     assert form.basis == M.basis and form.target == r
-    assert (form.plus_rows, form.plus_weights) == (tuple(x for x, _ in plus), tuple(w for _, w in plus))
-    assert (form.minus_rows, form.minus_weights) == (tuple(x for x, _ in minus), tuple(w for _, w in minus))
+    dense = lambda rows: tuple(dense_row(row, len(form.basis)) for row in rows)
+    assert (dense(form.plus_rows), form.plus_weights) == (tuple(x for x, _ in plus), tuple(w for _, w in plus))
+    assert (dense(form.minus_rows), form.minus_weights) == (tuple(x for x, _ in minus), tuple(w for _, w in minus))
     assert reconstruction_error(form) == 0
     reduced, steps = partial_row_echelon(form)
     assert steps == [] and (reduced.n_plus, reduced.n_minus) == (form.n_plus, form.n_minus)
@@ -330,3 +349,60 @@ def test_diagonal_non_member_is_refused_without_factoring(monkeypatch):
     bad = real_to_diagonal(RealSparsePoly(2, {(2, 0): 1, (1, 1): -3, (0, 2): 1}))
     with pytest.raises(NotInPsiD):
         partial_row_echelon(decompose(bad))
+
+
+# BUMPING_MEMBER with its off-diagonal entry turned by the phase i, as z_2 -> i z_2 turns it: a bumping member
+# with imaginary entries
+COMPLEX_BUMPING_MEMBER = HermitianPoly(
+    2,
+    {
+        ((2, 0), (2, 0)): 1,
+        ((0, 2), (0, 2)): 1,
+        ((2, 0), (1, 1)): G(0, Fraction(1, 4)),
+        ((1, 1), (2, 0)): G(0, Fraction(-1, 4)),
+    },
+)
+
+
+@given(hermitian_direct_sums())
+@settings(max_examples=100, deadline=None)
+def test_decomposed_rows_of_direct_sums_are_sparse_and_primitive(case):
+    rows, _ = case
+    table = {((i,), (j,)): G(*z) for i, row in enumerate(rows) for j, z in enumerate(row) if z != (0, 0)}
+    _assert_sparse_rows(decompose(HermitianPoly(1, table)))
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        *(random_psi1_member(seed) for seed in range(12)),
+        BUMPING_MEMBER,
+        COMPLEX_BUMPING_MEMBER,
+        plane_rotated(generate_pD(3, 4)),
+        *(real_to_diagonal(p) for p in (example_fig1(), example_fig2(), generate_pD(3, 12))),
+    ],
+    ids=[
+        *(f"member{seed}" for seed in range(12)),
+        *("bumping", "complex-bumping", "rotated-pD(3,4)", "fig1", "fig2", "pD(3,12)"),
+    ],
+)
+def test_reduced_rows_are_sparse_and_primitive(r):
+    form = decompose(r)
+    _assert_sparse_rows(form)
+    reduced, _ = partial_row_echelon(form)
+    _assert_sparse_rows(reduced)
+
+
+def test_complex_bumping_member_takes_a_cross_block_step():
+    assert _bumps(COMPLEX_BUMPING_MEMBER) == 1 and in_psi_hermitian(COMPLEX_BUMPING_MEMBER, 1).member
+    reduced, steps = partial_row_echelon(decompose(COMPLEX_BUMPING_MEMBER))
+    assert (reduced.n_plus, reduced.n_minus) == (2, 1) and len(steps) == 1
+    assert any(im for _, _, im in reduced.plus_rows[0] + reduced.minus_rows[0])
+
+
+def test_large_diagonal_table_reduces_without_a_step():
+    # a diagonal table's squares are one-entry rows, each leading in its own column: nothing is laid out over the basis
+    p = generate_pD(3, 36)
+    reduced, steps = partial_row_echelon(decompose(real_to_diagonal(p)))
+    sig = sign_counts(p)
+    assert (reduced.n_plus, reduced.n_minus) == (sig.n_plus, sig.n_minus) and len(steps) == 0

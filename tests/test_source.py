@@ -93,6 +93,23 @@ def test_hermitian_products_reach_the_engine_as_hermitian_polys():
     assert not tuples, f"tuples passed for a Hermitian product: {tuples}"
 
 
+def test_reduction_lays_no_row_over_the_basis():
+    # a row is its nonzero (col, re, im) entries from elimination to reduction: reduction.py repeats no
+    # list over a length, as [(0, 0)] * len(basis) lays a row out over the basis
+    path = PACKAGE / "reduction.py"
+    layouts = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and any(isinstance(side, ast.List) for side in (node.left, node.right))
+        and any(
+            isinstance(side, ast.Call) and getattr(side.func, "id", None) == "len" for side in (node.left, node.right)
+        )
+    ]
+    assert not layouts, f"rows laid out over the basis at lines {layouts}"
+
+
 def test_factorizations_are_built_at_one_site():
     # one elimination body builds every CongruenceFactorization; nothing assembles one from pieces
     sites = [
