@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import CertificateFailure, NotInPsiD
-from .polycore import MultiIndex, RealSparsePoly, SignaturePair, _packed, simplex_power_lines
+from .polycore import MultiIndex, RealSparsePoly, SignaturePair, packing, simplex_power_lines
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,9 @@ def pigeonhole_certificate(p: RealSparsePoly) -> PigeonholeCertificate:
     non-homogeneous or non-member input raises NotInPsiD.  Homogeneity and
     the verdict are read off the lines of p * (x_1 + ... + x_n): their
     degrees, each one above a degree of p, and the mask test.  The search
-    reads p packed once, and the answer is looked up in the map from each
-    code back to the exponent vector it packs.
+    reads p's table and the unit vectors encoded by one `packing` codec,
+    and the answer is looked up in the map from each code back to the
+    exponent vector it packs.
     """
     if p.is_zero():
         raise NotInPsiD("zero polynomial has no certificate")
@@ -92,9 +93,10 @@ def pigeonhole_certificate(p: RealSparsePoly) -> PigeonholeCertificate:
     n, degree = p.n, degrees.pop() - 1
     if not product.is_nonnegative():
         raise NotInPsiD("certificate requires membership at power 1")
-    code, _, codes = _packed(p, degree, 1)
+    encode, _ = packing(degree, n, 1)
+    codes = dict(zip(encode(p.table), p.table.values()))
     vector = dict(zip(codes, p.table))  # codes packs p.table's keys in order
-    units = [code(tuple(int(i == k) for i in range(n))) for k in range(n)]
+    units = encode([tuple(int(i == k) for i in range(n)) for k in range(n)])
     pos = {c for c, v in codes.items() if v > 0}
     neg = sorted(c for c, v in codes.items() if v < 0)  # int order is tuple order
     # alpha + e_1 - e_j is code + steps[j - 2].  Where alpha_j = 0 the subtraction borrows: digit j

@@ -324,7 +324,7 @@ def _cmd_search(args) -> int:
         "realized": poly_to_json(result.realized),
     }
     if args.n == 3:
-        # conjectured optimum for three variables, for comparison
+        # a comparison figure with no recorded source
         doc["knight_move_reference"] = (args.d + 2) ** 2 // 3 - 1
     _emit(doc, args)
     return OK

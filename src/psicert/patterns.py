@@ -126,7 +126,7 @@ class _Cover:
     """Contributor bitmasks of a fixed point set at power d.
 
     Point i of `points` is bit i.  `masks` maps each product monomial A,
-    packed into one int by `polycore.packing`, to the bitmask of its
+    encoded into one int by the `polycore.packing` codec, to the bitmask of its
     contributors {a : A - a in Delta_d}.  A pattern on these points is
     feasible exactly when no mask meets its negative set without meeting
     its positive set.  `realize` checks a pattern on all masks and builds its
@@ -141,11 +141,12 @@ class _Cover:
         if d < 1:
             raise ValueError("power must be >= 1")
         points = list(points)
-        code, self._decode = packing(max(map(sum, points), default=0), n, d)
+        encode, self._decode = packing(max(map(sum, points), default=0), n, d)
         self.n, self.d = n, d
         self.bit = {a: 1 << i for i, a in enumerate(points)}
-        self._deltas = deltas = [(code(delta), multinomial(d, delta)) for delta in compositions(d, n)]
-        self._codes = codes = list(map(code, points))
+        steps = list(compositions(d, n))
+        self._deltas = deltas = list(zip(encode(steps), [multinomial(d, delta) for delta in steps]))
+        self._codes = codes = encode(points)
         masks: dict = {}
         get = masks.get
         for c, b in zip(codes, self.bit.values()):

@@ -306,76 +306,70 @@ class RealSparsePoly(_ScaledTable):
         return f"RealSparsePoly(n={self.n}, terms={len(self.table)})"
 
 
-def packing(top: int, n: int, d: int):
-    """(code, decode): code(a) = sum a_i * B**(n-1-i) packs an exponent vector into one int.
+def _horner(columns, base: int) -> list:
+    """Horner's rule over digit columns, most significant first: one key sum_i c_i * base**(m-1-i) per row.
 
-    B = top + d + 1 exceeds every coordinate of a + delta for a of degree
-    at most `top` and delta of degree at most d, so on those monomials
-    code(a + delta) = code(a) + code(delta), int order is tuple order, and
-    decode inverts code: it turns an iterable of codes into the list of
-    their exponent vectors, one column of digits at a time.
+    Keys are additive, and their int order is the rows' tuple order, while
+    no digit reaches `base`; no columns, or empty ones, give no keys.
+    """
+    columns = iter(columns)
+    keys = next(columns, ())
+    for column in columns:
+        keys = map(add, map(mul, keys, repeat(base)), column)
+    return list(keys)
+
+
+def _digits(keys, base: int, m: int) -> list:
+    """The m >= 1 digit columns of `keys` in base `base`, most significant first: `_horner` inverted.
+
+    The first column keeps whatever lies above the other m - 1 digits.
+    """
+    rest, columns = list(keys), []
+    for _ in range(m - 1):
+        columns.append(list(map(mod, rest, repeat(base))))
+        rest = list(map(floordiv, rest, repeat(base)))
+    return [rest, *reversed(columns)]
+
+
+def packing(top: int, n: int, d: int):
+    """(encode, decode): the `_horner` codec of exponent vectors of arity n, a batch at a time.
+
+    encode turns a list of vectors a into the list of their codes sum a_i *
+    B**(n-1-i), and decode turns an iterable of codes back into the list of
+    their vectors.  B = top + d + 1 exceeds every coordinate of a + delta
+    for a of degree at most `top` and delta of degree at most d, so on those
+    monomials code(a + delta) = code(a) + code(delta) and int order is tuple
+    order.
     """
     base = top + d + 1
-    weights = [base ** (n - 1 - i) for i in range(n)]
 
-    def code(a):
-        k = 0
-        for x in a:
-            k = k * base + x
-        return k
+    def encode(vectors) -> list:
+        return _horner(zip(*vectors), base)
 
     def decode(codes) -> list:
-        rest, columns = list(codes), []
-        for w in weights[:-1]:
-            columns.append(list(map(floordiv, rest, repeat(w))))
-            rest = list(map(mod, rest, repeat(w)))
-        return list(zip(*columns, rest))
+        return list(zip(*_digits(codes, base, n)))
 
-    return code, decode
-
-
-def _packed(p: RealSparsePoly, top: int, d: int) -> tuple:
-    """(code, decode, codes): `packing` for p, of degree <= top, times degree <= d; p's table packed.
-
-    The codes are built by Horner's rule over the columns of the exponent
-    vectors, base `packing`'s B = top + d + 1: the same ints `code` gives.
-    """
-    code, decode = packing(top, p.n, d)
-    columns = zip(*p.table)
-    codes = next(columns, ())
-    for column in columns:
-        codes = map(add, map(mul, codes, repeat(top + d + 1)), column)
-    return code, decode, dict(zip(codes, p.table.values()))
+    return encode, decode
 
 
 def _line_columns(vectors, n: int) -> tuple:
-    """(prefixes, tails, slots) of exponent vectors of arity n, a column at a time.
+    """(columns, slots) of exponent vectors of arity n: the folded columns and the slot column.
 
-    prefixes are the columns of a_1, ..., a_{n-2}, tails the column of
-    t = a_{n-1} + a_n and slots the column of a_{n-1}; with one variable
-    there is no prefix, t = a_1 and the slot is 0.
+    The folded columns are those of (a_1, ..., a_{n-2}, t), t = a_{n-1} +
+    a_n, and the slots the column of a_{n-1}; with one variable the one
+    column is t = a_1 and every slot is 0.
     """
     columns = list(zip(*vectors)) or [()] * n
     if n == 1:
-        return [], columns[0], repeat(0)
-    return columns[:-2], list(map(add, columns[-2], columns[-1])), columns[-2]
-
-
-def _line_keys(prefixes, tails, base: int):
-    """The line keys: (a_1, ..., a_{n-2}, t) packed in base `base`, additive while no digit reaches it."""
-    if not prefixes:
-        return tails
-    keys = prefixes[0]
-    for column in [*prefixes[1:], tails]:
-        keys = map(add, map(mul, keys, repeat(base)), column)
-    return keys
+        return columns, repeat(0)
+    return [*columns[:-2], list(map(add, columns[-2], columns[-1]))], columns[-2]
 
 
 def _moves(exps, n: int, base: int, width: int) -> list:
     """[(key step, slot multiplier)] for sum_j x^{alpha_j}: x^alpha adds its key and shifts by its slot."""
-    prefixes, tails, slots = _line_columns(exps, n)
+    columns, slots = _line_columns(exps, n)
     moves: dict = {}
-    for key, slot in zip(_line_keys(prefixes, tails, base), slots):
+    for key, slot in zip(_horner(columns, base), slots):
         moves[key] = moves.get(key, 0) + (1 << slot * width)
     return list(moves.items())
 
@@ -399,10 +393,11 @@ class DiagonalLines:
     """A diagonal product held as packed lines of the lattice: one int per line.
 
     A line is every monomial a with a fixed prefix (a_1, ..., a_{n-2}) and
-    a fixed tail degree t = a_{n-1} + a_n, keyed as `_line_keys` packs
-    them.  Its coefficients sit in signed `width`-bit slots of one Python
-    int, the coefficient of a in slot j = a_{n-1}: line = sum_j c_j *
-    2**(j * width), and a_n = t - j is implied.  With one variable a line
+    a fixed tail degree t = a_{n-1} + a_n, keyed by `_horner` of its folded
+    digits (a_1, ..., a_{n-2}, t) in base `base`, which `_digits` inverts.
+    Its coefficients sit in signed `width`-bit slots of one Python int, the
+    coefficient of a in slot j = a_{n-1}: line = sum_j c_j * 2**(j *
+    width), and a_n = t - j is implied.  With one variable a line
     holds one monomial, in slot 0.  Multiplying by x^alpha moves every line
     by one int add to its key and shifts it by alpha_{n-1} slots, so the
     simplex factor x_1 + ... + x_n costs one shift and add per line for
@@ -456,18 +451,13 @@ class DiagonalLines:
         moves = _moves(exps, self.n, self.base, self.width)
         return self._moved(moves, max(map(sum, exps)), len(exps))
 
-    def _simplex_moves(self) -> list:
-        """The moves of x_1 + ... + x_n: x_k for k <= n - 2 steps the key by base**(n-1-k), and
-        x_{n-1} and x_n share one key step of 1, with slot multiplier 1 + 2**width."""
-        if self._simplex is None:
-            n, base = self.n, self.base
-            tail = 1 if n == 1 else 1 + (1 << self.width)
-            self._simplex = [(1, tail)] + [(base ** (n - 1 - k), 1) for k in range(1, n - 1)]
-        return self._simplex
-
     def times_simplex(self) -> "DiagonalLines":
-        """These lines times x_1 + ... + x_n."""
-        return self._moved(self._simplex_moves(), 1, self.n)
+        """These lines times x_1 + ... + x_n, whose moves are found once per family of lines."""
+        n = self.n
+        if self._simplex is None:
+            units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+            self._simplex = _moves(units, n, self.base, self.width)
+        return self._moved(self._simplex, 1, n)
 
     def _shares(self) -> tuple:
         """(H, last, bits): the mask, the largest tail degree it covers and its bit length.
@@ -523,13 +513,13 @@ class DiagonalLines:
         _, j, _, key, u = best
         return self._head(key) + (j, key % base - j)[self.n == 1 :], self._slot(u, j)
 
+    def _folds(self, keys) -> zip:
+        """The folded rows (a_1, ..., a_{n-2}, t) of these line keys."""
+        return zip(*_digits(keys, self.base, max(self.n - 1, 1)))
+
     def _head(self, key: int) -> tuple:
         """The prefix (a_1, ..., a_{n-2}) of line `key`."""
-        base, prefix, digits = self.base, key // self.base, []
-        for _ in range(self.n - 2):
-            prefix, x = divmod(prefix, base)
-            digits.append(x)
-        return tuple(reversed(digits))
+        return next(self._folds([key]))[:-1]
 
     def _slot(self, u: int, j: int) -> int:
         """The coefficient in slot j of the offset line u."""
@@ -538,14 +528,7 @@ class DiagonalLines:
 
     def degrees(self) -> set:
         """The total degree of every line, as a set: the digit sum of its key."""
-        base, found = self.base, set()
-        for key in self.lines:
-            degree = 0
-            while key:
-                key, digit = divmod(key, base)
-                degree += digit
-            found.add(degree)
-        return found
+        return set(map(sum, self._folds(self.lines)))
 
     def poly(self) -> RealSparsePoly:
         """The product, decoded: table / scale.
@@ -556,15 +539,15 @@ class DiagonalLines:
         from one nonzero slot to the next, lowest first, so a line costs
         time linear in its bits, however sparse.
         """
-        (mask, last, _), base, width, one = self._shares(), self.base, self.width, self.n == 1
+        (mask, last, _), width, one = self._shares(), self.width, self.n == 1
         half = 1 << width - 1
         table = {}
-        for key, line in self.lines.items():
-            t = key % base
+        for (key, line), fold in zip(self.lines.items(), self._folds(self.lines)):
+            head, t = fold[:-1], fold[-1]
             h = mask >> (last - t) * width
             u = line + h
             self._check_slots(key, u)
-            head, end = self._head(key), (t + 1) * width
+            end = (t + 1) * width
             text = format(u ^ h, "b").zfill(end)  # slot j is text[end - (j + 1) * width : end - j * width]
             stop = end
             while (i := text.rfind("1", 0, stop)) >= 0:
@@ -581,14 +564,14 @@ def diagonal_lines(p: RealSparsePoly, room: int, gain: int) -> DiagonalLines:
     degree, so no digit of a key reaches it.  Each term is one shift and
     one add into its line.
     """
-    prefixes, tails, slots = _line_columns(p.table, p.n)
-    top = max(tails, default=0)
-    base = max([top, *(max(column, default=0) for column in prefixes)]) + room + 1
+    columns, slots = _line_columns(p.table, p.n)
+    top = max(columns[-1], default=0)
+    base = max(max(column, default=0) for column in columns) + room + 1
     values = p.table.values()
     width = (max(max(values, default=0), -min(values, default=0)) * gain).bit_length() + 1
     lines: dict = {}
     get = lines.get
-    for key, v in zip(_line_keys(prefixes, tails, base), map(lshift, values, map(mul, slots, repeat(width)))):
+    for key, v in zip(_horner(columns, base), map(lshift, values, map(mul, slots, repeat(width)))):
         lines[key] = get(key, 0) + v
     return DiagonalLines(p.n, p.scale, base, width, top, room, gain, lines)
 

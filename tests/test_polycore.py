@@ -27,7 +27,6 @@ from psicert.polycore import (
     GaussianRational,
     HermitianPoly,
     RealSparsePoly,
-    _packed,
     _ratio,
     diagonal_lines,
     diagonal_real_bridge,
@@ -149,18 +148,58 @@ def test_homogeneous_support_shifts_by_d(n, D, d):
     assert all(sum(a) == D + d for a in out.support)
 
 
-@given(small_polys, st.integers(2, 4), st.lists(st.tuples(*([st.integers(0, 3)] * 3)), min_size=1, max_size=4))
-@settings(max_examples=80, deadline=None)
-def test_packed_codes_are_the_packing_codes(p, d, exps):
-    # Horner's rule over the exponent columns gives code(a) for every vector, at a power d > 1 and
-    # at a multiplier's degree
-    top = max(map(sum, p.table), default=0)
-    exps = list(dict.fromkeys(a[: p.n] for a in exps))
-    for extra in (d, max(map(sum, exps))):
-        code, decode, codes = _packed(p, top, extra)
-        assert codes == {code(a): c for a, c in p.table.items()}
-        assert list(codes) == list(map(packing(top, p.n, extra)[0], p.table))
-        assert decode(codes) == list(p.table)
+def _digit_code(digits, base):
+    # the oracle for every packed key: sum of digit_i * base**(m-1-i), most significant digit first
+    return sum(x * base ** (len(digits) - 1 - i) for i, x in enumerate(digits))
+
+
+def _vectors_within(n, top):
+    # exponent vectors of arity n and total degree at most top: each coordinate clipped to what is left
+    def clip(xs):
+        out = []
+        for x in xs:
+            out.append(min(x, top - sum(out)))
+        return tuple(out)
+
+    return st.lists(st.integers(0, top), min_size=n, max_size=n).map(clip)
+
+
+@st.composite
+def _codec_cases(draw):
+    n, top, d = draw(st.integers(1, 5)), draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    vectors = draw(st.lists(_vectors_within(n, top), max_size=8, unique=True))
+    deltas = draw(st.lists(_vectors_within(n, d), min_size=1, max_size=4))
+    return n, top, d, vectors, deltas
+
+
+@given(_codec_cases())
+@settings(max_examples=150, deadline=None)
+@example((3, 0, 0, [(0, 0, 0)], [(0, 0, 0)]))
+@example((5, 6, 3, [(6, 0, 0, 0, 0), (0, 0, 0, 0, 6)], [(0, 0, 0, 0, 3)]))
+def test_packing_codec_matches_the_digit_oracle(case):
+    n, top, d, vectors, deltas = case
+    encode, decode = packing(top, n, d)
+    base = top + d + 1
+    codes = encode(vectors)
+    assert codes == [_digit_code(a, base) for a in vectors]
+    assert decode(codes) == vectors
+    assert sorted(codes) == encode(sorted(vectors))
+    for a, code in zip(vectors, codes):
+        moved = [tuple(x + y for x, y in zip(a, delta)) for delta in deltas]
+        assert encode(moved) == [code + step for step in encode(deltas)]
+    assert encode([]) == [] and decode([]) == []
+
+
+@given(st.integers(1, 6).flatmap(_poly_strategy), st.integers(0, 4), st.integers(1, 50))
+@settings(max_examples=100, deadline=None)
+def test_line_keys_are_the_folded_digit_codes(p, room, gain):
+    # a line key packs (a_1, ..., a_{n-2}, a_{n-1} + a_n), base room + 1 above every folded digit
+    n = p.n
+    folds = [a if n == 1 else (*a[:-2], a[-2] + a[-1]) for a in p.table]
+    base = max((max(f) for f in folds), default=0) + room + 1
+    lines = diagonal_lines(p, room, gain)
+    assert lines.base == base
+    assert sorted(lines.lines) == sorted({_digit_code(f, base) for f in folds})
 
 
 def test_diagonal_multiplier_examples():

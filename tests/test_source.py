@@ -158,10 +158,10 @@ def test_congruence_engine_holds_no_gaussian_rationals():
             "_parse",
             "_rational_texts",
             "_hermitian_closure",
+            "_horner",
+            "_digits",
             "packing",
-            "_packed",
             "_line_columns",
-            "_line_keys",
             "_moves",
             "diagonal_lines",
             "simplex_power_lines",
@@ -205,14 +205,16 @@ def test_only_psi_picks_the_route():
 
 
 def test_one_monomial_packing():
-    # packed monomial codes have one format: polycore.packing is the only packing
-    defs = [
+    # packed keys have one codec: polycore's _horner encodes, _digits decodes, and packing, the
+    # monomial codec, is built on them; each is defined once
+    codec = {"packing", "_horner", "_digits"}
+    defs = sorted(
         f"{path.relative_to(PACKAGE)}:{node.name}"
         for path in sorted(PACKAGE.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        if isinstance(node, ast.FunctionDef) and node.name == "packing"
-    ]
-    assert defs == ["polycore.py:packing"]
+        if isinstance(node, ast.FunctionDef) and node.name in codec
+    )
+    assert defs == ["polycore.py:_digits", "polycore.py:_horner", "polycore.py:packing"]
 
 
 def _polycore_imports(tree) -> set:
@@ -229,9 +231,10 @@ def test_certificate_reads_the_shared_packing():
     # defines no packing, digit weights, line layout or product of its own
     path = PACKAGE / "bounds.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert {"_packed", "simplex_power_lines"} <= _polycore_imports(tree)
+    assert {"packing", "simplex_power_lines"} <= _polycore_imports(tree)
     defs = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    own = {"packing", "_packed", "_line_columns", "_line_keys", "_moves", "code", "decode", "times", "times_simplex"}
+    own = {"packing", "_horner", "_digits", "_packed", "_line_columns", "_line_keys", "_moves"}
+    own |= {"code", "encode", "decode", "times", "times_simplex"}
     assert not defs & own, defs
     nested = [
         f"{outer.name}:{inner.lineno}"
@@ -253,7 +256,7 @@ def test_one_diagonal_product_engine():
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     defs = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     gone = {"_convolve", "simplex_powers", "packed_simplex_power", "unpack_table", "diagonal_multiplier_table"}
-    gone |= {"packed_lines", "_gathered", "simplex_signs"}
+    gone |= {"packed_lines", "_gathered", "simplex_signs", "_packed", "_line_keys"}
     assert not defs & gone, defs & gone
     functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     builders = sorted(
@@ -264,7 +267,7 @@ def test_one_diagonal_product_engine():
     )
     assert builders == ["_moved", "diagonal_lines"], builders
     engine = {"diagonal_lines", "simplex_power_lines", "multiplier_lines"}
-    layout = {"_line_columns", "_line_keys", "_moves", "DiagonalLines"}
+    layout = {"_line_columns", "_moves", "DiagonalLines"}
     internals = {"lines", "width", "base", "top", "room", "gain", "_moved", "_shares", "_check_slots", "_slot"}
     reached = {}
     for module in ("psi.py", "bounds.py"):
