@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import comb
 
 from .errors import BudgetExhausted, ExplicitLimit, Infeasible, ParamsInfeasible
 from .polycore import (
@@ -298,28 +299,29 @@ def search_max_ratio(
     support.  For both, `evaluations` counts the candidate patterns tested,
     and a search that runs out of `budget` returns its best pattern so far
     with `budget_exhausted` set; a local search that has found nothing by
-    then raises BudgetExhausted.  An empty support raises Infeasible.
+    then raises BudgetExhausted.  An empty support raises Infeasible, and
+    an exhaustive search over more than EXHAUSTIVE_POINT_CAP points raises
+    ExplicitLimit on their count, before any lattice is built.
     """
     if isinstance(strategy, str):
         strategy = Strategy(strategy.lower())
-    lattice = monomials_of_degree(n, D)
-    if support is None:
-        support = lattice
-    else:
+    if support is not None:
         support = tuple(sorted(tuple(a) for a in support))
         if len(set(support)) != len(support):
             raise ValueError("support has duplicates")
-        lattice_set = set(lattice)
         for a in support:
-            if a not in lattice_set:
+            if len(a) != n or not all(type(x) is int and x >= 0 for x in a) or sum(a) != D:
                 raise ValueError(f"support point {a} is not on the degree-{D} lattice")
-    if strategy is Strategy.EXHAUSTIVE and len(support) > EXHAUSTIVE_POINT_CAP:
+    size = comb(D + n - 1, n - 1) if support is None else len(support)
+    if strategy is Strategy.EXHAUSTIVE and size > EXHAUSTIVE_POINT_CAP:
         raise ExplicitLimit(
             f"exhaustive search needs <= {EXHAUSTIVE_POINT_CAP} support points; "
-            f"got {len(support)}; pass an explicit support restriction"
+            f"got {size}; pass an explicit support restriction"
         )
-    if not support:
+    if not size:
         raise Infeasible("empty support: there is no pattern to search")
+    lattice = monomials_of_degree(n, D) if support is None or strategy is Strategy.LOCAL else None
+    support = lattice if support is None else support
 
     if strategy is Strategy.EXHAUSTIVE:
         return _search_exhaustive(n, D, d, support)

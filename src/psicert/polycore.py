@@ -29,7 +29,7 @@ from itertools import chain, combinations, repeat
 from math import comb, gcd, lcm
 from operator import add, floordiv, itemgetter, lshift, mod, mul
 
-from .errors import CertificateFailure, DuplicateMultiplierTerm, NotDiagonal, NotHermitian
+from .errors import CertificateFailure, DuplicateMultiplierTerm, ExplicitLimit, NotDiagonal, NotHermitian
 
 MultiIndex = tuple  # exponent vector: tuple of nonnegative ints
 
@@ -557,18 +557,26 @@ class DiagonalLines:
         return RealSparsePoly._from_table(self.n, self.scale, table)
 
 
+# bits in one packed line and in the mask, (top + room + 1) * width: 2**27 bits
+# is 16 MiB per int, where a walk to power 64 takes seconds and hundreds of MB
+LINE_BITS_CAP = 1 << 27
+
+
 def diagonal_lines(p: RealSparsePoly, room: int, gain: int) -> DiagonalLines:
     """p's lines, wide enough for multipliers of total degree <= room and coefficient sum <= gain.
 
     The base is room + 1 above p's largest prefix coordinate and tail
     degree, so no digit of a key reaches it.  Each term is one shift and
-    one add into its line.
+    one add into its line.  Lines (and their mask) that would need more
+    than LINE_BITS_CAP bits raise ExplicitLimit before any is built.
     """
     columns, slots = _line_columns(p.table, p.n)
     top = max(columns[-1], default=0)
     base = max(max(column, default=0) for column in columns) + room + 1
     values = p.table.values()
     width = (max(max(values, default=0), -min(values, default=0)) * gain).bit_length() + 1
+    if (top + room + 1) * width > LINE_BITS_CAP:
+        raise ExplicitLimit(f"lines of {top + room + 1} slots of {width} bits exceed {LINE_BITS_CAP} bits")
     lines: dict = {}
     get = lines.get
     for key, v in zip(_horner(columns, base), map(lshift, values, map(mul, slots, repeat(width)))):
@@ -617,10 +625,10 @@ def sign_counts(p: RealSparsePoly) -> SignaturePair:
 
 
 def _hermitian_closure(staged: dict) -> dict:
-    """The upper triangle (alpha <= beta) of a table of nonzero Gaussian integers, folded and checked in ints.
+    """The upper triangle (alpha <= beta) of a table of Gaussian integers, folded and checked in ints.
 
     A diagonal entry must be real, and an entry given on both sides must be
-    the conjugate of its mirror; otherwise NotHermitian.
+    the conjugate of its mirror, a zero one included; otherwise NotHermitian.
     """
     table: dict = {}
     for (alpha, beta), (x, y) in staged.items():
@@ -642,25 +650,22 @@ class HermitianPoly(_ScaledTable):
     integers (re, im), a pair of ints, with alpha <= beta: the entry at
     (beta, alpha) is the conjugate one, and a diagonal entry is real, so the
     represented polynomial is real-valued.  The constructor takes Gaussian
-    rationals (or rationals) per pair on either side; `entry()` and
-    `items()` (both triangles) build them on demand.
+    rationals (or rationals) per pair on either side and stages them as
+    `hermitian_from_json` does: an entry and its mirror, both given, must
+    be conjugates, an explicit zero included.  `entry()` and `items()`
+    (both triangles) build Gaussian rationals on demand.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, entries=None):
-        values: dict = {}
+        ratios: dict = {}
         for (alpha, beta), value in (entries or {}).items():
             key = (_exponent_vector(alpha, n), _exponent_vector(beta, n))
             value = _as_gaussian(value)
-            if not value.is_zero():
-                values[key] = value
-        L = lcm(*(x.denominator for v in values.values() for x in (v.re, v.im)))
-        staged = {
-            key: (v.re.numerator * (L // v.re.denominator), v.im.numerator * (L // v.im.denominator))
-            for key, v in values.items()
-        }
-        return cls._frozen(n, L, _hermitian_closure(staged))
+            re, im = value.re, value.im
+            ratios[key] = (re.numerator, re.denominator), (im.numerator, im.denominator)
+        return _hermitian_from_ratios(n, ratios)
 
     @classmethod
     def _from_table(cls, n: int, scale: int, table: dict) -> "HermitianPoly":
@@ -703,6 +708,22 @@ class HermitianPoly(_ScaledTable):
 
     def __repr__(self) -> str:
         return f"HermitianPoly(n={self.n}, entries={len(self.table)})"
+
+
+def _hermitian_from_ratios(n: int, ratios: dict) -> HermitianPoly:
+    """The HermitianPoly of {(alpha, beta): ((p, q), (s, t))}, entries p/q + (s/t) i, over the lcm of q and t.
+
+    Every given entry, zeros included, goes through `_hermitian_closure`
+    before the zeros are dropped, so a zero given as the mirror of a
+    nonzero entry raises NotHermitian.  The scale is minimal: the ratios
+    are in lowest terms and a zero's denominator is 1.
+    """
+    L = lcm(*(q for pair in ratios.values() for _, q in pair))
+    staged = {key: (p * (L // q), s * (L // t)) for key, ((p, q), (s, t)) in ratios.items()}
+    table = _hermitian_closure(staged)
+    if (0, 0) in table.values():
+        table = {key: v for key, v in table.items() if v != (0, 0)}
+    return HermitianPoly._frozen(n, L, table)
 
 
 def real_to_diagonal(p: RealSparsePoly) -> HermitianPoly:
@@ -850,50 +871,23 @@ def hermitian_to_json(r: HermitianPoly) -> dict:
     return {"n": r.n, "entries": entries}
 
 
-def _first_faulty_entry(entries, n: int) -> None:
-    """Read Hermitian entries one by one and raise what the first faulty one raises.
-
-    An entry's alpha, beta, "re" and "im" are checked in that order, and
-    an entry that repeats a key with another value raises NotHermitian.
-    """
-    seen: dict = {}
-    for e in entries:
-        key = (_exponent_vector(e["alpha"], n), _exponent_vector(e["beta"], n))
-        value = _ratio(str(e["re"])), _ratio(str(e.get("im", "0")))
-        if seen.setdefault(key, value) != value:
-            raise NotHermitian(f"conflicting duplicate entry at {key}")
-
-
 def hermitian_from_json(doc) -> HermitianPoly:
-    """Parse and validate in whole passes; a repeated entry must equal the first, the table must be Hermitian.
+    """Parse and validate entry by entry; a repeated entry must equal the first, the table must be Hermitian.
 
-    An entry may be given at (alpha, beta), its mirror (beta, alpha) or both.
-    A document with a faulty entry is read again entry by entry, so the
-    first faulty entry raises, as it would in a reading one entry at a time.
+    Each entry's alpha, beta, "re" and "im" are checked in that order, so
+    the first faulty entry raises, and each distinct coefficient text is
+    read once.  An entry may be given at (alpha, beta), its mirror (beta,
+    alpha) or both; given both, they must be conjugates as given, an
+    explicit zero included.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
     n = _json_int(doc["n"])
-    entries = list(doc["entries"])
-    try:
-        alphas = map(tuple, map(itemgetter("alpha"), entries))
-        keys = list(zip(alphas, map(tuple, map(itemgetter("beta"), entries))))
-        res = list(map(str, map(itemgetter("re"), entries)))
-        ims = [str(e.get("im", "0")) for e in entries]
-        sound = _exponents_sound(list(chain.from_iterable(keys)), n)
-    except (KeyError, TypeError, AttributeError):
-        sound = False
-    if not sound:
-        _first_faulty_entry(entries, n)
-    try:
-        L, value = _rational_texts(_parse(chain.from_iterable(zip(res, ims))))
-    except (ValueError, ZeroDivisionError):
-        _first_faulty_entry(entries, n)  # an earlier conflicting repeat raises first
-        raise
-    pairs = list(zip(map(value.__getitem__, res), map(value.__getitem__, ims)))
-    staged = dict(zip(keys, pairs))
-    if len(staged) < len(keys):
-        _first_faulty_entry(entries, n)  # a key repeated with another value raises; equal repeats pass
-    if (0, 0) in staged.values():
-        staged = {key: v for key, v in staged.items() if v != (0, 0)}
-    return HermitianPoly._from_table(n, L, _hermitian_closure(staged))
+    ratio = lru_cache(maxsize=None)(_ratio)
+    ratios: dict = {}
+    for e in doc["entries"]:
+        key = (_exponent_vector(e["alpha"], n), _exponent_vector(e["beta"], n))
+        value = ratio(str(e["re"])), ratio(str(e.get("im", "0")))
+        if ratios.setdefault(key, value) != value:
+            raise NotHermitian(f"conflicting duplicate entry at {key}")
+    return _hermitian_from_ratios(n, ratios)

@@ -519,8 +519,9 @@ def plain_hermitian_parse(doc) -> dict:
     """(alpha, beta) -> GaussianRational over both triangles of a Hermitian document.
 
     An identical repeat is accepted and a conflicting one raises NotHermitian;
-    zero entries are dropped, then a diagonal entry with an imaginary part, or
-    an entry whose mirror is not its conjugate, raises NotHermitian.
+    then a diagonal entry with an imaginary part, or an entry whose mirror is
+    given and is not its conjugate (zeros included), raises NotHermitian;
+    zero entries are dropped only after that check.
     """
     staged: dict = {}
     for e in doc["entries"]:
@@ -529,22 +530,24 @@ def plain_hermitian_parse(doc) -> dict:
         if staged.get(key, value) != value:
             raise NotHermitian(f"conflicting duplicate entry at {key}")
         staged[key] = value
-    staged = {key: v for key, v in staged.items() if not v.is_zero()}
     out: dict = {}
     for (alpha, beta), v in staged.items():
         if alpha == beta and v.im:
             raise NotHermitian(f"diagonal entry at {alpha} is not real")
         if staged.get((beta, alpha), v.conjugate()) != v.conjugate():
             raise NotHermitian(f"entries at {(alpha, beta)} and {(beta, alpha)} are not conjugate")
-        out[(alpha, beta)] = v
-        out[(beta, alpha)] = v.conjugate()
+        if not v.is_zero():
+            out[(alpha, beta)] = v
+            out[(beta, alpha)] = v.conjugate()
     return out
 
 
 def term_by_term_hermitian_from_json(doc) -> HermitianPoly:
     """The original Hermitian reader: each entry's exponents checked and its texts recorded in turn.
 
-    A repeated entry must equal the first, and the table must be Hermitian.
+    A repeated entry must equal the first, and the table must be Hermitian:
+    every given entry, zeros included, is checked against its mirror before
+    the zeros are dropped.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -558,9 +561,6 @@ def term_by_term_hermitian_from_json(doc) -> HermitianPoly:
         if first != texts and (parsed[first[0]], parsed[first[1]]) != (parsed[texts[0]], parsed[texts[1]]):
             raise NotHermitian(f"conflicting duplicate entry at {key}")
     L, value = _rational_texts(parsed)
-    ints = {}
-    for key, (re, im) in staged.items():
-        x, y = value[re], value[im]
-        if x or y:
-            ints[key] = (x, y)
-    return HermitianPoly._from_table(n, L, _hermitian_closure(ints))
+    ints = {key: (value[re], value[im]) for key, (re, im) in staged.items()}
+    table = _hermitian_closure(ints)
+    return HermitianPoly._from_table(n, L, {key: v for key, v in table.items() if v != (0, 0)})

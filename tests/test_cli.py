@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -831,6 +832,31 @@ def test_document_of_the_wrong_kind_is_usage_error(tmp_path, capsys, flag, doc, 
     out = capsys.readouterr()
     assert out.out == ""
     assert ("'terms'" if flag == "--poly" else "'entries'") in out.err
+
+
+def test_zero_mirror_of_a_nonzero_entry_is_usage_error(tmp_path, capsys):
+    # [[1, 1], [0, 1]] given entry by entry is not Hermitian; read as |z1 + z2|^2 it printed rank 1
+    herm = tmp_path / "zero-mirror.json"
+    entries = [([1, 0], [1, 0], "1"), ([0, 1], [0, 1], "1"), ([1, 0], [0, 1], "1"), ([0, 1], [1, 0], "0")]
+    herm.write_text(json.dumps({"n": 2, "entries": [{"alpha": a, "beta": b, "re": re} for a, b, re in entries]}))
+    for argv in (["signature"], ["check-psi", "--d", "0"], ["reduce"]):
+        assert run([argv[0], "--herm", str(herm), *argv[1:]]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "not conjugate" in out.err
+
+
+def test_lines_past_the_bit_cap_are_usage_errors_at_once(tmp_path, capsys):
+    # x1^N - x1^(N-1) x2 + x2^N at N = 10**12 would need lines of terabits on the diagonal route
+    N = 10**12
+    terms = [([N, 0], "1"), ([N - 1, 1], "-1"), ([0, N], "1")]
+    poly = tmp_path / "huge.json"
+    poly.write_text(json.dumps({"n": 2, "terms": [{"exp": a, "coef": c} for a, c in terms]}))
+    for argv in (["check-psi", "--d", "1"], ["min-d"], ["certificate"]):
+        start = time.perf_counter()
+        assert run([argv[0], "--poly", str(poly), *argv[1:]]) == 2
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert out.out == "" and "bits" in out.err
 
 
 def test_explicit_empty_documents_are_the_zero_polynomial(tmp_path, capsys):

@@ -371,6 +371,32 @@ def test_geometry_past_the_point_cap_is_not_kept(cold_caches):
     assert patterns._cover(small, 3, 1) is patterns._cover(small, 3, 1)
 
 
+def test_exhaustive_cap_is_checked_before_the_lattice_is_built(cold_caches):
+    # C(10**5 + 2, 2) points are counted, not built: building them would take gigabytes
+    start = time.perf_counter()
+    with pytest.raises(ExplicitLimit, match="got 5000150001"):
+        search_max_ratio(3, 10**5, 1, strategy=Strategy.EXHAUSTIVE)
+    assert time.perf_counter() - start < 1.0
+    assert monomials_of_degree.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("strategy, evaluations", [(Strategy.EXHAUSTIVE, 11), (Strategy.GREEDY, 5)])
+def test_a_given_support_is_searched_without_its_lattice(strategy, evaluations, cold_caches):
+    # four points of the degree-1000 lattice: one negative is covered by its three neighbours
+    support = [(999, 1, 0), (998, 2, 0), (998, 1, 1), (998, 0, 2)]
+    result = search_max_ratio(3, 1000, 1, strategy=strategy, support=support)
+    assert result.best.neg == {(998, 1, 1)} and result.ratio == Fraction(1, 3)
+    assert result.evaluations == evaluations and not result.budget_exhausted
+    assert result.realized.table == {(999, 1, 0): 2, (998, 2, 0): 2, (998, 1, 1): -1, (998, 0, 2): 2}
+    assert monomials_of_degree.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("point", [(1000, 1, 0), (999, 1), (1001, -1, 0), (999.0, 1, 0), (True, 999, 0)])
+def test_a_support_point_off_the_lattice_is_refused(point):
+    with pytest.raises(ValueError, match=r"is not on the degree-1000 lattice"):
+        search_max_ratio(3, 1000, 1, support=[(998, 1, 1), point])
+
+
 def test_the_shared_lattice_is_immutable(cold_caches):
     lattice = monomials_of_degree(3, 4)
     assert isinstance(lattice, tuple) and monomials_of_degree(3, 4) is lattice

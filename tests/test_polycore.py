@@ -20,9 +20,11 @@ from oracles import (
     term_by_term_hermitian_from_json,
     term_by_term_poly_from_json,
 )
-from psicert.errors import CertificateFailure, DuplicateMultiplierTerm, NotDiagonal, NotHermitian
+from psicert.errors import CertificateFailure, DuplicateMultiplierTerm, ExplicitLimit, NotDiagonal, NotHermitian
 from psicert.generators import example_fig2, generate_pD
 from psicert.polycore import (
+    GR_ZERO,
+    LINE_BITS_CAP,
     DiagonalLines,
     GaussianRational,
     HermitianPoly,
@@ -464,6 +466,60 @@ def test_hermitian_json_rejects_violations():
     }
     with pytest.raises(NotHermitian):
         hermitian_from_json(doc)
+
+
+@pytest.mark.parametrize("mirror", [{"re": "0"}, {"re": "0", "im": "0"}, {"re": "-0/5", "im": "0.0"}])
+def test_zero_mirror_of_a_nonzero_entry_is_not_hermitian(mirror):
+    # [[1, 1], [0, 1]] is not Hermitian: the zero must not be dropped before its mirror is compared
+    a, b = [1, 0], [0, 1]
+    entries = [{"alpha": alpha, "beta": beta, "re": "1"} for alpha, beta in ((a, a), (b, b), (a, b))]
+    doc = {"n": 2, "entries": [*entries, {"alpha": b, "beta": a, **mirror}]}
+    for given_doc in (doc, json.dumps(doc)):
+        with pytest.raises(NotHermitian, match="not conjugate"):
+            hermitian_from_json(given_doc)
+    with pytest.raises(NotHermitian, match="not conjugate"):
+        HermitianPoly(2, {((1, 0), (0, 1)): 1, ((0, 1), (1, 0)): 0})
+    with pytest.raises(NotHermitian, match="not conjugate"):
+        HermitianPoly(2, {((1, 0), (0, 1)): GaussianRational.of(0, 1), ((0, 1), (1, 0)): GR_ZERO})
+    with pytest.raises(NotHermitian, match="not conjugate"):
+        hermitian_from_json({"n": 1, "entries": [{"alpha": [1], "beta": [0], "re": "0", "im": "1/2"},
+                                                 {"alpha": [0], "beta": [1], "re": "0"}]})
+
+
+@pytest.mark.parametrize("re, im", [("0", "0"), ("1", "0"), ("-3/4", "0"), ("1/2", "-2"), ("0", "5")])
+def test_conjugate_pairs_given_on_both_sides_read_as_one_side(re, im):
+    # a pair given as conjugates, zeros included, reads as its upper entry alone
+    a, b = [1, 0], [0, 1]
+    diagonal = {"alpha": a, "beta": a, "re": "1"}
+    upper = {"alpha": a, "beta": b, "re": re, "im": im}
+    mirror = {"alpha": b, "beta": a, "re": re, "im": str(-Fraction(im))}
+    one = hermitian_from_json({"n": 2, "entries": [diagonal, upper]})
+    assert one == HermitianPoly(2, {((1, 0), (1, 0)): 1, ((1, 0), (0, 1)): GaussianRational.of(re, im)})
+    assert len(one.table) == (1 if re == im == "0" else 2)
+    for entries in ([diagonal, upper, mirror], [diagonal, mirror, upper], [diagonal, mirror]):
+        for doc in ({"n": 2, "entries": entries}, json.dumps({"n": 2, "entries": entries})):
+            assert hermitian_from_json(doc) == one
+    value = GaussianRational.of(re, im)
+    both = {((1, 0), (1, 0)): 1, ((1, 0), (0, 1)): value, ((0, 1), (1, 0)): value.conjugate()}
+    assert HermitianPoly(2, both) == one
+
+
+def test_lines_past_the_bit_cap_are_refused_before_they_are_built():
+    # (top + room + 1) * width bits per line and per mask: an exponent of 10**12 asks for terabits
+    big = P(2, {(10**12, 0): 1, (0, 10**12): 1})
+    with pytest.raises(ExplicitLimit, match="bits"):
+        diagonal_lines(big, 1, 2)
+    with pytest.raises(ExplicitLimit):
+        simplex_power_lines(big, 1)
+    with pytest.raises(ExplicitLimit):
+        multiplier_lines(big, [(1, 0), (0, 1)])
+    # the largest lines the cap allows are built
+    width = 3  # coefficients 1, coefficient sum 2: 2 bits and a sign bit
+    top = LINE_BITS_CAP // width - 2
+    edge = P(2, {(top, 0): 1, (0, top): 1})
+    assert diagonal_lines(edge, 1, 2).width == width
+    with pytest.raises(ExplicitLimit):
+        diagonal_lines(P(2, {(top + 1, 0): 1, (0, top + 1): 1}), 1, 2)
 
 
 _READER_TEXTS = ["1", "-1", "3/4", "0", "2/6", "-1/3", "0.5", " 1/2 ", "1e3", "-0", "2/4", 0.1, 2, -5]

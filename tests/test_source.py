@@ -172,7 +172,7 @@ def test_congruence_engine_holds_no_gaussian_rationals():
             "hermitian_multiplier_table",
             "_ratio",
             "_exponents_sound",
-            "_first_faulty_entry",
+            "_hermitian_from_ratios",
             "_rational_str",
             "_json_int",
             "sign_counts",
